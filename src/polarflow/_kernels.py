@@ -1,12 +1,13 @@
 """Hot numeric kernels: periodic circulant convolution and scattered gathers.
 
-The scattered gathers (cubic Lagrange in 1-2 axes, trigonometric in 1 axis)
-carry numba ``@njit`` implementations with pure-numpy fallbacks; selection
-happens once at import via :mod:`polarflow._accel` and the
-``POLARFLOW_DISABLE_NUMBA`` flag, and both paths agree to roundoff.  The
-circulant convolution and the 2-axis trigonometric gather stay on vectorized
-numpy/BLAS on purpose: measured on desk-scale grids, BLAS beats a jitted
-loop for both (see ``benchmarks/bench_kernels.py``).
+The cubic Lagrange gathers in 1-2 axes carry numba ``@njit`` implementations
+with pure-numpy fallbacks; selection happens once at import via
+:mod:`polarflow._accel` and the ``POLARFLOW_DISABLE_NUMBA`` flag, and both
+paths agree to roundoff.  The circulant convolution stays on vectorized
+numpy/BLAS on purpose: measured on desk-scale grids, BLAS beats a jitted loop.
+The trigonometric gather is a pure-numpy type-2 non-uniform FFT on any number
+of axes, accurate to ~1e-14 against the direct Fourier sum (see
+``benchmarks/bench_kernels.py`` for timings of both against their references).
 
 Positions for the cubic gather are expressed in grid units: a point ``u``
 lives in ``[0, N)`` with node ``j`` at ``u == j``.
@@ -188,69 +189,109 @@ def _cubic_gather_nd(values: np.ndarray, units: list[np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# trigonometric (band-limited exact) gather
+# trigonometric gather: type-2 non-uniform FFT
 # ---------------------------------------------------------------------------
 
+# Exponential-of-semicircle ("ES") kernel psi(t) = exp(beta (sqrt(1 - (2t/W)^2) - 1))
+# on |t| <= W/2 fine-lattice cells, with the lattice oversampled by _NUFFT_SIGMA
+# per axis (Barnett, Magland & af Klinteberg, SISC 41, 2019).  W = 16 keeps 500
+# exact-translation steps at N=128 near 4e-14, well inside the 1e-12 the tests
+# pin; W = 14 reaches 4e-12 and misses it (error-vs-width table in CHANGES.md).
+_NUFFT_SIGMA = 2
+_NUFFT_W = 16
+_NUFFT_BETA = 2.30 * _NUFFT_W
+_NUFFT_QUAD = 4 * _NUFFT_W  # midpoint nodes for the kernel transform
 
-def _trig_gather_1d_np(amps: np.ndarray, kappa: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    return (np.exp(1j * np.outer(pts, kappa)) @ amps).real
+
+def _es_kernel(t: np.ndarray) -> np.ndarray:
+    """Kernel values at offsets ``t`` (lattice cells); overwrites ``t``."""
+    t *= 2.0 / _NUFFT_W
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=t)
+    np.maximum(t, 0.0, out=t)
+    np.sqrt(t, out=t)
+    t -= 1.0
+    t *= _NUFFT_BETA
+    return np.exp(t, out=t)
 
 
-@njit(cache=True)
-def _trig_gather_1d_nb(ar, ai, kappa1, pts):  # pragma: no cover - via dispatcher
-    # conjugate-pair form for real-field spectra; powers of exp(i kappa1 x)
-    # replace per-mode transcendentals
-    n = ar.shape[0]
-    half = n // 2
-    out = np.empty(pts.shape[0])
-    for p in range(pts.shape[0]):
-        phase = kappa1 * pts[p]
-        zc = np.cos(phase)
-        zs = np.sin(phase)
-        c = 1.0
-        s = 0.0
-        acc = ar[0]
-        for k in range(1, half):
-            cn = c * zc - s * zs
-            s = c * zs + s * zc
-            c = cn
-            acc += 2.0 * (ar[k] * c - ai[k] * s)
-        cn = c * zc - s * zs
-        s = c * zs + s * zc
-        c = cn
-        # unpaired extreme mode: Re[a exp(-i half phase)]
-        acc += ar[half] * c + ai[half] * s
-        out[p] = acc
+@lru_cache(maxsize=16)
+def _es_deconvolution(n_fine: int, half: int) -> np.ndarray:
+    """``1 / Psi(2 pi k / n_fine)`` for ``k = 0..half``, ``Psi`` the kernel's transform.
+
+    Midpoint rule: the kernel is ~exp(-beta) at its edges, so the rule is
+    accurate to that level.
+    """
+    step = _NUFFT_W / _NUFFT_QUAD
+    t = (np.arange(_NUFFT_QUAD) + 0.5) * step - 0.5 * _NUFFT_W
+    xi = 2.0 * np.pi / n_fine * np.arange(half + 1)
+    out = 1.0 / ((np.cos(np.outer(xi, t)) @ _es_kernel(t.copy())) * step)
+    out.flags.writeable = False
     return out
 
 
-def _trig_gather_2d_np(amps, kappa1, kappa2, p1, p2):
-    e1 = np.exp(1j * np.outer(p1, kappa1))
-    e2 = np.exp(1j * np.outer(p2, kappa2))
-    return ((e1 @ amps) * e2).sum(axis=1).real
-
-
 def trig_gather(amps: np.ndarray, kappas: list[np.ndarray], pts: list[np.ndarray]) -> np.ndarray:
-    """Evaluate a discrete Fourier representation at scattered points.
+    """Evaluate discrete Fourier representations at scattered points.
 
-    ``amps`` is the complex coefficient array in FFT layout (normalized so the
-    zero mode equals the field mean) of a *real* field, ``kappas[i]`` the
-    per-axis wavenumbers, ``pts[i]`` the i-th physical coordinates of the
-    query points.  Exact to roundoff for fields resolved on the grid; limited
-    to 1 and 2 axes.
+    ``amps`` holds the complex coefficients in FFT layout (normalized so the
+    zero mode equals the field mean) of *real* fields on an m-axis grid, with
+    an optional trailing axis that stacks several fields; ``kappas[i]`` are
+    the per-axis wavenumbers and ``pts[i]`` the i-th physical coordinates of
+    the query points.  Returns ``Re sum_k amps[k] exp(i kappa_k . x)`` with
+    shape ``(points,)`` plus the field axis, if any.
+
+    The sum is a type-2 non-uniform FFT (Dutt & Rokhlin 1993; Barnett et al.
+    2019): deconvolve by the ES kernel's transform, zero-pad onto a lattice
+    oversampled by 2 per axis, inverse FFT, then gather with real kernel
+    weights over a window of ``_NUFFT_W`` lattice points per axis.  It agrees
+    with the direct sum to ~1e-14 relative to the field's size; each mode,
+    the unpaired Nyquist mode included, keeps its wavenumber.
     """
-    if len(kappas) == 1:
-        p = np.ascontiguousarray(pts[0], dtype=np.float64)
-        if USE_NUMBA:
-            return _trig_gather_1d_nb(
-                np.ascontiguousarray(amps.real),
-                np.ascontiguousarray(amps.imag),
-                float(kappas[0][1]),
-                p,
-            )
-        return _trig_gather_1d_np(amps, kappas[0], p)
-    if len(kappas) == 2:
-        p1 = np.ascontiguousarray(pts[0], dtype=np.float64)
-        p2 = np.ascontiguousarray(pts[1], dtype=np.float64)
-        return _trig_gather_2d_np(amps, kappas[0], kappas[1], p1, p2)
-    raise ValueError("trig_gather supports 1 or 2 axes; use cubic_gather beyond")
+    m = len(kappas)
+    amps = np.asarray(amps)
+    shape = amps.shape[:m]
+    n_fields = int(np.prod(amps.shape[m:], dtype=np.int64))
+    fine_shape = tuple(_NUFFT_SIGMA * n for n in shape)
+    coeffs = amps.reshape(shape + (n_fields,)).astype(np.complex128)
+
+    # per axis: deconvolve, place modes on the fine lattice, and find each
+    # point's first window cell and its W kernel weights
+    slots, starts, weights = [], [], []
+    for ax, (kappa, n_fine) in enumerate(zip(kappas, fine_shape)):
+        kappa = np.asarray(kappa, dtype=np.float64)
+        modes = np.rint(kappa / kappa[1]).astype(np.int64)
+        factor = _es_deconvolution(n_fine, int(np.abs(modes).max()))[np.abs(modes)]
+        coeffs = coeffs * factor.reshape((-1,) + (1,) * (m - ax))
+        slots.append(modes % n_fine)
+        u = np.ravel(pts[ax]).astype(np.float64) * (kappa[1] * n_fine / (2.0 * np.pi))
+        first = np.ceil(u - 0.5 * _NUFFT_W)
+        offsets = (first - u)[:, None] + np.arange(_NUFFT_W, dtype=np.float64)
+        starts.append(first.astype(np.int64) % n_fine)
+        weights.append(_es_kernel(offsets))
+
+    fine = np.zeros(fine_shape + (n_fields,), dtype=np.complex128)
+    fine[np.ix_(*slots)] = coeffs
+    lattice = np.fft.ifftn(fine, axes=tuple(range(m)), norm="forward").real
+    # Wrap-pad every axis by W - 1, so no window index needs a modulo.  A
+    # point's window along the last axis is then W consecutive cells of the
+    # flat padded lattice: one read per leading offset fetches every point's
+    # window for every field, through a view that copies nothing.
+    padded = np.pad(lattice, [(0, _NUFFT_W - 1)] * m + [(0, 0)], mode="wrap")
+    cells = np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), _NUFFT_W * n_fields)
+    cells = cells[::n_fields]
+    strides = np.cumprod((1,) + padded.shape[m - 1 : 0 : -1])[::-1]
+
+    base = sum(s * stride for s, stride in zip(starts, strides))
+    lead_w = [np.ascontiguousarray(w.T) for w in weights[:-1]]
+    last_w = weights[-1][:, None, :]
+    out = np.zeros((base.shape[0], n_fields))
+    # loop over window offsets of the leading axes; the last axis is vectorized
+    for offsets in np.ndindex(*(_NUFFT_W,) * (m - 1)):
+        shift = 0
+        weight = np.ones(base.shape[0])
+        for ax, off in enumerate(offsets):
+            shift += off * int(strides[ax])
+            weight *= lead_w[ax][off]
+        vals = cells[base + shift].reshape(-1, _NUFFT_W, n_fields)
+        out += weight[:, None] * (last_w @ vals)[:, 0]
+    return out.reshape(out.shape[:1] + amps.shape[m:])

@@ -38,7 +38,8 @@ class CheckResult:
 
 
 def _check(name: str, value: float, bound: float) -> CheckResult:
-    return CheckResult(name, value <= bound, f"{value:.3e} <= {bound:.3e}")
+    # a Python bool: numpy scalars (np.bool_) are not JSON-serializable
+    return CheckResult(name, bool(value <= bound), f"{value:.3e} <= {bound:.3e}")
 
 
 def _grid1(n: int = 128):

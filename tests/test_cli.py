@@ -150,6 +150,17 @@ class TestRunVerify:
         monkeypatch.setitem(V.SUITES, "heat", lambda: [CheckResult("x", False, "boom")])
         assert run_verify("heat", tmp_path) == EXIT_VERIFY
 
+    def test_summary_round_trips_numpy_checks(self, tmp_path, monkeypatch):
+        from polarflow import verify as V
+
+        # _check on numpy scalars, as the real suites call it
+        results = [V._check("a", np.float64(1e-9), 1e-8), V._check("b", np.float64(2.0), 1.0)]
+        monkeypatch.setitem(V.SUITES, "heat", lambda: results)
+        assert run_verify("heat", tmp_path) == EXIT_VERIFY
+        summary = json.loads((tmp_path / "verify_heat.json").read_text())
+        assert summary["passed"] is False
+        assert [(c["name"], c["passed"]) for c in summary["checks"]] == [("a", True), ("b", False)]
+
 
 class TestRunCell:
     def test_artifacts(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Equivalence of the jitted kernels and their numpy fallbacks."""
+"""Kernel checks: jitted paths against numpy fallbacks, the NUFFT against the direct sum."""
 
 import os
 import subprocess
@@ -89,24 +89,35 @@ class TestCubicGather:
         assert out[0] == pytest.approx(out[1], abs=1e-13)
 
 
+def direct_trig_sum(amps, kappas, pts):
+    """Oracle: ``Re sum_k amps[k] exp(i kappa_k . x)`` summed directly, O(N^m) per point.
+
+    ``amps`` may carry a trailing field axis, as ``trig_gather`` allows.
+    """
+    out = np.tensordot(np.exp(1j * np.outer(pts[0], kappas[0])), amps, axes=([1], [0]))
+    for p, kap in zip(pts[1:], kappas[1:]):
+        out = np.einsum("pk,pk...->p...", np.exp(1j * np.outer(p, kap)), out)
+    return out.real
+
+
 class TestTrigGather:
-    def test_jit_matches_numpy_1d(self, rng):
+    def test_nufft_matches_direct_sum_1d(self, rng):
         vals = rng.normal(size=128)
         amps = np.fft.fft(vals) / 128
         kap = 2 * np.pi * np.fft.fftfreq(128, d=1 / 128)
         pts = rng.uniform(0, 1, size=200)
         a = K.trig_gather(amps, [kap], [pts])
-        b = K._trig_gather_1d_np(amps, kap, pts)
+        b = direct_trig_sum(amps, [kap], [pts])
         assert np.abs(a - b).max() < 1e-11
 
-    def test_jit_matches_numpy_2d(self, rng):
+    def test_nufft_matches_direct_sum_2d(self, rng):
         vals = rng.normal(size=(16, 16))
         amps = np.fft.fft2(vals) / 256
         kap = 2 * np.pi * np.fft.fftfreq(16, d=1 / 16)
         p1 = rng.uniform(0, 1, size=60)
         p2 = rng.uniform(0, 1, size=60)
         a = K.trig_gather(amps, [kap, kap], [p1, p2])
-        b = K._trig_gather_2d_np(amps, kap, kap, p1, p2)
+        b = direct_trig_sum(amps, [kap, kap], [p1, p2])
         assert np.abs(a - b).max() < 1e-11
 
     def test_band_limited_exactness(self):
@@ -120,9 +131,34 @@ class TestTrigGather:
         expect = 1.0 + 0.3 * np.sin(2 * np.pi * pts) + 0.1 * np.cos(8 * np.pi * pts)
         assert np.abs(out - expect).max() < 1e-12
 
-    def test_three_axes_rejected(self):
-        with pytest.raises(ValueError, match="1 or 2 axes"):
-            K.trig_gather(np.zeros((4, 4, 4), dtype=complex), [np.zeros(4)] * 3, [np.zeros(1)] * 3)
+    def test_three_axes_match_direct_sum(self, rng):
+        vals = rng.normal(size=(8, 8, 8))
+        amps = np.fft.fftn(vals) / 512
+        kap = 2 * np.pi * np.fft.fftfreq(8, d=1 / 8)
+        pts = [rng.uniform(0, 1, size=60) for _ in range(3)]
+        a = K.trig_gather(amps, [kap] * 3, pts)
+        b = direct_trig_sum(amps, [kap] * 3, pts)
+        assert np.abs(a - b).max() < 1e-11
+
+    def test_stacked_fields_equal_per_field_calls(self, rng):
+        vals = rng.normal(size=(16, 32, 3))
+        amps = np.fft.fftn(vals, axes=(0, 1)) / 512
+        kappas = [2 * np.pi * np.fft.fftfreq(n, d=1 / n) for n in (16, 32)]
+        pts = [rng.uniform(-0.5, 1.5, size=70) for _ in range(2)]
+        stacked = K.trig_gather(amps, kappas, pts)
+        assert stacked.shape == (70, 3)
+        for j in range(3):
+            single = K.trig_gather(amps[..., j], kappas, pts)
+            assert np.abs(stacked[:, j] - single).max() < 1e-14
+
+    def test_nyquist_mode_is_a_cosine(self, rng):
+        # an even-N grid samples a cos(pi N x) as a (-1)^j: only the unpaired mode
+        n, a = 32, 0.7
+        amps = np.fft.fft(a * np.cos(np.pi * np.arange(n))) / n
+        kap = 2 * np.pi * np.fft.fftfreq(n, d=1 / n)
+        pts = rng.uniform(0, 1, size=100)
+        out = K.trig_gather(amps, [kap], [pts])
+        assert np.abs(out - a * np.cos(np.pi * n * pts)).max() < 1e-12
 
 
 SCRIPT = """
