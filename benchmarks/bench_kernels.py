@@ -7,7 +7,9 @@ POLARFLOW_DISABLE_NUMBA=1 to confirm the package works (slower) without
 numba.  The circulant convolution has no jitted variant: it reduces to a
 BLAS-sized matrix product where vectorized numpy beats a jitted loop (expect
 speedup ~1x there).  The trigonometric gathers, a type-2 non-uniform FFT,
-are compared with the direct Fourier sum defined below.
+are compared with the direct Fourier sum defined below, and one batched
+Duhamel sweep (FD8 folded into the kernel rows, all Gauss nodes of a target
+at once) with the per-(target, node) loop defined below.
 
     python benchmarks/bench_kernels.py [--n 128] [--points 4096] [--repeat 50]
 """
@@ -18,7 +20,10 @@ import time
 import numpy as np
 
 from polarflow import _kernels as K
+from polarflow import burgers_flux, make_field, make_grid
 from polarflow._accel import USE_NUMBA
+from polarflow.duhamel import _fd_derivative, _plain_row, _Window
+from polarflow.flux import eval_g
 
 
 def timeit(fn, repeat):
@@ -39,6 +44,35 @@ def direct_trig_sum(amps, kappas, pts):
     return out.real
 
 
+def reference_sweep(window, base, iterate, n_gauss):
+    """Reference: the fixed-point map one (target, Gauss node) pair at a time.
+
+    Interpolate the node field, take the FD8 flux divergence, then convolve
+    with the plain kernel row per axis through ``circulant_apply``.
+    """
+    grid, spec, mesh = window.grid, window.spec, window.mesh
+    n_time, dt = len(mesh), mesh[1] - mesh[0]
+    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
+    new = base.copy()
+    for i in range(1, n_time):
+        half = 0.5 * np.sqrt(mesh[i])
+        for x, w in zip(nodes, weights):
+            sigma = half * (x + 1.0)
+            tau = sigma * sigma
+            u = (mesh[i] - tau) / dt
+            j0 = int(np.clip(np.floor(u), 1, n_time - 3))
+            lagrange = K._lagrange4_weights(u - j0)
+            field = np.tensordot(lagrange, iterate[j0 - 1 : j0 + 3], axes=(0, 0))
+            conv = np.zeros(grid.shape)
+            for j in range(spec.m):
+                conv += _fd_derivative(eval_g(spec, j, field), axis=j, h=grid.spacings[j])
+            for ax in range(grid.m):
+                row = _plain_row(grid.resolution[ax], grid.lengths[ax], tau)
+                conv = K.circulant_apply(row, conv, axis=ax)
+            new[i] -= 2.0 * sigma * half * w * conv
+    return new
+
+
 def bench(n, points, repeat):
     rng = np.random.default_rng(0)
     row = rng.normal(size=n)
@@ -50,6 +84,12 @@ def bench(n, points, repeat):
     kap = 2 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
     pts = rng.uniform(0, 1, size=points)
     upts = rng.uniform(0, n, size=points)
+    # one Duhamel window as picard_solve builds it (33 targets, 32 nodes)
+    grid = make_grid(1, [1.0], [n])
+    r0 = make_field(grid, 1.0 + 0.2 * np.sin(2 * np.pi * grid.axis_coords(0)))
+    window = _Window(grid, burgers_flux(1), 1e-3, 33, 32)
+    base = np.stack([r0.values] * 33)
+    iterate = base + 0.01 * rng.normal(size=base.shape)
 
     cases = [
         (
@@ -77,6 +117,11 @@ def bench(n, points, repeat):
             lambda: K.trig_gather(amps2, [kap, kap], [pts, pts]),
             lambda: direct_trig_sum(amps2, [kap, kap], [pts, pts]),
         ),
+        (
+            "duhamel sweep N=%d (33x32 nodes)" % n,
+            lambda: window.sweep(base, iterate),
+            lambda: reference_sweep(window, base, iterate, 32),
+        ),
     ]
 
     label = "numba" if USE_NUMBA else "numpy (numba disabled)"
@@ -86,7 +131,8 @@ def bench(n, points, repeat):
         gap = np.abs(np.asarray(fast()) - np.asarray(slow())).max()
         assert gap < 1e-9, f"{name}: paths disagree by {gap:.3e}"
         t_fast = timeit(fast, repeat)
-        t_slow = timeit(slow, repeat)
+        # the sweep reference takes ~0.3 s a call, so it gets fewer repeats
+        t_slow = timeit(slow, min(repeat, 5) if name.startswith("duhamel") else repeat)
         print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
 
 

@@ -16,14 +16,20 @@ path with :mod:`polarflow.spectral`):
 
 * kernels are periodized by image sums, truncated once the farthest image is
   below 1e-16, sampled on the grid, and normalized to unit discrete mass;
-* the kernel-gradient convolution is applied in the transferred form
-  ``K(tau) * (d g_j / d theta_j)`` with an 8th-order finite-difference
-  derivative, which stays well-behaved when ``tau`` is below grid resolution
-  (the raw gradient kernel degenerates there);
+* the kernel-gradient convolution uses ``D_j K(tau)`` with ``D_j`` an
+  8th-order periodic finite difference rather than the raw gradient kernel,
+  which degenerates when ``tau`` is below grid resolution.  ``D_j`` and the
+  kernel are both circulant, so ``K * D_j g = (D_j K) * g``: the stencil is
+  folded into the sampled kernel rows, with the quadrature weight, once when
+  the window is built;
 * the time integral uses the substitution ``s = t - sigma^2``, which removes
   the integrable endpoint singularity, evaluated by Gauss-Legendre nodes;
 * iterates live on a uniform time mesh over the window and are interpolated
-  in time with 4-point Lagrange stencils.
+  in time with 4-point Lagrange stencils;
+* a sweep handles one target time at a time with all its Gauss nodes in one
+  batch: one stencil matrix interpolates the node fields, and each axis is a
+  direct periodic convolution of every node's field with its own row, read
+  through a sliding window of the wrap-padded batch.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._kernels import circulant_apply
+from ._kernels import _lagrange4_weights, circulant_apply
 from .errors import ConvergenceError
 from .flux import FluxSpec, eval_g, flux_envelope_bound
 from .grid import PeriodicGrid, ScalarField
@@ -73,21 +80,23 @@ def contraction_horizon(
     return float(min(t1, t2))
 
 
-def _plain_row(n: int, length: float, tau: float) -> np.ndarray:
+def _plain_row(n: int, length: float, tau) -> np.ndarray:
     """Sampled, image-summed heat kernel on one axis, unit discrete mass.
 
     Includes the quadrature weight ``h``, so a circulant application of the
-    row is the full convolution integral along that axis.
+    row is the full convolution integral along that axis.  An array ``tau``
+    gives one row per entry, stacked on a leading axis.
     """
+    tau = np.asarray(tau, dtype=np.float64)[..., None]
     h = length / n
     x = np.arange(n) * h
-    n_img = int(np.ceil(14.0 * np.sqrt(tau) / length)) + 1
-    row = np.zeros(n)
+    n_img = int(np.ceil(14.0 * np.sqrt(tau.max()) / length)) + 1
+    row = np.zeros(tau.shape[:-1] + (n,))
     for img in range(-n_img, n_img + 1):
         xi = x - img * length
         row += np.exp(-(xi * xi) / (4.0 * tau))
     # prefactor (4 pi tau)^(-1/2) and weight h cancel in the normalization
-    return row / row.sum()
+    return row / row.sum(axis=-1, keepdims=True)
 
 
 def heat_kernel_convolve(f: ScalarField, t: float) -> ScalarField:
@@ -134,6 +143,22 @@ def _fd_derivative(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out / h
 
 
+def _convolve_nodes(rows: np.ndarray, batch: np.ndarray, axis: int) -> np.ndarray:
+    """Periodic convolution of each node's field with its own kernel row.
+
+    ``out[q, .., j, ..] = sum_l row_q[(j - l) % N] batch[q, .., l, ..]`` along
+    ``axis`` of ``batch``, with ``rows[q]`` holding ``row_q`` reversed.  The
+    batch is wrap-padded by ``N - 1`` in front, so output ``j`` reads ``N``
+    consecutive padded entries; the sliding window over them is a view, and
+    the contraction builds no ``N x N`` gather.
+    """
+    n = rows.shape[-1]
+    pad = [(0, 0)] * batch.ndim
+    pad[axis] = (n - 1, 0)
+    windows = sliding_window_view(np.pad(batch, pad, mode="wrap"), n, axis=axis)
+    return np.einsum("qk,q...k->q...", rows, windows)
+
+
 @dataclass
 class PicardReport:
     """Outcome of one fixed-point window solve."""
@@ -158,7 +183,18 @@ class PicardReport:
 
 
 class _Window:
-    """Precomputed quadrature data for one fixed-point window."""
+    """Precomputed quadrature data for one fixed-point window.
+
+    Target ``t_i`` needs, at each Gauss node ``sigma_q``, the iterate at
+    ``t_i - sigma_q^2`` and the kernel at ``tau = sigma_q^2``.  Per target,
+    ``stencils[i]`` is the ``(n_gauss, n_time)`` Lagrange matrix giving those
+    node fields from the iterate, and per axis ``gradients[ax][i]`` stacks the
+    ``n_gauss`` rows ``w_q D_ax K(tau_q)`` (the quadrature weight and the
+    derivative folded in) and ``kernels[ax][i]`` the plain rows ``K(tau_q)``,
+    all reversed for :func:`_convolve_nodes`.  Flux term ``j`` takes the
+    gradient rows on axis ``j`` and the plain rows on every other axis, so
+    with one axis the plain rows are never read and not kept.
+    """
 
     def __init__(
         self,
@@ -176,68 +212,58 @@ class _Window:
         self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
         nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
 
-        # per (target, node): kernel rows per axis, quadrature weight including
-        # the 2*sigma Jacobian of the substitution, interpolation stencil
-        self.rows: list[list[list[np.ndarray]]] = [[]]
-        self.weights: list[np.ndarray] = [np.zeros(0)]
-        self.stencils: list[list[tuple[int, np.ndarray]]] = [[]]
+        self.stencils = np.zeros((n_time, n_gauss, n_time))
+        self.gradients = [np.zeros((n_time, n_gauss, n)) for n in grid.resolution]
+        self.kernels = [np.zeros_like(g) if grid.m > 1 else None for g in self.gradients]
         for i in range(1, n_time):
             t_i = self.mesh[i]
             half = 0.5 * np.sqrt(t_i)
             sigma = half * (nodes + 1.0)
-            self.weights.append(2.0 * sigma * half * weights)
-            row_list = []
-            stencil_list = []
-            for sg in sigma:
-                tau = sg * sg
-                row_list.append(
-                    [
-                        _plain_row(grid.resolution[ax], grid.lengths[ax], tau)
-                        for ax in range(grid.m)
-                    ]
-                )
-                stencil_list.append(self._time_stencil(t_i - tau, n_time))
-            self.rows.append(row_list)
-            self.stencils.append(stencil_list)
+            tau = sigma * sigma
+            # Gauss weights with the 2*sigma Jacobian of the substitution
+            wq = (2.0 * sigma * half * weights)[:, None]
+            self.stencils[i] = self._time_stencils(t_i - tau)
+            for ax in range(grid.m):
+                rows = _plain_row(grid.resolution[ax], grid.lengths[ax], tau)
+                grad = _fd_derivative(rows, axis=1, h=grid.spacings[ax])
+                self.gradients[ax][i] = wq * grad[:, ::-1]
+                if self.kernels[ax] is not None:
+                    self.kernels[ax][i] = rows[:, ::-1]
 
-    def _time_stencil(self, s: float, n_time: int) -> tuple[int, np.ndarray]:
-        """4-point Lagrange weights on the uniform mesh, clamped at the ends."""
+    def _time_stencils(self, s: np.ndarray) -> np.ndarray:
+        """Rows of 4-point Lagrange weights on the uniform mesh, clamped at the ends."""
+        n_time = len(self.mesh)
         u = s / self.dt_mesh
-        j0 = int(np.clip(np.floor(u), 1, n_time - 3))
-        d = u - j0
-        w = np.array(
-            [
-                -d * (d - 1.0) * (d - 2.0) / 6.0,
-                (d + 1.0) * (d - 1.0) * (d - 2.0) / 2.0,
-                -(d + 1.0) * d * (d - 2.0) / 2.0,
-                (d + 1.0) * d * (d - 1.0) / 6.0,
-            ]
-        )
-        return j0 - 1, w
-
-    def _flux_divergence(self, vals: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vals)
-        for j in range(self.spec.m):
-            gj = eval_g(self.spec, j, vals)
-            if self.mods[j] is not None:
-                gj = gj * self.mods[j]
-            out += _fd_derivative(gj, axis=j, h=self.grid.spacings[j])
+        j0 = np.clip(np.floor(u), 1, n_time - 3).astype(np.int64)
+        w = np.stack(_lagrange4_weights(u - j0), axis=1)
+        out = np.zeros((len(s), n_time))
+        np.put_along_axis(out, (j0 - 1)[:, None] + np.arange(4), w, axis=1)
         return out
 
     def sweep(self, base: np.ndarray, iterate: np.ndarray) -> np.ndarray:
         """One application of the fixed-point map on the whole time mesh."""
         new = base.copy()
+        history = iterate.reshape(len(self.mesh), -1)
         for i in range(1, len(self.mesh)):
-            acc = np.zeros(self.grid.shape)
-            for q, wq in enumerate(self.weights[i]):
-                j0, wts = self.stencils[i][q]
-                field = np.tensordot(wts, iterate[j0 : j0 + 4], axes=(0, 0))
-                conv = self._flux_divergence(field)
-                for ax, row in enumerate(self.rows[i][q]):
-                    conv = circulant_apply(row, conv, axis=ax)
-                acc += wq * conv
-            new[i] -= acc
+            fields = (self.stencils[i] @ history).reshape((-1,) + self.grid.shape)
+            acc = np.zeros_like(fields)
+            for j in range(self.spec.m):
+                term = eval_g(self.spec, j, fields)
+                if self.mods[j] is not None:
+                    term = term * self.mods[j]
+                for ax in range(self.grid.m):
+                    rows = self.gradients[ax] if ax == j else self.kernels[ax]
+                    term = _convolve_nodes(rows[i], term, axis=ax + 1)
+                acc += term
+            new[i] -= acc.sum(axis=0)
         return new
+
+
+def _check_mesh(n_time: int, n_gauss: int) -> None:
+    if n_time < 4:
+        raise ValueError("n_time must be >= 4 (the time stencil spans 4 mesh points)")
+    if n_gauss < 1:
+        raise ValueError("n_gauss must be >= 1")
 
 
 def picard_solve(
@@ -259,6 +285,7 @@ def picard_solve(
     """
     if spec.m != r0.grid.m:
         raise ValueError("flux component count does not match grid dimension")
+    _check_mesh(n_time, n_gauss)
     field_bound = float(np.abs(r0.values).max())
     flux_bound = flux_envelope_bound(spec, field_bound)
     horizon = contraction_horizon(field_bound, flux_bound, spec.m, cap=horizon_cap)
@@ -321,6 +348,7 @@ def picard_extend(
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be positive")
+    _check_mesh(n_time, n_gauss)
     state = r0
     elapsed = 0.0
     guard = 0
