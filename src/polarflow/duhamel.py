@@ -80,7 +80,7 @@ def contraction_horizon(
     return float(min(t1, t2))
 
 
-def _plain_row(n: int, length: float, tau) -> np.ndarray:
+def _plain_row(n: int, length: float, tau: float | np.ndarray) -> np.ndarray:
     """Sampled, image-summed heat kernel on one axis, unit discrete mass.
 
     Includes the quadrature weight ``h``, so a circulant application of the
