@@ -9,7 +9,9 @@ BLAS-sized matrix product where vectorized numpy beats a jitted loop (expect
 speedup ~1x there).  The trigonometric gathers, a type-2 non-uniform FFT,
 are compared with the direct Fourier sum defined below, and one batched
 Duhamel sweep (FD8 folded into the kernel rows, all Gauss nodes of a target
-at once) with the per-(target, node) loop defined below.
+at once) with the per-(target, node) loop defined below.  One burgers Strang
+step of the rfft-spectrum stepper is compared with the complex full-lattice
+step defined below (agreement checked on the midpoint values both return).
 
     python benchmarks/bench_kernels.py [--n 128] [--points 4096] [--repeat 50]
 """
@@ -24,6 +26,7 @@ from polarflow import burgers_flux, make_field, make_grid
 from polarflow._accel import USE_NUMBA
 from polarflow.duhamel import _fd_derivative, _plain_row, _Window
 from polarflow.flux import eval_g
+from polarflow.spectral import _Stepper
 
 
 def timeit(fn, repeat):
@@ -73,6 +76,23 @@ def reference_sweep(window, base, iterate, n_gauss):
     return new
 
 
+def reference_strang_step(grid, spec, dt, vals):
+    """Reference: a Strang step on complex FFTs, ``np.where`` dealiasing, grid values between stages."""
+    half_heat = np.exp(-grid.laplacian_symbol() * (dt / 2.0))
+    mask = grid.dealias_mask()
+
+    def divergence_rhs(v):
+        rhs_hat = np.zeros(grid.shape, dtype=np.complex128)
+        for i, kap in enumerate(grid.kappa_grids()):
+            rhs_hat -= 1j * kap * np.where(mask, np.fft.fftn(eval_g(spec, i, v)), 0.0)
+        return np.fft.ifftn(rhs_hat).real
+
+    half = np.fft.ifftn(np.fft.fftn(vals) * half_heat).real
+    mid = half + (dt / 2.0) * divergence_rhs(half)
+    out = half + dt * divergence_rhs(mid)
+    return np.fft.ifftn(np.fft.fftn(out) * half_heat).real, mid
+
+
 def bench(n, points, repeat):
     rng = np.random.default_rng(0)
     row = rng.normal(size=n)
@@ -90,6 +110,8 @@ def bench(n, points, repeat):
     window = _Window(grid, burgers_flux(1), 1e-3, 33, 32)
     base = np.stack([r0.values] * 33)
     iterate = base + 0.01 * rng.normal(size=base.shape)
+    stepper = _Stepper(grid, burgers_flux(1), 1e-4, True)
+    hat0 = stepper.spectrum(r0.values)
 
     cases = [
         (
@@ -121,6 +143,11 @@ def bench(n, points, repeat):
             "duhamel sweep N=%d (33x32 nodes)" % n,
             lambda: window.sweep(base, iterate),
             lambda: reference_sweep(window, base, iterate, 32),
+        ),
+        (
+            "strang step N=%d burgers" % n,
+            lambda: stepper.advance(hat0)[1],
+            lambda: reference_strang_step(grid, burgers_flux(1), 1e-4, r0.values)[1],
         ),
     ]
 

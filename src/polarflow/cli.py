@@ -279,10 +279,7 @@ def run_evolve(config_path: str | Path) -> int:
             r0, p0 = make_initial(grid, preset, params, d=d)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -355,10 +352,7 @@ def run_cell(config_path: str | Path) -> int:
         n_pairs = int(_get(cfg, "cell.pairs", "5"))
         seed = int(_get(cfg, "seed", "0"))
         out_dir = Path(_get(cfg, "output.dir"))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -6,23 +6,31 @@ multiplier), a full advective substep in divergence form, and another exact
 half-step of heat.  The diffusive part therefore carries no CFL restriction;
 only the advective limit remains.
 
+Every field is real, so one operator serves the stepper, :func:`heat_propagate`
+and :func:`galilean_shift`: real FFTs (``rfftn``/``irfftn``) onto the half
+mode lattice, with each multiplier restricted to the part a real field sees.
+The stepper carries the state from step to step as this half spectrum, not
+as grid values; the drivers transform back only where they need samples.
+
 The advective substep differentiates ``g_i(r)`` spectrally (2/3-rule dealiased
 by default) and advances with a midpoint Runge-Kutta stage, except when every
-flux component is an unmodulated constant: then the substep is a plain
-translation and is applied exactly as a spectral phase shift.  Either way the
-substep increments carry no zero mode, so the field mean is conserved to
+flux component is an unmodulated constant: then the whole step is one product
+with the cached heat-times-shift multiplier.  Either way the zero mode of the
+spectrum is only ever multiplied by one, so the field mean is conserved to
 roundoff.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import SolverError
 from .flux import FluxSpec, eval_g, eval_g_prime
-from .grid import PeriodicGrid, ScalarField, mean
+from .grid import PeriodicGrid, ScalarField, _reflect, mean
 
 __all__ = [
     "SolveConfig",
@@ -59,6 +67,8 @@ class SolveConfig:
             raise ValueError("dt must be positive")
         if not (self.t_end > 0.0):
             raise ValueError("t_end must be positive")
+        if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
+            raise ValueError("dt and t_end must be finite")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -96,15 +106,59 @@ class Trajectory:
         return self.snapshots[-1]
 
 
+def _rfft(grid: PeriodicGrid, vals: np.ndarray) -> np.ndarray:
+    """Unnormalised real FFT of grid values onto the half mode lattice."""
+    return np.fft.rfftn(vals, axes=tuple(range(grid.m)))
+
+
+def _irfft(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_rfft`."""
+    return np.fft.irfftn(hat, s=grid.shape, axes=tuple(range(grid.m)))
+
+
+def _real_symbol(grid: PeriodicGrid, full: np.ndarray) -> np.ndarray:
+    """Restrict a full-lattice multiplier ``M`` to the rfft half lattice.
+
+    A real field sees only the Hermitian part ``(M(k) + conj M(-k)) / 2``:
+    ``Re ifftn(M fftn u)`` equals ``irfftn`` of that part times ``rfftn u``.
+    The two differ only on Nyquist planes, where ``-k`` aliases to ``k``.
+    """
+    full = np.broadcast_to(full, grid.shape)
+    herm = 0.5 * (full + np.conj(_reflect(full)))
+    out = np.ascontiguousarray(herm[..., : grid.resolution[-1] // 2 + 1])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
+def _laplacian_half(grid: PeriodicGrid) -> np.ndarray:
+    """``|kappa|^2`` on the half lattice."""
+    return _real_symbol(grid, grid.laplacian_symbol())
+
+
+@lru_cache(maxsize=32)
+def _derivative_symbols(grid: PeriodicGrid, dealias: bool) -> tuple[np.ndarray, ...]:
+    """Per axis, the half-lattice symbol of ``-d/dtheta_i``, 2/3-masked if ``dealias``."""
+    mask = grid.dealias_mask() if dealias else True
+    return tuple(
+        _real_symbol(grid, np.where(mask, -1j * k, 0.0)) for k in grid.kappa_grids()
+    )
+
+
+def _shift_symbol(grid: PeriodicGrid, speeds, t: float) -> np.ndarray:
+    """Half-lattice multiplier of the translation ``f(theta) -> f(theta - c t)``."""
+    phase = sum(c * t * k for c, k in zip(speeds, grid.kappa_grids()))
+    return _real_symbol(grid, np.exp(-1j * phase))
+
+
 def heat_propagate(f: ScalarField, t: float) -> ScalarField:
     """Exact heat flow: every mode decays by ``exp(-|kappa|^2 t)``."""
     if t < 0.0:
         raise ValueError("heat propagation time must be non-negative")
     if t == 0.0:
         return f
-    amps = np.fft.fftn(f.values)
-    amps *= np.exp(-f.grid.laplacian_symbol() * t)
-    return ScalarField(grid=f.grid, values=np.fft.ifftn(amps).real)
+    hat = _rfft(f.grid, f.values) * np.exp(-_laplacian_half(f.grid) * t)
+    return ScalarField(grid=f.grid, values=_irfft(f.grid, hat))
 
 
 def galilean_shift(f: ScalarField, speeds, t: float) -> ScalarField:
@@ -112,16 +166,21 @@ def galilean_shift(f: ScalarField, speeds, t: float) -> ScalarField:
     speeds = np.asarray(speeds, dtype=np.float64)
     if speeds.shape != (f.grid.m,):
         raise ValueError("one shift speed per grid axis required")
-    amps = np.fft.fftn(f.values)
-    phase = np.zeros(f.grid.shape)
-    for c, kap in zip(speeds, f.grid.kappa_grids()):
-        phase = phase + c * t * kap
-    amps *= np.exp(-1j * phase)
-    return ScalarField(grid=f.grid, values=np.fft.ifftn(amps).real)
+    hat = _rfft(f.grid, f.values) * _shift_symbol(f.grid, speeds, t)
+    return ScalarField(grid=f.grid, values=_irfft(f.grid, hat))
 
 
 class _Stepper:
-    """Caches spectral symbols for repeated steps on one (grid, flux) pair."""
+    """Strang steps of size ``dt`` on one (grid, flux), acting on the rfft spectrum.
+
+    The state is the unnormalised half-lattice spectrum ``rfftn(values)``:
+    :meth:`advance` maps it to the spectrum one step later, and the drivers
+    transform back (:meth:`values`) only where they need grid samples.  The
+    symbols are built once: the half-step heat multiplier and, for a general
+    flux, one masked derivative symbol per axis; for an unmodulated constant
+    flux, the whole step (``H^2`` times the shift) and the map to the
+    midpoint values (``H`` times the half shift).
+    """
 
     def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float, dealias: bool):
         if spec.m != grid.m:
@@ -129,54 +188,53 @@ class _Stepper:
         self.grid = grid
         self.spec = spec
         self.dt = dt
-        self.half_heat = np.exp(-grid.laplacian_symbol() * (dt / 2.0))
-        self.ik = [1j * k for k in grid.kappa_grids()]
-        self.mask = grid.dealias_mask() if dealias else None
-        self.modulations = [spec.modulation_values(grid, i) for i in range(spec.m)]
-        self.exact_shift = None
-        self.exact_half_shift = None
+        self.half_heat = np.exp(-_laplacian_half(grid) * (dt / 2.0))
+        self.exact_step = None
+        self.exact_mid = None
         if spec.is_constant:
-            phase = np.zeros(grid.shape)
-            for c, k in zip(spec.constant_speeds, grid.kappa_grids()):
-                phase = phase + c * dt * k
-            self.exact_shift = np.exp(-1j * phase)
-            self.exact_half_shift = np.exp(-0.5j * phase)
-
-    def _divergence_rhs(self, vals: np.ndarray) -> np.ndarray:
-        """-sum_i d/dtheta_i g_i(vals), spectrally differentiated."""
-        rhs_hat = np.zeros(self.grid.shape, dtype=np.complex128)
-        for i in range(self.spec.m):
-            gi = eval_g(self.spec, i, vals)
-            if self.modulations[i] is not None:
-                gi = gi * self.modulations[i]
-            gi_hat = np.fft.fftn(gi)
-            if self.mask is not None:
-                gi_hat = np.where(self.mask, gi_hat, 0.0)
-            rhs_hat -= self.ik[i] * gi_hat
-        return np.fft.ifftn(rhs_hat).real
-
-    def advance(self, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One full step; returns (new_values, half_time_values)."""
-        half = np.fft.ifftn(np.fft.fftn(vals) * self.half_heat).real
-        if self.exact_shift is not None:
-            hat = np.fft.fftn(half)
-            mid = np.fft.ifftn(hat * self.exact_half_shift).real
-            out = np.fft.ifftn(hat * self.exact_shift).real
+            speeds = spec.constant_speeds
+            self.exact_step = self.half_heat * self.half_heat * _shift_symbol(grid, speeds, dt)
+            self.exact_mid = self.half_heat * _shift_symbol(grid, speeds, dt / 2.0)
         else:
-            k1 = self._divergence_rhs(half)
-            mid = half + (self.dt / 2.0) * k1
-            out = half + self.dt * self._divergence_rhs(mid)
-        out = np.fft.ifftn(np.fft.fftn(out) * self.half_heat).real
-        if not np.isfinite(out).all():
+            self.derivs = _derivative_symbols(grid, dealias)
+            self.modulations = [spec.modulation_values(grid, i) for i in range(spec.m)]
+
+    def spectrum(self, vals: np.ndarray) -> np.ndarray:
+        return _rfft(self.grid, vals)
+
+    def values(self, hat: np.ndarray) -> np.ndarray:
+        return _irfft(self.grid, hat)
+
+    def _divergence_hat(self, vals: np.ndarray) -> np.ndarray:
+        """Spectrum of ``-sum_i d/dtheta_i g_i(vals)`` (modulated, dealiased)."""
+        out = 0.0
+        for i, (deriv, mod) in enumerate(zip(self.derivs, self.modulations)):
+            gi = eval_g(self.spec, i, vals)
+            if mod is not None:
+                gi = gi * mod
+            out = out + deriv * self.spectrum(gi)
+        return out
+
+    def advance(self, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One full step; returns (new_spectrum, half_time_values)."""
+        if self.exact_step is not None:
+            mid = self.values(hat * self.exact_mid)
+            new = hat * self.exact_step
+        else:
+            hh = hat * self.half_heat
+            half = self.values(hh)
+            mid = half + (self.dt / 2.0) * self.values(self._divergence_hat(half))
+            new = (hh + self.dt * self._divergence_hat(mid)) * self.half_heat
+        if not np.isfinite(new.view(np.float64)).all():
             raise SolverError("non-finite field after step")
-        return out, mid
+        return new, mid
 
 
 def step(r: ScalarField, spec: FluxSpec, dt: float, dealias: bool = True) -> ScalarField:
     """Advance one Strang step of size ``dt``."""
     stepper = _Stepper(r.grid, spec, dt, dealias)
-    out, _ = stepper.advance(r.values)
-    return ScalarField(grid=r.grid, values=out)
+    new, _ = stepper.advance(stepper.spectrum(r.values))
+    return ScalarField(grid=r.grid, values=stepper.values(new))
 
 
 def advective_speed_bound(spec: FluxSpec, field_bound: float) -> float:
@@ -224,41 +282,53 @@ def _append_record(
         traj.flags.append(f"positivity loss at t={t:.6g}: min {mn:.12g}")
 
 
+def _schedule(
+    grid: PeriodicGrid, spec: FluxSpec, cfg: SolveConfig, sup0: float
+) -> tuple[int, float]:
+    """Check ``cfg.dt`` against the stability bound; return (full steps, tail step).
+
+    The tail step covers what ``t_end`` leaves after the full steps; it is 0
+    when that is roundoff.
+    """
+    dt_max = max_stable_dt(grid, spec, sup0)
+    if cfg.dt > dt_max * (1.0 + 1e-12):
+        raise SolverError(
+            f"dt={cfg.dt:.3e} violates advective stability bound {dt_max:.3e}"
+        )
+    n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12))
+    remainder = cfg.t_end - n_full * cfg.dt
+    if remainder < 1e-12 * max(1.0, cfg.t_end):
+        remainder = 0.0
+    return n_full, remainder
+
+
 def evolve(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig) -> Trajectory:
     """Integrate from ``t=0`` to ``cfg.t_end``, recording every ``record_every`` steps.
 
     Raises :class:`SolverError` when ``cfg.dt`` exceeds the advective stability
     bound for the initial data or when the state stops being finite; runs that
     merely breach the sup-norm bound or positivity are flagged, not aborted.
+    The state between records stays a spectrum (see :class:`_Stepper`).
     """
     sup0 = float(np.abs(r0.values).max())
-    dt_max = max_stable_dt(r0.grid, spec, sup0)
-    if cfg.dt > dt_max * (1.0 + 1e-12):
-        raise SolverError(
-            f"dt={cfg.dt:.3e} violates advective stability bound {dt_max:.3e}"
-        )
+    n_full, remainder = _schedule(r0.grid, spec, cfg, sup0)
 
     stepper = _Stepper(r0.grid, spec, cfg.dt, cfg.dealias)
     traj = Trajectory(grid=r0.grid, spec=spec)
     mean0 = mean(r0)
     min0 = float(r0.values.min())
 
-    n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12))
-    remainder = cfg.t_end - n_full * cfg.dt
-    if remainder < 1e-12 * max(1.0, cfg.t_end):
-        remainder = 0.0
-
-    vals = r0.values
-    _append_record(traj, 0.0, vals, mean0, sup0, min0)
+    hat = stepper.spectrum(r0.values)
+    _append_record(traj, 0.0, r0.values, mean0, sup0, min0)
     for k in range(n_full):
         try:
-            vals, _ = stepper.advance(vals)
+            hat, _ = stepper.advance(hat)
         except SolverError as exc:
             raise SolverError(f"step {k + 1} (t={(k + 1) * cfg.dt:.6g}): {exc}") from exc
         if (k + 1) % cfg.record_every == 0 or (k + 1 == n_full and remainder == 0.0):
-            _append_record(traj, (k + 1) * cfg.dt, vals, mean0, sup0, min0)
+            _append_record(traj, (k + 1) * cfg.dt, stepper.values(hat), mean0, sup0, min0)
     if remainder > 0.0:
         tail = _Stepper(r0.grid, spec, remainder, cfg.dealias)
-        vals, _ = tail.advance(vals)
-        _append_record(traj, cfg.t_end, vals, mean0, sup0, min0)
+        hat, _ = tail.advance(hat)
+        _append_record(traj, cfg.t_end, tail.values(hat), mean0, sup0, min0)
     return traj

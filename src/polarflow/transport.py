@@ -29,7 +29,7 @@ from ._kernels import cubic_gather, trig_gather
 from .errors import SolverError
 from .flux import FluxSpec, eval_f
 from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField, mean
-from .spectral import SolveConfig, Trajectory, _append_record, _Stepper, max_stable_dt
+from .spectral import SolveConfig, Trajectory, _append_record, _schedule, _Stepper
 
 __all__ = ["transport_step", "evolve_coupled"]
 
@@ -118,45 +118,38 @@ def evolve_coupled(
     if not (r0.values.min() > 0.0):
         raise SolverError("initial radius must be strictly positive")
     sup0 = float(np.abs(r0.values).max())
-    dt_max = max_stable_dt(r0.grid, spec, sup0)
-    if cfg.dt > dt_max * (1.0 + 1e-12):
-        raise SolverError(
-            f"dt={cfg.dt:.3e} violates advective stability bound {dt_max:.3e}"
-        )
+    n_full, remainder = _schedule(r0.grid, spec, cfg, sup0)
 
     stepper = _Stepper(r0.grid, spec, cfg.dt, cfg.dealias)
     traj = Trajectory(grid=r0.grid, spec=spec)
     mean0 = mean(r0)
     min0 = float(r0.values.min())
 
-    n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12))
-    remainder = cfg.t_end - n_full * cfg.dt
-    if remainder < 1e-12 * max(1.0, cfg.t_end):
-        remainder = 0.0
-
+    hat = stepper.spectrum(r0.values)
     r_vals = r0.values
     p_field = p0
     _append_record(traj, 0.0, r_vals, mean0, sup0, min0)
     traj.directions.append(p_field)
 
-    def _one(step_obj: _Stepper, vals: np.ndarray, p_now: DirectionField, idx: int):
-        new_vals, mid_vals = step_obj.advance(vals)
+    def _one(step_obj: _Stepper, hat: np.ndarray, p_now: DirectionField, idx: int):
+        new_hat, mid_vals = step_obj.advance(hat)
+        new_vals = step_obj.values(new_hat)
         if not (new_vals.min() > 0.0):
             raise SolverError(
                 f"positivity lost at step {idx} (min {new_vals.min():.3e}); "
                 "geometric evolution is no longer well defined"
             )
         mid_field = ScalarField(grid=r0.grid, values=mid_vals)
-        return new_vals, transport_step(p_now, mid_field, spec, step_obj.dt, interp)
+        return new_hat, new_vals, transport_step(p_now, mid_field, spec, step_obj.dt, interp)
 
     for k in range(n_full):
-        r_vals, p_field = _one(stepper, r_vals, p_field, k + 1)
+        hat, r_vals, p_field = _one(stepper, hat, p_field, k + 1)
         if (k + 1) % cfg.record_every == 0 or (k + 1 == n_full and remainder == 0.0):
             _append_record(traj, (k + 1) * cfg.dt, r_vals, mean0, sup0, min0)
             traj.directions.append(p_field)
     if remainder > 0.0:
         tail = _Stepper(r0.grid, spec, remainder, cfg.dealias)
-        r_vals, p_field = _one(tail, r_vals, p_field, n_full + 1)
+        hat, r_vals, p_field = _one(tail, hat, p_field, n_full + 1)
         _append_record(traj, cfg.t_end, r_vals, mean0, sup0, min0)
         traj.directions.append(p_field)
     return traj

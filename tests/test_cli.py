@@ -108,6 +108,15 @@ class TestRunEvolve:
         p.write_text("grid.m = 1\n")
         assert run_evolve(p) == EXIT_CONFIG
 
+    def test_infinite_t_end_is_config_error(self, tmp_path, capsys):
+        cfg_path, out = write_cfg(
+            tmp_path, ELLIPSE_CFG.replace("solver.t_end = 0.2", "solver.t_end = inf")
+        )
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG)
         assert run_evolve(cfg_path) == EXIT_OK
