@@ -61,18 +61,16 @@ def reference_advance(grid, spec, dt, vals, dealias=True):
     return np.fft.ifftn(np.fft.fftn(out) * half_heat).real, mid
 
 
-def _oracle_case(name):
+def _oracle_cases():
     rng = np.random.default_rng(5)
     g1 = make_grid(1, [1.0], [128])
-    theta = g1.axis_coords(0)
+    g64 = make_grid(1, [1.0], [64])
     g2 = make_grid(2, [1.0, 1.0], [32, 32])
     c1, c2 = g2.coords()
-    g64 = make_grid(1, [1.0], [64])
+    smooth1 = 1.0 + 0.3 * np.sin(2 * np.pi * g1.axis_coords(0))
     modulated = with_modulation(
         polynomial_flux([1.0, 0.3]), 0, Modulation(const=1.0, sin_amps=(0.5,))
     )
-    smooth1 = 1.0 + 0.3 * np.sin(2 * np.pi * theta)
-    smooth2 = 1.0 + 0.2 * np.cos(2 * np.pi * c1) * np.sin(2 * np.pi * c2)
     return {
         "burgers_128": (g1, burgers_flux(1), 1e-4, smooth1),
         "modulated_poly_64": (
@@ -84,8 +82,13 @@ def _oracle_case(name):
         "constant_32x32_rough": (
             g2, constant_flux([0.7, -0.3]), 1e-4, 1.0 + 0.1 * rng.normal(size=g2.shape)
         ),
-        "burgers_32x32": (g2, burgers_flux(2), 1e-3, smooth2),
-    }[name]
+        "burgers_32x32": (
+            g2, burgers_flux(2), 1e-3, 1.0 + 0.2 * np.cos(2 * np.pi * c1) * np.sin(2 * np.pi * c2)
+        ),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
 
 
 class TestHeatPropagate:
@@ -172,22 +175,12 @@ class TestStep:
 class TestRealStepper:
     """The rfft-spectrum stepper against the complex full-lattice step."""
 
-    # measured worst over these cases: 4.0e-15 (burgers_128, mid values)
-    TOL = 1e-14
+    # measured worst over these cases: 6.0e-15 (zero_128, 300 steps)
+    TOL = 2e-14
 
-    @pytest.mark.parametrize(
-        "case",
-        [
-            "burgers_128",
-            "modulated_poly_64",
-            "constant_128",
-            "zero_128",
-            "constant_32x32_rough",
-            "burgers_32x32",
-        ],
-    )
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_reference_advance(self, case):
-        grid, spec, dt, vals = _oracle_case(case)
+        grid, spec, dt, vals = ORACLE_CASES[case]
         assert dt <= max_stable_dt(grid, spec, float(np.abs(vals).max()))
         stepper = _Stepper(grid, spec, dt, True)
         hat, ref = stepper.spectrum(vals), vals
