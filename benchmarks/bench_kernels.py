@@ -12,21 +12,39 @@ Duhamel sweep (FD8 folded into the kernel rows, all Gauss nodes of a target
 at once) with the per-(target, node) loop defined below.  One burgers Strang
 step of the rfft-spectrum stepper is compared with the complex full-lattice
 step defined below (agreement checked on the midpoint values both return).
+The trajectory and SVG writers of ``polarflow evolve`` are timed on a
+1001-record N=128 ellipse run against the per-cell ``reference_*`` writers
+of ``tests/test_cli.py``; both must write identical bytes.  The writers
+overwrite their files on every repeat, which is cheaper than creating them.
 
     python benchmarks/bench_kernels.py [--n 128] [--points 4096] [--repeat 50]
 """
 
 import argparse
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
 from polarflow import _kernels as K
-from polarflow import burgers_flux, make_field, make_grid
+from polarflow import (
+    SolveConfig,
+    burgers_flux,
+    evolve_coupled,
+    make_field,
+    make_grid,
+    make_initial,
+)
+from polarflow.cli import _write_svg_frames, _write_trajectory
 from polarflow._accel import USE_NUMBA
 from polarflow.duhamel import _fd_derivative, _plain_row, _Window
 from polarflow.flux import eval_g
 from polarflow.spectral import _Stepper
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_cli import read_artifacts, reference_write_svg_frames, reference_write_trajectory  # noqa: E402
 
 
 def timeit(fn, repeat):
@@ -161,6 +179,27 @@ def bench(n, points, repeat):
         # the sweep reference takes ~0.3 s a call, so it gets fewer repeats
         t_slow = timeit(slow, min(repeat, 5) if name.startswith("duhamel") else repeat)
         print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
+
+    # the curve workload's writers: 1000 coupled steps, every one recorded
+    grid = make_grid(1, [1.0], [128])
+    r0, p0 = make_initial(grid, "ellipse", [2.0, 1.0])
+    traj = evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=5e-4, t_end=0.5))
+    cfg = {"grid.resolution": "128"}
+    writers = [
+        ("write trajectory.csv (1001x128)", _write_trajectory, reference_write_trajectory),
+        ("write svg frames (1001x128)", _write_svg_frames, reference_write_svg_frames),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, fast, slow in writers:
+            new, ref = Path(tmp, name, "new"), Path(tmp, name, "ref")
+            new.mkdir(parents=True)
+            ref.mkdir(parents=True)
+            fast(new, traj, cfg)
+            slow(ref, traj, cfg)
+            assert read_artifacts(new) == read_artifacts(ref), f"{name}: bytes differ"
+            t_fast = timeit(lambda: fast(new, traj, cfg), min(repeat, 3))
+            t_slow = timeit(lambda: slow(ref, traj, cfg), min(repeat, 3))
+            print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
 
 
 if __name__ == "__main__":

@@ -230,22 +230,41 @@ def _es_deconvolution(n_fine: int, half: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _axis_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the ``n`` FFT-layout modes of one axis: deconvolution factors and fine-lattice slots."""
+    n_fine = _NUFFT_SIGMA * n
+    modes = np.rint(np.fft.fftfreq(n, d=1.0 / n)).astype(np.int64)
+    factor = _es_deconvolution(n_fine, n // 2)[np.abs(modes)]
+    slots = modes % n_fine
+    factor.flags.writeable = False
+    slots.flags.writeable = False
+    return factor, slots
+
+
+_WINDOW = np.arange(_NUFFT_W, dtype=np.float64)
+_WINDOW.flags.writeable = False
+
+
 def trig_gather(amps: np.ndarray, kappas: list[np.ndarray], pts: list[np.ndarray]) -> np.ndarray:
     """Evaluate discrete Fourier representations at scattered points.
 
     ``amps`` holds the complex coefficients in FFT layout (normalized so the
     zero mode equals the field mean) of *real* fields on an m-axis grid, with
     an optional trailing axis that stacks several fields; ``kappas[i]`` are
-    the per-axis wavenumbers and ``pts[i]`` the i-th physical coordinates of
-    the query points.  Returns ``Re sum_k amps[k] exp(i kappa_k . x)`` with
-    shape ``(points,)`` plus the field axis, if any.
+    the per-axis wavenumbers ``2 pi k / L_i``, also in FFT layout, and
+    ``pts[i]`` the i-th physical coordinates of the query points.  Returns
+    ``Re sum_k amps[k] exp(i kappa_k . x)`` with shape ``(points,)`` plus the
+    field axis, if any.
 
     The sum is a type-2 non-uniform FFT (Dutt & Rokhlin 1993; Barnett et al.
     2019): deconvolve by the ES kernel's transform, zero-pad onto a lattice
     oversampled by 2 per axis, inverse FFT, then gather with real kernel
     weights over a window of ``_NUFFT_W`` lattice points per axis.  It agrees
     with the direct sum to ~1e-14 relative to the field's size; each mode,
-    the unpaired Nyquist mode included, keeps its wavenumber.
+    the unpaired Nyquist mode included, keeps its wavenumber.  The layout
+    fixes every mode's integer index, so the factors and slots are cached per
+    axis size; ``kappas[i][1]`` only sets the scale of the points.
     """
     m = len(kappas)
     amps = np.asarray(amps)
@@ -258,14 +277,12 @@ def trig_gather(amps: np.ndarray, kappas: list[np.ndarray], pts: list[np.ndarray
     # point's first window cell and its W kernel weights
     slots, starts, weights = [], [], []
     for ax, (kappa, n_fine) in enumerate(zip(kappas, fine_shape)):
-        kappa = np.asarray(kappa, dtype=np.float64)
-        modes = np.rint(kappa / kappa[1]).astype(np.int64)
-        factor = _es_deconvolution(n_fine, int(np.abs(modes).max()))[np.abs(modes)]
+        factor, axis_slots = _axis_plan(shape[ax])
         coeffs = coeffs * factor.reshape((-1,) + (1,) * (m - ax))
-        slots.append(modes % n_fine)
-        u = np.ravel(pts[ax]).astype(np.float64) * (kappa[1] * n_fine / (2.0 * np.pi))
+        slots.append(axis_slots)
+        u = np.ravel(pts[ax]).astype(np.float64) * (float(kappa[1]) * n_fine / (2.0 * np.pi))
         first = np.ceil(u - 0.5 * _NUFFT_W)
-        offsets = (first - u)[:, None] + np.arange(_NUFFT_W, dtype=np.float64)
+        offsets = (first - u)[:, None] + _WINDOW
         starts.append(first.astype(np.int64) % n_fine)
         weights.append(_es_kernel(offsets))
 
@@ -276,10 +293,12 @@ def trig_gather(amps: np.ndarray, kappas: list[np.ndarray], pts: list[np.ndarray
     # point's window along the last axis is then W consecutive cells of the
     # flat padded lattice: one read per leading offset fetches every point's
     # window for every field, through a view that copies nothing.
-    padded = np.pad(lattice, [(0, _NUFFT_W - 1)] * m + [(0, 0)], mode="wrap")
-    cells = np.lib.stride_tricks.sliding_window_view(padded.reshape(-1), _NUFFT_W * n_fields)
+    for ax in range(m):
+        head = lattice[(slice(None),) * ax + (slice(_NUFFT_W - 1),)]
+        lattice = np.concatenate([lattice, head], axis=ax)
+    cells = np.lib.stride_tricks.sliding_window_view(lattice.reshape(-1), _NUFFT_W * n_fields)
     cells = cells[::n_fields]
-    strides = np.cumprod((1,) + padded.shape[m - 1 : 0 : -1])[::-1]
+    strides = np.cumprod((1,) + lattice.shape[m - 1 : 0 : -1])[::-1]
 
     base = sum(s * stride for s, stride in zip(starts, strides))
     lead_w = [np.ascontiguousarray(w.T) for w in weights[:-1]]

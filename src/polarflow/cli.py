@@ -26,11 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cell import monotonicity_check, solve_cell
+from .cell import CellSolution, monotonicity_check, solve_cell
 from .errors import ConfigError, PolarflowError
 from .flux import FluxSpec, Modulation, burgers_flux, constant_flux, polynomial_flux, with_modulation, zero_flux
 from .geometry import make_initial, reconstruct
-from .grid import PeriodicGrid, make_grid
+from .grid import PeriodicGrid, _flat_coords, make_grid
 from .spectral import SolveConfig, Trajectory
 from .transport import evolve_coupled
 from .verify import SUITES, run_suite
@@ -168,6 +168,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_rows(table) -> list[str]:
+    """CSV rows of a 2-d float table, every cell exactly as :func:`_fmt` writes it.
+
+    One ``tolist`` per column yields Python floats, whose ``repr`` is
+    ``_fmt``'s shortest round-trip form; no cell passes through a numpy scalar.
+    """
+    columns = np.asarray(table, dtype=np.float64).T.tolist()
+    return list(map(",".join, zip(*(map(repr, col) for col in columns))))
+
+
+def _write_csv(path: Path, head: str, rows: list[str]) -> None:
+    path.write_text(head + "\n".join(rows) + "\n")
+
+
+def _write_failed(exc: OSError) -> int:
+    print(f"cannot write artifacts: {exc}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
 # ---------------------------------------------------------------------------
 # evolve
 # ---------------------------------------------------------------------------
@@ -188,28 +207,26 @@ def _write_diagnostics(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None
     columns = ["t", "mean", "sup", "min", "l1", "sphere_dev"] + [
         "amp_" + "_".join(map(str, m)) for m in modes
     ]
-    rows = []
+    table = []
     for snap, row in zip(traj.snapshots, traj.diagnostics):
         amps = np.fft.fftn(snap.values) / traj.grid.num_nodes
         cells = [row.t, row.mean, row.sup, row.min, row.l1, row.sphere_dev]
-        cells += [abs(amps[m]) for m in modes]
-        rows.append(",".join(_fmt(c) for c in cells))
-    text = _header(["diagnostics time series"], columns, cfg) + "\n".join(rows) + "\n"
-    (out / "diagnostics.csv").write_text(text)
+        table.append(cells + [abs(amps[m]) for m in modes])
+    head = _header(["diagnostics time series"], columns, cfg)
+    _write_csv(out / "diagnostics.csv", head, _csv_rows(table))
 
 
 def _write_trajectory(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
     grid = traj.grid
     columns = ["t"] + [f"theta{i}" for i in range(grid.m)] + ["r"]
-    coords = [c.ravel() for c in grid.coords()]
-    rows = []
-    for t, snap in zip(traj.times, traj.snapshots):
-        vals = snap.values.ravel()
-        for node in range(grid.num_nodes):
-            cells = [t] + [c[node] for c in coords] + [vals[node]]
-            rows.append(",".join(_fmt(c) for c in cells))
-    text = _header(["radius field history"], columns, cfg) + "\n".join(rows) + "\n"
-    (out / "trajectory.csv").write_text(text)
+    thetas = _csv_rows(np.stack(_flat_coords(grid), axis=1))
+    # stream one block of rows per record, so the whole text is never held in memory
+    with open(out / "trajectory.csv", "w") as fh:
+        fh.write(_header(["radius field history"], columns, cfg))
+        for t, snap in zip(traj.times, traj.snapshots):
+            lead = _fmt(t) + ","
+            radii = _csv_rows(snap.values.reshape(-1, 1))
+            fh.write("".join([f"{lead}{theta},{r}\n" for theta, r in zip(thetas, radii)]))
 
 
 def _write_snapshot(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
@@ -224,36 +241,32 @@ def _write_snapshot(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
         + [f"p{j}" for j in range(d)]
         + [f"x{j}" for j in range(d)]
     )
-    coords = [c.ravel() for c in grid.coords()]
-    rvals = r.values.ravel()
-    pvals = p.vectors.reshape(-1, d)
-    xvals = x.reshape(-1, d)
-    rows = []
-    for node in range(grid.num_nodes):
-        cells = [c[node] for c in coords] + [rvals[node]]
-        cells += list(pvals[node]) + list(xvals[node])
-        rows.append(",".join(_fmt(c) for c in cells))
-    text = _header(["final state snapshot"], columns, cfg) + "\n".join(rows) + "\n"
-    (out / "snapshot_final.csv").write_text(text)
+    table = np.column_stack(
+        [*_flat_coords(grid), r.values.ravel(), p.vectors.reshape(-1, d), x.reshape(-1, d)]
+    )
+    head = _header(["final state snapshot"], columns, cfg)
+    _write_csv(out / "snapshot_final.csv", head, _csv_rows(table))
 
 
 def _write_svg_frames(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
     frames = out / "frames"
     frames.mkdir(exist_ok=True)
     span = max(row.sup for row in traj.diagnostics) * 1.1
-    for i, (r, p) in enumerate(zip(traj.snapshots, traj.directions)):
-        pts = reconstruct(r, p).reshape(-1, 2)
-        path = " ".join(
-            f"{'M' if j == 0 else 'L'} {_fmt(xy[0])} {_fmt(xy[1])}" for j, xy in enumerate(pts)
-        )
+    before_path = (
+        f" config_hash={config_hash(cfg)} -->\n"
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{_fmt(-span)} {_fmt(-span)} {_fmt(2 * span)} {_fmt(2 * span)}">\n'
+        '  <path d="M '
+    )
+    after_path = (
+        f' Z" fill="none" stroke="black" stroke-width="{_fmt(span / 200)}"/>\n'
+        "</svg>\n"
+    )
+    for i, (t, r, p) in enumerate(zip(traj.times, traj.snapshots, traj.directions)):
+        path = " L ".join([f"{x!r} {y!r}" for x, y in reconstruct(r, p).reshape(-1, 2).tolist()])
         svg = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f"<!-- frame t={_fmt(traj.times[i])} config_hash={config_hash(cfg)} -->\n"
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'viewBox="{_fmt(-span)} {_fmt(-span)} {_fmt(2 * span)} {_fmt(2 * span)}">\n'
-            f'  <path d="{path} Z" fill="none" stroke="black" '
-            f'stroke-width="{_fmt(span / 200)}"/>\n'
-            "</svg>\n"
+            f"<!-- frame t={_fmt(t)}{before_path}{path}{after_path}"
         )
         (frames / f"frame_{i:05d}.svg").write_text(svg)
 
@@ -289,12 +302,15 @@ def run_evolve(config_path: str | Path) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_diagnostics(out_dir, traj, cfg)
-    _write_trajectory(out_dir, traj, cfg)
-    _write_snapshot(out_dir, traj, cfg)
-    if want_svg and grid.m == 1 and p0.d == 2:
-        _write_svg_frames(out_dir, traj, cfg)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_diagnostics(out_dir, traj, cfg)
+        _write_trajectory(out_dir, traj, cfg)
+        _write_snapshot(out_dir, traj, cfg)
+        if want_svg and grid.m == 1 and p0.d == 2:
+            _write_svg_frames(out_dir, traj, cfg)
+    except OSError as exc:
+        return _write_failed(exc)
     for flag in traj.flags:
         print(f"flag: {flag}")
     print(f"wrote artifacts to {out_dir} (final sup deviation from mean: "
@@ -325,7 +341,6 @@ def run_verify(suite: str, out_dir: str | Path = "out") -> int:
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} checks passed")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     summary = {
         "suite": suite,
         "passed": n_fail == 0,
@@ -333,13 +348,35 @@ def run_verify(suite: str, out_dir: str | Path = "out") -> int:
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
         ],
     }
-    (out / f"verify_{suite}.json").write_text(json.dumps(summary, indent=2) + "\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"verify_{suite}.json").write_text(json.dumps(summary, indent=2) + "\n")
+    except OSError as exc:
+        return _write_failed(exc)
     return EXIT_OK if n_fail == 0 else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
 # cell
 # ---------------------------------------------------------------------------
+
+
+def _write_cell(out: Path, sol: CellSolution, pairs: list, cfg: dict[str, str]) -> None:
+    grid = sol.v.grid
+    head = _header(
+        [
+            "stationary state with prescribed mean",
+            f"p={_fmt(sol.p)} residual={sol.residual:.3e} newton_iters={sol.newton_iters}",
+        ],
+        [f"theta{i}" for i in range(grid.m)] + ["v"],
+        cfg,
+    )
+    table = np.column_stack([*_flat_coords(grid), sol.v.values.ravel()])
+    _write_csv(out / "cell_solution.csv", head, _csv_rows(table))
+
+    head = _header(["monotonicity of the stationary branch"], ["p", "q", "holds"], cfg)
+    rows = [",".join([_fmt(a), _fmt(b), str(int(ok))]) for a, b, ok in pairs]
+    _write_csv(out / "monotonicity.csv", head, rows)
 
 
 def run_cell(config_path: str | Path) -> int:
@@ -369,26 +406,11 @@ def run_cell(config_path: str | Path) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    coords = [c.ravel() for c in grid.coords()]
-    columns = [f"theta{i}" for i in range(grid.m)] + ["v"]
-    rows = []
-    for node in range(grid.num_nodes):
-        cells = [c[node] for c in coords] + [sol.v.values.ravel()[node]]
-        rows.append(",".join(_fmt(c) for c in cells))
-    text = _header(
-        [
-            "stationary state with prescribed mean",
-            f"p={_fmt(sol.p)} residual={sol.residual:.3e} newton_iters={sol.newton_iters}",
-        ],
-        columns,
-        cfg,
-    ) + "\n".join(rows) + "\n"
-    (out_dir / "cell_solution.csv").write_text(text)
-
-    rows = [",".join([_fmt(a), _fmt(b), str(int(ok))]) for a, b, ok in pairs]
-    text = _header(["monotonicity of the stationary branch"], ["p", "q", "holds"], cfg)
-    (out_dir / "monotonicity.csv").write_text(text + "\n".join(rows) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_cell(out_dir, sol, pairs, cfg)
+    except OSError as exc:
+        return _write_failed(exc)
     print(
         f"wrote cell solution (residual {sol.residual:.3e}, "
         f"{sol.newton_iters} Newton iterations) and monotonicity report to {out_dir}"

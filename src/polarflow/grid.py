@@ -150,6 +150,14 @@ def _dealias_mask(grid: PeriodicGrid) -> np.ndarray:
     mask.flags.writeable = False
     return mask
 
+@lru_cache(maxsize=32)
+def _flat_coords(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
+    """Node coordinates per axis, flattened in C node order (read-only)."""
+    out = tuple(c.ravel() for c in grid.coords())
+    for c in out:
+        c.flags.writeable = False
+    return out
+
 
 @dataclass(frozen=True)
 class ScalarField:

@@ -179,10 +179,15 @@ class _Stepper:
     symbols are built once: the half-step heat multiplier and, for a general
     flux, one masked derivative symbol per axis; for an unmodulated constant
     flux, the whole step (``H^2`` times the shift) and the map to the
-    midpoint values (``H`` times the half shift).
+    midpoint values (``H`` times the half shift).  A general step computes
+    the midpoint values on its way; a constant-flux step computes them only
+    when ``mid_values`` is set, as they cost an inverse transform that the
+    step itself does not need.
     """
 
-    def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float, dealias: bool):
+    def __init__(
+        self, grid: PeriodicGrid, spec: FluxSpec, dt: float, dealias: bool, mid_values: bool = True
+    ):
         if spec.m != grid.m:
             raise ValueError(f"flux has {spec.m} components but grid has {grid.m} axes")
         self.grid = grid
@@ -194,7 +199,8 @@ class _Stepper:
         if spec.is_constant:
             speeds = spec.constant_speeds
             self.exact_step = self.half_heat * self.half_heat * _shift_symbol(grid, speeds, dt)
-            self.exact_mid = self.half_heat * _shift_symbol(grid, speeds, dt / 2.0)
+            if mid_values:
+                self.exact_mid = self.half_heat * _shift_symbol(grid, speeds, dt / 2.0)
         else:
             self.derivs = _derivative_symbols(grid, dealias)
             self.modulations = [spec.modulation_values(grid, i) for i in range(spec.m)]
@@ -215,10 +221,14 @@ class _Stepper:
             out = out + deriv * self.spectrum(gi)
         return out
 
-    def advance(self, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One full step; returns (new_spectrum, half_time_values)."""
+    def advance(self, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """One full step; returns (new_spectrum, half_time_values).
+
+        The half-time values are None for a constant-flux stepper built
+        without ``mid_values``.
+        """
         if self.exact_step is not None:
-            mid = self.values(hat * self.exact_mid)
+            mid = None if self.exact_mid is None else self.values(hat * self.exact_mid)
             new = hat * self.exact_step
         else:
             hh = hat * self.half_heat
@@ -232,7 +242,7 @@ class _Stepper:
 
 def step(r: ScalarField, spec: FluxSpec, dt: float, dealias: bool = True) -> ScalarField:
     """Advance one Strang step of size ``dt``."""
-    stepper = _Stepper(r.grid, spec, dt, dealias)
+    stepper = _Stepper(r.grid, spec, dt, dealias, mid_values=False)
     new, _ = stepper.advance(stepper.spectrum(r.values))
     return ScalarField(grid=r.grid, values=stepper.values(new))
 
@@ -313,7 +323,7 @@ def evolve(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig) -> Trajectory:
     sup0 = float(np.abs(r0.values).max())
     n_full, remainder = _schedule(r0.grid, spec, cfg, sup0)
 
-    stepper = _Stepper(r0.grid, spec, cfg.dt, cfg.dealias)
+    stepper = _Stepper(r0.grid, spec, cfg.dt, cfg.dealias, mid_values=False)
     traj = Trajectory(grid=r0.grid, spec=spec)
     mean0 = mean(r0)
     min0 = float(r0.values.min())
@@ -328,7 +338,7 @@ def evolve(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig) -> Trajectory:
         if (k + 1) % cfg.record_every == 0 or (k + 1 == n_full and remainder == 0.0):
             _append_record(traj, (k + 1) * cfg.dt, stepper.values(hat), mean0, sup0, min0)
     if remainder > 0.0:
-        tail = _Stepper(r0.grid, spec, remainder, cfg.dealias)
+        tail = _Stepper(r0.grid, spec, remainder, cfg.dealias, mid_values=False)
         hat, _ = tail.advance(hat)
         _append_record(traj, cfg.t_end, tail.values(hat), mean0, sup0, min0)
     return traj

@@ -28,7 +28,7 @@ import numpy as np
 from ._kernels import cubic_gather, trig_gather
 from .errors import SolverError
 from .flux import FluxSpec, eval_f
-from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField, mean
+from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField, _flat_coords, mean
 from .spectral import SolveConfig, Trajectory, _append_record, _schedule, _Stepper
 
 __all__ = ["transport_step", "evolve_coupled"]
@@ -43,7 +43,7 @@ def _gather(fields: np.ndarray, grid: PeriodicGrid, pts: list[np.ndarray], inter
     """
     if interp == "spectral":
         amps = np.fft.fftn(fields, axes=tuple(range(grid.m))) / grid.num_nodes
-        kappas = [grid.wavenumbers(ax) for ax in range(grid.m)]
+        kappas = [k.ravel() for k in grid.kappa_grids()]
         return trig_gather(amps, kappas, pts)
     units = [
         np.mod(p, grid.lengths[ax]) / grid.spacings[ax] for ax, p in enumerate(pts)
@@ -83,7 +83,7 @@ def transport_step(
     if interp not in _INTERP_KINDS:
         raise ValueError(f"unknown interpolation {interp!r}; expected {_INTERP_KINDS}")
     grid = p.grid
-    coords = [c.ravel() for c in grid.coords()]
+    coords = _flat_coords(grid)
     vel = _velocities(spec, grid, r.values)
 
     # midpoint of the backward characteristic, then velocity sampled there

@@ -1,12 +1,37 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from polarflow import (
+    CellSolution,
+    DirectionField,
+    Modulation,
+    ScalarField,
+    SolveConfig,
+    Trajectory,
+    burgers_flux,
+    constant_flux,
+    evolve_coupled,
+    make_grid,
+    make_initial,
+    solve_cell,
+    with_modulation,
+    zero_flux,
+)
 from polarflow.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VERIFY,
+    _header,
+    _tracked_modes,
+    _write_cell,
+    _write_diagnostics,
+    _write_snapshot,
+    _write_svg_frames,
+    _write_trajectory,
     config_hash,
     load_config,
     main,
@@ -15,6 +40,8 @@ from polarflow.cli import (
     run_verify,
 )
 from polarflow.errors import ConfigError
+from polarflow.geometry import reconstruct
+from polarflow.spectral import DiagRow
 
 ELLIPSE_CFG = """\
 grid.m = 1
@@ -51,6 +78,139 @@ def write_cfg(tmp_path, template, name="run.cfg"):
     path = tmp_path / name
     path.write_text(template.format(out=out))
     return path, out
+
+
+# ---------------------------------------------------------------------------
+# reference writers: one cell at a time, each through repr(float(x))
+# ---------------------------------------------------------------------------
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def reference_write_diagnostics(out, traj, cfg):
+    modes = _tracked_modes(traj.grid)
+    columns = ["t", "mean", "sup", "min", "l1", "sphere_dev"] + [
+        "amp_" + "_".join(map(str, m)) for m in modes
+    ]
+    rows = []
+    for snap, row in zip(traj.snapshots, traj.diagnostics):
+        amps = np.fft.fftn(snap.values) / traj.grid.num_nodes
+        cells = [row.t, row.mean, row.sup, row.min, row.l1, row.sphere_dev]
+        cells += [abs(amps[m]) for m in modes]
+        rows.append(",".join(_fmt(c) for c in cells))
+    text = _header(["diagnostics time series"], columns, cfg) + "\n".join(rows) + "\n"
+    (out / "diagnostics.csv").write_text(text)
+
+
+def reference_write_trajectory(out, traj, cfg):
+    grid = traj.grid
+    columns = ["t"] + [f"theta{i}" for i in range(grid.m)] + ["r"]
+    coords = [c.ravel() for c in grid.coords()]
+    rows = []
+    for t, snap in zip(traj.times, traj.snapshots):
+        vals = snap.values.ravel()
+        for node in range(grid.num_nodes):
+            cells = [t] + [c[node] for c in coords] + [vals[node]]
+            rows.append(",".join(_fmt(c) for c in cells))
+    text = _header(["radius field history"], columns, cfg) + "\n".join(rows) + "\n"
+    (out / "trajectory.csv").write_text(text)
+
+
+def reference_write_snapshot(out, traj, cfg):
+    grid = traj.grid
+    r = traj.final
+    p = traj.directions[-1]
+    x = reconstruct(r, p)
+    d = p.d
+    columns = (
+        [f"theta{i}" for i in range(grid.m)]
+        + ["r"]
+        + [f"p{j}" for j in range(d)]
+        + [f"x{j}" for j in range(d)]
+    )
+    coords = [c.ravel() for c in grid.coords()]
+    rvals = r.values.ravel()
+    pvals = p.vectors.reshape(-1, d)
+    xvals = x.reshape(-1, d)
+    rows = []
+    for node in range(grid.num_nodes):
+        cells = [c[node] for c in coords] + [rvals[node]]
+        cells += list(pvals[node]) + list(xvals[node])
+        rows.append(",".join(_fmt(c) for c in cells))
+    text = _header(["final state snapshot"], columns, cfg) + "\n".join(rows) + "\n"
+    (out / "snapshot_final.csv").write_text(text)
+
+
+def reference_write_svg_frames(out, traj, cfg):
+    frames = out / "frames"
+    frames.mkdir(exist_ok=True)
+    span = max(row.sup for row in traj.diagnostics) * 1.1
+    for i, (r, p) in enumerate(zip(traj.snapshots, traj.directions)):
+        pts = reconstruct(r, p).reshape(-1, 2)
+        path = " ".join(
+            f"{'M' if j == 0 else 'L'} {_fmt(xy[0])} {_fmt(xy[1])}" for j, xy in enumerate(pts)
+        )
+        svg = (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f"<!-- frame t={_fmt(traj.times[i])} config_hash={config_hash(cfg)} -->\n"
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'viewBox="{_fmt(-span)} {_fmt(-span)} {_fmt(2 * span)} {_fmt(2 * span)}">\n'
+            f'  <path d="{path} Z" fill="none" stroke="black" '
+            f'stroke-width="{_fmt(span / 200)}"/>\n'
+            "</svg>\n"
+        )
+        (frames / f"frame_{i:05d}.svg").write_text(svg)
+
+
+def reference_write_cell(out, sol, pairs, cfg):
+    grid = sol.v.grid
+    coords = [c.ravel() for c in grid.coords()]
+    columns = [f"theta{i}" for i in range(grid.m)] + ["v"]
+    rows = []
+    for node in range(grid.num_nodes):
+        cells = [c[node] for c in coords] + [sol.v.values.ravel()[node]]
+        rows.append(",".join(_fmt(c) for c in cells))
+    text = _header(
+        [
+            "stationary state with prescribed mean",
+            f"p={_fmt(sol.p)} residual={sol.residual:.3e} newton_iters={sol.newton_iters}",
+        ],
+        columns,
+        cfg,
+    ) + "\n".join(rows) + "\n"
+    (out / "cell_solution.csv").write_text(text)
+
+    rows = [",".join([_fmt(a), _fmt(b), str(int(ok))]) for a, b, ok in pairs]
+    text = _header(["monotonicity of the stationary branch"], ["p", "q", "holds"], cfg)
+    (out / "monotonicity.csv").write_text(text + "\n".join(rows) + "\n")
+
+
+EVOLVE_WRITERS = [
+    (_write_diagnostics, reference_write_diagnostics),
+    (_write_trajectory, reference_write_trajectory),
+    (_write_snapshot, reference_write_snapshot),
+]
+SVG_WRITERS = [(_write_svg_frames, reference_write_svg_frames)]
+
+
+def read_artifacts(root):
+    """Every file under ``root`` by relative path, as bytes."""
+    root = Path(root)
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in files}
+
+
+def write_both(tmp_path, writers, *args):
+    """Run each (writer, reference) pair into its own directory; return both artifact sets."""
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    new.mkdir()
+    ref.mkdir()
+    for writer, reference in writers:
+        writer(new, *args)
+        reference(ref, *args)
+    return read_artifacts(new), read_artifacts(ref)
 
 
 class TestConfigParsing:
@@ -128,6 +288,13 @@ class TestRunEvolve:
         assert (out / "snapshot_final.csv").read_bytes() == first["snapshot_final.csv"]
         assert (out / "frames" / "frame_00000.svg").read_bytes() == first["frame"]
 
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01"))
+        out.write_text("a file, not a directory\n")
+        assert main(["evolve", str(cfg_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "cannot write artifacts" in err and "Traceback" not in err
+
     def test_snapshot_schema(self, tmp_path):
         cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG)
         run_evolve(cfg_path)
@@ -159,6 +326,17 @@ class TestRunVerify:
         monkeypatch.setitem(V.SUITES, "heat", lambda: [CheckResult("x", False, "boom")])
         assert run_verify("heat", tmp_path) == EXIT_VERIFY
 
+    def test_unwritable_output_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        from polarflow import verify as V
+        from polarflow.verify import CheckResult
+
+        monkeypatch.setitem(V.SUITES, "heat", lambda: [CheckResult("x", True, "ok")])
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory\n")
+        assert main(["verify", "heat", "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "cannot write artifacts" in err and "Traceback" not in err
+
     def test_summary_round_trips_numpy_checks(self, tmp_path, monkeypatch):
         from polarflow import verify as V
 
@@ -186,6 +364,13 @@ class TestRunCell:
         assert len(rows) == 3
         assert all(r.split(",")[2] == "1" for r in rows)
 
+    def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
+        cfg_path, out = write_cfg(tmp_path, CELL_CFG, name="cell.cfg")
+        out.write_text("a file, not a directory\n")
+        assert main(["cell", str(cfg_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "cannot write artifacts" in err and "Traceback" not in err
+
     def test_missing_p_is_config_error(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("grid.m = 1\ngrid.lengths = 1.0\ngrid.resolution = 64\noutput.dir = x\n")
@@ -203,3 +388,65 @@ class TestMain:
     def test_cell_subcommand(self, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, CELL_CFG, name="cell.cfg")
         assert main(["cell", str(cfg_path)]) == EXIT_OK
+
+
+class TestWriterOracles:
+    """The column writers reproduce the per-cell reference writers byte for byte."""
+
+    CFG = {"grid.m": "1", "seed": "3"}
+
+    def test_curve_with_svg_and_tail_step(self, tmp_path):
+        grid = make_grid(1, [1.0], [32])
+        r0, p0 = make_initial(grid, "ellipse", [2.0, 1.0])
+        traj = evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=1e-3, t_end=0.0105))
+        assert traj.times[-2:] == [0.01, 0.0105]
+        got, want = write_both(tmp_path, EVOLVE_WRITERS + SVG_WRITERS, traj, self.CFG)
+        assert sum(name.startswith("frames/") for name in want) == len(traj.times) == 12
+        assert got == want
+
+    def test_surface_with_record_stride(self, tmp_path):
+        grid = make_grid(2, [1.0, 2.0], [16, 8])
+        r0, p0 = make_initial(grid, "trig_random", [5, 2, 0.2])
+        cfg = SolveConfig(dt=1e-3, t_end=0.007, record_every=3)
+        traj = evolve_coupled(r0, p0, burgers_flux(2), cfg)
+        assert len(traj.times) == 4  # t = 0, 3, 6 steps and the final 7th
+        got, want = write_both(tmp_path, EVOLVE_WRITERS, traj, self.CFG)
+        assert got == want
+
+    def test_exponent_notation_and_negative_zero(self, tmp_path):
+        grid = make_grid(1, [1e-5], [8])
+        values = np.array([1e-05, 1e16, -0.0, 0.1, 2.5e-300, 3.0, 1.0 / 3.0, 7e22])
+        vectors = np.array(
+            [[1.0, -0.0], [-0.0, 1.0], [-1.0, 0.0], [0.6, -0.8], [-0.0, -1.0], [0.8, 0.6],
+             [1.0, 0.0], [-0.6, 0.8]]
+        )
+        p = DirectionField(grid=grid, vectors=vectors)
+        row = DiagRow(t=1e-05, mean=-0.0, sup=1e16, min=-2.5e-300, l1=1e-05, sphere_dev=7e22)
+        traj = Trajectory(
+            grid=grid,
+            spec=zero_flux(1),
+            times=[0.0, 1e-05],
+            snapshots=[ScalarField(grid=grid, values=v) for v in (values, -values)],
+            directions=[p, p],
+            diagnostics=[row, row],
+        )
+        got, want = write_both(tmp_path, EVOLVE_WRITERS + SVG_WRITERS, traj, self.CFG)
+        assert got == want
+        text = got["trajectory.csv"].decode() + got["frames/frame_00001.svg"].decode()
+        for token in ("1.25e-06", "e-05", "e+16", "-0.0", "e-300"):
+            assert token in text
+
+    @pytest.mark.parametrize("case", ["solved", "hand_built"])
+    def test_cell(self, tmp_path, case):
+        grid = make_grid(1, [1.0], [32])
+        if case == "solved":
+            spec = with_modulation(constant_flux([1.0]), 0, Modulation(const=0.0, sin_amps=(1.0,)))
+            sol = solve_cell(spec, grid, 1.0)
+        else:
+            values = np.array([1e-05, 1e16, -0.0, 0.25] * 8)
+            sol = CellSolution(p=1e-05, v=ScalarField(grid=grid, values=values), residual=1e-16,
+                               newton_iters=3)
+        pairs = [(1.5, 0.5, True), (1e-05, -0.0, False)]
+        writers = [(_write_cell, reference_write_cell)]
+        got, want = write_both(tmp_path, writers, sol, pairs, self.CFG)
+        assert got == want

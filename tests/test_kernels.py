@@ -151,6 +151,26 @@ class TestTrigGather:
             single = K.trig_gather(amps[..., j], kappas, pts)
             assert np.abs(stacked[:, j] - single).max() < 1e-14
 
+    def test_cached_plans_do_not_leak_between_grids(self):
+        # grids of different N and L, 1 and 2 axes, interleaved; N=128 and
+        # N=64 each come with two lengths, so they share a cached plan
+        cases = [((128,), (1.0,)), ((16, 32), (1.0, 0.5)), ((64,), (2.5,)),
+                 ((128,), (3.0,)), ((32, 16), (2.0, 1.0)), ((64,), (0.7,))]
+        first = {}
+        for _ in range(2):
+            for idx, (shape, lengths) in enumerate(cases):
+                rng = np.random.default_rng(idx)
+                m = len(shape)
+                amps = np.fft.fftn(rng.normal(size=shape + (2,)), axes=tuple(range(m)))
+                amps /= np.prod(shape)
+                kappas = [2 * np.pi * np.fft.fftfreq(n, d=L / n) for n, L in zip(shape, lengths)]
+                pts = [rng.uniform(-0.5 * L, 1.5 * L, size=50) for L in lengths]
+                out = K.trig_gather(amps, kappas, pts)
+                assert np.abs(out - direct_trig_sum(amps, kappas, pts)).max() < 1e-11
+                if idx in first:
+                    assert np.array_equal(out, first[idx])
+                first[idx] = out
+
     def test_nyquist_mode_is_a_cosine(self, rng):
         # an even-N grid samples a cos(pi N x) as a (-1)^j: only the unpaired mode
         n, a = 32, 0.7
