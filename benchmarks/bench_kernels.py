@@ -12,6 +12,9 @@ Duhamel sweep (FD8 folded into the kernel rows, all Gauss nodes of a target
 at once) with the per-(target, node) loop defined below.  One burgers Strang
 step of the rfft-spectrum stepper is compared with the complex full-lattice
 step defined below (agreement checked on the midpoint values both return).
+A modulated ``solve_cell`` at N=64 runs its Newton iteration once on the
+real-FFT operator and once on the complex full-lattice operator defined
+below; both must reach the same stationary state.
 The trajectory and SVG writers of ``polarflow evolve`` are timed on a
 1001-record N=128 ellipse run against the per-cell ``reference_*`` writers
 of ``tests/test_cli.py``; both must write identical bytes.  The writers
@@ -30,17 +33,21 @@ import numpy as np
 
 from polarflow import _kernels as K
 from polarflow import (
+    Modulation,
     SolveConfig,
     burgers_flux,
     evolve_coupled,
     make_field,
     make_grid,
     make_initial,
+    solve_cell,
+    with_modulation,
 )
+from polarflow import cell
 from polarflow.cli import _write_svg_frames, _write_trajectory
 from polarflow._accel import USE_NUMBA
 from polarflow.duhamel import _fd_derivative, _plain_row, _Window
-from polarflow.flux import eval_g
+from polarflow.flux import eval_g, eval_g_prime
 from polarflow.spectral import _Stepper
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -111,6 +118,46 @@ def reference_strang_step(grid, spec, dt, vals):
     return np.fft.ifftn(np.fft.fftn(out) * half_heat).real, mid
 
 
+class ReferenceCellOperator(cell._CellOperator):
+    """Reference: the stationary operator on complex full-lattice FFTs, ``np.where`` masking."""
+
+    def __init__(self, grid, spec, dealias=True):
+        super().__init__(grid, spec, dealias)
+        lap = grid.laplacian_symbol()
+        self.lap_full = lap
+        self.lap_full_inv = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0.0)
+        self.ik = [1j * k for k in grid.kappa_grids()]
+        self.mask = grid.dealias_mask() if dealias else True
+
+    def _divergence_hat(self, fluxes):
+        out = 0.0
+        for ik, mod, fi in zip(self.ik, self.mods, fluxes):
+            fi = fi if mod is None else fi * mod
+            out = out + ik * np.where(self.mask, np.fft.fftn(fi), 0.0)
+        return out
+
+    def residual(self, v):
+        fluxes = [eval_g(self.spec, i, v) for i in range(self.spec.m)]
+        return np.fft.ifftn(np.fft.fftn(v) * self.lap_full + self._divergence_hat(fluxes)).real
+
+    def jacobian_flux_part(self, v, delta):
+        fluxes = [eval_g_prime(self.spec, i, v) * delta for i in range(self.spec.m)]
+        return np.fft.ifftn(self._divergence_hat(fluxes)).real
+
+    def precondition(self, rhs):
+        return np.fft.ifftn(np.fft.fftn(rhs) * self.lap_full_inv).real
+
+
+def solve_cell_on(operator, spec, grid, p):
+    """``solve_cell`` with its operator class swapped for ``operator``; returns the state."""
+    saved = cell._CellOperator
+    cell._CellOperator = operator
+    try:
+        return solve_cell(spec, grid, p).v.values
+    finally:
+        cell._CellOperator = saved
+
+
 def bench(n, points, repeat):
     rng = np.random.default_rng(0)
     row = rng.normal(size=n)
@@ -130,6 +177,8 @@ def bench(n, points, repeat):
     iterate = base + 0.01 * rng.normal(size=base.shape)
     stepper = _Stepper(grid, burgers_flux(1), 1e-4, True)
     hat0 = stepper.spectrum(r0.values)
+    cell_grid = make_grid(1, [1.0], [64])
+    cell_spec = with_modulation(burgers_flux(1), 0, Modulation(const=0.0, sin_amps=(0.8,)))
 
     cases = [
         (
@@ -166,6 +215,11 @@ def bench(n, points, repeat):
             "strang step N=%d burgers" % n,
             lambda: stepper.advance(hat0)[1],
             lambda: reference_strang_step(grid, burgers_flux(1), 1e-4, r0.values)[1],
+        ),
+        (
+            "solve_cell modulated N=64",
+            lambda: solve_cell_on(cell._CellOperator, cell_spec, cell_grid, 1.0),
+            lambda: solve_cell_on(ReferenceCellOperator, cell_spec, cell_grid, 1.0),
         ),
     ]
 

@@ -10,14 +10,13 @@ nonlinear and is solved by a damped Newton iteration on the spectral
 discretization: the mean is pinned by working in the zero-mean complement
 (the equation itself has no zero mode), the Jacobian is applied spectrally,
 and the inner linear solves run a Richardson iteration preconditioned by the
-inverse Laplacian.
+inverse Laplacian.  The operator uses the real-FFT half-lattice symbols of
+:mod:`.spectral` (the masked derivatives and ``|kappa|^2``).
 
 Applicability note: the solve assumes the flux derivative grows at most
-polynomially on the relevant range, which every registered closed-form family
-satisfies (constants: bounded derivative; quadratic and polynomial families:
-polynomial growth; modulated-linear: bounded derivative times a bounded
-modulation).  These are construction-time facts about the registry, not
-runtime checks.
+polynomially on the relevant range.  Every flux is a polynomial in ``v``
+times a bounded modulation, so this holds by construction; it is not a
+runtime check.
 """
 
 from __future__ import annotations
@@ -29,7 +28,15 @@ import numpy as np
 from .errors import ConvergenceError
 from .flux import FluxSpec, eval_g, eval_g_prime
 from .grid import PeriodicGrid, ScalarField, mean
-from .spectral import SolveConfig, evolve, max_stable_dt
+from .spectral import (
+    SolveConfig,
+    _derivative_symbols,
+    _irfft,
+    _laplacian_half,
+    _rfft,
+    evolve,
+    max_stable_dt,
+)
 
 __all__ = [
     "CellSolution",
@@ -53,46 +60,38 @@ class CellSolution:
 
 
 class _CellOperator:
+    """The stationary operator on the real-FFT half lattice of :mod:`.spectral`."""
+
     def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dealias: bool = True):
         if spec.m != grid.m:
             raise ValueError("flux component count does not match grid dimension")
         self.grid = grid
         self.spec = spec
-        self.lap = grid.laplacian_symbol()
-        inv = np.zeros(grid.shape)
-        nz = self.lap > 0.0
-        inv[nz] = 1.0 / self.lap[nz]
-        self.lap_inv = inv
-        self.ik = [1j * k for k in grid.kappa_grids()]
-        self.mask = grid.dealias_mask() if dealias else None
+        self.lap = _laplacian_half(grid)
+        self.lap_inv = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap > 0.0)
+        self.derivs = _derivative_symbols(grid, dealias)  # of -d/dtheta_i
         self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
 
-    def _masked(self, hat: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, hat, 0.0) if self.mask is not None else hat
+    def _divergence(self, fluxes) -> np.ndarray:
+        """Spectrum of ``sum_i d/dtheta_i (a_i fluxes[i])``."""
+        out = 0.0
+        for deriv, mod, fi in zip(self.derivs, self.mods, fluxes):
+            out = out - deriv * _rfft(self.grid, fi if mod is None else fi * mod)
+        return out
 
     def residual(self, v: np.ndarray) -> np.ndarray:
         """-Lap v + div(a g(v)) on the grid."""
-        out_hat = np.fft.fftn(v) * self.lap
-        for i in range(self.spec.m):
-            gi = eval_g(self.spec, i, v)
-            if self.mods[i] is not None:
-                gi = gi * self.mods[i]
-            out_hat += self.ik[i] * self._masked(np.fft.fftn(gi))
-        return np.fft.ifftn(out_hat).real
+        fluxes = (eval_g(self.spec, i, v) for i in range(self.spec.m))
+        return _irfft(self.grid, _rfft(self.grid, v) * self.lap + self._divergence(fluxes))
 
     def jacobian_flux_part(self, v: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """div(a g'(v) delta), the non-Laplacian block of the Jacobian."""
-        out_hat = np.zeros(self.grid.shape, dtype=np.complex128)
-        for i in range(self.spec.m):
-            coeff = eval_g_prime(self.spec, i, v)
-            if self.mods[i] is not None:
-                coeff = coeff * self.mods[i]
-            out_hat += self.ik[i] * self._masked(np.fft.fftn(coeff * delta))
-        return np.fft.ifftn(out_hat).real
+        fluxes = (eval_g_prime(self.spec, i, v) * delta for i in range(self.spec.m))
+        return _irfft(self.grid, self._divergence(fluxes))
 
     def precondition(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse Laplacian on the zero-mean complement."""
-        return np.fft.ifftn(np.fft.fftn(rhs) * self.lap_inv).real
+        return _irfft(self.grid, _rfft(self.grid, rhs) * self.lap_inv)
 
     def zero_mean(self, w: np.ndarray) -> np.ndarray:
         return w - w.mean()

@@ -1,10 +1,12 @@
-"""Closed-form flux registry.
+"""Polynomial flux registry.
 
-A flux assigns to every torus axis ``i`` a smooth scalar function ``f_i``; the
-transported quantity in divergence form is ``g_i(v) = v * f_i(v)``.  Only
-closed-form families are registered (constants, polynomials, and the
-quadratic ``v^2/2`` family), so ``g_i`` and its derivative evaluate exactly
-with no numerical differentiation.
+A flux assigns to every torus axis ``i`` a polynomial speed
+``f_i(v) = sum_k c_k v^k``; the transported quantity in divergence form is
+``g_i(v) = v * f_i(v)``.  Every registered family is one of these: a constant
+speed has degree 0 and ``v^2/2`` (burgers) is ``f = v/2``.  A component stores
+only its coefficients, so ``f_i``, ``g_i`` and ``g_i'`` evaluate exactly by
+Horner's rule with no numerical differentiation, and their suprema over an
+interval are exact maxima taken at its ends and at the critical points.
 
 An optional per-axis spatial modulation ``a_i`` (a short cosine/sine series
 in the axis coordinate) turns ``g_i(v)`` into ``a_i(theta_i) * g_i(v)``.  It
@@ -14,6 +16,7 @@ is degenerate (constants solve it); geometric presets never set it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +38,6 @@ __all__ = [
     "flux_envelope_bound",
 ]
 
-_KINDS = ("constant", "burgers", "poly")
-
-
 @dataclass(frozen=True)
 class Modulation:
     """Truncated Fourier series ``a(s) = const + sum_k c_k cos + s_k sin``.
@@ -49,6 +49,10 @@ class Modulation:
     const: float = 1.0
     cos_amps: tuple[float, ...] = ()
     sin_amps: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.const, *self.cos_amps, *self.sin_amps))):
+            raise ValueError("modulation amplitudes must be finite")
 
     def evaluate(self, s: np.ndarray, period: float) -> np.ndarray:
         out = np.full_like(np.asarray(s, dtype=np.float64), self.const)
@@ -65,17 +69,24 @@ class Modulation:
 
 @dataclass(frozen=True)
 class FluxComponent:
-    kind: str
-    coeffs: tuple[float, ...] = ()
+    """Speed ``f(v) = sum_k coeffs[k] v^k`` on one axis, optionally modulated.
+
+    Trailing zero coefficients are dropped, so ``len(coeffs) - 1`` is the
+    degree; the zero polynomial keeps its one coefficient.
+    """
+
+    coeffs: tuple[float, ...]
     modulation: Modulation | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown flux kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "constant" and len(self.coeffs) != 1:
-            raise ValueError("constant flux needs exactly one coefficient")
-        if self.kind == "poly" and len(self.coeffs) == 0:
-            raise ValueError("polynomial flux needs at least one coefficient")
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not coeffs:
+            raise ValueError("flux component needs at least one coefficient")
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"flux coefficients must be finite, got {coeffs}")
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs = coeffs[:-1]
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 @dataclass(frozen=True)
@@ -94,10 +105,8 @@ class FluxSpec:
 
     @property
     def is_constant(self) -> bool:
-        """True when every component is an unmodulated constant."""
-        return all(
-            c.kind == "constant" and c.modulation is None for c in self.components
-        )
+        """True when every component is an unmodulated constant (degree 0)."""
+        return all(len(c.coeffs) == 1 and c.modulation is None for c in self.components)
 
     @property
     def constant_speeds(self) -> tuple[float, ...]:
@@ -122,9 +131,7 @@ class FluxSpec:
 
 def constant_flux(speeds) -> FluxSpec:
     """Flux with ``f_i`` identically equal to the given speeds."""
-    return FluxSpec(
-        components=tuple(FluxComponent("constant", (float(c),)) for c in speeds)
-    )
+    return FluxSpec(components=tuple(FluxComponent((c,)) for c in speeds))
 
 
 def zero_flux(m: int = 1) -> FluxSpec:
@@ -133,20 +140,19 @@ def zero_flux(m: int = 1) -> FluxSpec:
 
 def burgers_flux(m: int = 1) -> FluxSpec:
     """``f_i(v) = v/2`` on every axis, so ``g_i(v) = v^2/2``."""
-    return FluxSpec(components=tuple(FluxComponent("burgers") for _ in range(m)))
+    return FluxSpec(components=tuple(FluxComponent((0.0, 0.5)) for _ in range(m)))
 
 
 def polynomial_flux(coeffs, m: int = 1) -> FluxSpec:
     """``f_i(v) = sum_k coeffs[k] v^k`` shared across the ``m`` axes."""
-    c = tuple(float(x) for x in coeffs)
-    return FluxSpec(components=tuple(FluxComponent("poly", c) for _ in range(m)))
+    c = tuple(coeffs)
+    return FluxSpec(components=tuple(FluxComponent(c) for _ in range(m)))
 
 
 def with_modulation(spec: FluxSpec, axis: int, modulation: Modulation) -> FluxSpec:
     """Copy of ``spec`` with a spatial modulation attached to one axis."""
     comps = list(spec.components)
-    old = comps[axis]
-    comps[axis] = FluxComponent(old.kind, old.coeffs, modulation)
+    comps[axis] = FluxComponent(comps[axis].coeffs, modulation)
     return FluxSpec(components=tuple(comps))
 
 
@@ -156,71 +162,77 @@ def _check_index(spec: FluxSpec, i: int) -> FluxComponent:
     return spec.components[i]
 
 
+def _g_coeffs(comp: FluxComponent) -> tuple[float, ...]:
+    """Coefficients of ``g(v) = v f(v)``."""
+    return (0.0, *comp.coeffs)
+
+
+def _g_prime_coeffs(comp: FluxComponent) -> tuple[float, ...]:
+    """Coefficients of ``g'(v) = sum_k (k+1) c_k v^k``."""
+    return tuple((k + 1) * c for k, c in enumerate(comp.coeffs))
+
+
+def _horner(coeffs: tuple[float, ...], nu: np.ndarray):
+    """``sum_k coeffs[k] nu^k`` by Horner's rule, as an array or a float for 0-d ``nu``.
+
+    The steps run in place on one array, which large inputs need: a new
+    temporary per step costs more than the arithmetic.  A zero coefficient
+    costs no addition, so ``g`` of burgers is ``(0.5 nu) nu``, bitwise equal
+    to ``nu nu / 2``.
+    """
+    out = coeffs[-1] * nu if len(coeffs) > 1 else np.full_like(nu, coeffs[0])
+    for k in reversed(range(len(coeffs) - 1)):
+        if coeffs[k]:
+            out += coeffs[k]
+        if k:
+            out *= nu
+    return out if out.ndim else float(out)
+
+
 def eval_f(spec: FluxSpec, i: int, nu):
     """Evaluate ``f_i`` at ``nu`` (scalar or array)."""
-    comp = _check_index(spec, i)
-    nu = np.asarray(nu, dtype=np.float64)
-    if comp.kind == "constant":
-        out = np.full_like(nu, comp.coeffs[0])
-    elif comp.kind == "burgers":
-        out = nu / 2.0
-    else:
-        out = np.polynomial.polynomial.polyval(nu, np.asarray(comp.coeffs))
-    return out if out.ndim else float(out)
+    return _horner(_check_index(spec, i).coeffs, np.asarray(nu, dtype=np.float64))
 
 
 def eval_g(spec: FluxSpec, i: int, nu):
     """Evaluate ``g_i(nu) = nu * f_i(nu)``."""
-    comp = _check_index(spec, i)
-    nu = np.asarray(nu, dtype=np.float64)
-    if comp.kind == "constant":
-        out = comp.coeffs[0] * nu
-    elif comp.kind == "burgers":
-        out = nu * nu / 2.0
-    else:
-        out = nu * np.polynomial.polynomial.polyval(nu, np.asarray(comp.coeffs))
-    return out if out.ndim else float(out)
+    return _horner(_g_coeffs(_check_index(spec, i)), np.asarray(nu, dtype=np.float64))
 
 
 def eval_g_prime(spec: FluxSpec, i: int, nu):
     """Exact derivative of ``g_i``."""
-    comp = _check_index(spec, i)
-    nu = np.asarray(nu, dtype=np.float64)
-    if comp.kind == "constant":
-        out = np.full_like(nu, comp.coeffs[0])
-    elif comp.kind == "burgers":
-        out = nu.copy()
-    else:
-        # g = sum c_k nu^(k+1)  =>  g' = sum (k+1) c_k nu^k
-        gp = np.asarray([(k + 1) * c for k, c in enumerate(comp.coeffs)])
-        out = np.polynomial.polynomial.polyval(nu, gp)
-    return out if out.ndim else float(out)
+    return _horner(_g_prime_coeffs(_check_index(spec, i)), np.asarray(nu, dtype=np.float64))
+
+
+def _sup_abs(comp: FluxComponent, coeffs: tuple[float, ...], bound: float) -> float:
+    """Exact ``max |p|`` over ``|v| <= bound`` for the polynomial ``coeffs``, times ``sup |a|``.
+
+    The maximum is taken at the ends and at the critical points.  The real
+    part of every root of ``p'`` inside the interval is a candidate: a real
+    double root that rounding splits into a complex pair still lands on its
+    critical point, and an extra point inside the interval can never raise
+    the maximum above the true one.
+    """
+    crit = np.roots(np.polyder(coeffs[::-1])).real
+    pts = np.concatenate(([-bound, bound], crit[np.abs(crit) < bound]))
+    s = float(np.abs(_horner(coeffs, pts)).max())
+    return s if comp.modulation is None else s * comp.modulation.sup_bound()
+
+
+def advective_speed_bound(spec: FluxSpec, field_bound: float) -> float:
+    """``max_i sup |a_i g_i'|`` over ``|v| <= field_bound``."""
+    return max(_sup_abs(c, _g_prime_coeffs(c), field_bound) for c in spec.components)
 
 
 def flux_envelope_bound(spec: FluxSpec, field_bound: float) -> float:
-    """Upper bound for ``max_i sup(|g_i|, |g_i'|)`` over ``|v| <= (m+1)*field_bound``.
+    """``max_i sup(|a_i g_i|, |a_i g_i'|)`` over ``|v| <= (m+1)*field_bound``.
 
-    Exact monotone envelopes for the constant and quadratic families; dense
-    sampling with a factor-2 headroom for polynomials.  A conservative value
-    only shortens the fixed-point window downstream, never invalidates it.
+    Exact up to roundoff: the fixed-point window downstream is sized from it.
     """
     if field_bound < 0.0:
         raise ValueError("field bound must be non-negative")
     reach = (spec.m + 1) * field_bound
-    worst = 0.0
-    for idx, comp in enumerate(spec.components):
-        if comp.kind == "constant":
-            c = abs(comp.coeffs[0])
-            h = max(c * reach, c)
-        elif comp.kind == "burgers":
-            h = max(reach * reach / 2.0, reach)
-        else:
-            nu = np.linspace(-reach, reach, 4096)
-            h = 2.0 * max(
-                np.abs(eval_g(spec, idx, nu)).max(),
-                np.abs(eval_g_prime(spec, idx, nu)).max(),
-            )
-        if comp.modulation is not None:
-            h *= comp.modulation.sup_bound()
-        worst = max(worst, float(h))
-    return worst
+    return max(
+        max(_sup_abs(c, _g_coeffs(c), reach), _sup_abs(c, _g_prime_coeffs(c), reach))
+        for c in spec.components
+    )

@@ -6,18 +6,20 @@ multiplier), a full advective substep in divergence form, and another exact
 half-step of heat.  The diffusive part therefore carries no CFL restriction;
 only the advective limit remains.
 
-Every field is real, so one operator serves the stepper, :func:`heat_propagate`
-and :func:`galilean_shift`: real FFTs (``rfftn``/``irfftn``) onto the half
-mode lattice, with each multiplier restricted to the part a real field sees.
-The stepper carries the state from step to step as this half spectrum, not
-as grid values; the drivers transform back only where they need samples.
+Every field is real, so one operator serves the stepper, :func:`heat_propagate`,
+:func:`galilean_shift` and the stationary solver of :mod:`.cell`: real FFTs
+(``rfftn``/``irfftn``) onto the half mode lattice, with each multiplier
+restricted to the part a real field sees.  The stepper carries the state from
+step to step as this half spectrum, not as grid values; the time loop
+transforms back only where it needs samples.  One loop serves :func:`evolve`
+and, with a direction-transport hook, the coupled driver of :mod:`.transport`.
 
 The advective substep differentiates ``g_i(r)`` spectrally (2/3-rule dealiased
 by default) and advances with a midpoint Runge-Kutta stage, except when every
-flux component is an unmodulated constant: then the whole step is one product
-with the cached heat-times-shift multiplier.  Either way the zero mode of the
-spectrum is only ever multiplied by one, so the field mean is conserved to
-roundoff.
+flux component is an unmodulated constant (degree 0): then the whole step is
+one product with the cached heat-times-shift multiplier.  Either way the zero
+mode of the spectrum is only ever multiplied by one, so the field mean is
+conserved to roundoff.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError
-from .flux import FluxSpec, eval_g, eval_g_prime
+from .flux import FluxSpec, advective_speed_bound, eval_g
 from .grid import PeriodicGrid, ScalarField, _reflect, mean
 
 __all__ = [
@@ -247,23 +249,6 @@ def step(r: ScalarField, spec: FluxSpec, dt: float, dealias: bool = True) -> Sca
     return ScalarField(grid=r.grid, values=stepper.values(new))
 
 
-def advective_speed_bound(spec: FluxSpec, field_bound: float) -> float:
-    """``max_i sup |g_i'|`` over ``|v| <= field_bound`` (exact or sampled)."""
-    worst = 0.0
-    for i, comp in enumerate(spec.components):
-        if comp.kind == "constant":
-            s = abs(comp.coeffs[0])
-        elif comp.kind == "burgers":
-            s = field_bound
-        else:
-            nu = np.linspace(-field_bound, field_bound, 4096)
-            s = float(np.abs(eval_g_prime(spec, i, nu)).max())
-        if comp.modulation is not None:
-            s *= comp.modulation.sup_bound()
-        worst = max(worst, s)
-    return worst
-
-
 def max_stable_dt(grid: PeriodicGrid, spec: FluxSpec, field_bound: float) -> float:
     """Advective CFL bound; diffusion is integrated exactly and imposes none."""
     h_min = min(grid.spacings)
@@ -312,6 +297,56 @@ def _schedule(
     return n_full, remainder
 
 
+def _march(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig, direction=None) -> Trajectory:
+    """The time loop of :func:`evolve` and of the coupled driver.
+
+    Records fall every ``record_every`` steps and at ``t_end``, which a
+    shorter tail step reaches when ``dt`` does not divide it.  ``direction``,
+    when given, is ``(p0, transport)``: after each radius step, which must
+    leave the radius positive, ``transport(p, mid, dt)`` carries the
+    direction field ``p`` over the step given the radius values ``mid`` at
+    its half time.  A failing step raises naming its index and time.
+    """
+    sup0 = float(np.abs(r0.values).max())
+    n_full, remainder = _schedule(r0.grid, spec, cfg, sup0)
+    n_steps = n_full + (remainder > 0.0)
+    coupled = direction is not None
+    stepper = _Stepper(r0.grid, spec, cfg.dt, cfg.dealias, mid_values=coupled)
+    traj = Trajectory(grid=r0.grid, spec=spec)
+    mean0 = mean(r0)
+    min0 = float(r0.values.min())
+
+    hat = stepper.spectrum(r0.values)
+    _append_record(traj, 0.0, r0.values, mean0, sup0, min0)
+    if coupled:
+        p, transport = direction
+        traj.directions.append(p)
+    for k in range(1, n_steps + 1):
+        t = k * cfg.dt
+        if k > n_full:
+            stepper = _Stepper(r0.grid, spec, remainder, cfg.dealias, mid_values=coupled)
+            t = cfg.t_end
+        try:
+            hat, mid = stepper.advance(hat)
+            if coupled:
+                vals = stepper.values(hat)
+                if not (vals.min() > 0.0):
+                    raise SolverError(
+                        f"positivity lost (min {vals.min():.3e}); "
+                        "geometric evolution is no longer well defined"
+                    )
+                p = transport(p, mid, stepper.dt)
+        except SolverError as exc:
+            raise SolverError(f"step {k} (t={t:.6g}): {exc}") from exc
+        if k % cfg.record_every == 0 or k == n_steps:
+            if not coupled:
+                vals = stepper.values(hat)
+            _append_record(traj, t, vals, mean0, sup0, min0)
+            if coupled:
+                traj.directions.append(p)
+    return traj
+
+
 def evolve(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig) -> Trajectory:
     """Integrate from ``t=0`` to ``cfg.t_end``, recording every ``record_every`` steps.
 
@@ -320,25 +355,4 @@ def evolve(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig) -> Trajectory:
     merely breach the sup-norm bound or positivity are flagged, not aborted.
     The state between records stays a spectrum (see :class:`_Stepper`).
     """
-    sup0 = float(np.abs(r0.values).max())
-    n_full, remainder = _schedule(r0.grid, spec, cfg, sup0)
-
-    stepper = _Stepper(r0.grid, spec, cfg.dt, cfg.dealias, mid_values=False)
-    traj = Trajectory(grid=r0.grid, spec=spec)
-    mean0 = mean(r0)
-    min0 = float(r0.values.min())
-
-    hat = stepper.spectrum(r0.values)
-    _append_record(traj, 0.0, r0.values, mean0, sup0, min0)
-    for k in range(n_full):
-        try:
-            hat, _ = stepper.advance(hat)
-        except SolverError as exc:
-            raise SolverError(f"step {k + 1} (t={(k + 1) * cfg.dt:.6g}): {exc}") from exc
-        if (k + 1) % cfg.record_every == 0 or (k + 1 == n_full and remainder == 0.0):
-            _append_record(traj, (k + 1) * cfg.dt, stepper.values(hat), mean0, sup0, min0)
-    if remainder > 0.0:
-        tail = _Stepper(r0.grid, spec, remainder, cfg.dealias, mid_values=False)
-        hat, _ = tail.advance(hat)
-        _append_record(traj, cfg.t_end, tail.values(hat), mean0, sup0, min0)
-    return traj
+    return _march(r0, spec, cfg)

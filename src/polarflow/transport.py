@@ -19,6 +19,9 @@ phase error per step that accumulates linearly and misses the package's
 translation-fidelity targets at production resolutions.  Each step makes two
 gathers, each over every field that shares its points: the velocity
 components at the midpoints, then the direction components at the feet.
+
+:func:`evolve_coupled` runs the radius time loop of :mod:`.spectral` and
+hands it this step as the hook that carries the direction field.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 from ._kernels import cubic_gather, trig_gather
 from .errors import SolverError
 from .flux import FluxSpec, eval_f
-from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField, _flat_coords, mean
-from .spectral import SolveConfig, Trajectory, _append_record, _schedule, _Stepper
+from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField, _flat_coords
+from .spectral import SolveConfig, Trajectory, _march
 
 __all__ = ["transport_step", "evolve_coupled"]
 
@@ -56,13 +59,9 @@ def _gather(fields: np.ndarray, grid: PeriodicGrid, pts: list[np.ndarray], inter
 def _velocities(spec: FluxSpec, grid: PeriodicGrid, r_vals: np.ndarray) -> list[np.ndarray]:
     out = []
     for i in range(spec.m):
-        vi = np.asarray(eval_f(spec, i, r_vals), dtype=np.float64)
-        if vi.shape == ():
-            vi = np.full(grid.shape, float(vi))
+        vi = eval_f(spec, i, r_vals)  # grid-shaped for every degree
         mod = spec.modulation_values(grid, i)
-        if mod is not None:
-            vi = vi * mod
-        out.append(vi)
+        out.append(vi if mod is None else vi * mod)
     return out
 
 
@@ -117,39 +116,8 @@ def evolve_coupled(
         raise ValueError("radius and direction fields live on different grids")
     if not (r0.values.min() > 0.0):
         raise SolverError("initial radius must be strictly positive")
-    sup0 = float(np.abs(r0.values).max())
-    n_full, remainder = _schedule(r0.grid, spec, cfg, sup0)
 
-    stepper = _Stepper(r0.grid, spec, cfg.dt, cfg.dealias)
-    traj = Trajectory(grid=r0.grid, spec=spec)
-    mean0 = mean(r0)
-    min0 = float(r0.values.min())
+    def carry(p: DirectionField, mid: np.ndarray, dt: float) -> DirectionField:
+        return transport_step(p, ScalarField(grid=r0.grid, values=mid), spec, dt, interp)
 
-    hat = stepper.spectrum(r0.values)
-    r_vals = r0.values
-    p_field = p0
-    _append_record(traj, 0.0, r_vals, mean0, sup0, min0)
-    traj.directions.append(p_field)
-
-    def _one(step_obj: _Stepper, hat: np.ndarray, p_now: DirectionField, idx: int):
-        new_hat, mid_vals = step_obj.advance(hat)
-        new_vals = step_obj.values(new_hat)
-        if not (new_vals.min() > 0.0):
-            raise SolverError(
-                f"positivity lost at step {idx} (min {new_vals.min():.3e}); "
-                "geometric evolution is no longer well defined"
-            )
-        mid_field = ScalarField(grid=r0.grid, values=mid_vals)
-        return new_hat, new_vals, transport_step(p_now, mid_field, spec, step_obj.dt, interp)
-
-    for k in range(n_full):
-        hat, r_vals, p_field = _one(stepper, hat, p_field, k + 1)
-        if (k + 1) % cfg.record_every == 0 or (k + 1 == n_full and remainder == 0.0):
-            _append_record(traj, (k + 1) * cfg.dt, r_vals, mean0, sup0, min0)
-            traj.directions.append(p_field)
-    if remainder > 0.0:
-        tail = _Stepper(r0.grid, spec, remainder, cfg.dealias)
-        hat, r_vals, p_field = _one(tail, hat, p_field, n_full + 1)
-        _append_record(traj, cfg.t_end, r_vals, mean0, sup0, min0)
-        traj.directions.append(p_field)
-    return traj
+    return _march(r0, spec, cfg, (p0, carry))

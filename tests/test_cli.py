@@ -277,6 +277,23 @@ class TestRunEvolve:
         assert "finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flux_lines",
+        [
+            "flux.kind = poly\nflux.coeffs = nan",
+            "flux.kind = poly\nflux.coeffs = 0.5, inf",
+            "flux.kind = constant\nflux.coeffs = -inf",
+            "flux.kind = burgers\nflux.mod_const = nan",
+            "flux.kind = burgers\nflux.mod_sin = 1.0, inf",
+        ],
+    )
+    def test_non_finite_flux_is_config_error(self, tmp_path, capsys, flux_lines):
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG.replace("flux.kind = burgers", flux_lines))
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG)
         assert run_evolve(cfg_path) == EXIT_OK

@@ -13,6 +13,7 @@ from polarflow import (
     with_modulation,
     zero_flux,
 )
+from polarflow.spectral import advective_speed_bound
 
 ALL_SPECS = [
     zero_flux(1),
@@ -112,6 +113,33 @@ class TestEnvelopeBound:
         h = flux_envelope_bound(spec, 1.5)
         assert h >= sampling_oracle(spec, 1.5)
 
+    def test_polynomial_exact(self):
+        # g = v/2 - 0.3 v^2 + 0.1 v^3 has g' >= 0.2 > 0, so both suprema sit at v = -reach
+        spec = polynomial_flux([0.5, -0.3, 0.1])
+        h = flux_envelope_bound(spec, 1.5)  # reach 3: g(-3) = -6.9, g'(-3) = 5.0
+        assert h == pytest.approx(6.9, rel=1e-15, abs=0.0)
+        assert h >= sampling_oracle(spec, 1.5)
+        # g'(-1.5) = 0.5 + 0.9 + 0.675
+        assert advective_speed_bound(spec, 1.5) == pytest.approx(2.075, rel=1e-15, abs=0.0)
+
+    def test_interior_critical_point(self):
+        # g = v - v^3: |g'| = |1 - 3 v^2| peaks at v = 0 (1.0), not at the ends (0.25)
+        assert advective_speed_bound(polynomial_flux([1.0, 0.0, -1.0]), 0.5) == 1.0
+        # g = v - v^3/27 peaks at v = 3 (g = 2), inside the reach 3.3, where g = 1.969;
+        # |g'| = |1 - v^2/9| <= 1 there
+        spec = polynomial_flux([1.0, 0.0, -1.0 / 27.0])
+        h = flux_envelope_bound(spec, 1.65)
+        assert h == pytest.approx(2.0, rel=1e-14, abs=0.0)
+        assert h >= sampling_oracle(spec, 1.65)
+
+    def test_degree_zero_polynomial_is_constant(self):
+        expect = constant_flux([0.7])
+        assert polynomial_flux([0.7]) == expect
+        assert polynomial_flux([0.7, 0.0, -0.0]) == expect
+        assert polynomial_flux([0.7, 0.0]).is_constant
+        assert polynomial_flux([0.0, 0.0]) == zero_flux(1)
+        assert flux_envelope_bound(polynomial_flux([0.7, 0.0]), 1.0) == 1.4  # 0.7 * reach 2
+
     def test_modulation_scales_bound(self):
         base = constant_flux([1.0])
         mod = with_modulation(base, 0, Modulation(const=0.0, sin_amps=(2.0,)))
@@ -129,8 +157,23 @@ class TestModulation:
         mod = Modulation(const=0.5, cos_amps=(1.0,), sin_amps=(0.0, 2.0))
         assert mod.sup_bound() == 3.5
 
-    def test_unknown_kind_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        for kwargs in ({"const": bad}, {"cos_amps": (bad,)}, {"sin_amps": (0.0, bad)}):
+            with pytest.raises(ValueError, match="finite"):
+                Modulation(**kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            polynomial_flux([0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            constant_flux([1.0, bad])
+
+    def test_empty_coefficients_rejected(self):
         from polarflow.flux import FluxComponent
 
-        with pytest.raises(ValueError, match="unknown flux kind"):
-            FluxComponent("cubic")
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            FluxComponent(())
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            polynomial_flux([])

@@ -338,3 +338,15 @@ class TestEvolve:
         assert traj.times[-1] == pytest.approx(1e-3, abs=1e-15)
         oracle = heat_propagate(f, 1e-3)
         assert np.abs(traj.final.values - oracle.values).max() < 1e-13
+
+    @pytest.mark.parametrize("coeffs", [[0.7], [0.7, 0.0]])
+    def test_degree_zero_polynomial_takes_exact_path(self, grid64, coeffs):
+        spec = polynomial_flux(coeffs)
+        assert spec == constant_flux([0.7])
+        f = smooth_field(grid64, seed=27, offset=1.0)
+        cfg = SolveConfig(dt=1e-3, t_end=0.0205, record_every=5)
+        got = evolve(f, spec, cfg)
+        want = evolve(f, constant_flux([0.7]), cfg)
+        assert got.times == want.times
+        for a, b in zip(got.snapshots, want.snapshots):
+            assert np.array_equal(a.values, b.values)

@@ -6,6 +6,7 @@ from polarflow import (
     SolverError,
     burgers_flux,
     constant_flux,
+    evolve,
     evolve_coupled,
     galilean_shift,
     make_field,
@@ -122,6 +123,63 @@ class TestEvolveCoupled:
             norms = np.sqrt((p.vectors**2).sum(-1))
             assert np.abs(norms - 1.0).max() <= 1e-12
 
+
+    @pytest.mark.parametrize(
+        "t_end, last_steps",
+        [(0.0105, [4, 8]), (0.0125, [4, 8, 12]), (0.011, [4, 8, 11])],
+    )
+    def test_record_times_shared_with_evolve(self, grid64, t_end, last_steps):
+        # every 4th step, the last full step, and a tail step to t_end if dt leaves one
+        dt = 1e-3
+        r0, p0 = perturbed_sphere_initial(grid64, 1.0, 0.3, [1])
+        cfg = SolveConfig(dt=dt, t_end=t_end, record_every=4)
+        coupled = evolve_coupled(r0, p0, burgers_flux(1), cfg)
+        radius = evolve(r0, burgers_flux(1), cfg)
+        times = [0.0] + [k * dt for k in last_steps]
+        if t_end - last_steps[-1] * dt > 1e-9:
+            times.append(t_end)
+        assert coupled.times == radius.times == times
+        assert len(coupled.directions) == len(times)
+        for a, b in zip(coupled.snapshots, radius.snapshots):
+            assert np.array_equal(a.values, b.values)
+
+    def test_failing_step_is_named(self, grid64, monkeypatch):
+        from polarflow import spectral
+
+        calls = {"n": 0}
+        original = spectral._Stepper.advance
+
+        def failing(self, hat):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise SolverError("non-finite field after step")
+            return original(self, hat)
+
+        monkeypatch.setattr(spectral._Stepper, "advance", failing)
+        r0, p0 = perturbed_sphere_initial(grid64, 1.0, 0.3, [1])
+        with pytest.raises(SolverError, match=r"step 3 \(t=0\.003\): non-finite"):
+            evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=1e-3, t_end=0.01))
+
+
+    def test_positivity_checked_on_unrecorded_steps(self, grid64, monkeypatch):
+        from polarflow import spectral
+
+        calls = {"n": 0}
+        original = spectral._Stepper.advance
+
+        def sinking(self, hat):
+            calls["n"] += 1
+            new, mid = original(self, hat)
+            if calls["n"] == 3:
+                new = new.copy()
+                new[0] -= 10.0 * grid64.num_nodes  # lower the mean by 10
+            return new, mid
+
+        monkeypatch.setattr(spectral._Stepper, "advance", sinking)
+        r0, p0 = perturbed_sphere_initial(grid64, 1.0, 0.3, [1])
+        cfg = SolveConfig(dt=1e-3, t_end=0.01, record_every=100)
+        with pytest.raises(SolverError, match=r"step 3 \(t=0\.003\): positivity lost"):
+            evolve_coupled(r0, p0, burgers_flux(1), cfg)
 
 class TestFlowResidual:
     """The reconstructed embedding satisfies the original evolution equation."""
