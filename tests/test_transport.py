@@ -25,6 +25,73 @@ def circle_field(grid):
     return sphere_directions(grid, 2)
 
 
+def characteristic_foot(coords, speeds, t, h=2.5e-4):
+    """Foot points ``X(0)`` of the characteristics through ``coords`` at time ``t``.
+
+    Integrates ``dX/ds = speeds(X)`` backwards with classic RK4 at step ``h``;
+    ``speeds`` is a closed form, so this shares no code with the package.
+    At ``h = 2.5e-4`` the feet agree with an ``h = 1e-5`` run to 2e-14.
+    """
+    x = [np.array(c, dtype=np.float64) for c in coords]
+
+    def back(pts):
+        return [-v for v in speeds(pts)]
+
+    for _ in range(int(round(t / h))):
+        k1 = back(x)
+        k2 = back([a + 0.5 * h * k for a, k in zip(x, k1)])
+        k3 = back([a + 0.5 * h * k for a, k in zip(x, k2)])
+        k4 = back([a + h * k for a, k in zip(x, k3)])
+        x = [a + h / 6.0 * (b + 2.0 * c + 2.0 * d + e) for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+    return x
+
+
+def transported(p, r, spec, dt, t):
+    for _ in range(int(round(t / dt))):
+        p = transport_step(p, r, spec, dt)
+    return p
+
+
+class TestVariableSpeedOracle:
+    """Burgers transport through a frozen, varying radius against exact characteristics.
+
+    ``P(theta, t) = P0(X(theta))`` with ``X`` the foot of the characteristic
+    of ``dX/ds = r(X)/2``.
+    """
+
+    @staticmethod
+    def radius_1d(theta):
+        return 1.5 + 0.4 * np.sin(2 * np.pi * theta)
+
+    @staticmethod
+    def radius_2d(x, y):
+        return 1.5 + 0.4 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+
+    def error_1d(self, dt, t=0.5):
+        grid = make_grid(1, [1.0], [128])
+        theta = grid.axis_coords(0)
+        r = make_field(grid, self.radius_1d(theta))
+        p = transported(circle_field(grid), r, burgers_flux(1), dt, t)
+        (foot,) = characteristic_foot([theta], lambda x: [0.5 * self.radius_1d(x[0])], t)
+        exact = np.stack([np.cos(2 * np.pi * foot), np.sin(2 * np.pi * foot)], axis=-1)
+        return float(np.abs(p.vectors - exact).max())
+
+    def test_one_axis(self):
+        # semi-Lagrangian midpoint scheme: 2.37e-6 measured; bound ~2x that
+        assert self.error_1d(2e-3) < 5e-6
+
+    def test_two_axes(self, grid2d):
+        x, y = grid2d.coords()
+        r = make_field(grid2d, self.radius_2d(x, y))
+        t = 0.25
+        p = transported(sphere_directions(grid2d, 3), r, burgers_flux(2), 5e-3, t)
+        fx, fy = characteristic_foot([x, y], lambda pts: [0.5 * self.radius_2d(*pts)] * 2, t)
+        a, b = 2 * np.pi * fx, 2 * np.pi * fy
+        exact = np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=-1)
+        # semi-Lagrangian midpoint scheme: 1.56e-5 measured; bound ~2x that
+        assert np.abs(p.vectors - exact).max() < 3e-5
+
+
 class TestTransportStep:
     def test_zero_flux_freezes(self, grid64):
         p0 = circle_field(grid64)
