@@ -1,26 +1,24 @@
 """Timing of the hot kernels against their reference implementations.
 
-Runs each kernel through its dispatch path and through a reference on
-identical inputs, checks they agree, and prints a table.  The cubic gathers
-are compared with their pure numpy fallbacks; re-run with
-POLARFLOW_DISABLE_NUMBA=1 to confirm the package works (slower) without
-numba.  The circulant convolution has no jitted variant: it reduces to a
-BLAS-sized matrix product where vectorized numpy beats a jitted loop (expect
-speedup ~1x there).  The trigonometric gathers, a type-2 non-uniform FFT,
-are compared with the direct Fourier sum defined below, and one batched
-Duhamel sweep (FD8 folded into the kernel rows, all Gauss nodes of a target
-at once) with the per-(target, node) loop defined below.  One burgers Strang
-step of the rfft-spectrum stepper is compared with the complex full-lattice
-step defined below (agreement checked on the midpoint values both return).
-A modulated ``solve_cell`` at N=64 runs its Newton iteration once on the
-real-FFT operator and once on the complex full-lattice operator defined
-below; both must reach the same stationary state.
-The trajectory and SVG writers of ``polarflow evolve`` are timed on a
-1001-record N=128 ellipse run against the per-cell ``reference_*`` writers
-of ``tests/test_cli.py``; both must write identical bytes.  The writers
-overwrite their files on every repeat, which is cheaper than creating them.
+Runs each kernel and a reference on identical inputs, checks they agree,
+and prints a table.  The references are the oracles of the test suite:
+``reference_sweep`` (``tests/test_duhamel.py``) for one batched Duhamel
+sweep, ``reference_advance`` (``tests/test_spectral.py``) for one burgers
+Strang step of the rfft-spectrum stepper (agreement checked on the midpoint
+values both return), and ``reference_transport_step``
+(``tests/test_transport.py``) for one integrating-factor RK4 transport step
+through a varying radius, at N=128 and at 64^2.  The circulant convolution
+is compared with its direct index-matrix product: it reduces to a BLAS-sized
+matrix product (expect speedup ~1x there).  A modulated ``solve_cell`` at
+N=64 runs its Newton iteration once on the real-FFT operator and once on the
+complex full-lattice operator defined below; both must reach the same
+stationary state.  The trajectory and SVG writers of ``polarflow evolve``
+are timed on a 1001-record N=128 ellipse run against the per-cell
+``reference_*`` writers of ``tests/test_cli.py``; both must write identical
+bytes.  The writers overwrite their files on every repeat, which is cheaper
+than creating them.
 
-    python benchmarks/bench_kernels.py [--n 128] [--points 4096] [--repeat 50]
+    python benchmarks/bench_kernels.py [--n 128] [--repeat 50]
 """
 
 import argparse
@@ -41,81 +39,31 @@ from polarflow import (
     make_grid,
     make_initial,
     solve_cell,
+    sphere_directions,
+    transport_step,
     with_modulation,
 )
 from polarflow import cell
 from polarflow.cli import _write_svg_frames, _write_trajectory
-from polarflow._accel import USE_NUMBA
-from polarflow.duhamel import _fd_derivative, _plain_row, _Window
+from polarflow.duhamel import _Window
 from polarflow.flux import eval_g, eval_g_prime
 from polarflow.spectral import _Stepper
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_cli import read_artifacts, reference_write_svg_frames, reference_write_trajectory  # noqa: E402
+from test_duhamel import reference_sweep  # noqa: E402
+from test_spectral import reference_advance  # noqa: E402
+from test_transport import reference_transport_step  # noqa: E402
 
 
 def timeit(fn, repeat):
-    fn()  # warm-up (includes jit compile on the numba path)
+    fn()  # warm-up
     best = np.inf
     for _ in range(repeat):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def direct_trig_sum(amps, kappas, pts):
-    """Reference: ``Re sum_k amps[k] exp(i kappa_k . x)`` summed directly, O(N^m) per point."""
-    out = np.exp(1j * np.outer(pts[0], kappas[0])) @ amps
-    for p, kap in zip(pts[1:], kappas[1:]):
-        out = (out * np.exp(1j * np.outer(p, kap))).sum(axis=1)
-    return out.real
-
-
-def reference_sweep(window, base, iterate, n_gauss):
-    """Reference: the fixed-point map one (target, Gauss node) pair at a time.
-
-    Interpolate the node field, take the FD8 flux divergence, then convolve
-    with the plain kernel row per axis through ``circulant_apply``.
-    """
-    grid, spec, mesh = window.grid, window.spec, window.mesh
-    n_time, dt = len(mesh), mesh[1] - mesh[0]
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    new = base.copy()
-    for i in range(1, n_time):
-        half = 0.5 * np.sqrt(mesh[i])
-        for x, w in zip(nodes, weights):
-            sigma = half * (x + 1.0)
-            tau = sigma * sigma
-            u = (mesh[i] - tau) / dt
-            j0 = int(np.clip(np.floor(u), 1, n_time - 3))
-            lagrange = K._lagrange4_weights(u - j0)
-            field = np.tensordot(lagrange, iterate[j0 - 1 : j0 + 3], axes=(0, 0))
-            conv = np.zeros(grid.shape)
-            for j in range(spec.m):
-                conv += _fd_derivative(eval_g(spec, j, field), axis=j, h=grid.spacings[j])
-            for ax in range(grid.m):
-                row = _plain_row(grid.resolution[ax], grid.lengths[ax], tau)
-                conv = K.circulant_apply(row, conv, axis=ax)
-            new[i] -= 2.0 * sigma * half * w * conv
-    return new
-
-
-def reference_strang_step(grid, spec, dt, vals):
-    """Reference: a Strang step on complex FFTs, ``np.where`` dealiasing, grid values between stages."""
-    half_heat = np.exp(-grid.laplacian_symbol() * (dt / 2.0))
-    mask = grid.dealias_mask()
-
-    def divergence_rhs(v):
-        rhs_hat = np.zeros(grid.shape, dtype=np.complex128)
-        for i, kap in enumerate(grid.kappa_grids()):
-            rhs_hat -= 1j * kap * np.where(mask, np.fft.fftn(eval_g(spec, i, v)), 0.0)
-        return np.fft.ifftn(rhs_hat).real
-
-    half = np.fft.ifftn(np.fft.fftn(vals) * half_heat).real
-    mid = half + (dt / 2.0) * divergence_rhs(half)
-    out = half + dt * divergence_rhs(mid)
-    return np.fft.ifftn(np.fft.fftn(out) * half_heat).real, mid
 
 
 class ReferenceCellOperator(cell._CellOperator):
@@ -158,17 +106,24 @@ def solve_cell_on(operator, spec, grid, p):
         cell._CellOperator = saved
 
 
-def bench(n, points, repeat):
+def transport_case(shape, label):
+    """One burgers transport step through a varying radius: (name, package, reference)."""
+    m = len(shape)
+    grid = make_grid(m, [1.0] * m, shape)
+    r = make_field(grid, 1.5 + 0.4 * np.sin(2 * np.pi * grid.coords()[0]))
+    p = sphere_directions(grid, m + 1)
+    spec = burgers_flux(m)
+    return (
+        "transport_step %s burgers" % label,
+        lambda: transport_step(p, r, spec, 1e-3).vectors,
+        lambda: reference_transport_step(grid, p.vectors, [r.values] * 3, spec, 1e-3)[0],
+    )
+
+
+def bench(n, repeat):
     rng = np.random.default_rng(0)
     row = rng.normal(size=n)
     arr2 = rng.normal(size=(n, n))
-    vals1 = rng.normal(size=n)
-    vals2 = rng.normal(size=(n, n))
-    amps1 = np.fft.fft(vals1) / n
-    amps2 = np.fft.fft2(vals2) / (n * n)
-    kap = 2 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
-    pts = rng.uniform(0, 1, size=points)
-    upts = rng.uniform(0, n, size=points)
     # one Duhamel window as picard_solve builds it (33 targets, 32 nodes)
     grid = make_grid(1, [1.0], [n])
     r0 = make_field(grid, 1.0 + 0.2 * np.sin(2 * np.pi * grid.axis_coords(0)))
@@ -187,26 +142,6 @@ def bench(n, points, repeat):
             lambda: K._circulant_np(row, arr2),
         ),
         (
-            "cubic_gather 1d (%d pts)" % points,
-            lambda: K.cubic_gather(vals1, [upts]),
-            lambda: K._cubic_gather_1d_np(vals1, upts),
-        ),
-        (
-            "cubic_gather 2d (%d pts)" % points,
-            lambda: K.cubic_gather(vals2, [upts, upts]),
-            lambda: K._cubic_gather_2d_np(vals2, upts, upts),
-        ),
-        (
-            "trig_gather 1d (%d pts)" % points,
-            lambda: K.trig_gather(amps1, [kap], [pts]),
-            lambda: direct_trig_sum(amps1, [kap], [pts]),
-        ),
-        (
-            "trig_gather 2d (%d pts)" % points,
-            lambda: K.trig_gather(amps2, [kap, kap], [pts, pts]),
-            lambda: direct_trig_sum(amps2, [kap, kap], [pts, pts]),
-        ),
-        (
             "duhamel sweep N=%d (33x32 nodes)" % n,
             lambda: window.sweep(base, iterate),
             lambda: reference_sweep(window, base, iterate, 32),
@@ -214,8 +149,10 @@ def bench(n, points, repeat):
         (
             "strang step N=%d burgers" % n,
             lambda: stepper.advance(hat0)[1],
-            lambda: reference_strang_step(grid, burgers_flux(1), 1e-4, r0.values)[1],
+            lambda: reference_advance(grid, burgers_flux(1), 1e-4, r0.values)[1],
         ),
+        transport_case([n], "N=%d" % n),
+        transport_case([64, 64], "64^2"),
         (
             "solve_cell modulated N=64",
             lambda: solve_cell_on(cell._CellOperator, cell_spec, cell_grid, 1.0),
@@ -223,9 +160,7 @@ def bench(n, points, repeat):
         ),
     ]
 
-    label = "numba" if USE_NUMBA else "numpy (numba disabled)"
-    print(f"dispatch path: {label}")
-    print(f"{'kernel':<34} {'dispatch':>12} {'reference':>12} {'speedup':>9}")
+    print(f"{'kernel':<34} {'package':>12} {'reference':>12} {'speedup':>9}")
     for name, fast, slow in cases:
         gap = np.abs(np.asarray(fast()) - np.asarray(slow())).max()
         assert gap < 1e-9, f"{name}: paths disagree by {gap:.3e}"
@@ -259,7 +194,6 @@ def bench(n, points, repeat):
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=128)
-    ap.add_argument("--points", type=int, default=4096)
     ap.add_argument("--repeat", type=int, default=50)
     args = ap.parse_args()
-    bench(args.n, args.points, args.repeat)
+    bench(args.n, args.repeat)

@@ -1,37 +1,3 @@
-"""Numba availability probe.
+"""Kernel-path flag kept for readers of run provenance: every kernel is numpy, none is jitted."""
 
-The hot kernels in :mod:`polarflow._kernels` come in two flavours: a
-``numba``-jitted one and a pure-numpy one.  Selection happens once at import
-time.  Set ``POLARFLOW_DISABLE_NUMBA=1`` to force the numpy path (useful for
-debugging, benchmarking the fallback, or on platforms without numba).
-"""
-
-import os
-
-_DISABLED = os.environ.get("POLARFLOW_DISABLE_NUMBA", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via POLARFLOW_DISABLE_NUMBA")
-    from numba import njit, prange  # noqa: F401
-
-    USE_NUMBA = True
-except ImportError:
-    USE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        """No-op decorator stand-in when numba is unavailable or disabled."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    prange = range
+USE_NUMBA = False

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import SolverError
 from .flux import FluxSpec, advective_speed_bound, eval_g
-from .grid import PeriodicGrid, ScalarField, _reflect, mean
+from .grid import DirectionField, PeriodicGrid, ScalarField, _reflect, mean
 
 __all__ = [
     "SolveConfig",
@@ -172,6 +172,11 @@ def galilean_shift(f: ScalarField, speeds, t: float) -> ScalarField:
     return ScalarField(grid=f.grid, values=_irfft(f.grid, hat))
 
 
+def _check_axes(grid: PeriodicGrid, spec: FluxSpec) -> None:
+    if spec.m != grid.m:
+        raise ValueError(f"flux has {spec.m} components but grid has {grid.m} axes")
+
+
 class _Stepper:
     """Strang steps of size ``dt`` on one (grid, flux), acting on the rfft spectrum.
 
@@ -190,8 +195,7 @@ class _Stepper:
     def __init__(
         self, grid: PeriodicGrid, spec: FluxSpec, dt: float, dealias: bool, mid_values: bool = True
     ):
-        if spec.m != grid.m:
-            raise ValueError(f"flux has {spec.m} components but grid has {grid.m} axes")
+        _check_axes(grid, spec)
         self.grid = grid
         self.spec = spec
         self.dt = dt
@@ -302,10 +306,12 @@ def _march(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig, direction=None) ->
 
     Records fall every ``record_every`` steps and at ``t_end``, which a
     shorter tail step reaches when ``dt`` does not divide it.  ``direction``,
-    when given, is ``(p0, transport)``: after each radius step, which must
-    leave the radius positive, ``transport(p, mid, dt)`` carries the
-    direction field ``p`` over the step given the radius values ``mid`` at
-    its half time.  A failing step raises naming its index and time.
+    when given, is ``(vectors0, transport)``: after each radius step, which
+    must leave the radius positive, ``transport(vectors, radii, dt)`` carries
+    the direction vectors (a plain array) over the step given the radius
+    values ``radii`` at its start, half time and end.  Only records wrap the
+    vectors in a :class:`DirectionField`.  A failing step raises naming its
+    index and time.
     """
     sup0 = float(np.abs(r0.values).max())
     n_full, remainder = _schedule(r0.grid, spec, cfg, sup0)
@@ -317,10 +323,11 @@ def _march(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig, direction=None) ->
     min0 = float(r0.values.min())
 
     hat = stepper.spectrum(r0.values)
-    _append_record(traj, 0.0, r0.values, mean0, sup0, min0)
+    vals = r0.values
+    _append_record(traj, 0.0, vals, mean0, sup0, min0)
     if coupled:
         p, transport = direction
-        traj.directions.append(p)
+        traj.directions.append(DirectionField(grid=r0.grid, vectors=p))
     for k in range(1, n_steps + 1):
         t = k * cfg.dt
         if k > n_full:
@@ -329,13 +336,13 @@ def _march(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig, direction=None) ->
         try:
             hat, mid = stepper.advance(hat)
             if coupled:
-                vals = stepper.values(hat)
+                start, vals = vals, stepper.values(hat)
                 if not (vals.min() > 0.0):
                     raise SolverError(
                         f"positivity lost (min {vals.min():.3e}); "
                         "geometric evolution is no longer well defined"
                     )
-                p = transport(p, mid, stepper.dt)
+                p = transport(p, (start, mid, vals), stepper.dt)
         except SolverError as exc:
             raise SolverError(f"step {k} (t={t:.6g}): {exc}") from exc
         if k % cfg.record_every == 0 or k == n_steps:
@@ -343,7 +350,7 @@ def _march(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig, direction=None) ->
                 vals = stepper.values(hat)
             _append_record(traj, t, vals, mean0, sup0, min0)
             if coupled:
-                traj.directions.append(p)
+                traj.directions.append(DirectionField(grid=r0.grid, vectors=p))
     return traj
 
 

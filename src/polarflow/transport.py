@@ -1,123 +1,172 @@
 """Direction transport coupled to the radius field.
 
 The unit-vector field obeys the linear transport equation
-``P_t + sum_i f_i(r) dP/dtheta_i = 0`` with the radius field frozen within a
-step.  Steps are semi-Lagrangian: trace each node's characteristic foot point
-backwards (midpoint rule), interpolate every vector component there, and
-renormalize to unit length, which enforces the sphere constraint exactly.
+``P_t + sum_i f_i(r) dP/dtheta_i = 0``.  A step is an integrating-factor
+Runge-Kutta method (Lawson, SIAM J. Numer. Anal. 4, 1967), with classic RK4
+as in Kassam & Trefethen (SISC 26, 2005), on the real-FFT half spectrum of
+every vector component:
 
-Two interpolants are available for the gather, on any number of axes:
+* a constant speed ``c_i`` per axis, the midrange of ``f_i`` over the step
+  (it minimises the largest remainder ``|f_i - c_i|``), is applied exactly
+  as the phase shift of :func:`.spectral._shift_symbol`;
+* RK4 integrates the remainder ``-(f_i - c_i) dP/dtheta_i`` with the
+  derivative symbols of the radius stepper (2/3-rule masked when
+  dealiasing), taking the stage speeds from the radius at the start, the
+  middle and the end of the step;
+* the vectors are renormalized to unit length, which enforces the sphere
+  constraint exactly.
 
-* ``"spectral"`` (default): the fields' Fourier representation evaluated at
-  the foot points by a type-2 non-uniform FFT, which agrees with the direct
-  Fourier sum to ~1e-14, so constant-coefficient transport is a translation
-  accurate to that level;
-* ``"cubic"``: periodic 4-point Lagrange stencils - O(h^4) and cheaper.
-
-The default is spectral because local cubic stencils admit an O((kappa h)^4)
-phase error per step that accumulates linearly and misses the package's
-translation-fidelity targets at production resolutions.  Each step makes two
-gathers, each over every field that shares its points: the velocity
-components at the midpoints, then the direction components at the feet.
+The largest remainder speeds times the top wavenumbers of the derivative
+symbols give the RK4 argument of the step.  It is computed every step, and
+the step splits into as many RK4 substeps as keep it below 2.8, just inside
+RK4's stability limit ``2 sqrt 2`` on the imaginary axis.  For a constant
+flux the remainder vanishes and the shift is the whole step.  Under the 2/3
+mask, the radius CFL bound keeps the argument below ``m pi / 3`` on ``m``
+axes, so one substep does on one or two axes.
 
 :func:`evolve_coupled` runs the radius time loop of :mod:`.spectral` and
-hands it this step as the hook that carries the direction field.
+hands it this step as the hook that carries the direction vectors.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ._kernels import cubic_gather, trig_gather
 from .errors import SolverError
 from .flux import FluxSpec, eval_f
-from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField, _flat_coords
-from .spectral import SolveConfig, Trajectory, _march
+from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField
+from .spectral import (
+    SolveConfig,
+    Trajectory,
+    _check_axes,
+    _derivative_symbols,
+    _irfft,
+    _march,
+    _rfft,
+    _shift_symbol,
+)
 
 __all__ = ["transport_step", "evolve_coupled"]
 
-_INTERP_KINDS = ("spectral", "cubic")
+_RK4_REACH = 2.8  # largest RK4 argument a substep may take; the limit is 2 sqrt 2
 
 
-def _gather(fields: np.ndarray, grid: PeriodicGrid, pts: list[np.ndarray], interp: str) -> np.ndarray:
-    """Interpolate gridded fields (stacked on a trailing axis) at scattered physical points.
-
-    Returns an array of shape ``(points, fields)``.
-    """
-    if interp == "spectral":
-        amps = np.fft.fftn(fields, axes=tuple(range(grid.m))) / grid.num_nodes
-        kappas = [k.ravel() for k in grid.kappa_grids()]
-        return trig_gather(amps, kappas, pts)
-    units = [
-        np.mod(p, grid.lengths[ax]) / grid.spacings[ax] for ax, p in enumerate(pts)
-    ]
-    return np.stack(
-        [cubic_gather(fields[..., j], units) for j in range(fields.shape[-1])], axis=-1
-    )
-
-
-def _velocities(spec: FluxSpec, grid: PeriodicGrid, r_vals: np.ndarray) -> list[np.ndarray]:
+def _speeds(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> list[np.ndarray]:
+    """``f_i(r)`` per axis, times the axis modulation if there is one."""
     out = []
-    for i in range(spec.m):
+    for i, mod in enumerate(mods):
         vi = eval_f(spec, i, r_vals)  # grid-shaped for every degree
-        mod = spec.modulation_values(grid, i)
         out.append(vi if mod is None else vi * mod)
     return out
 
 
-def transport_step(
-    p: DirectionField,
-    r: ScalarField,
-    spec: FluxSpec,
-    dt: float,
-    interp: str = "spectral",
-) -> DirectionField:
-    """One semi-Lagrangian step of the direction field.
+def _substeps(derivs: tuple, rest: list[float], dt: float) -> int:
+    """RK4 substeps that keep ``sum_i rest_i * max|kappa_i| * |dt|`` below ``_RK4_REACH`` each.
 
-    Characteristics are traced with a midpoint stage; the returned field is
-    renormalized so every vector is unit length to within 1e-12.
+    ``rest[i]`` bounds the remainder speed ``|f_i - c_i|`` and ``max|kappa_i|``
+    is the top wavenumber the derivative symbol ``derivs[i]`` passes.
     """
-    if p.grid != r.grid:
-        raise ValueError("direction and radius fields live on different grids")
-    if interp not in _INTERP_KINDS:
-        raise ValueError(f"unknown interpolation {interp!r}; expected {_INTERP_KINDS}")
-    grid = p.grid
-    coords = _flat_coords(grid)
-    vel = _velocities(spec, grid, r.values)
+    reach = abs(dt) * sum(s * float(np.abs(d).max()) for s, d in zip(rest, derivs))
+    return math.ceil(reach / _RK4_REACH)
 
-    # midpoint of the backward characteristic, then velocity sampled there
-    half = [c - 0.5 * dt * v.ravel() for c, v in zip(coords, vel)]
-    vel_mid = _gather(np.stack(vel, axis=-1), grid, half, interp)
-    feet = [c - dt * vel_mid[:, i] for i, c in enumerate(coords)]
 
-    stacked = _gather(p.vectors, grid, feet, interp).reshape(p.vectors.shape)
-    norms = np.sqrt((stacked**2).sum(axis=-1))
+def _carry(
+    vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float, dealias: bool
+) -> np.ndarray:
+    """Transport unit vectors (grid shape plus a trailing component axis) over ``dt``.
+
+    ``speeds`` holds the per-axis speeds at the start, the middle and the end
+    of the step; substeps take theirs from the quadratic through the three.
+    Returns the renormalized vectors.
+    """
+    lo = [min(float(s[i].min()) for s in speeds) for i in range(grid.m)]
+    hi = [max(float(s[i].max()) for s in speeds) for i in range(grid.m)]
+    centre = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    derivs = _derivative_symbols(grid, dealias)
+    n_sub = _substeps(derivs, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
+    hat = _rfft(grid, vectors)
+    if n_sub == 0:
+        hat = hat * _shift_symbol(grid, centre, dt)[..., None]
+    else:
+        h = dt / n_sub
+        shift = _shift_symbol(grid, centre, h)[..., None]
+        shift_half = _shift_symbol(grid, centre, h / 2.0)[..., None]
+        derivs = [d[..., None] for d in derivs]
+        rests = [[v - c for v, c in zip(s, centre)] for s in speeds]
+
+        def rest_at(tau: float) -> list[np.ndarray]:
+            """Remainder speeds at the fraction ``tau`` of the step (quadratic in time)."""
+            l0 = 2.0 * (tau - 0.5) * (tau - 1.0)
+            lm = 4.0 * tau * (1.0 - tau)
+            l1 = 2.0 * tau * (tau - 0.5)
+            return [l0 * a + lm * b + l1 * c for a, b, c in zip(*rests)]
+
+        def rate(rest: list[np.ndarray], state: np.ndarray) -> np.ndarray:
+            """Spectrum of ``-sum_i rest_i dP/dtheta_i``."""
+            total = 0.0
+            for w, deriv in zip(rest, derivs):
+                total = total + w[..., None] * _irfft(grid, deriv * state)
+            return _rfft(grid, total)
+
+        for j in range(n_sub):
+            w0, wm, w1 = (rest_at((j + x) / n_sub) for x in (0.0, 0.5, 1.0))
+            k1 = rate(w0, hat)
+            k2 = rate(wm, shift_half * (hat + (h / 2.0) * k1))
+            k3 = rate(wm, shift_half * hat + (h / 2.0) * k2)
+            k4 = rate(w1, shift * hat + h * (shift_half * k3))
+            hat = shift * (hat + (h / 6.0) * k1) + (h / 6.0) * (2.0 * shift_half * (k2 + k3) + k4)
+    out = _irfft(grid, hat)
+    norms = np.sqrt((out**2).sum(axis=-1))
     if not (norms.min() > 0.0):
         raise SolverError("direction vector collapsed to zero during transport")
-    return DirectionField(grid=grid, vectors=stacked / norms[..., None])
+    out /= norms[..., None]
+    return out
+
+
+def transport_step(
+    p: DirectionField, r: ScalarField, spec: FluxSpec, dt: float
+) -> DirectionField:
+    """One integrating-factor RK4 step of the direction field through the frozen radius ``r``.
+
+    The returned field is renormalized so every vector is unit length to
+    within 1e-12.  Raises ``ValueError`` when the fields live on different
+    grids, the flux does not have one component per axis, or ``dt`` is not
+    finite.
+    """
+    grid = p.grid
+    if grid != r.grid:
+        raise ValueError("direction and radius fields live on different grids")
+    _check_axes(grid, spec)
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
+    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+    speeds = _speeds(spec, mods, r.values)
+    return DirectionField(grid=grid, vectors=_carry(p.vectors, grid, [speeds] * 3, dt, True))
 
 
 def evolve_coupled(
-    r0: RadialField,
-    p0: DirectionField,
-    spec: FluxSpec,
-    cfg: SolveConfig,
-    interp: str = "spectral",
+    r0: RadialField, p0: DirectionField, spec: FluxSpec, cfg: SolveConfig
 ) -> Trajectory:
     """Interleaved evolution of radius and direction.
 
     The radius advances first (its equation is autonomous); the direction is
-    then transported with the radius sampled at the step's half time, which
-    keeps the coupling second order.  Positivity of the radius is required at
-    start and enforced throughout - losing it breaks the polar splitting and
-    aborts the run.
+    then transported with stage speeds from the radius at the start, the
+    half time and the end of the step.  Positivity of the radius is required
+    at start and enforced throughout - losing it breaks the polar splitting
+    and aborts the run.  Between records the direction stays a plain array.
     """
-    if r0.grid != p0.grid:
+    grid = r0.grid
+    if grid != p0.grid:
         raise ValueError("radius and direction fields live on different grids")
     if not (r0.values.min() > 0.0):
         raise SolverError("initial radius must be strictly positive")
+    _check_axes(grid, spec)
+    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
 
-    def carry(p: DirectionField, mid: np.ndarray, dt: float) -> DirectionField:
-        return transport_step(p, ScalarField(grid=r0.grid, values=mid), spec, dt, interp)
+    def carry(vectors: np.ndarray, radii: tuple, dt: float) -> np.ndarray:
+        speeds = [_speeds(spec, mods, r) for r in radii]
+        return _carry(vectors, grid, speeds, dt, cfg.dealias)
 
-    return _march(r0, spec, cfg, (p0, carry))
+    return _march(r0, spec, cfg, (p0.vectors, carry))

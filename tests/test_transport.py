@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,17 +15,84 @@ from polarflow import (
     make_field,
     make_grid,
     perturbed_sphere_initial,
+    polynomial_flux,
     reconstruct,
     sphere_directions,
     transport_step,
+    with_modulation,
     zero_flux,
 )
-from polarflow.flux import eval_f
-from polarflow.grid import DirectionField, RadialField
+from polarflow import transport
+from polarflow.flux import Modulation, eval_f
+from polarflow.grid import DirectionField, RadialField, ScalarField
+from polarflow.spectral import max_stable_dt
 
 
 def circle_field(grid):
     return sphere_directions(grid, 2)
+
+
+def reference_transport_step(grid, vectors, radii, spec, dt, dealias=True):
+    """Reference: one integrating-factor RK4 step on complex full-lattice FFTs.
+
+    The midrange speed ``c_i`` is shifted out exactly by ``exp(-i c.kappa h)``
+    and RK4 integrates ``-(f_i - c_i) dP/dtheta_i`` with the derivative
+    ``-i kappa_i`` masked by ``np.where``; every stage returns to grid values
+    through ``ifftn(...).real``.  ``radii`` holds the radius at the start, the
+    middle and the end of the step; substeps take their speeds from the
+    quadratic through the three.  The substep count follows the same rule as
+    the package, with the top kept mode of each axis counted here: ``N // 3``
+    under the 2/3 rule, else ``N/2 - 1`` (a real field's Nyquist derivative is
+    zero).  Returns (renormalized vectors, substeps).
+    """
+    axes = tuple(range(grid.m))
+    kappas = grid.kappa_grids()
+    mask = grid.dealias_mask() if dealias else np.ones(grid.shape, dtype=bool)
+
+    def speeds(r):
+        out = []
+        for i in range(spec.m):
+            mod = spec.modulation_values(grid, i)
+            out.append(eval_f(spec, i, r) * (1.0 if mod is None else mod))
+        return out
+
+    stages = [speeds(r) for r in radii]
+    lo = [min(s[i].min() for s in stages) for i in range(grid.m)]
+    hi = [max(s[i].max() for s in stages) for i in range(grid.m)]
+    centre = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+    top = [
+        2.0 * math.pi / length * (n // 3 if dealias else n // 2 - 1)
+        for length, n in zip(grid.lengths, grid.resolution)
+    ]
+    reach = dt * sum((b - a) / 2.0 * k for a, b, k in zip(lo, hi, top))
+    n_sub = math.ceil(reach / 2.8)
+
+    def apply(symbol, u):
+        return np.fft.ifftn(symbol[..., None] * np.fft.fftn(u, axes=axes), axes=axes).real
+
+    def shift(u, t):
+        return apply(np.exp(-1j * t * sum(c * k for c, k in zip(centre, kappas))), u)
+
+    def rate(tau, u):
+        l0, lm, l1 = 2 * (tau - 0.5) * (tau - 1), 4 * tau * (1 - tau), 2 * tau * (tau - 0.5)
+        out = np.zeros_like(u)
+        for i, k in enumerate(kappas):
+            w = l0 * stages[0][i] + lm * stages[1][i] + l1 * stages[2][i] - centre[i]
+            out += w[..., None] * apply(np.where(mask, -1j * k, 0.0), u)
+        return out
+
+    u = np.array(vectors, dtype=np.float64)
+    if n_sub == 0:
+        u = shift(u, dt)
+    h = dt / max(n_sub, 1)
+    for j in range(n_sub):
+        t0, tm, t1 = j / n_sub, (j + 0.5) / n_sub, (j + 1) / n_sub
+        k1 = rate(t0, u)
+        k2 = rate(tm, shift(u + h / 2 * k1, h / 2))
+        k3 = rate(tm, shift(u, h / 2) + h / 2 * k2)
+        k4 = rate(t1, shift(u, h) + h * shift(k3, h / 2))
+        u = shift(u + h / 6 * k1, h) + h / 6 * (2 * shift(k2 + k3, h / 2) + k4)
+    return u / np.sqrt((u**2).sum(axis=-1))[..., None], n_sub
 
 
 def characteristic_foot(coords, speeds, t, h=2.5e-4):
@@ -77,8 +147,12 @@ class TestVariableSpeedOracle:
         return float(np.abs(p.vectors - exact).max())
 
     def test_one_axis(self):
-        # semi-Lagrangian midpoint scheme: 2.37e-6 measured; bound ~2x that
-        assert self.error_1d(2e-3) < 5e-6
+        # semi-Lagrangian midpoint scheme: 2.37e-6; IF-RK4: 6.3e-12; bound ~3x the latter
+        assert self.error_1d(2e-3) < 2e-11
+
+    def test_one_axis_fourth_order(self):
+        # IF-RK4 measures 1.00e-10 -> 6.26e-12, a ratio of 16
+        assert self.error_1d(4e-3) / self.error_1d(2e-3) >= 12.0
 
     def test_two_axes(self, grid2d):
         x, y = grid2d.coords()
@@ -88,8 +162,104 @@ class TestVariableSpeedOracle:
         fx, fy = characteristic_foot([x, y], lambda pts: [0.5 * self.radius_2d(*pts)] * 2, t)
         a, b = 2 * np.pi * fx, 2 * np.pi * fy
         exact = np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=-1)
-        # semi-Lagrangian midpoint scheme: 1.56e-5 measured; bound ~2x that
-        assert np.abs(p.vectors - exact).max() < 3e-5
+        # semi-Lagrangian midpoint scheme: 1.56e-5; IF-RK4: 3.02e-8, the 2/3
+        # mask's truncation at 32^2 (5.6e-10 unmasked); bound ~3x the latter
+        assert np.abs(p.vectors - exact).max() < 1e-7
+
+
+def radius_samples(grid, t):
+    """A radius that moves with time, sampled on the grid."""
+    coords = grid.coords()
+    wave = np.sin(2 * np.pi * (coords[0] - t))
+    for c in coords[1:]:
+        wave = wave * np.cos(2 * np.pi * c)
+    return 1.0 + 0.3 * wave
+
+
+def modulated_flux(m, coeffs):
+    spec = polynomial_flux(coeffs, m=m)
+    spec = with_modulation(spec, 0, Modulation(const=0.0, sin_amps=(1.0,)))
+    if m > 1:
+        spec = with_modulation(spec, 1, Modulation(const=0.0, cos_amps=(1.0,)))
+    return spec
+
+
+def carry_steps(p0, spec, dt, steps, dealias):
+    """``steps`` transport steps through the moving radius, speeds at each step's start, middle and end."""
+    grid = p0.grid
+    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+    v = p0.vectors
+    for k in range(steps):
+        t = k * dt
+        radii = [radius_samples(grid, s) for s in (t, t + dt / 2, t + dt)]
+        v = transport._carry(v, grid, [transport._speeds(spec, mods, r) for r in radii], dt, dealias)
+    return v
+
+
+class TestAgainstReference:
+    """The real-FFT step against the complex full-lattice reference, same inputs."""
+
+    CASES = [
+        (1, constant_flux([0.7]), 1e-3),
+        (1, burgers_flux(1), 2e-3),
+        (1, modulated_flux(1, [0.4, 0.5]), 2e-3),
+        (2, constant_flux([0.5, -0.25]), 5e-3),
+        (2, burgers_flux(2), 5e-3),
+        (2, modulated_flux(2, [0.4, 0.5]), 5e-3),
+    ]
+
+    @pytest.mark.parametrize("m, spec, dt", CASES)
+    def test_frozen_radius(self, m, spec, dt):
+        grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
+        p = sphere_directions(grid, m + 1)
+        r = make_field(grid, radius_samples(grid, 0.0))
+        got = transport_step(p, r, spec, dt).vectors
+        want, n_sub = reference_transport_step(grid, p.vectors, [r.values] * 3, spec, dt)
+        assert n_sub == (0 if spec.is_constant else 1)
+        assert np.abs(got - want).max() < 5e-15  # measured at most 5.6e-16
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("m, spec, dt", CASES)
+    def test_moving_radius(self, m, spec, dt, dealias):
+        grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
+        p = sphere_directions(grid, m + 1)
+        radii = [radius_samples(grid, t) for t in (0.0, dt / 2, dt)]
+        got = carry_steps(p, spec, dt, 1, dealias)
+        want, _ = reference_transport_step(grid, p.vectors, radii, spec, dt, dealias)
+        assert np.abs(got - want).max() < 5e-15  # measured at most 6.7e-16
+
+
+class TestSubsteps:
+    """A step whose RK4 argument exceeds 2.8 splits into substeps."""
+
+    def test_split_step_agrees_with_quarter_steps(self, grid2d, monkeypatch):
+        # speeds near 60 make the unmasked argument at max_stable_dt 2.87
+        spec = modulated_flux(2, [60.0, 0.5])
+        dt = max_stable_dt(grid2d, spec, 1.3)
+        p0 = sphere_directions(grid2d, 3)
+        seen = []
+        original = transport._substeps
+
+        def spy(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(transport, "_substeps", spy)
+        coarse = carry_steps(p0, spec, dt, 10, dealias=False)
+        assert set(seen) == {2}
+        seen.clear()
+        fine = carry_steps(p0, spec, dt / 4, 40, dealias=False)
+        assert set(seen) == {1}
+        want, n_sub = reference_transport_step(
+            grid2d, p0.vectors, [radius_samples(grid2d, t) for t in (0.0, dt / 2, dt)],
+            spec, dt, dealias=False,
+        )
+        assert n_sub == 2
+        assert np.abs(carry_steps(p0, spec, dt, 1, dealias=False) - want).max() < 5e-15
+        assert np.isfinite(coarse).all()
+        assert np.abs(np.sqrt((coarse**2).sum(-1)) - 1.0).max() <= 1e-12
+        # measured 2.56e-6; bound ~4x
+        assert np.abs(coarse - fine).max() < 1e-5
 
 
 class TestTransportStep:
@@ -106,19 +276,18 @@ class TestTransportStep:
         p1 = transport_step(p0, r, burgers_flux(1), 1e-3)
         assert np.abs(p1.vectors - p0.vectors).max() < 1e-13
 
-    @pytest.mark.parametrize("interp,tol,steps", [("spectral", 1e-12, 500), ("cubic", 1e-4, 50)])
-    def test_constant_r_exact_translation(self, grid128, interp, tol, steps):
+    def test_constant_r_exact_translation(self, grid128):
         # oracle: componentwise spectral shift by c * t
         p0 = circle_field(grid128)
         r = make_field(grid128, np.full(128, 2.0))
-        c, dt = 1.0, 1e-3
+        c, dt, steps = 1.0, 1e-3, 500
         p = p0
         for _ in range(steps):
-            p = transport_step(p, r, constant_flux([c]), dt, interp=interp)
+            p = transport_step(p, r, constant_flux([c]), dt)
         t = steps * dt
         for j in range(2):
             oracle = galilean_shift(make_field(grid128, p0.component(j)), [c], t)
-            assert np.abs(p.component(j) - oracle.values).max() < tol
+            assert np.abs(p.component(j) - oracle.values).max() < 1e-12
 
     def test_unit_norm_enforced(self, grid64):
         p0 = circle_field(grid64)
@@ -135,6 +304,38 @@ class TestTransportStep:
         r = make_field(grid128, np.full(128, 1.0))
         with pytest.raises(ValueError, match="different grids"):
             transport_step(p0, r, zero_flux(1), 1e-3)
+
+    @pytest.mark.parametrize("axes, flux_axes", [(2, 1), (2, 3), (1, 2)])
+    def test_flux_axis_count_checked(self, axes, flux_axes):
+        grid = make_grid(axes, [1.0] * axes, [16] * axes)
+        p = sphere_directions(grid, 3)
+        r = make_field(grid, np.full(grid.shape, 1.5))
+        with pytest.raises(ValueError, match=f"flux has {flux_axes} components but grid has {axes} axes"):
+            transport_step(p, r, burgers_flux(flux_axes), 1e-3)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dt_rejected(self, grid64, dt):
+        p = circle_field(grid64)
+        r = make_field(grid64, np.full(64, 1.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="dt must be finite"):
+                transport_step(p, r, burgers_flux(1), dt)
+
+    def test_negative_dt_runs_backward(self, grid64):
+        p0 = circle_field(grid64)
+        r = make_field(grid64, 1.5 + 0.4 * np.sin(2 * np.pi * grid64.axis_coords(0)))
+        there = transport_step(p0, r, burgers_flux(1), 2e-3)
+        back = transport_step(there, r, burgers_flux(1), -2e-3)
+        assert np.abs(there.vectors - p0.vectors).max() > 1e-3
+        assert np.abs(back.vectors - p0.vectors).max() < 1e-12  # measured 4.4e-16
+
+    def test_collapse_is_a_solver_error(self, grid64, monkeypatch):
+        p = circle_field(grid64)
+        r = make_field(grid64, np.full(64, 1.5))
+        monkeypatch.setattr(transport, "_irfft", lambda grid, hat: np.zeros(grid.shape + hat.shape[grid.m:]))
+        with pytest.raises(SolverError, match="collapsed"):
+            transport_step(p, r, burgers_flux(1), 1e-3)
 
     def test_2d_translation(self, grid2d):
         p0 = sphere_directions(grid2d, 3)
@@ -209,6 +410,26 @@ class TestEvolveCoupled:
         assert len(coupled.directions) == len(times)
         for a, b in zip(coupled.snapshots, radius.snapshots):
             assert np.array_equal(a.values, b.values)
+
+    def test_fields_built_only_at_records(self, grid64, monkeypatch):
+        built = {"direction": 0, "scalar": 0}
+
+        def counting(cls, key):
+            original = cls.__post_init__
+
+            def post_init(self):
+                built[key] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+
+        counting(DirectionField, "direction")
+        counting(ScalarField, "scalar")
+        r0, p0 = perturbed_sphere_initial(grid64, 1.0, 0.3, [1])
+        built.update(direction=0, scalar=0)
+        traj = evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=1e-3, t_end=0.02, record_every=5))
+        assert len(traj.times) == 5
+        assert built == {"direction": 5, "scalar": 5}
 
     def test_failing_step_is_named(self, grid64, monkeypatch):
         from polarflow import spectral
