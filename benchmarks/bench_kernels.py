@@ -16,7 +16,9 @@ stationary state.  The trajectory and SVG writers of ``polarflow evolve``
 are timed on a 1001-record N=128 ellipse run against the per-cell
 ``reference_*`` writers of ``tests/test_cli.py``; both must write identical
 bytes.  The writers overwrite their files on every repeat, which is cheaper
-than creating them.
+than creating them.  The ``verify`` contraction pair (two N=128 burgers runs
+of 5000 steps) is timed stepped as one two-member batch against two
+``evolve`` runs; every member must match its own run bitwise.
 
     python benchmarks/bench_kernels.py [--n 128] [--repeat 50]
 """
@@ -34,6 +36,7 @@ from polarflow import (
     Modulation,
     SolveConfig,
     burgers_flux,
+    evolve,
     evolve_coupled,
     make_field,
     make_grid,
@@ -47,7 +50,7 @@ from polarflow import cell
 from polarflow.cli import _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _Window
 from polarflow.flux import eval_g, eval_g_prime
-from polarflow.spectral import _Stepper
+from polarflow.spectral import _evolve_members, _Stepper
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_cli import read_artifacts, reference_write_svg_frames, reference_write_trajectory  # noqa: E402
@@ -168,6 +171,22 @@ def bench(n, repeat):
         # the sweep reference takes ~0.3 s a call, so it gets fewer repeats
         t_slow = timeit(slow, min(repeat, 5) if name.startswith("duhamel") else repeat)
         print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
+
+    # the verify contraction pair: one two-member batch vs two single runs
+    spec = burgers_flux(1)
+    cfg = SolveConfig(dt=1e-4, t_end=0.5, record_every=250)
+    wave = 0.1 * np.sin(2 * np.pi * grid.axis_coords(0))
+    pair = [make_field(grid, 1.0 + wave), make_field(grid, 1.0 - wave)]
+    alone = [evolve(r, spec, cfg) for r in pair]
+    for batched, alone in zip(_evolve_members(pair, spec, cfg), alone):
+        assert batched.times == alone.times and batched.diagnostics == alone.diagnostics
+        assert batched.flags == alone.flags
+        for a, b in zip(batched.snapshots, alone.snapshots):
+            assert np.array_equal(a.values, b.values), "contraction pair: a member differs"
+    t_fast = timeit(lambda: _evolve_members(pair, spec, cfg), min(repeat, 3))
+    t_slow = timeit(lambda: [evolve(r, spec, cfg) for r in pair], min(repeat, 3))
+    name = "contraction pair N=%d (2x5000)" % n
+    print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
 
     # the curve workload's writers: 1000 coupled steps, every one recorded
     grid = make_grid(1, [1.0], [128])

@@ -169,4 +169,4 @@ def evolve_coupled(
         speeds = [_speeds(spec, mods, r) for r in radii]
         return _carry(vectors, grid, speeds, dt, cfg.dealias)
 
-    return _march(r0, spec, cfg, (p0.vectors, carry))
+    return _march([r0], spec, cfg, (p0.vectors, carry))[0]

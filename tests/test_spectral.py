@@ -22,7 +22,7 @@ from polarflow import (
     zero_flux,
 )
 from polarflow.flux import eval_g
-from polarflow.spectral import _Stepper
+from polarflow.spectral import _evolve_members, _irfft, _rfft, _Stepper
 from conftest import smooth_field
 
 
@@ -170,6 +170,123 @@ class TestStep:
         for _ in range(1000):
             f = step(f, burgers_flux(1), 1e-3)
         assert abs(mean(f) - m0) < 1e-13
+
+
+class TestStepDt:
+    # a negative dt used to run the heat flow backward; NaN ended as a SolverError
+    @pytest.mark.parametrize("dt", [-1e-4, 0.0, float("nan"), float("inf")])
+    def test_bad_dt_rejected(self, grid64, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            step(make_field(grid64, np.ones(64)), burgers_flux(1), dt)
+
+
+class TestPerAxisTransforms:
+    """``_rfft``/``_irfft`` make the pocketfft calls of ``rfftn``/``irfftn``: bitwise equal."""
+
+    @pytest.mark.parametrize(
+        "resolution", [(128,), (8,), (32, 32), (16, 64), (64, 8), (8, 16, 32), (16, 8, 8)]
+    )
+    @pytest.mark.parametrize("tail", [(), (3,), (2,)])
+    def test_bitwise_equal_to_rfftn(self, resolution, tail):
+        m = len(resolution)
+        grid = make_grid(m, [1.0] * m, resolution)
+        vals = np.random.default_rng(sum(resolution)).normal(size=grid.shape + tail)
+        axes = tuple(range(m))
+        hat = _rfft(grid, vals)
+        ref = np.fft.rfftn(vals, axes=axes)
+        assert hat.shape == ref.shape and np.array_equal(hat, ref)
+        back = _irfft(grid, hat)
+        assert np.array_equal(back, np.fft.irfftn(ref, s=grid.shape, axes=axes))
+        # a trailing axis holds independent fields: each equals its own transform
+        for j in np.ndindex(*tail):
+            member = np.ascontiguousarray(vals[(...,) + j])
+            assert np.array_equal(hat[(...,) + j], np.fft.rfftn(member))
+
+
+def _square_wave(grid):
+    """Steep positive data (0.01, 2.01, 4.01) whose Gibbs overshoot raises flags."""
+    wave = np.prod([np.sin(2 * np.pi * c) for c in grid.coords()], axis=0)
+    return make_field(grid, 2.0 * np.sign(wave) + 2.01)
+
+
+ENSEMBLE_FLUXES = {
+    "burgers": burgers_flux,
+    "modulated": lambda m: with_modulation(
+        polynomial_flux([0.3, 0.5, 0.2], m), 0, Modulation(const=0.2, sin_amps=(0.7,))
+    ),
+    "constant": lambda m: constant_flux([0.7, -0.4][:m]),
+    "zero": zero_flux,
+}
+
+
+class TestEnsemble:
+    """``_evolve_members``: every member bitwise equal to its own ``evolve``."""
+
+    @pytest.mark.parametrize("flux", list(ENSEMBLE_FLUXES))
+    @pytest.mark.parametrize("resolution", [(64,), (16, 8)])
+    def test_members_equal_unbatched_runs(self, flux, resolution):
+        m = len(resolution)
+        grid = make_grid(m, [1.0] * m, resolution)
+        spec = ENSEMBLE_FLUXES[flux](m)
+        r0s = [
+            smooth_field(grid, seed=40, n_modes=3, offset=1.0),
+            smooth_field(grid, seed=41, n_modes=3, offset=2.0),
+            _square_wave(grid),
+        ]
+        bound = max_stable_dt(grid, spec, max(float(np.abs(r.values).max()) for r in r0s))
+        # 13 full steps and a tail: records at steps 0, 4, 8, 12 and at t_end
+        cfg = SolveConfig(dt=0.9 * bound, t_end=13.4 * 0.9 * bound, record_every=4)
+        batch = _evolve_members(r0s, spec, cfg)
+        assert len(batch) == len(r0s)
+        for r0, traj in zip(r0s, batch):
+            alone = evolve(r0, spec, cfg)
+            assert traj.times == alone.times and len(alone.times) == 5
+            assert traj.diagnostics == alone.diagnostics
+            assert traj.flags == alone.flags
+            for a, b in zip(traj.snapshots, alone.snapshots):
+                assert np.array_equal(a.values, b.values)
+        if flux == "modulated":
+            # the square wave's own flags, and none leaked to the smooth members
+            assert batch[2].flags and not batch[0].flags and not batch[1].flags
+
+    def test_cfl_checked_against_largest_member(self, grid64):
+        spec = burgers_flux(1)
+        small = make_field(grid64, np.full(64, 1.0))
+        large = smooth_field(grid64, seed=42, offset=3.0)
+        dt = 0.5 * (
+            max_stable_dt(grid64, spec, 1.0)
+            + max_stable_dt(grid64, spec, float(np.abs(large.values).max()))
+        )
+        cfg = SolveConfig(dt=dt, t_end=10 * dt)
+        with pytest.raises(SolverError) as alone:
+            evolve(large, spec, cfg)
+        with pytest.raises(SolverError) as batch:
+            _evolve_members([small, large], spec, cfg)
+        assert str(batch.value) == str(alone.value)
+        assert len(_evolve_members([small, small], spec, cfg)) == 2
+
+    def test_non_finite_member_names_step(self, grid64, monkeypatch):
+        from polarflow import spectral
+
+        calls = {"n": 0}
+        original = spectral._Stepper.advance
+
+        def poisoning(self, hat):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                hat = hat.copy()
+                hat[..., 1] = np.nan
+            return original(self, hat)
+
+        monkeypatch.setattr(spectral._Stepper, "advance", poisoning)
+        r0s = [smooth_field(grid64, seed=s, offset=1.0) for s in (43, 44)]
+        with pytest.raises(SolverError, match="step 3 .*non-finite"):
+            _evolve_members(r0s, burgers_flux(1), SolveConfig(dt=1e-4, t_end=1e-3))
+
+    def test_members_on_different_grids_rejected(self, grid64, grid128):
+        r0s = [make_field(grid64, np.ones(64)), make_field(grid128, np.ones(128))]
+        with pytest.raises(ValueError, match="different grids"):
+            _evolve_members(r0s, zero_flux(1), SolveConfig(dt=1e-4, t_end=1e-3))
 
 
 class TestRealStepper:
