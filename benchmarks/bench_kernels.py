@@ -7,9 +7,12 @@ sweep, ``reference_advance`` (``tests/test_spectral.py``) for one burgers
 Strang step of the rfft-spectrum stepper (agreement checked on the midpoint
 values both return), and ``reference_transport_step``
 (``tests/test_transport.py``) for one integrating-factor RK4 transport step
-through a varying radius, at N=128 and at 64^2.  The circulant convolution
-is compared with its direct index-matrix product: it reduces to a BLAS-sized
-matrix product (expect speedup ~1x there).  A modulated ``solve_cell`` at
+through a varying radius, at N=128 and at 64^2.  ``heat_kernel_convolve``
+at N is compared with ``reference_heat_convolve`` (``tests/test_duhamel.py``),
+the same kernel row applied as a dense N x N circulant.  The base of one
+Duhamel window (the heat flow of the initial field to its 32 mesh times) is
+timed as the one batch ``picard_solve`` builds against 32 single
+``heat_kernel_convolve`` calls.  A modulated ``solve_cell`` at
 N=64 runs its Newton iteration once on the real-FFT operator and once on the
 complex full-lattice operator defined below; both must reach the same
 stationary state.  The trajectory and SVG writers of ``polarflow evolve``
@@ -31,13 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from polarflow import _kernels as K
 from polarflow import (
     Modulation,
     SolveConfig,
     burgers_flux,
     evolve,
     evolve_coupled,
+    heat_kernel_convolve,
     make_field,
     make_grid,
     make_initial,
@@ -48,13 +51,13 @@ from polarflow import (
 )
 from polarflow import cell
 from polarflow.cli import _write_svg_frames, _write_trajectory
-from polarflow.duhamel import _Window
+from polarflow.duhamel import _heat_flow, _Window
 from polarflow.flux import eval_g, eval_g_prime
 from polarflow.spectral import _evolve_members, _Stepper
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from test_cli import read_artifacts, reference_write_svg_frames, reference_write_trajectory  # noqa: E402
-from test_duhamel import reference_sweep  # noqa: E402
+from test_duhamel import reference_heat_convolve, reference_sweep  # noqa: E402
 from test_spectral import reference_advance  # noqa: E402
 from test_transport import reference_transport_step  # noqa: E402
 
@@ -125,8 +128,6 @@ def transport_case(shape, label):
 
 def bench(n, repeat):
     rng = np.random.default_rng(0)
-    row = rng.normal(size=n)
-    arr2 = rng.normal(size=(n, n))
     # one Duhamel window as picard_solve builds it (33 targets, 32 nodes)
     grid = make_grid(1, [1.0], [n])
     r0 = make_field(grid, 1.0 + 0.2 * np.sin(2 * np.pi * grid.axis_coords(0)))
@@ -140,9 +141,14 @@ def bench(n, repeat):
 
     cases = [
         (
-            "circulant_apply (axis of %dx%d)" % (n, n),
-            lambda: K.circulant_apply(row, arr2, axis=0),
-            lambda: K._circulant_np(row, arr2),
+            "heat_kernel_convolve N=%d" % n,
+            lambda: heat_kernel_convolve(r0, 1e-3).values,
+            lambda: reference_heat_convolve(r0, 1e-3),
+        ),
+        (
+            "window base N=%d (32 times)" % n,
+            lambda: _heat_flow(grid, r0.values, window.mesh[1:]),
+            lambda: [heat_kernel_convolve(r0, t).values for t in window.mesh[1:]],
         ),
         (
             "duhamel sweep N=%d (33x32 nodes)" % n,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .flux import FluxSpec, eval_g, eval_g_prime
+from .flux import FluxSpec, _check_axes, eval_g, eval_g_prime
 from .grid import PeriodicGrid, ScalarField, mean
 from .spectral import (
     SolveConfig,
@@ -63,8 +63,7 @@ class _CellOperator:
     """The stationary operator on the real-FFT half lattice of :mod:`.spectral`."""
 
     def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dealias: bool = True):
-        if spec.m != grid.m:
-            raise ValueError("flux component count does not match grid dimension")
+        _check_axes(grid, spec)
         self.grid = grid
         self.spec = spec
         self.lap = _laplacian_half(grid)

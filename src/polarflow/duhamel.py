@@ -29,19 +29,21 @@ path with :mod:`polarflow.spectral`):
 * a sweep handles one target time at a time with all its Gauss nodes in one
   batch: one stencil matrix interpolates the node fields, and each axis is a
   direct periodic convolution of every node's field with its own row, read
-  through a sliding window of the wrap-padded batch.
+  through a sliding window of the wrap-padded batch;
+* that one convolution also gives the heat-flow term ``K(t) * r0``: the
+  window's base is a single batch with one kernel row per mesh time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._kernels import _lagrange4_weights, circulant_apply
 from .errors import ConvergenceError
-from .flux import FluxSpec, eval_g, flux_envelope_bound
+from .flux import FluxSpec, _check_axes, eval_g, flux_envelope_bound
 from .grid import PeriodicGrid, ScalarField
 
 __all__ = [
@@ -57,6 +59,11 @@ DEFAULT_HORIZON_CAP = 1.0  # window for flux-free problems, where one sweep is e
 _FD8 = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
 
 
+def _check_time(name: str, t: float) -> None:
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"{name} must be positive and finite, got {t!r}")
+
+
 def contraction_horizon(
     field_bound: float, flux_bound: float, n_axes: int, cap: float = DEFAULT_HORIZON_CAP
 ) -> float:
@@ -66,12 +73,13 @@ def contraction_horizon(
     (sqrt(pi) / (4 flux_bound n_axes))^2)``; a vanishing flux bound means the
     map is exact in one sweep and the configured cap is returned.
     """
-    if field_bound < 0.0:
-        raise ValueError("field bound must be non-negative")
-    if flux_bound < 0.0:
-        raise ValueError("flux bound must be non-negative")
+    if not (field_bound >= 0.0 and math.isfinite(field_bound)):
+        raise ValueError(f"field_bound must be non-negative and finite, got {field_bound!r}")
+    if not (flux_bound >= 0.0 and math.isfinite(flux_bound)):
+        raise ValueError(f"flux_bound must be non-negative and finite, got {flux_bound!r}")
     if n_axes < 1:
         raise ValueError("n_axes must be >= 1")
+    _check_time("cap", cap)
     if flux_bound == 0.0:
         return cap
     sqrt_pi = np.sqrt(np.pi)
@@ -99,19 +107,23 @@ def _plain_row(n: int, length: float, tau: float | np.ndarray) -> np.ndarray:
     return row / row.sum(axis=-1, keepdims=True)
 
 
+def _heat_flow(grid: PeriodicGrid, vals: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """``K(tau) * vals`` for every entry of ``taus``, stacked on a leading axis."""
+    out = np.broadcast_to(vals, (len(taus),) + vals.shape)
+    for ax in range(grid.m):
+        rows = _plain_row(grid.resolution[ax], grid.lengths[ax], taus)
+        out = _convolve_nodes(rows[:, ::-1], out, axis=ax + 1)
+    return out
+
+
 def heat_kernel_convolve(f: ScalarField, t: float) -> ScalarField:
     """Periodic convolution with the image-summed heat kernel.
 
     Agrees with the spectral propagator to within 1e-10 for resolved times;
     both realize the same semigroup through unrelated discretizations.
     """
-    if t <= 0.0:
-        raise ValueError("convolution time must be positive")
-    out = f.values
-    for ax in range(f.grid.m):
-        row = _plain_row(f.grid.resolution[ax], f.grid.lengths[ax], t)
-        out = circulant_apply(row, out, axis=ax)
-    return ScalarField(grid=f.grid, values=out)
+    _check_time("t", t)
+    return ScalarField(grid=f.grid, values=_heat_flow(f.grid, f.values, np.array([t]))[0])
 
 
 def kernel_gradient_l1(t: float, n_panels: int = 64, n_gauss: int = 16) -> float:
@@ -121,8 +133,7 @@ def kernel_gradient_l1(t: float, n_panels: int = 64, n_gauss: int = 16) -> float
     (the integrand is even, so twice the half-line integral); the closed form
     is ``(pi t)^(-1/2)`` and quadrature reproduces it to 1e-8 relative.
     """
-    if t <= 0.0:
-        raise ValueError("kernel time must be positive")
+    _check_time("t", t)
     width = 16.0 * np.sqrt(t)
     nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
     edges = np.linspace(0.0, width, n_panels + 1)
@@ -157,6 +168,15 @@ def _convolve_nodes(rows: np.ndarray, batch: np.ndarray, axis: int) -> np.ndarra
     pad[axis] = (n - 1, 0)
     windows = sliding_window_view(np.pad(batch, pad, mode="wrap"), n, axis=axis)
     return np.einsum("qk,q...k->q...", rows, windows)
+
+
+def _lagrange4_weights(frac: np.ndarray):
+    """Cubic Lagrange weights of the nodes ``-1, 0, 1, 2`` at the offsets ``frac``."""
+    w0 = -frac * (frac - 1.0) * (frac - 2.0) / 6.0
+    w1 = (frac + 1.0) * (frac - 1.0) * (frac - 2.0) / 2.0
+    w2 = -(frac + 1.0) * frac * (frac - 2.0) / 2.0
+    w3 = (frac + 1.0) * frac * (frac - 1.0) / 6.0
+    return w0, w1, w2, w3
 
 
 @dataclass
@@ -283,22 +303,19 @@ def picard_solve(
     :class:`ConvergenceError` (carrying the delta history) if ``k_max`` sweeps
     do not reach ``tol``.
     """
-    if spec.m != r0.grid.m:
-        raise ValueError("flux component count does not match grid dimension")
+    _check_axes(r0.grid, spec)
     _check_mesh(n_time, n_gauss)
     field_bound = float(np.abs(r0.values).max())
     flux_bound = flux_envelope_bound(spec, field_bound)
     horizon = contraction_horizon(field_bound, flux_bound, spec.m, cap=horizon_cap)
     if t_final is not None:
-        if t_final <= 0.0:
-            raise ValueError("t_final must be positive")
+        _check_time("t_final", t_final)
         horizon = min(horizon, t_final)
 
     window = _Window(r0.grid, spec, horizon, n_time, n_gauss)
     base = np.empty((n_time,) + r0.grid.shape)
     base[0] = r0.values
-    for i in range(1, n_time):
-        base[i] = heat_kernel_convolve(r0, window.mesh[i]).values
+    base[1:] = _heat_flow(r0.grid, r0.values, window.mesh[1:])
 
     iterate = base.copy()
     sup_deltas: list[float] = []
@@ -346,8 +363,7 @@ def picard_extend(
     The sup bound never grows along the flow, so successive windows do not
     shrink and finitely many restarts suffice.
     """
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    _check_time("t_end", t_end)
     _check_mesh(n_time, n_gauss)
     state = r0
     elapsed = 0.0

@@ -156,6 +156,11 @@ def with_modulation(spec: FluxSpec, axis: int, modulation: Modulation) -> FluxSp
     return FluxSpec(components=tuple(comps))
 
 
+def _check_axes(grid: PeriodicGrid, spec: FluxSpec) -> None:
+    if spec.m != grid.m:
+        raise ValueError(f"flux has {spec.m} components but grid has {grid.m} axes")
+
+
 def _check_index(spec: FluxSpec, i: int) -> FluxComponent:
     if not 0 <= i < spec.m:
         raise IndexError(f"flux component {i} out of range for m={spec.m}")

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError
-from .flux import FluxSpec, advective_speed_bound, eval_g
+from .flux import FluxSpec, _check_axes, advective_speed_bound, eval_g
 from .grid import DirectionField, PeriodicGrid, ScalarField, _reflect, mean
 
 __all__ = [
@@ -172,8 +172,8 @@ def _shift_symbol(grid: PeriodicGrid, speeds, t: float) -> np.ndarray:
 
 def heat_propagate(f: ScalarField, t: float) -> ScalarField:
     """Exact heat flow: every mode decays by ``exp(-|kappa|^2 t)``."""
-    if t < 0.0:
-        raise ValueError("heat propagation time must be non-negative")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError(f"t must be non-negative and finite, got {t!r}")
     if t == 0.0:
         return f
     hat = _rfft(f.grid, f.values) * np.exp(-_laplacian_half(f.grid) * t)
@@ -185,13 +185,10 @@ def galilean_shift(f: ScalarField, speeds, t: float) -> ScalarField:
     speeds = np.asarray(speeds, dtype=np.float64)
     if speeds.shape != (f.grid.m,):
         raise ValueError("one shift speed per grid axis required")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     hat = _rfft(f.grid, f.values) * _shift_symbol(f.grid, speeds, t)
     return ScalarField(grid=f.grid, values=_irfft(f.grid, hat))
-
-
-def _check_axes(grid: PeriodicGrid, spec: FluxSpec) -> None:
-    if spec.m != grid.m:
-        raise ValueError(f"flux has {spec.m} components but grid has {grid.m} axes")
 
 
 class _Stepper:

@@ -35,12 +35,11 @@ import math
 import numpy as np
 
 from .errors import SolverError
-from .flux import FluxSpec, eval_f
+from .flux import FluxSpec, _check_axes, eval_f
 from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField
 from .spectral import (
     SolveConfig,
     Trajectory,
-    _check_axes,
     _derivative_symbols,
     _irfft,
     _march,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,32 @@ from polarflow import (
     with_modulation,
     zero_flux,
 )
-from polarflow._kernels import _lagrange4_weights, circulant_apply
-from polarflow.duhamel import _fd_derivative, _plain_row, _Window
+from polarflow.duhamel import (
+    _convolve_nodes,
+    _fd_derivative,
+    _heat_flow,
+    _lagrange4_weights,
+    _plain_row,
+    _Window,
+)
 from polarflow.flux import eval_g
 from conftest import smooth_field
+
+
+def dense_circulant(row, arr, axis=0):
+    """``out[j] = sum_l row[(j - l) % N] arr[l]`` along ``axis``, as a dense N x N product."""
+    n = row.shape[0]
+    matrix = row[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+    return np.moveaxis(np.tensordot(matrix, arr, axes=(1, axis)), 0, axis)
+
+
+def reference_heat_convolve(f, t):
+    """``K(t) * f`` with one :func:`dense_circulant` per axis."""
+    out = f.values
+    for ax in range(f.grid.m):
+        row = _plain_row(f.grid.resolution[ax], f.grid.lengths[ax], t)
+        out = dense_circulant(row, out, axis=ax)
+    return out
 
 
 def reference_sweep(window, base, iterate, n_gauss):
@@ -32,8 +56,8 @@ def reference_sweep(window, base, iterate, n_gauss):
 
     Interpolates the node field with its own 4-point stencil, applies the
     flux divergence with the FD8 derivative, then convolves with the plain
-    kernel row per axis through ``circulant_apply``; nothing is folded or
-    batched, so it checks :meth:`_Window.sweep` independently.
+    kernel row per axis through :func:`dense_circulant`; nothing is folded
+    or batched, so it checks :meth:`_Window.sweep` independently.
     """
     grid, spec, mesh = window.grid, window.spec, window.mesh
     n_time, dt = len(mesh), mesh[1] - mesh[0]
@@ -58,7 +82,7 @@ def reference_sweep(window, base, iterate, n_gauss):
                 conv += _fd_derivative(gj, axis=j, h=grid.spacings[j])
             for ax in range(grid.m):
                 row = _plain_row(grid.resolution[ax], grid.lengths[ax], tau)
-                conv = circulant_apply(row, conv, axis=ax)
+                conv = dense_circulant(row, conv, axis=ax)
             acc += 2.0 * sigma * half * w * conv
         new[i] -= acc
     return new
@@ -126,6 +150,48 @@ class TestHeatKernelConvolve:
     def test_non_positive_time_rejected(self, grid64):
         with pytest.raises(ValueError):
             heat_kernel_convolve(make_field(grid64, np.ones(64)), 0.0)
+
+    def test_matches_dense_reference(self, grid2d):
+        f = smooth_field(grid2d, seed=42, n_modes=5)
+        out = heat_kernel_convolve(f, 0.003).values
+        assert np.abs(out - reference_heat_convolve(f, 0.003)).max() < 1e-14
+
+    def test_batched_base_matches_per_time_calls(self, grid2d):
+        # the base of a picard_solve window: every mesh time in one batch
+        f = smooth_field(grid2d, seed=43, n_modes=5, offset=1.0)
+        taus = np.linspace(0.0, 2e-3, 33)[1:]
+        batched = _heat_flow(grid2d, f.values, taus)
+        single = np.stack([heat_kernel_convolve(f, t).values for t in taus])
+        assert np.abs(batched - single).max() < 1e-14
+
+    def test_memory_stays_linear_in_n(self):
+        # an N x N gather table alone would take 32 MiB at N=2048
+        grid = make_grid(1, [1.0], [2048])
+        f = smooth_field(grid, seed=44, offset=1.0)
+        tracemalloc.start()
+        try:
+            heat_kernel_convolve(f, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestConvolveNodes:
+    @pytest.mark.parametrize("axis", [1, 2], ids=["axis1", "axis2"])
+    def test_matches_dense_reference(self, axis):
+        rng = np.random.default_rng(77)
+        batch = rng.normal(size=(5, 12, 16))
+        rows = rng.normal(size=(5, batch.shape[axis]))  # a distinct row per node
+        out = _convolve_nodes(rows[:, ::-1], batch, axis=axis)
+        ref = np.stack([dense_circulant(rows[q], batch[q], axis=axis - 1) for q in range(5)])
+        assert np.abs(out - ref).max() < 1e-12
+
+    def test_identity_row(self):
+        batch = np.random.default_rng(78).normal(size=(3, 16, 2))
+        rows = np.zeros((3, 16))
+        rows[:, 0] = 1.0
+        assert np.abs(_convolve_nodes(rows[:, ::-1], batch, axis=1) - batch).max() < 1e-15
 
 
 class TestKernelGradientL1:
@@ -273,6 +339,39 @@ class TestMeshValidation:
         f = smooth_field(grid64, seed=41, offset=1.0)
         rep = picard_solve(f, burgers_flux(1), n_time=4, n_gauss=1, t_final=1e-4)
         assert rep.converged
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("t", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda f, t: picard_extend(f, burgers_flux(1), t), "t_end"),
+            (lambda f, t: picard_solve(f, burgers_flux(1), t_final=t), "t_final"),
+            (lambda f, t: contraction_horizon(t, 1.0, 1), "field_bound"),
+            (lambda f, t: contraction_horizon(1.0, t, 1), "flux_bound"),
+            (lambda f, t: contraction_horizon(1.0, 0.0, 1, cap=t), "cap"),
+            (lambda f, t: kernel_gradient_l1(t), "t"),
+            (lambda f, t: heat_kernel_convolve(f, t), "t"),
+            (lambda f, t: heat_propagate(f, t), "t"),
+            (lambda f, t: galilean_shift(f, [1.0], t), "t"),
+        ],
+        ids=[
+            "picard_extend",
+            "picard_solve",
+            "horizon_field_bound",
+            "horizon_flux_bound",
+            "horizon_cap",
+            "kernel_gradient_l1",
+            "heat_kernel_convolve",
+            "heat_propagate",
+            "galilean_shift",
+        ],
+    )
+    def test_rejected_naming_the_parameter(self, grid64, call, name, t):
+        f = smooth_field(grid64, seed=45, offset=1.0)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=f"^{name} must be"):
+            call(f, t)
 
 
 class TestPicardExtend:
