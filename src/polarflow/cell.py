@@ -21,6 +21,7 @@ runtime check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .grid import PeriodicGrid, ScalarField, mean
 from .spectral import (
     SolveConfig,
     _derivative_symbols,
+    _flux_divergence,
     _irfft,
     _laplacian_half,
     _rfft,
@@ -71,22 +73,16 @@ class _CellOperator:
         self.derivs = _derivative_symbols(grid, dealias)  # of -d/dtheta_i
         self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
 
-    def _divergence(self, fluxes) -> np.ndarray:
-        """Spectrum of ``sum_i d/dtheta_i (a_i fluxes[i])``."""
-        out = 0.0
-        for deriv, mod, fi in zip(self.derivs, self.mods, fluxes):
-            out = out - deriv * _rfft(self.grid, fi if mod is None else fi * mod)
-        return out
-
     def residual(self, v: np.ndarray) -> np.ndarray:
         """-Lap v + div(a g(v)) on the grid."""
         fluxes = (eval_g(self.spec, i, v) for i in range(self.spec.m))
-        return _irfft(self.grid, _rfft(self.grid, v) * self.lap + self._divergence(fluxes))
+        minus_div = _flux_divergence(self.grid, self.derivs, self.mods, fluxes)
+        return _irfft(self.grid, _rfft(self.grid, v) * self.lap - minus_div)
 
     def jacobian_flux_part(self, v: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """div(a g'(v) delta), the non-Laplacian block of the Jacobian."""
         fluxes = (eval_g_prime(self.spec, i, v) * delta for i in range(self.spec.m))
-        return _irfft(self.grid, self._divergence(fluxes))
+        return -_irfft(self.grid, _flux_divergence(self.grid, self.derivs, self.mods, fluxes))
 
     def precondition(self, rhs: np.ndarray) -> np.ndarray:
         """Apply the inverse Laplacian on the zero-mean complement."""
@@ -126,13 +122,21 @@ def solve_cell(
     where zero Newton iterations are needed).  Step quality is enforced by
     backtracking: a step is accepted only when it reduces the sup residual by
     at least a quarter of the damping factor; exhausting the damping ladder
-    raises :class:`ConvergenceError` with the residual history.
+    raises :class:`ConvergenceError` with the residual history, and so does a
+    residual that is not finite (the flux overflows at ``p``).  Raises
+    ``ValueError`` when ``p`` is not finite.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p!r}")
     op = _CellOperator(grid, spec, dealias)
     v = np.full(grid.shape, float(p))
     res = op.residual(v)
     res_norm = float(np.abs(res).max())
     history = [res_norm]
+    if not math.isfinite(res_norm):
+        raise ConvergenceError(
+            f"residual of the constant state v == {p!r} is not finite", history=history
+        )
     iters = 0
     lap_max = float(op.lap.max())
 

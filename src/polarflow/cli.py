@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -386,6 +387,8 @@ def run_cell(config_path: str | Path) -> int:
         grid = _build_grid(cfg)
         spec = _build_flux(cfg, grid.m)
         p = float(_get(cfg, "cell.p"))
+        if not math.isfinite(p):
+            raise ConfigError(f"cell.p must be finite, got {p!r}")
         n_pairs = int(_get(cfg, "cell.pairs", "5"))
         seed = int(_get(cfg, "seed", "0"))
         out_dir = Path(_get(cfg, "output.dir"))
@@ -400,7 +403,8 @@ def run_cell(config_path: str | Path) -> int:
         for _ in range(n_pairs):
             lo, hi = np.sort(rng.uniform(p - 1.0, p + 1.0, size=2))
             if hi - lo < 1e-3:
-                hi = lo + 1e-3
+                # beyond |p| ~ 2e13 the 1e-3 gap rounds away; one float up keeps hi > lo
+                hi = max(lo + 1e-3, np.nextafter(lo, np.inf))
             pairs.append((float(hi), float(lo), monotonicity_check(spec, grid, float(hi), float(lo))))
     except PolarflowError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)

@@ -130,12 +130,15 @@ def make_initial(
     """Dispatch on preset name; ``params`` is the positional parameter list.
 
     Presets: ``ellipse(a, b)``, ``perturbed_sphere(radius, amplitude, *modes)``,
-    ``trig_random(seed, max_mode, amplitude)``.
+    ``trig_random(seed, max_mode, amplitude)``.  The ellipse is planar, so it
+    takes no ambient dimension ``d`` other than 2.
     """
     params = list(params)
     if preset == "ellipse":
         if len(params) != 2:
             raise ValueError("ellipse preset takes parameters (a, b)")
+        if d is not None and d != 2:
+            raise ValueError(f"ellipse preset is a planar curve: d must be 2, got {d}")
         return ellipse_initial(grid, float(params[0]), float(params[1]))
     if preset == "perturbed_sphere":
         if len(params) < 3:

@@ -15,10 +15,11 @@ the others), which is bitwise equal and skips the n-d wrapper, about half the
 cost of a transform at N=128.  Axes after the grid axes (vector components,
 ensemble members) are left alone.  The stepper carries the state from step to
 step as this half spectrum, not as grid values; the time loop transforms back
-only where it needs samples.  One loop serves :func:`evolve`, its ensemble
-form :func:`_evolve_members` (several initial radii on a trailing member axis,
-stepped together, each member bitwise equal to its own run) and, with a
-direction-transport hook, the coupled driver of :mod:`.transport`.
+only where it needs samples.  The state always has a trailing member axis: one
+loop, :func:`_march`, steps any number of initial radii together, each member
+bitwise equal to its own run, and a single run (:func:`evolve`, or the coupled
+driver of :mod:`.transport` with its direction-transport hook) is a batch of
+one.
 
 The advective substep differentiates ``g_i(r)`` spectrally (2/3-rule dealiased
 by default) and advances with a midpoint Runge-Kutta stage, except when every
@@ -31,6 +32,7 @@ conserved to roundoff.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -77,8 +79,9 @@ class SolveConfig:
             raise ValueError("t_end must be positive")
         if not (math.isfinite(self.dt) and math.isfinite(self.t_end)):
             raise ValueError("dt and t_end must be finite")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
 
 
 @dataclass(frozen=True)
@@ -191,86 +194,67 @@ def galilean_shift(f: ScalarField, speeds, t: float) -> ScalarField:
     return ScalarField(grid=f.grid, values=_irfft(f.grid, hat))
 
 
+def _flux_divergence(grid: PeriodicGrid, derivs, mods, fluxes) -> np.ndarray:
+    """Spectrum of ``-sum_i d/dtheta_i (a_i F_i)``: ``sum_i derivs[i] * rfft(a_i F_i)``.
+
+    ``derivs`` are the symbols of ``-d/dtheta_i`` (:func:`_derivative_symbols`),
+    ``mods[i]`` is the modulation ``a_i`` on the grid or None for one, and
+    ``fluxes`` yields the fields ``F_i``.  The stepper and the stationary
+    operator of :mod:`.cell` share it.
+    """
+    out = 0.0
+    for deriv, mod, fi in zip(derivs, mods, fluxes):
+        out = out + deriv * _rfft(grid, fi if mod is None else fi * mod)
+    return out
+
+
 class _Stepper:
     """Strang steps of size ``dt`` on one (grid, flux), acting on the rfft spectrum.
 
-    The state is the unnormalised half-lattice spectrum ``rfftn(values)``:
-    :meth:`advance` maps it to the spectrum one step later, and the drivers
-    transform back (:meth:`values`) only where they need grid samples.  The
-    symbols are built once: the half-step heat multiplier and, for a general
-    flux, one masked derivative symbol per axis; for an unmodulated constant
-    flux, the whole step (``H^2`` times the shift) and the map to the
-    midpoint values (``H`` times the half shift).  A general step computes
-    the midpoint values on its way; a constant-flux step computes them only
-    when ``mid_values`` is set, as they cost an inverse transform that the
-    step itself does not need.
-
-    With ``members`` set, the state carries a trailing member axis: the
-    symbols and modulations gain a unit axis that broadcasts over it, and
-    every member sees the same elementwise arithmetic and the same
-    per-line transforms as when it is stepped alone.
+    The state is the unnormalised half-lattice spectrum (:func:`_rfft`) of
+    grid values with a trailing member axis: :meth:`advance` maps it to the
+    spectrum one step later, and the drivers transform back (:func:`_irfft`)
+    only where they need grid samples.  The symbols are built once, with a
+    unit axis that broadcasts over the members, so every member sees the same
+    elementwise arithmetic and the same per-line transforms as when it is
+    stepped alone: the half-step heat multiplier and, for a general flux, one
+    masked derivative symbol and one modulation per axis; for an unmodulated
+    constant flux, the whole step (``H^2`` times the shift).
     """
 
-    def __init__(
-        self,
-        grid: PeriodicGrid,
-        spec: FluxSpec,
-        dt: float,
-        dealias: bool,
-        mid_values: bool = True,
-        members: bool = False,
-    ):
+    def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float, dealias: bool):
         _check_axes(grid, spec)
         self.grid = grid
         self.spec = spec
         self.dt = dt
-
-        def lift(a):
-            return a if a is None or not members else a[..., None]
-
         half_heat = np.exp(-_laplacian_half(grid) * (dt / 2.0))
-        self.half_heat = lift(half_heat)
+        self.half_heat = half_heat[..., None]
         self.exact_step = None
-        self.exact_mid = None
         if spec.is_constant:
-            speeds = spec.constant_speeds
-            self.exact_step = lift(half_heat * half_heat * _shift_symbol(grid, speeds, dt))
-            if mid_values:
-                self.exact_mid = lift(half_heat * _shift_symbol(grid, speeds, dt / 2.0))
+            shift = _shift_symbol(grid, spec.constant_speeds, dt)
+            self.exact_step = (half_heat * half_heat * shift)[..., None]
         else:
-            self.derivs = [lift(d) for d in _derivative_symbols(grid, dealias)]
-            self.modulations = [lift(spec.modulation_values(grid, i)) for i in range(spec.m)]
+            self.derivs = [d[..., None] for d in _derivative_symbols(grid, dealias)]
+            mods = (spec.modulation_values(grid, i) for i in range(spec.m))
+            self.modulations = [None if a is None else a[..., None] for a in mods]
 
-    def spectrum(self, vals: np.ndarray) -> np.ndarray:
-        return _rfft(self.grid, vals)
-
-    def values(self, hat: np.ndarray) -> np.ndarray:
-        return _irfft(self.grid, hat)
-
-    def _divergence_hat(self, vals: np.ndarray) -> np.ndarray:
-        """Spectrum of ``-sum_i d/dtheta_i g_i(vals)`` (modulated, dealiased)."""
-        out = 0.0
-        for i, (deriv, mod) in enumerate(zip(self.derivs, self.modulations)):
-            gi = eval_g(self.spec, i, vals)
-            if mod is not None:
-                gi = gi * mod
-            out = out + deriv * self.spectrum(gi)
-        return out
+    def _divergence(self, vals: np.ndarray) -> np.ndarray:
+        fluxes = (eval_g(self.spec, i, vals) for i in range(self.spec.m))
+        return _flux_divergence(self.grid, self.derivs, self.modulations, fluxes)
 
     def advance(self, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """One full step; returns (new_spectrum, half_time_values).
 
-        The half-time values are None for a constant-flux stepper built
-        without ``mid_values``.
+        A constant-flux step is one product with no half-time stage, and
+        returns None for the half-time values.
         """
         if self.exact_step is not None:
-            mid = None if self.exact_mid is None else self.values(hat * self.exact_mid)
-            new = hat * self.exact_step
+            new, mid = hat * self.exact_step, None
         else:
             hh = hat * self.half_heat
-            half = self.values(hh)
-            mid = half + (self.dt / 2.0) * self.values(self._divergence_hat(half))
-            new = (hh + self.dt * self._divergence_hat(mid)) * self.half_heat
+            half = _irfft(self.grid, hh)
+            mid = half + (self.dt / 2.0) * _irfft(self.grid, self._divergence(half))
+            new = (hh + self.dt * self._divergence(mid)) * self.half_heat
         if not np.isfinite(new.view(np.float64)).all():
             raise SolverError("non-finite field after step")
         return new, mid
@@ -284,9 +268,8 @@ def step(r: ScalarField, spec: FluxSpec, dt: float, dealias: bool = True) -> Sca
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    stepper = _Stepper(r.grid, spec, dt, dealias, mid_values=False)
-    new, _ = stepper.advance(stepper.spectrum(r.values))
-    return ScalarField(grid=r.grid, values=stepper.values(new))
+    new, _ = _Stepper(r.grid, spec, dt, dealias).advance(_rfft(r.grid, r.values[..., None]))
+    return ScalarField(grid=r.grid, values=_irfft(r.grid, new)[..., 0])
 
 
 def max_stable_dt(grid: PeriodicGrid, spec: FluxSpec, field_bound: float) -> float:
@@ -340,68 +323,71 @@ def _schedule(
 def _march(
     r0s: list[ScalarField], spec: FluxSpec, cfg: SolveConfig, direction=None
 ) -> list[Trajectory]:
-    """The time loop of :func:`evolve`, :func:`_evolve_members` and the coupled driver.
+    """The one time loop: :func:`evolve`, the coupled driver and ensemble runs.
 
-    ``r0s`` holds the initial radii of the members, all on one grid; returns
-    one trajectory per member.  A single member is stepped as it is; several
-    are stacked on a trailing member axis and stepped together.  ``cfg.dt``
-    is checked once, against the largest initial sup norm; each member keeps
-    its own mean, sup and min references, diagnostics and flags.
+    ``r0s`` holds the initial radii of the members, which must share a grid
+    (else ``ValueError``).  They are stacked on a trailing member axis and
+    stepped together; the loop returns one trajectory per member, each
+    bitwise equal to the run of that member alone.  ``cfg.dt`` is checked
+    once, against the largest initial sup norm, so a batch raises the
+    :class:`SolverError` its largest member would; each member keeps its own
+    mean, sup and min references, diagnostics and flags.
 
     Records fall every ``record_every`` steps and at ``t_end``, which a
     shorter tail step reaches when ``dt`` does not divide it.  ``direction``,
     when given (one member only), is ``(vectors0, transport)``: after each
     radius step, which must leave the radius positive,
     ``transport(vectors, radii, dt)`` carries the direction vectors (a plain
-    array) over the step given the radius values ``radii`` at its start,
-    half time and end.  Only records wrap the vectors in a
-    :class:`DirectionField`.  A failing step raises naming its index and time.
+    array) over the step given the grid-shaped radius values ``radii`` at its
+    start, half time and end.  A constant-flux step has no half-time values;
+    its speeds do not depend on the radius, so the end values stand in.  Only
+    records wrap the vectors in a :class:`DirectionField`.  A failing step
+    raises naming its index and time.
     """
     grid = r0s[0].grid
-    members = len(r0s) > 1
+    if any(r.grid != grid for r in r0s):
+        raise ValueError("ensemble members live on different grids")
     sup0s = [float(np.abs(r.values).max()) for r in r0s]
     mean0s = [mean(r) for r in r0s]
     min0s = [float(r.values.min()) for r in r0s]
     n_full, remainder = _schedule(grid, spec, cfg, max(sup0s))
     n_steps = n_full + (remainder > 0.0)
     coupled = direction is not None
-    stepper = _Stepper(grid, spec, cfg.dt, cfg.dealias, mid_values=coupled, members=members)
+    stepper = _Stepper(grid, spec, cfg.dt, cfg.dealias)
     trajs = [Trajectory(grid=grid, spec=spec) for _ in r0s]
 
     def record(t: float, vals: np.ndarray) -> None:
-        split = [np.ascontiguousarray(vals[..., j]) for j in range(len(r0s))] if members else [vals]
-        for traj, v, mean0, sup0, min0 in zip(trajs, split, mean0s, sup0s, min0s):
-            _append_record(traj, t, v, mean0, sup0, min0)
+        for j, (traj, mean0, sup0, min0) in enumerate(zip(trajs, mean0s, sup0s, min0s)):
+            _append_record(traj, t, np.ascontiguousarray(vals[..., j]), mean0, sup0, min0)
         if coupled:
             trajs[0].directions.append(DirectionField(grid=grid, vectors=p))
 
-    vals = np.stack([r.values for r in r0s], axis=-1) if members else r0s[0].values
-    hat = stepper.spectrum(vals)
+    vals = np.stack([r.values for r in r0s], axis=-1)
+    hat = _rfft(grid, vals)
     if coupled:
         p, transport = direction
     record(0.0, vals)
     for k in range(1, n_steps + 1):
         t = k * cfg.dt
         if k > n_full:
-            stepper = _Stepper(
-                grid, spec, remainder, cfg.dealias, mid_values=coupled, members=members
-            )
+            stepper = _Stepper(grid, spec, remainder, cfg.dealias)
             t = cfg.t_end
         try:
             hat, mid = stepper.advance(hat)
             if coupled:
-                start, vals = vals, stepper.values(hat)
+                start, vals = vals, _irfft(grid, hat)
                 if not (vals.min() > 0.0):
                     raise SolverError(
                         f"positivity lost (min {vals.min():.3e}); "
                         "geometric evolution is no longer well defined"
                     )
-                p = transport(p, (start, mid, vals), stepper.dt)
+                mid = vals if mid is None else mid
+                p = transport(p, (start[..., 0], mid[..., 0], vals[..., 0]), stepper.dt)
         except SolverError as exc:
             raise SolverError(f"step {k} (t={t:.6g}): {exc}") from exc
         if k % cfg.record_every == 0 or k == n_steps:
             if not coupled:
-                vals = stepper.values(hat)
+                vals = _irfft(grid, hat)
             record(t, vals)
     return trajs
 
@@ -415,18 +401,3 @@ def evolve(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig) -> Trajectory:
     The state between records stays a spectrum (see :class:`_Stepper`).
     """
     return _march([r0], spec, cfg)[0]
-
-
-def _evolve_members(r0s, spec: FluxSpec, cfg: SolveConfig) -> list[Trajectory]:
-    """:func:`evolve` of several initial radii on one grid, stepped as one batch.
-
-    Returns one trajectory per member, each bitwise equal to :func:`evolve`
-    of that member alone.  ``cfg.dt`` is checked against the largest initial
-    sup norm, so the batch raises the :class:`SolverError` its largest
-    member would.  Stepping the members together spreads the fixed cost of
-    each transform call over the batch.
-    """
-    r0s = list(r0s)
-    if any(r.grid != r0s[0].grid for r in r0s):
-        raise ValueError("ensemble members live on different grids")
-    return _march(r0s, spec, cfg)

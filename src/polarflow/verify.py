@@ -24,7 +24,7 @@ from .duhamel import (
 from .flux import Modulation, burgers_flux, constant_flux, with_modulation, zero_flux
 from .geometry import decompose, ellipse_initial, perturbed_sphere_initial, reconstruct
 from .grid import make_field, make_grid, mean
-from .spectral import SolveConfig, _evolve_members, evolve, heat_propagate, step
+from .spectral import SolveConfig, _march, evolve, heat_propagate, step
 from .transport import evolve_coupled
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -140,7 +140,7 @@ def suite_contraction() -> list[CheckResult]:
     spec = burgers_flux(1)
     cfg = SolveConfig(dt=1e-4, t_end=0.5, record_every=250)
     wave = 0.1 * np.sin(2 * np.pi * theta)
-    up, dn = _evolve_members([make_field(grid, 1.0 + wave), make_field(grid, 1.0 - wave)], spec, cfg)
+    up, dn = _march([make_field(grid, 1.0 + wave), make_field(grid, 1.0 - wave)], spec, cfg)
     series = l1_contraction_series(up, dn)
     worst = max((d1 - d0) for (_, d0), (_, d1) in zip(series, series[1:]))
     return [_check("contraction.l1_nonincreasing", worst, 1e-8)]

@@ -18,6 +18,7 @@ from polarflow import (
 )
 from polarflow._fdcell import fd_cell_solve, fd_derivative_matrix, fd_laplacian_matrix
 from polarflow.cell import _CellOperator
+from polarflow.errors import ConvergenceError
 from polarflow.flux import eval_g, eval_g_prime
 
 MODULATED_LINEAR = with_modulation(
@@ -173,6 +174,18 @@ class TestSolveCell:
         sol = solve_cell(MODULATED_LINEAR, grid64, 1.0)
         moved = step(sol.v, MODULATED_LINEAR, 1e-5)
         assert np.abs(moved.values - sol.v.values).max() < 1e-9
+
+
+class TestSolveCellInputs:
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_p_rejected_naming_p(self, grid64, p):
+        with pytest.raises(ValueError, match="p must be finite"):
+            solve_cell(MODULATED_LINEAR, grid64, p)
+
+    def test_non_finite_residual_is_not_converged(self, grid64):
+        # g(1e200) overflows, so the residual is NaN, which never exceeds tol
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+            solve_cell(burgers_flux(1), grid64, 1e200)
 
 
 class TestMonotonicity:

@@ -263,6 +263,14 @@ class TestRunEvolve:
         assert run_evolve(cfg_path) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("d", ["1", "3"])
+    def test_non_planar_ellipse_is_config_error(self, tmp_path, capsys, d):
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG + f"initial.d = {d}\n")
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "d must be 2" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_key_is_config_error(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("grid.m = 1\n")
@@ -387,6 +395,36 @@ class TestRunCell:
         assert main(["cell", str(cfg_path)]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert "cannot write artifacts" in err and "Traceback" not in err
+
+    # nan and inf ended in a ValueError about the field, 1e308 in one about p > q
+    @pytest.mark.parametrize(
+        "p, code, message",
+        [
+            ("nan", EXIT_CONFIG, "cell.p must be finite"),
+            ("inf", EXIT_CONFIG, "cell.p must be finite"),
+            ("1e308", EXIT_RUNTIME, "not finite"),
+        ],
+    )
+    def test_unusable_p_exits_without_traceback(self, tmp_path, capsys, p, code, message):
+        cfg_path, out = write_cfg(
+            tmp_path, CELL_CFG.replace("cell.p = 1.0", f"cell.p = {p}"), name="cell.cfg"
+        )
+        with np.errstate(all="ignore"):
+            assert main(["cell", str(cfg_path)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_pairs_stay_ordered_at_large_p(self, tmp_path):
+        # at 1e16 the 1e-3 gap of a close pair rounded away and monotonicity_check raised
+        cfg_path, out = write_cfg(
+            tmp_path, CELL_CFG.replace("cell.p = 1.0", "cell.p = 1e16"), name="cell.cfg"
+        )
+        assert main(["cell", str(cfg_path)]) == EXIT_OK
+        mono = (out / "monotonicity.csv").read_text().splitlines()
+        rows = [l for l in mono if not l.startswith("#")][1:]
+        pairs = [[float(c) for c in r.split(",")[:2]] for r in rows]
+        assert len(pairs) == 3 and all(p > q for p, q in pairs)
 
     def test_missing_p_is_config_error(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -127,3 +127,13 @@ class TestMakeInitialDispatch:
     def test_bad_arity(self, grid64):
         with pytest.raises(ValueError):
             make_initial(grid64, "ellipse", [2.0])
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    def test_ellipse_rejects_non_planar_d(self, grid64, d):
+        # the ellipse used to ignore d and return 2-vectors
+        with pytest.raises(ValueError, match="d must be 2"):
+            make_initial(grid64, "ellipse", [2.0, 1.0], d=d)
+
+    def test_ellipse_accepts_planar_d(self, grid64):
+        _, p0 = make_initial(grid64, "ellipse", [2.0, 1.0], d=2)
+        assert p0.d == 2

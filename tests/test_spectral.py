@@ -16,13 +16,14 @@ from polarflow import (
     mean,
     mode_decay_report,
     polynomial_flux,
+    sphere_directions,
     step,
     sup_norm,
     with_modulation,
     zero_flux,
 )
 from polarflow.flux import eval_g
-from polarflow.spectral import _evolve_members, _irfft, _rfft, _Stepper
+from polarflow.spectral import _irfft, _march, _rfft, _Stepper
 from conftest import smooth_field
 
 
@@ -220,7 +221,7 @@ ENSEMBLE_FLUXES = {
 
 
 class TestEnsemble:
-    """``_evolve_members``: every member bitwise equal to its own ``evolve``."""
+    """``_march`` batches: every member bitwise equal to its own ``evolve``."""
 
     @pytest.mark.parametrize("flux", list(ENSEMBLE_FLUXES))
     @pytest.mark.parametrize("resolution", [(64,), (16, 8)])
@@ -236,7 +237,7 @@ class TestEnsemble:
         bound = max_stable_dt(grid, spec, max(float(np.abs(r.values).max()) for r in r0s))
         # 13 full steps and a tail: records at steps 0, 4, 8, 12 and at t_end
         cfg = SolveConfig(dt=0.9 * bound, t_end=13.4 * 0.9 * bound, record_every=4)
-        batch = _evolve_members(r0s, spec, cfg)
+        batch = _march(r0s, spec, cfg)
         assert len(batch) == len(r0s)
         for r0, traj in zip(r0s, batch):
             alone = evolve(r0, spec, cfg)
@@ -261,9 +262,9 @@ class TestEnsemble:
         with pytest.raises(SolverError) as alone:
             evolve(large, spec, cfg)
         with pytest.raises(SolverError) as batch:
-            _evolve_members([small, large], spec, cfg)
+            _march([small, large], spec, cfg)
         assert str(batch.value) == str(alone.value)
-        assert len(_evolve_members([small, small], spec, cfg)) == 2
+        assert len(_march([small, small], spec, cfg)) == 2
 
     def test_non_finite_member_names_step(self, grid64, monkeypatch):
         from polarflow import spectral
@@ -281,12 +282,30 @@ class TestEnsemble:
         monkeypatch.setattr(spectral._Stepper, "advance", poisoning)
         r0s = [smooth_field(grid64, seed=s, offset=1.0) for s in (43, 44)]
         with pytest.raises(SolverError, match="step 3 .*non-finite"):
-            _evolve_members(r0s, burgers_flux(1), SolveConfig(dt=1e-4, t_end=1e-3))
+            _march(r0s, burgers_flux(1), SolveConfig(dt=1e-4, t_end=1e-3))
+
+    def test_constant_flux_hook_gets_end_radius_as_midpoint(self, grid64):
+        # a constant speed does not read the radius, so no midpoint transform is made
+        seen = []
+
+        def hook(vectors, radii, dt):
+            seen.append(radii)
+            return vectors
+
+        r0 = smooth_field(grid64, seed=45, offset=2.0)
+        p0 = sphere_directions(grid64, 2).vectors
+        cfg = SolveConfig(dt=1e-3, t_end=3e-3)
+        traj = _march([r0], constant_flux([0.7]), cfg, (p0, hook))[0]
+        assert len(seen) == 3
+        for (start, mid, end), before, after in zip(seen, traj.snapshots, traj.snapshots[1:]):
+            assert start.shape == mid.shape == end.shape == grid64.shape
+            assert np.array_equal(start, before.values) and np.array_equal(end, after.values)
+            assert np.array_equal(mid, end)
 
     def test_members_on_different_grids_rejected(self, grid64, grid128):
         r0s = [make_field(grid64, np.ones(64)), make_field(grid128, np.ones(128))]
         with pytest.raises(ValueError, match="different grids"):
-            _evolve_members(r0s, zero_flux(1), SolveConfig(dt=1e-4, t_end=1e-3))
+            _march(r0s, zero_flux(1), SolveConfig(dt=1e-4, t_end=1e-3))
 
 
 class TestRealStepper:
@@ -300,23 +319,27 @@ class TestRealStepper:
         grid, spec, dt, vals = ORACLE_CASES[case]
         assert dt <= max_stable_dt(grid, spec, float(np.abs(vals).max()))
         stepper = _Stepper(grid, spec, dt, True)
-        hat, ref = stepper.spectrum(vals), vals
+        # the state carries a trailing member axis; this is a batch of one
+        hat, ref = _rfft(grid, vals[..., None]), vals
         worst_mid = 0.0
         for _ in range(300):
             hat, mid = stepper.advance(hat)
             ref, ref_mid = reference_advance(grid, spec, dt, ref)
-            worst_mid = max(worst_mid, float(np.abs(mid - ref_mid).max()))
+            if spec.is_constant:
+                assert mid is None  # one product, no half-time stage
+            else:
+                worst_mid = max(worst_mid, float(np.abs(mid[..., 0] - ref_mid).max()))
         assert worst_mid < self.TOL
-        assert np.abs(stepper.values(hat) - ref).max() < self.TOL
+        assert np.abs(_irfft(grid, hat)[..., 0] - ref).max() < self.TOL
 
     def test_undealiased_matches_reference_advance(self, grid64):
         rng = np.random.default_rng(6)
         vals = 1.0 + 0.01 * rng.normal(size=64)
         stepper = _Stepper(grid64, burgers_flux(1), 1e-5, False)
-        new, mid = stepper.advance(stepper.spectrum(vals))
+        new, mid = stepper.advance(_rfft(grid64, vals[..., None]))
         ref, ref_mid = reference_advance(grid64, burgers_flux(1), 1e-5, vals, dealias=False)
-        assert np.abs(mid - ref_mid).max() < self.TOL
-        assert np.abs(stepper.values(new) - ref).max() < self.TOL
+        assert np.abs(mid[..., 0] - ref_mid).max() < self.TOL
+        assert np.abs(_irfft(grid64, new)[..., 0] - ref).max() < self.TOL
 
 
 class TestSolveConfig:
@@ -325,6 +348,15 @@ class TestSolveConfig:
         kwargs = {"dt": 1e-3, "t_end": 0.1, key: float("inf")}
         with pytest.raises(ValueError, match="finite"):
             SolveConfig(**kwargs)
+
+    # 2.5 recorded every 5 steps and NaN only at t_end
+    @pytest.mark.parametrize("every", [2.5, float("nan"), 1.0, "3", True, 0, -2])
+    def test_record_every_must_be_a_positive_integer(self, every):
+        with pytest.raises(ValueError, match="record_every must be an integer >= 1"):
+            SolveConfig(dt=1e-3, t_end=0.1, record_every=every)
+
+    def test_numpy_integer_record_every_accepted(self):
+        assert SolveConfig(dt=1e-3, t_end=0.1, record_every=np.int64(3)).record_every == 3
 
 
 class TestEvolve:
