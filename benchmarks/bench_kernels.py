@@ -56,6 +56,7 @@ from polarflow.flux import eval_g, eval_g_prime
 from polarflow.spectral import _march, _rfft, _Stepper
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from conftest import full_lattice  # noqa: E402
 from test_cli import read_artifacts, reference_write_svg_frames, reference_write_trajectory  # noqa: E402
 from test_duhamel import reference_heat_convolve, reference_sweep  # noqa: E402
 from test_spectral import reference_advance  # noqa: E402
@@ -77,11 +78,11 @@ class ReferenceCellOperator(cell._CellOperator):
 
     def __init__(self, grid, spec, dealias=True):
         super().__init__(grid, spec, dealias)
-        lap = grid.laplacian_symbol()
+        kappas, lap, mask = full_lattice(grid)
         self.lap_full = lap
         self.lap_full_inv = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0.0)
-        self.ik = [1j * k for k in grid.kappa_grids()]
-        self.mask = grid.dealias_mask() if dealias else True
+        self.ik = [1j * k for k in kappas]
+        self.mask = mask if dealias else True
 
     def _divergence_hat(self, fluxes):
         out = 0.0

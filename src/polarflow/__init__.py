@@ -56,15 +56,12 @@ from .geometry import (
 )
 from .grid import (
     DirectionField,
-    ModeSpectrum,
     PeriodicGrid,
     RadialField,
     ScalarField,
     make_field,
     make_grid,
     mean,
-    to_field,
-    to_spectrum,
 )
 from .spectral import (
     SolveConfig,
@@ -87,7 +84,6 @@ __all__ = [
     "DirectionField",
     "FluxSpec",
     "ModeDecayRow",
-    "ModeSpectrum",
     "Modulation",
     "PeriodicGrid",
     "PicardReport",
@@ -135,8 +131,6 @@ __all__ = [
     "sphere_directions",
     "step",
     "sup_norm",
-    "to_field",
-    "to_spectrum",
     "transport_step",
     "trig_random_initial",
     "with_modulation",

@@ -129,8 +129,14 @@ def solve_cell(
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p!r}")
     op = _CellOperator(grid, spec, dealias)
+
+    def residual(w: np.ndarray) -> np.ndarray:
+        # an overflowing flux is caught by the finiteness checks on the norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            return op.residual(w)
+
     v = np.full(grid.shape, float(p))
-    res = op.residual(v)
+    res = residual(v)
     res_norm = float(np.abs(res).max())
     history = [res_norm]
     if not math.isfinite(res_norm):
@@ -156,7 +162,7 @@ def solve_cell(
         while lam >= 1.0 / 16.0:
             trial = v + lam * delta
             trial = trial - trial.mean() + p  # re-pin the mean exactly
-            trial_res = op.residual(trial)
+            trial_res = residual(trial)
             trial_norm = float(np.abs(trial_res).max())
             if trial_norm <= (1.0 - 0.25 * lam) * res_norm:
                 v, res, res_norm = trial, trial_res, trial_norm

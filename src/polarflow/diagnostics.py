@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, to_spectrum
-from .spectral import Trajectory
+from .grid import PeriodicGrid, ScalarField
+from .spectral import Trajectory, _half_axes, _rfft
 
 __all__ = [
     "sup_norm",
@@ -116,20 +116,36 @@ class ModeDecayRow:
     rel_error: float
 
 
-def _canonical_modes(f: ScalarField) -> list[tuple[int, ...]]:
-    """Multi-indices with amplitude above the noise floor, one per +/- pair."""
-    spec = to_spectrum(f)
-    grid = f.grid
-    out = []
-    for raw in np.ndindex(*grid.shape):
-        signed = tuple(k if k < n // 2 else k - n for k, n in zip(raw, grid.resolution))
-        first = next((s for s in signed if s != 0), 0)
-        if first < 0:
-            continue  # conjugate partner carries the same magnitude
-        if abs(spec.amplitudes[raw]) <= NOISE_FLOOR:
-            continue
-        out.append(signed)
-    return sorted(out)
+def _leader(index: list[np.ndarray]) -> np.ndarray:
+    """First nonzero component of each multi-index (0 for the zero index)."""
+    lead = 0
+    for k in index:
+        lead = np.where(lead == 0, k, lead)
+    return lead
+
+
+def _canonical_modes(
+    grid: PeriodicGrid, moduli: np.ndarray
+) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Modes above the noise floor at the first snapshot, one per +/- pair.
+
+    ``moduli`` holds half-lattice amplitude moduli with a trailing snapshot
+    axis.  An index is kept when its first nonzero component is positive, so
+    a pair led by ``-N/2`` has none.  The half lattice stores the partner of
+    an index whose last component lies in ``(-N/2, 0)``: such an entry, with a
+    negative leader, is reported under its negated index.  Returns the sorted
+    indices and their amplitude rows.
+    """
+    axes = _half_axes(grid)
+    index = [mode for mode, _, _ in axes]
+    negated = [np.where(nyquist, mode, -mode) for mode, _, nyquist in axes]
+    direct = _leader(index) >= 0
+    partner = (_leader(negated) > 0) & (index[-1] > 0)
+    keep = (direct | partner) & (moduli[..., 0] > NOISE_FLOOR)
+    reported = [np.where(direct, k, neg)[keep] for k, neg in zip(index, negated)]
+    order = np.lexsort(reported[::-1])
+    modes = [tuple(int(k[i]) for k in reported) for i in order]
+    return modes, moduli[keep][order]
 
 
 def mode_decay_report(traj: Trajectory) -> list[ModeDecayRow]:
@@ -142,14 +158,15 @@ def mode_decay_report(traj: Trajectory) -> list[ModeDecayRow]:
     """
     if len(traj.snapshots) < 3:
         raise ValueError("mode decay fit needs at least 3 snapshots")
-    spectra = [to_spectrum(s) for s in traj.snapshots]
+    grid = traj.grid
+    stacked = np.stack([s.values for s in traj.snapshots], axis=-1)
+    moduli = np.abs(_rfft(grid, stacked) / grid.num_nodes)
     times = np.asarray(traj.times)
     rows = []
-    for index in _canonical_modes(traj.snapshots[0]):
-        amps = np.array([abs(s.amplitude(index)) for s in spectra])
+    for index, amps in zip(*_canonical_modes(grid, moduli)):
         window = amps > FIT_FLOOR
         theo = 0.0
-        for k, L in zip(index, traj.grid.lengths):
+        for k, L in zip(index, grid.lengths):
             theo += (2.0 * np.pi * k / L) ** 2
         if all(k == 0 for k in index):
             # conserved mean: report drift rate directly

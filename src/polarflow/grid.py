@@ -1,12 +1,13 @@
-"""Periodic tensor grids, field containers, and discrete Fourier transforms.
+"""Periodic tensor grids and field containers.
 
 Conventions
 -----------
 A flat torus with per-axis periods ``L_i`` is sampled at ``N_i`` uniformly
 spaced nodes ``theta = j * L_i / N_i`` (endpoint excluded).  Wavenumbers are
-``kappa_i(k) = 2 * pi * k / L_i`` for integer modes ``k`` in FFT layout.
-Spectra are normalized so the zero-mode amplitude equals the field mean;
-conjugate symmetry then encodes real-valued fields.  Quadrature is the
+``kappa_i(k) = 2 * pi * k / L_i`` for integer modes ``k`` in FFT layout, with
+the Nyquist mode ``k = -N_i / 2`` negative.  Every field is real; the one
+Fourier transform of the package is the real FFT of :mod:`.spectral`, whose
+symbols are built from :meth:`PeriodicGrid.wavenumbers`.  Quadrature is the
 trapezoid rule, which on a uniform periodic grid is a plain node average and
 is spectrally accurate for smooth integrands.
 
@@ -26,16 +27,12 @@ __all__ = [
     "ScalarField",
     "RadialField",
     "DirectionField",
-    "ModeSpectrum",
     "make_grid",
     "make_field",
-    "to_spectrum",
-    "to_field",
     "mean",
 ]
 
 _UNIT_NORM_TOL = 1e-12
-_SYMMETRY_TOL = 1e-10
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -109,46 +106,6 @@ class PeriodicGrid:
         n = self.resolution[axis]
         return 2.0 * np.pi * np.fft.fftfreq(n, d=self.lengths[axis] / n)
 
-    def kappa_grids(self) -> list[np.ndarray]:
-        """Broadcast-ready wavenumber arrays, one per axis."""
-        return _kappa_grids(self)
-
-    def laplacian_symbol(self) -> np.ndarray:
-        """``|kappa|^2`` on the full mode lattice."""
-        return _laplacian_symbol(self)
-
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean 2/3-rule mask over the mode lattice."""
-        return _dealias_mask(self)
-
-
-@lru_cache(maxsize=32)
-def _kappa_grids(grid: PeriodicGrid) -> list[np.ndarray]:
-    out = []
-    for ax in range(grid.m):
-        shape = [1] * grid.m
-        shape[ax] = grid.resolution[ax]
-        k = grid.wavenumbers(ax).reshape(shape)
-        k.flags.writeable = False
-        out.append(k)
-    return out
-
-@lru_cache(maxsize=32)
-def _laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
-    sym = np.zeros(grid.shape)
-    for k in _kappa_grids(grid):
-        sym = sym + k**2
-    sym.flags.writeable = False
-    return sym
-
-@lru_cache(maxsize=32)
-def _dealias_mask(grid: PeriodicGrid) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    for ax, k in enumerate(_kappa_grids(grid)):
-        cut = (2.0 / 3.0) * np.abs(grid.wavenumbers(ax)).max()
-        mask &= np.abs(k) <= cut + 1e-12
-    mask.flags.writeable = False
-    return mask
 
 @lru_cache(maxsize=32)
 def _flat_coords(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
@@ -227,48 +184,6 @@ class DirectionField:
         return self.vectors[..., j]
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Complex Fourier amplitudes of a real field, FFT mode layout.
-
-    Normalized so ``amplitudes[0, ..., 0]`` equals the field mean and
-    ``amplitude(-k) == conj(amplitude(k))`` for real fields.
-    """
-
-    grid: PeriodicGrid
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != self.grid.shape:
-            raise ValueError(
-                f"amplitude shape {amps.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.isfinite(amps.view(np.float64)).all():
-            raise ValueError("spectrum contains NaN or Inf")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
-
-    def symmetry_defect(self) -> float:
-        """Sup deviation from conjugate symmetry, ``|a(-k) - conj(a(k))|``."""
-        return float(np.abs(_reflect(self.amplitudes) - np.conj(self.amplitudes)).max())
-
-    def amplitude(self, index: tuple[int, ...] | int) -> complex:
-        """Amplitude at a signed multi-index (negative entries wrap)."""
-        if isinstance(index, int):
-            index = (index,)
-        if len(index) != self.grid.m:
-            raise ValueError("multi-index length does not match grid dimension")
-        pos = tuple(k % n for k, n in zip(index, self.grid.resolution))
-        return complex(self.amplitudes[pos])
-
-
-def _reflect(amps: np.ndarray) -> np.ndarray:
-    out = amps
-    for ax in range(amps.ndim):
-        out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
-    return out
-
-
 def make_grid(m: int, lengths, resolution) -> PeriodicGrid:
     """Build a periodic grid with ``m`` axes.
 
@@ -289,31 +204,6 @@ def make_grid(m: int, lengths, resolution) -> PeriodicGrid:
 def make_field(grid: PeriodicGrid, values: np.ndarray) -> ScalarField:
     """Wrap raw samples as a :class:`ScalarField` (validates shape, finiteness)."""
     return ScalarField(grid=grid, values=values)
-
-
-def to_spectrum(f: ScalarField) -> ModeSpectrum:
-    """Forward discrete Fourier transform, zero mode = field mean."""
-    amps = np.fft.fftn(f.values) / f.grid.num_nodes
-    # real input makes each Nyquist plane conjugate-self-paired; scrub the
-    # roundoff imaginary part so downstream symmetry checks are exact
-    for ax, n in enumerate(f.grid.resolution):
-        sl = [slice(None)] * f.grid.m
-        sl[ax] = n // 2
-        amps[tuple(sl)] = amps[tuple(sl)].real
-    return ModeSpectrum(grid=f.grid, amplitudes=amps)
-
-
-def to_field(s: ModeSpectrum) -> ScalarField:
-    """Inverse transform back to a real field.
-
-    Raises ``ValueError`` when the spectrum is not conjugate-symmetric (such a
-    spectrum has no real-field counterpart).
-    """
-    scale = max(1.0, float(np.abs(s.amplitudes).max()))
-    if s.symmetry_defect() > _SYMMETRY_TOL * scale:
-        raise ValueError("spectrum is not conjugate-symmetric; field would be complex")
-    vals = np.fft.ifftn(s.amplitudes * s.grid.num_nodes)
-    return ScalarField(grid=s.grid, values=vals.real)
 
 
 def mean(f: ScalarField) -> float:

@@ -7,19 +7,22 @@ half-step of heat.  The diffusive part therefore carries no CFL restriction;
 only the advective limit remains.
 
 Every field is real, so one operator serves the stepper, :func:`heat_propagate`,
-:func:`galilean_shift` and the stationary solver of :mod:`.cell`: real FFTs
-onto the half mode lattice, with each multiplier restricted to the part a real
-field sees.  :func:`_rfft` and :func:`_irfft` make the per-axis pocketfft calls
-of ``rfftn``/``irfftn`` themselves (``rfft`` on the last grid axis, ``fft`` on
-the others), which is bitwise equal and skips the n-d wrapper, about half the
-cost of a transform at N=128.  Axes after the grid axes (vector components,
-ensemble members) are left alone.  The stepper carries the state from step to
-step as this half spectrum, not as grid values; the time loop transforms back
-only where it needs samples.  The state always has a trailing member axis: one
-loop, :func:`_march`, steps any number of initial radii together, each member
-bitwise equal to its own run, and a single run (:func:`evolve`, or the coupled
-driver of :mod:`.transport` with its direction-transport hook) is a batch of
-one.
+:func:`galilean_shift`, the stationary solver of :mod:`.cell` and the mode
+amplitudes of :mod:`.diagnostics`: real FFTs onto the half mode lattice, with
+every multiplier built there from per-axis wavenumbers (:func:`_half_axes`).
+A real field's derivative along an axis is zero at that axis's Nyquist index,
+and where axes sit at theirs a translation keeps only the cosine of their
+summed phase.  :func:`_rfft` and :func:`_irfft` make the per-axis pocketfft
+calls of ``rfftn``/``irfftn`` themselves (``rfft`` on the last grid axis,
+``fft`` on the others), which is bitwise equal and skips the n-d wrapper,
+about half the cost of a transform at N=128.  Axes after the grid axes
+(vector components, ensemble members) are left alone.  The stepper carries
+the state from step to step as this half spectrum, not as grid values; the
+time loop transforms back only where it needs samples.  The state always has
+a trailing member axis: one loop, :func:`_march`, steps any number of initial
+radii together, each member bitwise equal to its own run, and a single run
+(:func:`evolve`, or the coupled driver of :mod:`.transport` with its
+direction-transport hook) is a batch of one.
 
 The advective substep differentiates ``g_i(r)`` spectrally (2/3-rule dealiased
 by default) and advances with a midpoint Runge-Kutta stage, except when every
@@ -40,7 +43,7 @@ import numpy as np
 
 from .errors import SolverError
 from .flux import FluxSpec, _check_axes, advective_speed_bound, eval_g
-from .grid import DirectionField, PeriodicGrid, ScalarField, _reflect, mean
+from .grid import DirectionField, PeriodicGrid, ScalarField, mean
 
 __all__ = [
     "SolveConfig",
@@ -138,39 +141,68 @@ def _irfft(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:
     return np.fft.irfft(hat, grid.resolution[-1], axis=last)
 
 
-def _real_symbol(grid: PeriodicGrid, full: np.ndarray) -> np.ndarray:
-    """Restrict a full-lattice multiplier ``M`` to the rfft half lattice.
+@lru_cache(maxsize=32)
+def _half_axes(grid: PeriodicGrid) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per axis, broadcast-ready half-lattice signed modes, wavenumbers and Nyquist flags.
 
-    A real field sees only the Hermitian part ``(M(k) + conj M(-k)) / 2``:
-    ``Re ifftn(M fftn u)`` equals ``irfftn`` of that part times ``rfftn u``.
-    The two differ only on Nyquist planes, where ``-k`` aliases to ``k``.
+    The wavenumbers are ``grid.wavenumbers(ax)``, cut at ``N/2 + 1`` on the
+    last axis, so every axis, the last included, carries its Nyquist index as
+    the negative mode ``-N/2`` and wavenumber ``-pi N / L``.
     """
-    full = np.broadcast_to(full, grid.shape)
-    herm = 0.5 * (full + np.conj(_reflect(full)))
-    out = np.ascontiguousarray(herm[..., : grid.resolution[-1] // 2 + 1])
-    out.flags.writeable = False
-    return out
+    out = []
+    for ax, n in enumerate(grid.resolution):
+        size = n // 2 + 1 if ax == grid.m - 1 else n
+        shape = [1] * grid.m
+        shape[ax] = size
+        mode = np.arange(size)
+        mode[n // 2 :] -= n
+        arrays = (mode, grid.wavenumbers(ax)[:size], mode == -(n // 2))
+        for arr in arrays:
+            arr.shape = shape
+            arr.flags.writeable = False
+        out.append(arrays)
+    return tuple(out)
 
 
 @lru_cache(maxsize=32)
 def _laplacian_half(grid: PeriodicGrid) -> np.ndarray:
     """``|kappa|^2`` on the half lattice."""
-    return _real_symbol(grid, grid.laplacian_symbol())
+    out = sum(k**2 for _, k, _ in _half_axes(grid))
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=32)
 def _derivative_symbols(grid: PeriodicGrid, dealias: bool) -> tuple[np.ndarray, ...]:
-    """Per axis, the half-lattice symbol of ``-d/dtheta_i``, 2/3-masked if ``dealias``."""
-    mask = grid.dealias_mask() if dealias else True
-    return tuple(
-        _real_symbol(grid, np.where(mask, -1j * k, 0.0)) for k in grid.kappa_grids()
-    )
+    """Per axis, the half-lattice symbol of ``-d/dtheta_i``, 2/3-masked if ``dealias``.
+
+    A real field's odd derivative is zero at the axis's Nyquist index.
+    """
+    axes = _half_axes(grid)
+    keep = np.ones(np.broadcast_shapes(*(k.shape for _, k, _ in axes)), dtype=bool)
+    if dealias:
+        for _, k, _ in axes:
+            keep = keep & (np.abs(k) <= (2.0 / 3.0) * np.abs(k).max() + 1e-12)
+    out = []
+    for _, k, nyquist in axes:
+        sym = np.where(keep & ~nyquist, -1j * k, 0.0)
+        sym.flags.writeable = False
+        out.append(sym)
+    return tuple(out)
 
 
 def _shift_symbol(grid: PeriodicGrid, speeds, t: float) -> np.ndarray:
-    """Half-lattice multiplier of the translation ``f(theta) -> f(theta - c t)``."""
-    phase = sum(c * t * k for c, k in zip(speeds, grid.kappa_grids()))
-    return _real_symbol(grid, np.exp(-1j * phase))
+    """Half-lattice multiplier of the translation ``f(theta) -> f(theta - c t)``.
+
+    The phase ``exp(-i c t kappa)`` off every Nyquist index; where axes sit
+    at theirs, a real field sees only the cosine of their summed phase.
+    """
+    off = at = 0.0
+    for c, (_, k, nyquist) in zip(speeds, _half_axes(grid)):
+        phase = c * t * k
+        off = off + np.where(nyquist, 0.0, phase)
+        at = at + np.where(nyquist, phase, 0.0)
+    return np.exp(-1j * off) * np.cos(at)
 
 
 def heat_propagate(f: ScalarField, t: float) -> ScalarField:
@@ -184,12 +216,22 @@ def heat_propagate(f: ScalarField, t: float) -> ScalarField:
 
 
 def galilean_shift(f: ScalarField, speeds, t: float) -> ScalarField:
-    """Sample ``f(theta - c t)`` via a spectral phase shift."""
+    """Sample ``f(theta - c t)`` via a spectral phase shift.
+
+    Raises ``ValueError`` unless ``t``, every speed and every phase
+    ``c_i t kappa_i`` up to the Nyquist wavenumber are finite.
+    """
     speeds = np.asarray(speeds, dtype=np.float64)
     if speeds.shape != (f.grid.m,):
         raise ValueError("one shift speed per grid axis required")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
+    # Python floats overflow to inf without a warning
+    tops = (math.pi * n / L for n, L in zip(f.grid.resolution, f.grid.lengths))
+    if not all(math.isfinite(c * t * top) for c, top in zip(speeds.tolist(), tops)):
+        raise ValueError(
+            f"speeds must be finite with a finite phase c t kappa, got {speeds.tolist()} at t={t!r}"
+        )
     hat = _rfft(f.grid, f.values) * _shift_symbol(f.grid, speeds, t)
     return ScalarField(grid=f.grid, values=_irfft(f.grid, hat))
 

@@ -19,6 +19,24 @@ def grid2d():
     return make_grid(2, [1.0, 1.0], [32, 32])
 
 
+def full_lattice(grid):
+    """Full-lattice ``(kappas, |kappa|^2, 2/3 mask)`` for the complex-FFT reference oracles.
+
+    ``kappas`` holds one broadcast-ready wavenumber array per axis; the
+    Laplacian symbol and the mask have the grid's shape.
+    """
+    kappas, lap = [], np.zeros(grid.shape)
+    mask = np.ones(grid.shape, dtype=bool)
+    for ax, n in enumerate(grid.resolution):
+        shape = [1] * grid.m
+        shape[ax] = n
+        k = grid.wavenumbers(ax).reshape(shape)
+        kappas.append(k)
+        lap = lap + k**2
+        mask &= np.abs(k) <= (2.0 / 3.0) * np.abs(k).max() + 1e-12
+    return kappas, lap, mask
+
+
 def smooth_field(grid, seed, n_modes=8, offset=0.0):
     """Seeded band-limited random field (modes damped by 1/(1+|k|^2))."""
     rng = np.random.default_rng(seed)

@@ -20,6 +20,7 @@ from polarflow._fdcell import fd_cell_solve, fd_derivative_matrix, fd_laplacian_
 from polarflow.cell import _CellOperator
 from polarflow.errors import ConvergenceError
 from polarflow.flux import eval_g, eval_g_prime
+from conftest import full_lattice
 
 MODULATED_LINEAR = with_modulation(
     constant_flux([1.0]), 0, Modulation(const=0.0, sin_amps=(1.0,))
@@ -36,13 +37,13 @@ class ReferenceCellOperator:
     def __init__(self, grid, spec, dealias=True):
         self.spec = spec
         self.shape = grid.shape
-        self.lap = grid.laplacian_symbol()
+        kappas, self.lap, mask = full_lattice(grid)
         inv = np.zeros(grid.shape)
         nz = self.lap > 0.0
         inv[nz] = 1.0 / self.lap[nz]
         self.lap_inv = inv
-        self.ik = [1j * k for k in grid.kappa_grids()]
-        self.mask = grid.dealias_mask() if dealias else None
+        self.ik = [1j * k for k in kappas]
+        self.mask = mask if dealias else None
         self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
 
     def _masked(self, hat):

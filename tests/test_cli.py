@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,25 @@ class TestRunCell:
             assert main(["cell", str(cfg_path)]) == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flux, p",
+        [("", "1e308"), ("flux.kind = burgers\n", "1e200")],
+        ids=["modulated_constant", "burgers"],
+    )
+    def test_overflowing_flux_prints_only_the_error(self, tmp_path, capsys, flux, p):
+        # numpy overflow warnings in the FFT, the flux and the residual preceded the error
+        text = CELL_CFG.replace("cell.p = 1.0", f"cell.p = {p}")
+        if flux:
+            text = "\n".join(l for l in text.splitlines() if not l.startswith("flux.")) + "\n"
+            text += flux
+        cfg_path, out = write_cfg(tmp_path, text, name="cell.cfg")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cell", str(cfg_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solve failed:") and "not finite" in err[0]
         assert not out.exists()
 
     def test_pairs_stay_ordered_at_large_p(self, tmp_path):

@@ -10,12 +10,14 @@ from polarflow import (
     l1_contraction_series,
     l1_norm,
     make_field,
+    make_grid,
     min_value,
     mode_decay_report,
     sphere_deviation,
     sup_norm,
     zero_flux,
 )
+from polarflow.diagnostics import NOISE_FLOOR
 from conftest import smooth_field
 
 
@@ -172,12 +174,31 @@ class TestModeDecay:
         assert rows[(1,)].rel_error < 1e-10
 
     def test_2d_diagonal_mode(self, grid2d):
+        # the half lattice stores (1, -1) and (2, -3) as their conjugate partners
         c1, c2 = grid2d.coords()
-        r0 = make_field(grid2d, 1.0 + 0.3 * np.cos(2 * np.pi * (c1 + c2)))
-        traj = evolve(r0, zero_flux(2), SolveConfig(dt=1e-4, t_end=0.02, record_every=40))
-        rows = {row.index: row for row in mode_decay_report(traj)}
-        assert rows[(1, 1)].theoretical_rate == pytest.approx(8 * np.pi**2)
-        assert rows[(1, 1)].rel_error < 1e-8
+        for mode in [(1, 1), (1, -1), (2, -3)]:
+            r0 = make_field(grid2d, 1.0 + 0.3 * np.cos(2 * np.pi * (mode[0] * c1 + mode[1] * c2)))
+            traj = evolve(r0, zero_flux(2), SolveConfig(dt=1e-4, t_end=0.02, record_every=40))
+            rows = {row.index: row for row in mode_decay_report(traj)}
+            assert sorted(rows) == [(0, 0), mode]
+            rate = 4 * np.pi**2 * (mode[0] ** 2 + mode[1] ** 2)
+            assert rows[mode].theoretical_rate == pytest.approx(rate)
+            assert rows[mode].rel_error < 1e-8
+
+    @pytest.mark.parametrize("resolution", [(16,), (8, 16), (16, 8), (8, 8, 8)])
+    def test_white_noise_index_set_matches_full_lattice_loop(self, resolution):
+        m = len(resolution)
+        grid = make_grid(m, [1.0] * m, resolution)
+        r0 = make_field(grid, np.random.default_rng(sum(resolution)).normal(size=grid.shape))
+        traj = evolve(r0, zero_flux(m), SolveConfig(dt=1e-5, t_end=3e-5, record_every=1))
+        amps = np.fft.fftn(r0.values) / grid.num_nodes
+        expected = []  # one index per +/- pair, led by a positive component
+        for raw in np.ndindex(*grid.shape):
+            signed = tuple(k if k < n // 2 else k - n for k, n in zip(raw, grid.resolution))
+            first = next((s for s in signed if s != 0), 0)
+            if first >= 0 and abs(amps[raw]) > NOISE_FLOOR:
+                expected.append(signed)
+        assert [row.index for row in mode_decay_report(traj)] == sorted(expected)
 
     def test_noise_floor_skipped(self, grid64):
         theta = grid64.axis_coords(0)

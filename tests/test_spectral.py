@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from polarflow import (
 )
 from polarflow.flux import eval_g
 from polarflow.spectral import _irfft, _march, _rfft, _Stepper
-from conftest import smooth_field
+from conftest import full_lattice, smooth_field
 
 
 def reference_advance(grid, spec, dt, vals, dealias=True):
@@ -35,10 +37,11 @@ def reference_advance(grid, spec, dt, vals, dealias=True):
     2/3-masked by ``np.where``), then heat half step; every stage returns to
     grid values through ``ifftn(...).real``.  Returns (new_values, mid_values).
     """
-    half_heat = np.exp(-grid.laplacian_symbol() * (dt / 2.0))
+    kappas, lap, mask = full_lattice(grid)
+    half_heat = np.exp(-lap * (dt / 2.0))
     half = np.fft.ifftn(np.fft.fftn(vals) * half_heat).real
     if spec.is_constant:
-        phase = sum(c * dt * k for c, k in zip(spec.constant_speeds, grid.kappa_grids()))
+        phase = sum(c * dt * k for c, k in zip(spec.constant_speeds, kappas))
         hat = np.fft.fftn(half)
         mid = np.fft.ifftn(hat * np.exp(-0.5j * phase)).real
         out = np.fft.ifftn(hat * np.exp(-1j * phase)).real
@@ -46,14 +49,14 @@ def reference_advance(grid, spec, dt, vals, dealias=True):
 
         def divergence_rhs(v):
             rhs_hat = np.zeros(grid.shape, dtype=np.complex128)
-            for i, kap in enumerate(grid.kappa_grids()):
+            for i, kap in enumerate(kappas):
                 gi = eval_g(spec, i, v)
                 mod = spec.modulation_values(grid, i)
                 if mod is not None:
                     gi = gi * mod
                 gi_hat = np.fft.fftn(gi)
                 if dealias:
-                    gi_hat = np.where(grid.dealias_mask(), gi_hat, 0.0)
+                    gi_hat = np.where(mask, gi_hat, 0.0)
                 rhs_hat -= 1j * kap * gi_hat
             return np.fft.ifftn(rhs_hat).real
 
@@ -145,6 +148,35 @@ class TestGalileanShift:
         f = smooth_field(grid2d, seed=23, n_modes=5)
         out = galilean_shift(galilean_shift(f, [0.3, -0.4], 0.5), [-0.3, 0.4], 0.5)
         assert np.abs(out.values - f.values).max() < 1e-11
+
+    @pytest.mark.parametrize(
+        "resolution, lengths",
+        [((32, 32), (1.0, 1.0)), ((16, 32), (1.0, 2.0)), ((16, 16, 16), (1.0,) * 3),
+         ((8, 16, 8), (2.0, 1.0, 0.5))],
+    )
+    def test_white_noise_matches_full_lattice_phase(self, resolution, lengths):
+        # white noise fills the Nyquist planes and corners, where the half-lattice
+        # shift is the cosine of the summed phase, not a product of per-axis factors
+        m = len(resolution)
+        grid = make_grid(m, lengths, resolution)
+        kappas, _, _ = full_lattice(grid)
+        rng = np.random.default_rng(sum(resolution))
+        eps = np.finfo(float).eps
+        for t in (1e-3, 2e-3, 0.05, 0.37, 2.0, 11.0):
+            u, speeds = rng.normal(size=grid.shape), rng.normal(size=m)
+            phase = sum(c * t * k for c, k in zip(speeds, kappas))
+            oracle = np.fft.ifftn(np.exp(-1j * phase) * np.fft.fftn(u)).real
+            out = galilean_shift(make_field(grid, u), speeds, t).values
+            bound = 2.0 * eps * (1.0 + np.abs(phase).max()) * np.abs(u).max()
+            assert np.abs(out - oracle).max() <= bound
+
+    @pytest.mark.parametrize("speed", [np.nan, np.inf, 1e308])
+    def test_non_finite_shift_rejected_before_arithmetic(self, grid64, speed):
+        f = smooth_field(grid64, seed=24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^speeds must be finite"):
+                galilean_shift(f, [speed], 10.0)
 
 
 class TestStep:

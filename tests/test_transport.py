@@ -26,6 +26,7 @@ from polarflow import transport
 from polarflow.flux import Modulation, eval_f
 from polarflow.grid import DirectionField, RadialField, ScalarField
 from polarflow.spectral import max_stable_dt
+from conftest import full_lattice
 
 
 def circle_field(grid):
@@ -46,8 +47,8 @@ def reference_transport_step(grid, vectors, radii, spec, dt, dealias=True):
     zero).  Returns (renormalized vectors, substeps).
     """
     axes = tuple(range(grid.m))
-    kappas = grid.kappa_grids()
-    mask = grid.dealias_mask() if dealias else np.ones(grid.shape, dtype=bool)
+    kappas, _, mask = full_lattice(grid)
+    mask = mask if dealias else np.ones(grid.shape, dtype=bool)
 
     def speeds(r):
         out = []
@@ -479,7 +480,7 @@ class TestFlowResidual:
         cfg = SolveConfig(dt=dt, t_end=20 * dt, record_every=1)
         traj = evolve_coupled(r0, p0, spec, cfg)
 
-        kap = grid.kappa_grids()[0]
+        kap = grid.wavenumbers(0)
         i = len(traj.times) // 2
         xs = [reconstruct(traj.snapshots[j], traj.directions[j]) for j in (i - 1, i, i + 1)]
         x_t = (xs[2] - xs[0]) / (2 * dt)
