@@ -7,9 +7,10 @@ sweep, ``reference_advance`` (``tests/test_spectral.py``) for one burgers
 Strang step of the rfft-spectrum stepper (agreement checked on the midpoint
 values both return), and ``reference_transport_step``
 (``tests/test_transport.py``) for one integrating-factor RK4 transport step
-through a varying radius, at N=128 and at 64^2.  ``heat_kernel_convolve``
-at N is compared with ``reference_heat_convolve`` (``tests/test_duhamel.py``),
-the same kernel row applied as a dense N x N circulant.  The base of one
+through a varying radius (unmasked, as the package runs it), at N=128 and at
+64^2.  ``heat_kernel_convolve`` at N is compared with
+``reference_heat_convolve`` (``tests/test_duhamel.py``), the same kernel row
+applied as a dense N x N circulant.  The base of one
 Duhamel window (the heat flow of the initial field to its 32 mesh times) is
 timed as the one batch ``picard_solve`` builds against 32 single
 ``heat_kernel_convolve`` calls.  A modulated ``solve_cell`` at
@@ -76,13 +77,12 @@ def timeit(fn, repeat):
 class ReferenceCellOperator(cell._CellOperator):
     """Reference: the stationary operator on complex full-lattice FFTs, ``np.where`` masking."""
 
-    def __init__(self, grid, spec, dealias=True):
-        super().__init__(grid, spec, dealias)
-        kappas, lap, mask = full_lattice(grid)
+    def __init__(self, grid, spec):
+        super().__init__(grid, spec)
+        kappas, lap, self.mask = full_lattice(grid)
         self.lap_full = lap
         self.lap_full_inv = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0.0)
         self.ik = [1j * k for k in kappas]
-        self.mask = mask if dealias else True
 
     def _divergence_hat(self, fluxes):
         out = 0.0
@@ -123,7 +123,9 @@ def transport_case(shape, label):
     return (
         "transport_step %s burgers" % label,
         lambda: transport_step(p, r, spec, 1e-3).vectors,
-        lambda: reference_transport_step(grid, p.vectors, [r.values] * 3, spec, 1e-3)[0],
+        lambda: reference_transport_step(
+            grid, p.vectors, [r.values] * 3, spec, 1e-3, dealias=False
+        )[0],
     )
 
 
@@ -135,7 +137,7 @@ def bench(n, repeat):
     window = _Window(grid, burgers_flux(1), 1e-3, 33, 32)
     base = np.stack([r0.values] * 33)
     iterate = base + 0.01 * rng.normal(size=base.shape)
-    stepper = _Stepper(grid, burgers_flux(1), 1e-4, True)
+    stepper = _Stepper(grid, burgers_flux(1), 1e-4)
     hat0 = _rfft(grid, r0.values[..., None])  # a batch of one member
     cell_grid = make_grid(1, [1.0], [64])
     cell_spec = with_modulation(burgers_flux(1), 0, Modulation(const=0.0, sin_amps=(0.8,)))

@@ -11,7 +11,8 @@ discretization: the mean is pinned by working in the zero-mean complement
 (the equation itself has no zero mode), the Jacobian is applied spectrally,
 and the inner linear solves run a Richardson iteration preconditioned by the
 inverse Laplacian.  The operator uses the real-FFT half-lattice symbols of
-:mod:`.spectral` (the masked derivatives and ``|kappa|^2``).
+:mod:`.spectral`: ``|kappa|^2`` and the 2/3-masked derivatives of the radius
+stepper, so a stationary state stays stationary under :func:`.spectral.step`.
 
 Applicability note: the solve assumes the flux derivative grows at most
 polynomially on the relevant range.  Every flux is a polynomial in ``v``
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import L1_SLACK
 from .errors import ConvergenceError
 from .flux import FluxSpec, _check_axes, eval_g, eval_g_prime
 from .grid import PeriodicGrid, ScalarField, mean
@@ -48,7 +50,9 @@ __all__ = [
     "attractor_check",
 ]
 
-L1_SLACK = 1e-8
+CELL_TOL = 1e-11  # sup residual at which Newton stops
+MAX_NEWTON = 40
+MAX_INNER = 400  # Richardson iterations per Newton system
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,13 @@ class CellSolution:
 class _CellOperator:
     """The stationary operator on the real-FFT half lattice of :mod:`.spectral`."""
 
-    def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dealias: bool = True):
+    def __init__(self, grid: PeriodicGrid, spec: FluxSpec):
         _check_axes(grid, spec)
         self.grid = grid
         self.spec = spec
         self.lap = _laplacian_half(grid)
         self.lap_inv = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap > 0.0)
-        self.derivs = _derivative_symbols(grid, dealias)  # of -d/dtheta_i
+        self.derivs = _derivative_symbols(grid, masked=True)  # of -d/dtheta_i
         self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
 
     def residual(self, v: np.ndarray) -> np.ndarray:
@@ -88,17 +92,12 @@ class _CellOperator:
         """Apply the inverse Laplacian on the zero-mean complement."""
         return _irfft(self.grid, _rfft(self.grid, rhs) * self.lap_inv)
 
-    def zero_mean(self, w: np.ndarray) -> np.ndarray:
-        return w - w.mean()
-
-    def solve_newton_system(
-        self, v: np.ndarray, rhs: np.ndarray, tol: float, max_iter: int = 400
-    ) -> np.ndarray:
+    def solve_newton_system(self, v: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
         """Richardson iteration for ``(-Lap + B) delta = rhs`` on zero-mean fields."""
         delta = self.precondition(rhs)
-        for _ in range(max_iter):
+        for _ in range(MAX_INNER):
             new = self.precondition(rhs - self.jacobian_flux_part(v, delta))
-            new = self.zero_mean(new)
+            new = new - new.mean()
             change = float(np.abs(new - delta).max())
             delta = new
             if change <= tol:
@@ -108,17 +107,11 @@ class _CellOperator:
         )
 
 
-def solve_cell(
-    spec: FluxSpec,
-    grid: PeriodicGrid,
-    p: float,
-    tol: float = 1e-11,
-    max_newton: int = 40,
-    dealias: bool = True,
-) -> CellSolution:
+def solve_cell(spec: FluxSpec, grid: PeriodicGrid, p: float) -> CellSolution:
     """Damped Newton solve of the stationary mean-constrained problem.
 
-    Starts from the constant state ``v == p`` (exact in the unmodulated case,
+    Iterates to a sup residual of ``CELL_TOL`` in at most ``MAX_NEWTON``
+    steps from the constant state ``v == p`` (exact in the unmodulated case,
     where zero Newton iterations are needed).  Step quality is enforced by
     backtracking: a step is accepted only when it reduces the sup residual by
     at least a quarter of the damping factor; exhausting the damping ladder
@@ -128,7 +121,7 @@ def solve_cell(
     """
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p!r}")
-    op = _CellOperator(grid, spec, dealias)
+    op = _CellOperator(grid, spec)
 
     def residual(w: np.ndarray) -> np.ndarray:
         # an overflowing flux is caught by the finiteness checks on the norm
@@ -150,10 +143,10 @@ def solve_cell(
         # the spectral residual cannot resolve below eps * |kappa|^2_max * |v|
         return 4.0 * np.finfo(float).eps * lap_max * max(1.0, float(np.abs(v).max()))
 
-    while res_norm > tol:
-        if iters >= max_newton:
+    while res_norm > CELL_TOL:
+        if iters >= MAX_NEWTON:
             raise ConvergenceError(
-                f"Newton did not reach {tol:.1e} in {max_newton} steps",
+                f"Newton did not reach {CELL_TOL:.1e} in {MAX_NEWTON} steps",
                 history=history,
             )
         delta = op.solve_newton_system(v, -res, tol=max(0.01 * res_norm, 1e-14))
@@ -185,9 +178,7 @@ def solve_cell(
     )
 
 
-def monotonicity_check(
-    spec: FluxSpec, grid: PeriodicGrid, p: float, q: float, tol: float = 1e-11
-) -> bool:
+def monotonicity_check(spec: FluxSpec, grid: PeriodicGrid, p: float, q: float) -> bool:
     """Whether the stationary branch is strictly increasing in its mean.
 
     Requires ``p > q``; returns ``min(v(p) - v(q)) > 0`` (a False is a
@@ -195,8 +186,8 @@ def monotonicity_check(
     """
     if not p > q:
         raise ValueError("monotonicity check requires p > q")
-    vp = solve_cell(spec, grid, p, tol=tol).v
-    vq = solve_cell(spec, grid, q, tol=tol).v
+    vp = solve_cell(spec, grid, p).v
+    vq = solve_cell(spec, grid, q).v
     return bool((vp.values - vq.values).min() > 0.0)
 
 
@@ -222,24 +213,19 @@ def _find_envelope(
     if not spec.has_modulation:
         # stationary states are the constants themselves
         return lo, hi, True
-    span = max(hi - lo, 1.0)
-    beta_low = None
-    cand = lo
-    for _ in range(12):
-        if (solve_cell(spec, grid, cand).v.values <= r0.values).all():
-            beta_low = cand
-            break
-        cand -= span
-        span *= 2.0
-    span = max(hi - lo, 1.0)
-    beta_high = None
-    cand = hi
-    for _ in range(12):
-        if (solve_cell(spec, grid, cand).v.values >= r0.values).all():
-            beta_high = cand
-            break
-        cand += span
-        span *= 2.0
+
+    def search(cand: float, sign: float, side) -> float | None:
+        # step away from r0 in doubling spans until side(v(cand), r0) holds everywhere
+        span = max(hi - lo, 1.0)
+        for _ in range(12):
+            if side(solve_cell(spec, grid, cand).v.values, r0.values).all():
+                return cand
+            cand += sign * span
+            span *= 2.0
+        return None
+
+    beta_low = search(lo, -1.0, np.less_equal)
+    beta_high = search(hi, 1.0, np.greater_equal)
     return beta_low, beta_high, beta_low is not None and beta_high is not None
 
 

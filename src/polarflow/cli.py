@@ -43,6 +43,13 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
+# every key the README documents; `evolve` and `cell` may share one file
+KNOWN_KEYS = frozenset(
+    "grid.m grid.lengths grid.resolution flux.kind flux.coeffs flux.mod_axis flux.mod_const"
+    " flux.mod_sin flux.mod_cos solver.dt solver.t_end initial.preset initial.params initial.d"
+    " output.dir output.record_every output.svg seed cell.p cell.pairs".split()
+)
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -75,6 +82,12 @@ def load_config(path: str | Path) -> dict[str, str]:
     return out
 
 
+def _check_keys(cfg: dict[str, str]) -> None:
+    unknown = sorted(set(cfg) - KNOWN_KEYS)
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(map(repr, unknown)))
+
+
 def config_hash(cfg: dict[str, str]) -> str:
     canon = "\n".join(f"{k} = {cfg[k]}" for k in sorted(cfg))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -88,18 +101,11 @@ def _get(cfg: dict[str, str], key: str, default: str | None = None) -> str:
     return default
 
 
-def _floats(text: str) -> list[float]:
+def _numbers(text: str, kind: type = float) -> list:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad int list {text!r}") from exc
+        raise ConfigError(f"bad {kind.__name__} list {text!r}") from exc
 
 
 def _bool(text: str) -> bool:
@@ -113,8 +119,8 @@ def _bool(text: str) -> bool:
 
 def _build_grid(cfg: dict[str, str]) -> PeriodicGrid:
     m = int(_get(cfg, "grid.m"))
-    lengths = _floats(_get(cfg, "grid.lengths"))
-    resolution = _ints(_get(cfg, "grid.resolution"))
+    lengths = _numbers(_get(cfg, "grid.lengths"))
+    resolution = _numbers(_get(cfg, "grid.resolution"), int)
     try:
         return make_grid(m, lengths, resolution)
     except ValueError as exc:
@@ -123,7 +129,7 @@ def _build_grid(cfg: dict[str, str]) -> PeriodicGrid:
 
 def _build_flux(cfg: dict[str, str], m: int) -> FluxSpec:
     kind = _get(cfg, "flux.kind", "zero").lower()
-    coeffs = _floats(cfg["flux.coeffs"]) if "flux.coeffs" in cfg else []
+    coeffs = _numbers(cfg["flux.coeffs"]) if "flux.coeffs" in cfg else []
     try:
         if kind == "zero":
             spec = zero_flux(m)
@@ -149,8 +155,8 @@ def _build_flux(cfg: dict[str, str], m: int) -> FluxSpec:
             raise ConfigError(f"flux.mod_axis {axis} out of range")
         mod = Modulation(
             const=float(_get(cfg, "flux.mod_const", "0.0")),
-            cos_amps=tuple(_floats(_get(cfg, "flux.mod_cos", ""))),
-            sin_amps=tuple(_floats(_get(cfg, "flux.mod_sin", ""))),
+            cos_amps=tuple(_numbers(_get(cfg, "flux.mod_cos", ""))),
+            sin_amps=tuple(_numbers(_get(cfg, "flux.mod_sin", ""))),
         )
         spec = with_modulation(spec, axis, mod)
     return spec
@@ -276,15 +282,15 @@ def run_evolve(config_path: str | Path) -> int:
     """Surface evolution run driven by a configuration file."""
     try:
         cfg = load_config(config_path)
+        _check_keys(cfg)
         grid = _build_grid(cfg)
         spec = _build_flux(cfg, grid.m)
         preset = _get(cfg, "initial.preset")
-        params = _floats(_get(cfg, "initial.params", ""))
+        params = _numbers(_get(cfg, "initial.params", ""))
         d = int(cfg["initial.d"]) if "initial.d" in cfg else None
         solve_cfg = SolveConfig(
             dt=float(_get(cfg, "solver.dt")),
             t_end=float(_get(cfg, "solver.t_end")),
-            dealias=_bool(_get(cfg, "solver.dealias", "true")),
             record_every=int(_get(cfg, "output.record_every", "1")),
         )
         out_dir = Path(_get(cfg, "output.dir"))
@@ -384,12 +390,15 @@ def run_cell(config_path: str | Path) -> int:
     """Stationary solve with prescribed mean plus a monotonicity report."""
     try:
         cfg = load_config(config_path)
+        _check_keys(cfg)
         grid = _build_grid(cfg)
         spec = _build_flux(cfg, grid.m)
         p = float(_get(cfg, "cell.p"))
         if not math.isfinite(p):
             raise ConfigError(f"cell.p must be finite, got {p!r}")
         n_pairs = int(_get(cfg, "cell.pairs", "5"))
+        if n_pairs < 0:
+            raise ConfigError(f"cell.pairs must be >= 0, got {n_pairs}")
         seed = int(_get(cfg, "seed", "0"))
         out_dir = Path(_get(cfg, "output.dir"))
     except (ConfigError, ValueError) as exc:

@@ -27,6 +27,7 @@ __all__ = [
 
 NOISE_FLOOR = 1e-14
 FIT_FLOOR = 1e-12
+L1_SLACK = 1e-8  # rise of an L1 distance between records that counts as an increase
 
 
 def sup_norm(f: ScalarField) -> float:
@@ -80,13 +81,11 @@ def harnack_report(traj: Trajectory, tau: float) -> tuple[list[tuple[float, floa
     return series, max(r for _, r in series)
 
 
-def l1_contraction_series(
-    traj1: Trajectory, traj2: Trajectory, tol: float = 1e-8
-) -> list[tuple[float, float]]:
+def l1_contraction_series(traj1: Trajectory, traj2: Trajectory) -> list[tuple[float, float]]:
     """Series ``(t, ||u1(t) - u2(t)||_1)`` for two runs of the same flux.
 
     Appends a flag to both trajectories if the series ever increases by more
-    than ``tol`` between consecutive records.
+    than ``L1_SLACK`` between consecutive records.
     """
     if traj1.grid != traj2.grid:
         raise ValueError("trajectories live on different grids")
@@ -101,7 +100,7 @@ def l1_contraction_series(
     for t, a, b in zip(traj1.times, traj1.snapshots, traj2.snapshots):
         series.append((t, float(np.abs(a.values - b.values).sum()) * cell))
     for (t0, d0), (t1, d1) in zip(series, series[1:]):
-        if d1 > d0 + tol:
+        if d1 > d0 + L1_SLACK:
             msg = f"L1 distance increased by {d1 - d0:.3e} over [{t0:.6g}, {t1:.6g}]"
             traj1.flags.append(msg)
             traj2.flags.append(msg)

@@ -57,6 +57,8 @@ __all__ = [
 
 DEFAULT_HORIZON_CAP = 1.0  # window for flux-free problems, where one sweep is exact
 _FD8 = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
+_GRADIENT_PANELS = 64  # composite Gauss-Legendre panels of kernel_gradient_l1
+_GRADIENT_NODES = 16  # nodes per panel
 
 
 def _check_time(name: str, t: float) -> None:
@@ -126,7 +128,7 @@ def heat_kernel_convolve(f: ScalarField, t: float) -> ScalarField:
     return ScalarField(grid=f.grid, values=_heat_flow(f.grid, f.values, np.array([t]))[0])
 
 
-def kernel_gradient_l1(t: float, n_panels: int = 64, n_gauss: int = 16) -> float:
+def kernel_gradient_l1(t: float) -> float:
     """Whole-line L1 norm of the heat kernel's spatial gradient.
 
     Composite Gauss-Legendre quadrature of ``|x|/(2t) K(t, x)`` over the line
@@ -135,8 +137,8 @@ def kernel_gradient_l1(t: float, n_panels: int = 64, n_gauss: int = 16) -> float
     """
     _check_time("t", t)
     width = 16.0 * np.sqrt(t)
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    edges = np.linspace(0.0, width, n_panels + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(_GRADIENT_NODES)
+    edges = np.linspace(0.0, width, _GRADIENT_PANELS + 1)
     total = 0.0
     pref = (4.0 * np.pi * t) ** -0.5
     for a, b in zip(edges[:-1], edges[1:]):
@@ -294,7 +296,6 @@ def picard_solve(
     t_final: float | None = None,
     n_time: int = 33,
     n_gauss: int = 32,
-    horizon_cap: float = DEFAULT_HORIZON_CAP,
 ) -> PicardReport:
     """Fixed-point solve on one contraction window.
 
@@ -307,7 +308,7 @@ def picard_solve(
     _check_mesh(n_time, n_gauss)
     field_bound = float(np.abs(r0.values).max())
     flux_bound = flux_envelope_bound(spec, field_bound)
-    horizon = contraction_horizon(field_bound, flux_bound, spec.m, cap=horizon_cap)
+    horizon = contraction_horizon(field_bound, flux_bound, spec.m)
     if t_final is not None:
         _check_time("t_final", t_final)
         horizon = min(horizon, t_final)

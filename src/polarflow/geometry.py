@@ -7,6 +7,8 @@ dimension ``d`` defaults to ``m + 1`` and is otherwise independent of ``m``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField
@@ -20,6 +22,13 @@ __all__ = [
     "reconstruct",
     "decompose",
 ]
+
+
+def _integer(name: str, value: float) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless finite and integer-valued."""
+    if not (math.isfinite(value) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def sphere_directions(grid: PeriodicGrid, d: int) -> DirectionField:
@@ -51,8 +60,8 @@ def ellipse_initial(grid: PeriodicGrid, a: float, b: float) -> tuple[RadialField
     """Planar ellipse ``(a cos, b sin)`` of the angle ``2 pi theta / L``."""
     if grid.m != 1:
         raise ValueError("ellipse preset requires a one-axis grid")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("ellipse semi-axes must be positive")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"ellipse semi-axes must be positive and finite, got a={a!r}, b={b!r}")
     ang = 2.0 * np.pi * grid.axis_coords(0) / grid.lengths[0]
     x = np.stack([a * np.cos(ang), b * np.sin(ang)], axis=-1)
     return decompose(grid, x)
@@ -68,10 +77,10 @@ def perturbed_sphere_initial(
     """Radius ``R + amplitude * sum_k cos(2 pi k . theta / L)`` over given modes.
 
     Raises when the perturbation can reach the origin (``amplitude * #modes
-    >= radius``).
+    >= radius``) or a mode component is not an integer.
     """
     d = grid.m + 1 if d is None else d
-    mode_list = [(k,) if isinstance(k, int) else tuple(k) for k in modes]
+    mode_list = [tuple(_integer("mode", k) for k in np.atleast_1d(kvec)) for kvec in modes]
     for kvec in mode_list:
         if len(kvec) != grid.m:
             raise ValueError(f"mode {kvec} does not match grid dimension {grid.m}")
@@ -98,12 +107,17 @@ def trig_random_initial(
 
     Coefficients are drawn from a seeded generator and damped by ``1/|k|^2``;
     the perturbation is rescaled to unit sup norm so ``min r = 1 - amplitude``
-    is guaranteed.  Requires ``0 <= amplitude < 1``.
+    is guaranteed.  Requires ``0 <= amplitude < 1``, an integer ``seed >= 0``
+    and an integer ``1 <= max_mode <= min(N) / 2``: beyond that, modes alias.
     """
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must lie in [0, 1) to keep the radius positive")
-    if max_mode < 1:
-        raise ValueError("max_mode must be >= 1")
+    seed, max_mode = _integer("seed", seed), _integer("max_mode", max_mode)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 1 <= max_mode <= min(grid.resolution) // 2:
+        top = min(grid.resolution) // 2
+        raise ValueError(f"max_mode must lie in [1, min(N)/2 = {top}], got {max_mode}")
     d = grid.m + 1 if d is None else d
     rng = np.random.default_rng(seed)
     coords = grid.coords()
@@ -142,22 +156,13 @@ def make_initial(
         return ellipse_initial(grid, float(params[0]), float(params[1]))
     if preset == "perturbed_sphere":
         if len(params) < 3:
-            raise ValueError(
-                "perturbed_sphere preset takes (radius, amplitude, mode, ...)"
-            )
-        if grid.m == 1:
-            modes = [int(k) for k in params[2:]]
-        else:
-            modes = [tuple(int(k) for k in params[2:])]
-        return perturbed_sphere_initial(
-            grid, float(params[0]), float(params[1]), modes, d=d
-        )
+            raise ValueError("perturbed_sphere preset takes (radius, amplitude, mode, ...)")
+        modes = params[2:] if grid.m == 1 else [params[2:]]
+        return perturbed_sphere_initial(grid, float(params[0]), float(params[1]), modes, d=d)
     if preset == "trig_random":
         if len(params) != 3:
             raise ValueError("trig_random preset takes (seed, max_mode, amplitude)")
-        return trig_random_initial(
-            grid, int(params[0]), int(params[1]), float(params[2]), d=d
-        )
+        return trig_random_initial(grid, params[0], params[1], float(params[2]), d=d)
     raise ValueError(f"unknown initial preset {preset!r}")
 
 

@@ -136,13 +136,11 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class RadialField(ScalarField):
-    """Scalar field carrying a radius; strictly positive in geometric mode."""
-
-    positive: bool = True
+    """Scalar field carrying a radius, which must be strictly positive."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.positive and not (self.values.min() > 0.0):
+        if not (self.values.min() > 0.0):
             raise ValueError(
                 f"radial field must be strictly positive (min {self.values.min()})"
             )

@@ -24,8 +24,8 @@ radii together, each member bitwise equal to its own run, and a single run
 (:func:`evolve`, or the coupled driver of :mod:`.transport` with its
 direction-transport hook) is a batch of one.
 
-The advective substep differentiates ``g_i(r)`` spectrally (2/3-rule dealiased
-by default) and advances with a midpoint Runge-Kutta stage, except when every
+The advective substep differentiates ``g_i(r)`` spectrally under Orszag's
+2/3 rule and advances with a midpoint Runge-Kutta stage, except when every
 flux component is an unmodulated constant (degree 0): then the whole step is
 one product with the cached heat-times-shift multiplier.  Either way the zero
 mode of the spectrum is only ever multiplied by one, so the field mean is
@@ -59,6 +59,7 @@ __all__ = [
 
 MAX_PRINCIPLE_SLACK = 1e-8
 CFL_NUMBER = 0.5
+SNAPSHOT_TIME_TOL = 1e-9  # how far a snapshot time may lie from a requested one
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class SolveConfig:
 
     dt: float
     t_end: float
-    dealias: bool = True
     record_every: int = 1
 
     def __post_init__(self) -> None:
@@ -109,9 +109,9 @@ class Trajectory:
     diagnostics: list[DiagRow] = dc_field(default_factory=list)
     flags: list[str] = dc_field(default_factory=list)
 
-    def index_at(self, t: float, tol: float = 1e-9) -> int:
+    def index_at(self, t: float) -> int:
         for i, ti in enumerate(self.times):
-            if abs(ti - t) <= tol:
+            if abs(ti - t) <= SNAPSHOT_TIME_TOL:
                 return i
         raise KeyError(f"no snapshot at t={t}")
 
@@ -173,14 +173,15 @@ def _laplacian_half(grid: PeriodicGrid) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _derivative_symbols(grid: PeriodicGrid, dealias: bool) -> tuple[np.ndarray, ...]:
-    """Per axis, the half-lattice symbol of ``-d/dtheta_i``, 2/3-masked if ``dealias``.
+def _derivative_symbols(grid: PeriodicGrid, masked: bool) -> tuple[np.ndarray, ...]:
+    """Per axis, the half-lattice symbol of ``-d/dtheta_i``, in the 2/3-rule band if ``masked``.
 
-    A real field's odd derivative is zero at the axis's Nyquist index.
+    A real field's odd derivative is zero at the axis's Nyquist index.  The
+    radius operators (here and in :mod:`.cell`) mask; direction transport does not.
     """
     axes = _half_axes(grid)
     keep = np.ones(np.broadcast_shapes(*(k.shape for _, k, _ in axes)), dtype=bool)
-    if dealias:
+    if masked:
         for _, k, _ in axes:
             keep = keep & (np.abs(k) <= (2.0 / 3.0) * np.abs(k).max() + 1e-12)
     out = []
@@ -264,7 +265,7 @@ class _Stepper:
     constant flux, the whole step (``H^2`` times the shift).
     """
 
-    def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float, dealias: bool):
+    def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float):
         _check_axes(grid, spec)
         self.grid = grid
         self.spec = spec
@@ -276,7 +277,7 @@ class _Stepper:
             shift = _shift_symbol(grid, spec.constant_speeds, dt)
             self.exact_step = (half_heat * half_heat * shift)[..., None]
         else:
-            self.derivs = [d[..., None] for d in _derivative_symbols(grid, dealias)]
+            self.derivs = [d[..., None] for d in _derivative_symbols(grid, masked=True)]
             mods = (spec.modulation_values(grid, i) for i in range(spec.m))
             self.modulations = [None if a is None else a[..., None] for a in mods]
 
@@ -302,7 +303,7 @@ class _Stepper:
         return new, mid
 
 
-def step(r: ScalarField, spec: FluxSpec, dt: float, dealias: bool = True) -> ScalarField:
+def step(r: ScalarField, spec: FluxSpec, dt: float) -> ScalarField:
     """Advance one Strang step of size ``dt``.
 
     Raises ``ValueError`` unless ``dt`` is positive and finite: a negative
@@ -310,7 +311,7 @@ def step(r: ScalarField, spec: FluxSpec, dt: float, dealias: bool = True) -> Sca
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    new, _ = _Stepper(r.grid, spec, dt, dealias).advance(_rfft(r.grid, r.values[..., None]))
+    new, _ = _Stepper(r.grid, spec, dt).advance(_rfft(r.grid, r.values[..., None]))
     return ScalarField(grid=r.grid, values=_irfft(r.grid, new)[..., 0])
 
 
@@ -395,7 +396,7 @@ def _march(
     n_full, remainder = _schedule(grid, spec, cfg, max(sup0s))
     n_steps = n_full + (remainder > 0.0)
     coupled = direction is not None
-    stepper = _Stepper(grid, spec, cfg.dt, cfg.dealias)
+    stepper = _Stepper(grid, spec, cfg.dt)
     trajs = [Trajectory(grid=grid, spec=spec) for _ in r0s]
 
     def record(t: float, vals: np.ndarray) -> None:
@@ -412,7 +413,7 @@ def _march(
     for k in range(1, n_steps + 1):
         t = k * cfg.dt
         if k > n_full:
-            stepper = _Stepper(grid, spec, remainder, cfg.dealias)
+            stepper = _Stepper(grid, spec, remainder)
             t = cfg.t_end
         try:
             hat, mid = stepper.advance(hat)

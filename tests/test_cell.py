@@ -34,7 +34,7 @@ class ReferenceCellOperator:
     every product returns to the grid through ``ifftn(...).real``.
     """
 
-    def __init__(self, grid, spec, dealias=True):
+    def __init__(self, grid, spec):
         self.spec = spec
         self.shape = grid.shape
         kappas, self.lap, mask = full_lattice(grid)
@@ -43,11 +43,11 @@ class ReferenceCellOperator:
         inv[nz] = 1.0 / self.lap[nz]
         self.lap_inv = inv
         self.ik = [1j * k for k in kappas]
-        self.mask = mask if dealias else None
+        self.mask = mask
         self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
 
     def _masked(self, hat):
-        return np.where(self.mask, hat, 0.0) if self.mask is not None else hat
+        return np.where(self.mask, hat, 0.0)
 
     def residual(self, v):
         out_hat = np.fft.fftn(v) * self.lap
@@ -84,12 +84,11 @@ class TestCellOperatorOracle:
     TOL = 2e-15
 
     @pytest.mark.parametrize("m, resolution", [(1, [32]), (1, [64]), (2, [16, 8]), (2, [32, 32])])
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_rough_data(self, m, resolution, dealias):
+    def test_rough_data(self, m, resolution):
         grid = make_grid(m, [1.0, 2.0][:m], resolution)
         spec = modulated_poly(m)
-        op, ref = _CellOperator(grid, spec, dealias), ReferenceCellOperator(grid, spec, dealias)
-        rng = np.random.default_rng(sum(resolution) + dealias)
+        op, ref = _CellOperator(grid, spec), ReferenceCellOperator(grid, spec)
+        rng = np.random.default_rng(sum(resolution) + 1)
         v = 1.0 + rng.standard_normal(grid.shape)
         delta = rng.standard_normal(grid.shape)
         for got, want in (

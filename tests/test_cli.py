@@ -321,6 +321,44 @@ class TestRunEvolve:
         err = capsys.readouterr().err
         assert "cannot write artifacts" in err and "Traceback" not in err
 
+    # inf ended in an OverflowError traceback with exit 1; 1.5 ran as mode 1;
+    # max_mode 1e6 did not finish
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            ("perturbed_sphere\ninitial.params = 1.0, 0.1, inf", "mode"),
+            ("perturbed_sphere\ninitial.params = 1.0, 0.1, 1.5", "mode"),
+            ("trig_random\ninitial.params = 1.5, 3, 0.3", "seed"),
+            ("trig_random\ninitial.params = 1, 1e6, 0.3", "max_mode"),
+            ("ellipse\ninitial.params = nan, 1.0", "ellipse semi-axes"),
+        ],
+        ids=["mode_inf", "mode_fraction", "seed_fraction", "max_mode_huge", "ellipse_nan"],
+    )
+    def test_bad_preset_parameter_is_config_error(self, tmp_path, capsys, params, name):
+        text = ELLIPSE_CFG.replace("ellipse\ninitial.params = 2.0, 1.0", params)
+        cfg_path, out = write_cfg(tmp_path, text.replace("output.svg = true\n", ""))
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{name} must " in err and "Traceback" not in err
+        assert not out.exists()
+
+    # both used to run silently, the first without any effect
+    @pytest.mark.parametrize("line", ["solver.dealias = false", "output.record_evry = 10"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, line):
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG + line + "\n")
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unknown config key {line.split(' ')[0]!r}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_one_file_serves_evolve_and_cell(self, tmp_path):
+        shared = ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01")
+        shared += "cell.p = 1.0\ncell.pairs = 1\n"
+        cfg_path, out = write_cfg(tmp_path, shared)
+        assert main(["evolve", str(cfg_path)]) == EXIT_OK
+        assert main(["cell", str(cfg_path)]) == EXIT_OK
+        assert (out / "trajectory.csv").exists() and (out / "monotonicity.csv").exists()
+
     def test_snapshot_schema(self, tmp_path):
         cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG)
         run_evolve(cfg_path)
@@ -445,6 +483,23 @@ class TestRunCell:
         rows = [l for l in mono if not l.startswith("#")][1:]
         pairs = [[float(c) for c in r.split(",")[:2]] for r in rows]
         assert len(pairs) == 3 and all(p > q for p, q in pairs)
+
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        cfg_path, out = write_cfg(tmp_path, CELL_CFG + "cell.tol = 1e-12\n", name="cell.cfg")
+        assert main(["cell", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown config key 'cell.tol'" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_pairs_is_config_error(self, tmp_path, capsys):
+        # wrote an empty monotonicity.csv and exited 0
+        cfg_path, out = write_cfg(
+            tmp_path, CELL_CFG.replace("cell.pairs = 3", "cell.pairs = -1"), name="cell.cfg"
+        )
+        assert main(["cell", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cell.pairs must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_p_is_config_error(self, tmp_path):
         p = tmp_path / "c.cfg"

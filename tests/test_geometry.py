@@ -33,6 +33,12 @@ class TestEllipse:
         with pytest.raises(ValueError, match="one-axis"):
             ellipse_initial(grid2d, 2.0, 1.0)
 
+    # NaN passed the positivity check and failed later as "field contains NaN or Inf"
+    @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (2.0, np.inf), (-np.inf, 1.0), (2.0, 0.0)])
+    def test_semi_axes_must_be_positive_and_finite(self, grid64, a, b):
+        with pytest.raises(ValueError, match="^ellipse semi-axes must be positive and finite"):
+            ellipse_initial(grid64, a, b)
+
 
 class TestPerturbedSphere:
     def test_min_radius(self, grid64):
@@ -42,6 +48,14 @@ class TestPerturbedSphere:
     def test_amplitude_too_large(self, grid64):
         with pytest.raises(ValueError, match="radius would vanish"):
             perturbed_sphere_initial(grid64, 1.0, 1.0, [1])
+
+    # inf overflowed int(); 1.5 was truncated to mode 1
+    @pytest.mark.parametrize("mode", [np.inf, np.nan, 1.5], ids=["inf", "nan", "fraction"])
+    def test_mode_must_be_an_integer(self, grid64, grid2d, mode):
+        with pytest.raises(ValueError, match="^mode must be an integer"):
+            perturbed_sphere_initial(grid64, 1.0, 0.1, [mode])
+        with pytest.raises(ValueError, match="^mode must be an integer"):
+            perturbed_sphere_initial(grid2d, 1.0, 0.1, [(1, mode)])
 
     def test_2d_mode(self, grid2d):
         r0, p0 = perturbed_sphere_initial(grid2d, 1.0, 0.2, [(1, 1)])
@@ -64,6 +78,31 @@ class TestTrigRandom:
     def test_amplitude_bound(self, grid64):
         with pytest.raises(ValueError, match="amplitude"):
             trig_random_initial(grid64, seed=1, max_mode=2, amplitude=1.0)
+
+    # a fractional seed or max_mode was truncated, inf overflowed int(), and
+    # max_mode = 1e6 looped over a million modes per axis
+    @pytest.mark.parametrize(
+        "seed, max_mode, message",
+        [
+            (1.5, 3, "seed must be an integer"),
+            (np.nan, 3, "seed must be an integer"),
+            (-1, 3, "seed must be >= 0"),
+            (1, 2.5, "max_mode must be an integer"),
+            (1, np.inf, "max_mode must be an integer"),
+            (1, 1e6, r"max_mode must lie in \[1, min\(N\)/2 = 32\]"),
+            (1, 33, r"max_mode must lie in \[1, min\(N\)/2 = 32\]"),
+            (1, 0, r"max_mode must lie in \[1, min\(N\)/2 = 32\]"),
+        ],
+    )
+    def test_seed_and_max_mode_checked(self, grid64, seed, max_mode, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            trig_random_initial(grid64, seed=seed, max_mode=max_mode, amplitude=0.3)
+
+    def test_max_mode_bound_is_the_smallest_axis(self):
+        grid = make_grid(2, [1.0, 1.0], [32, 8])
+        trig_random_initial(grid, seed=1, max_mode=4, amplitude=0.3)
+        with pytest.raises(ValueError, match="max_mode must lie in"):
+            trig_random_initial(grid, seed=1, max_mode=5, amplitude=0.3)
 
 
 class TestSphereDirections:
@@ -119,6 +158,15 @@ class TestMakeInitialDispatch:
     def test_trig_random(self, grid64):
         r0, _ = make_initial(grid64, "trig_random", [7, 3, 0.5])
         assert r0.values.min() > 0
+
+    def test_integer_valued_floats_accepted(self, grid64):
+        # a config file hands every parameter over as a float
+        a, _ = make_initial(grid64, "trig_random", [7.0, 3.0, 0.5])
+        b, _ = make_initial(grid64, "trig_random", [7, 3, 0.5])
+        assert np.array_equal(a.values, b.values)
+        a, _ = make_initial(grid64, "perturbed_sphere", [1.0, 0.3, 2.0])
+        b, _ = perturbed_sphere_initial(grid64, 1.0, 0.3, [2])
+        assert np.array_equal(a.values, b.values)
 
     def test_unknown_preset(self, grid64):
         with pytest.raises(ValueError, match="unknown initial preset"):
