@@ -243,21 +243,24 @@ def attractor_check(
     initial data (trivially the min/max constants when the flux carries no
     modulation).  Non-convergence within ``t_end`` is reported, not raised;
     the L1 distance series is checked to be non-increasing within 1e-8.
+    Raises ``ValueError`` unless ``t_end`` and ``tol`` are positive and finite.
     """
+    for name, value in (("t_end", t_end), ("tol", tol)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     cell = solve_cell(spec, r0.grid, mean(r0))
     if dt is None:
         dt = min(1e-3, 0.9 * max_stable_dt(r0.grid, spec, float(np.abs(r0.values).max())))
     if record_every is None:
         record_every = max(1, int(round(t_end / dt / 200)))
     traj = evolve(r0, spec, SolveConfig(dt=dt, t_end=t_end, record_every=record_every))
-    cellv = cell.v.values
-    volume_cell = r0.grid.volume / r0.grid.num_nodes
-    sup_d = [float(np.abs(s.values - cellv).max()) for s in traj.snapshots]
-    l1_d = [float(np.abs(s.values - cellv).sum()) * volume_cell for s in traj.snapshots]
+    gap = np.abs(traj.radii - cell.v.values)
+    sup_d = gap.max(axis=traj._grid_axes).tolist()
+    l1_d = (gap.sum(axis=traj._grid_axes) * (r0.grid.volume / r0.grid.num_nodes)).tolist()
     monotone = all(b <= a + L1_SLACK for a, b in zip(l1_d, l1_d[1:]))
     beta_low, beta_high, env_ok = _find_envelope(spec, r0.grid, r0)
     return AttractorReport(
-        times=list(traj.times),
+        times=traj.times.tolist(),
         sup_distances=sup_d,
         l1_distances=l1_d,
         beta_low=beta_low,

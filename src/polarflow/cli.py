@@ -30,7 +30,7 @@ import numpy as np
 from .cell import CellSolution, monotonicity_check, solve_cell
 from .errors import ConfigError, PolarflowError
 from .flux import FluxSpec, Modulation, burgers_flux, constant_flux, polynomial_flux, with_modulation, zero_flux
-from .geometry import make_initial, reconstruct
+from .geometry import make_initial
 from .grid import PeriodicGrid, _flat_coords, make_grid
 from .spectral import SolveConfig, Trajectory
 from .transport import evolve_coupled
@@ -214,11 +214,12 @@ def _write_diagnostics(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None
     columns = ["t", "mean", "sup", "min", "l1", "sphere_dev"] + [
         "amp_" + "_".join(map(str, m)) for m in modes
     ]
-    table = []
-    for snap, row in zip(traj.snapshots, traj.diagnostics):
-        amps = np.fft.fftn(snap.values) / traj.grid.num_nodes
-        cells = [row.t, row.mean, row.sup, row.min, row.l1, row.sphere_dev]
-        table.append(cells + [abs(amps[m]) for m in modes])
+    # one record at a time: an fftn over all records would hold a complex copy of them
+    spectra = (np.fft.fftn(record) / traj.grid.num_nodes for record in traj.radii)
+    amps = [[abs(spectrum[m]) for m in modes] for spectrum in spectra]
+    table = np.column_stack(
+        [traj.times, traj.mean, traj.sup, traj.min, traj.l1, traj.sphere_dev, amps]
+    )
     head = _header(["diagnostics time series"], columns, cfg)
     _write_csv(out / "diagnostics.csv", head, _csv_rows(table))
 
@@ -230,18 +231,17 @@ def _write_trajectory(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
     # stream one block of rows per record, so the whole text is never held in memory
     with open(out / "trajectory.csv", "w") as fh:
         fh.write(_header(["radius field history"], columns, cfg))
-        for t, snap in zip(traj.times, traj.snapshots):
+        for t, record in zip(traj.times, traj.radii):
             lead = _fmt(t) + ","
-            radii = _csv_rows(snap.values.reshape(-1, 1))
+            radii = _csv_rows(record.reshape(-1, 1))
             fh.write("".join([f"{lead}{theta},{r}\n" for theta, r in zip(thetas, radii)]))
 
 
 def _write_snapshot(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
     grid = traj.grid
-    r = traj.final
-    p = traj.directions[-1]
-    x = reconstruct(r, p)
-    d = p.d
+    r, p = traj.radii[-1], traj.directions[-1]
+    d = p.shape[-1]
+    x = r[..., None] * p  # the embedding x = r P
     columns = (
         [f"theta{i}" for i in range(grid.m)]
         + ["r"]
@@ -249,7 +249,7 @@ def _write_snapshot(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
         + [f"x{j}" for j in range(d)]
     )
     table = np.column_stack(
-        [*_flat_coords(grid), r.values.ravel(), p.vectors.reshape(-1, d), x.reshape(-1, d)]
+        [*_flat_coords(grid), r.ravel(), p.reshape(-1, d), x.reshape(-1, d)]
     )
     head = _header(["final state snapshot"], columns, cfg)
     _write_csv(out / "snapshot_final.csv", head, _csv_rows(table))
@@ -258,7 +258,7 @@ def _write_snapshot(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
 def _write_svg_frames(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
     frames = out / "frames"
     frames.mkdir(exist_ok=True)
-    span = max(row.sup for row in traj.diagnostics) * 1.1
+    span = float(traj.sup.max()) * 1.1
     before_path = (
         f" config_hash={config_hash(cfg)} -->\n"
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -269,8 +269,8 @@ def _write_svg_frames(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
         f' Z" fill="none" stroke="black" stroke-width="{_fmt(span / 200)}"/>\n'
         "</svg>\n"
     )
-    for i, (t, r, p) in enumerate(zip(traj.times, traj.snapshots, traj.directions)):
-        path = " L ".join([f"{x!r} {y!r}" for x, y in reconstruct(r, p).reshape(-1, 2).tolist()])
+    for i, (t, r, p) in enumerate(zip(traj.times, traj.radii, traj.directions)):
+        path = " L ".join([f"{x!r} {y!r}" for x, y in (r[..., None] * p).reshape(-1, 2).tolist()])
         svg = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f"<!-- frame t={_fmt(t)}{before_path}{path}{after_path}"
@@ -321,7 +321,7 @@ def run_evolve(config_path: str | Path) -> int:
     for flag in traj.flags:
         print(f"flag: {flag}")
     print(f"wrote artifacts to {out_dir} (final sup deviation from mean: "
-          f"{traj.diagnostics[-1].sphere_dev:.3e})")
+          f"{traj.sphere_dev[-1]:.3e})")
     return EXIT_OK
 
 

@@ -56,10 +56,8 @@ def harnack_ratio(traj: Trajectory, t: float, tau: float) -> float:
     """
     if tau <= 0.0:
         raise ValueError("lag tau must be positive")
-    i_past = traj.index_at(t - tau)
-    i_now = traj.index_at(t)
-    past = traj.snapshots[i_past]
-    now = traj.snapshots[i_now]
+    past = ScalarField(grid=traj.grid, values=traj.radii[traj.index_at(t - tau)])
+    now = ScalarField(grid=traj.grid, values=traj.radii[traj.index_at(t)])
     if min_value(past) <= 0.0 or min_value(now) <= 0.0:
         raise ValueError("harnack ratio requires a positive solution")
     return sup_norm(past) / l1_norm(now)
@@ -71,7 +69,7 @@ def harnack_report(traj: Trajectory, tau: float) -> tuple[list[tuple[float, floa
     The constant is reported, never asserted against a prescribed value.
     """
     series = []
-    for t in traj.times:
+    for t in traj.times.tolist():
         try:
             series.append((t, harnack_ratio(traj, t, tau)))
         except KeyError:
@@ -96,9 +94,8 @@ def l1_contraction_series(traj1: Trajectory, traj2: Trajectory) -> list[tuple[fl
     ):
         raise ValueError("trajectories have different time stamps")
     cell = traj1.grid.volume / traj1.grid.num_nodes
-    series = []
-    for t, a, b in zip(traj1.times, traj1.snapshots, traj2.snapshots):
-        series.append((t, float(np.abs(a.values - b.values).sum()) * cell))
+    dist = np.abs(traj1.radii - traj2.radii).sum(axis=traj1._grid_axes) * cell
+    series = list(zip(traj1.times.tolist(), dist.tolist()))
     for (t0, d0), (t1, d1) in zip(series, series[1:]):
         if d1 > d0 + L1_SLACK:
             msg = f"L1 distance increased by {d1 - d0:.3e} over [{t0:.6g}, {t1:.6g}]"
@@ -155,12 +152,12 @@ def mode_decay_report(traj: Trajectory) -> list[ModeDecayRow]:
     ``sum_i kappa_i^2``, the exact rate for flux-free runs.  Needs at least
     three snapshots; modes starting below the noise floor are skipped.
     """
-    if len(traj.snapshots) < 3:
+    if len(traj.times) < 3:
         raise ValueError("mode decay fit needs at least 3 snapshots")
     grid = traj.grid
-    stacked = np.stack([s.values for s in traj.snapshots], axis=-1)
-    moduli = np.abs(_rfft(grid, stacked) / grid.num_nodes)
-    times = np.asarray(traj.times)
+    # the record axis moved last, where _rfft leaves it alone
+    moduli = np.abs(_rfft(grid, np.moveaxis(traj.radii, 0, -1)) / grid.num_nodes)
+    times = traj.times
     rows = []
     for index, amps in zip(*_canonical_modes(grid, moduli)):
         window = amps > FIT_FLOOR

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField
+from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField, _integer
 
 __all__ = [
     "make_initial",
@@ -22,13 +22,6 @@ __all__ = [
     "reconstruct",
     "decompose",
 ]
-
-
-def _integer(name: str, value: float) -> int:
-    """``value`` as an int; ``ValueError`` naming ``name`` unless finite and integer-valued."""
-    if not (math.isfinite(value) and float(value).is_integer()):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def sphere_directions(grid: PeriodicGrid, d: int) -> DirectionField:
@@ -77,13 +70,17 @@ def perturbed_sphere_initial(
     """Radius ``R + amplitude * sum_k cos(2 pi k . theta / L)`` over given modes.
 
     Raises when the perturbation can reach the origin (``amplitude * #modes
-    >= radius``) or a mode component is not an integer.
+    >= radius``), a mode component is not an integer, or one exceeds
+    ``N_i / 2`` in size: beyond that, modes alias.
     """
     d = grid.m + 1 if d is None else d
     mode_list = [tuple(_integer("mode", k) for k in np.atleast_1d(kvec)) for kvec in modes]
+    tops = tuple(n // 2 for n in grid.resolution)
     for kvec in mode_list:
         if len(kvec) != grid.m:
             raise ValueError(f"mode {kvec} does not match grid dimension {grid.m}")
+        if any(abs(k) > top for k, top in zip(kvec, tops)):
+            raise ValueError(f"mode must satisfy |k_i| <= N_i/2 = {tops}, got {kvec}")
     if radius - abs(amplitude) * len(mode_list) <= 0.0:
         raise ValueError("perturbation amplitude too large: radius would vanish")
     coords = grid.coords()

@@ -35,6 +35,13 @@ __all__ = [
 _UNIT_NORM_TOL = 1e-12
 
 
+def _integer(name: str, value: float) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless finite and integer-valued."""
+    if not (np.isfinite(value) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
     out.flags.writeable = False
@@ -186,10 +193,10 @@ def make_grid(m: int, lengths, resolution) -> PeriodicGrid:
     """Build a periodic grid with ``m`` axes.
 
     Raises ``ValueError`` on dimension mismatch, non-positive lengths, or
-    resolutions that are odd, below 8, or not powers of two.
+    resolutions that are not integer-valued, odd, below 8, or not powers of two.
     """
     lengths = tuple(float(L) for L in lengths)
-    resolution = tuple(int(n) for n in resolution)
+    resolution = tuple(_integer("resolution", n) for n in resolution)
     if m < 1:
         raise ValueError("torus dimension must be >= 1")
     if len(lengths) != m or len(resolution) != m:

@@ -22,7 +22,9 @@ time loop transforms back only where it needs samples.  The state always has
 a trailing member axis: one loop, :func:`_march`, steps any number of initial
 radii together, each member bitwise equal to its own run, and a single run
 (:func:`evolve`, or the coupled driver of :mod:`.transport` with its
-direction-transport hook) is a batch of one.
+direction-transport hook) is a batch of one.  Records are that same array
+with a leading record axis, ``(records, *grid.shape, members)``, filled in
+place; a :class:`Trajectory` holds a member's view of it.
 
 The advective substep differentiates ``g_i(r)`` spectrally under Orszag's
 2/3 rule and advances with a midpoint Runge-Kutta stage, except when every
@@ -43,11 +45,10 @@ import numpy as np
 
 from .errors import SolverError
 from .flux import FluxSpec, _check_axes, advective_speed_bound, eval_g
-from .grid import DirectionField, PeriodicGrid, ScalarField, mean
+from .grid import PeriodicGrid, ScalarField
 
 __all__ = [
     "SolveConfig",
-    "DiagRow",
     "Trajectory",
     "heat_propagate",
     "galilean_shift",
@@ -87,27 +88,42 @@ class SolveConfig:
             raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
 
 
-@dataclass(frozen=True)
-class DiagRow:
-    t: float
-    mean: float
-    sup: float
-    min: float
-    l1: float
-    sphere_dev: float
-
-
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Recorded run: snapshot fields plus per-snapshot diagnostics."""
+    """Recorded run of one member: arrays with a leading record axis.
+
+    ``times`` is ``(records,)``, ``radii`` ``(records, *grid.shape)`` and
+    ``directions`` ``(records, *grid.shape, d)``, or None for a radius-only
+    run; :func:`_march` makes all three read-only.  The diagnostics columns,
+    one value per record, reduce the grid axes of ``radii``: ``l1`` is the
+    torus L1 norm and ``sphere_dev`` the sup distance from the initial mean.
+    """
 
     grid: PeriodicGrid
     spec: FluxSpec
-    times: list[float] = dc_field(default_factory=list)
-    snapshots: list[ScalarField] = dc_field(default_factory=list)
-    directions: list = dc_field(default_factory=list)  # DirectionField when coupled
-    diagnostics: list[DiagRow] = dc_field(default_factory=list)
+    times: np.ndarray
+    radii: np.ndarray
+    directions: np.ndarray | None = None
     flags: list[str] = dc_field(default_factory=list)
+    mean: np.ndarray = dc_field(init=False)
+    sup: np.ndarray = dc_field(init=False)
+    min: np.ndarray = dc_field(init=False)
+    l1: np.ndarray = dc_field(init=False)
+    sphere_dev: np.ndarray = dc_field(init=False)
+
+    def __post_init__(self) -> None:
+        axes = self._grid_axes
+        self.mean = self.radii.mean(axis=axes)
+        self.min = self.radii.min(axis=axes)
+        buf = self.radii - self.mean[0]  # one record-sized buffer serves the |.| columns
+        self.sphere_dev = np.abs(buf, out=buf).max(axis=axes)
+        np.abs(self.radii, out=buf)
+        self.sup = buf.max(axis=axes)
+        self.l1 = buf.mean(axis=axes) * self.grid.volume
+
+    @property
+    def _grid_axes(self) -> tuple[int, ...]:
+        return tuple(range(1, self.grid.m + 1))
 
     def index_at(self, t: float) -> int:
         for i, ti in enumerate(self.times):
@@ -117,7 +133,7 @@ class Trajectory:
 
     @property
     def final(self) -> ScalarField:
-        return self.snapshots[-1]
+        return ScalarField(grid=self.grid, values=self.radii[-1])
 
 
 def _rfft(grid: PeriodicGrid, vals: np.ndarray) -> np.ndarray:
@@ -321,28 +337,6 @@ def max_stable_dt(grid: PeriodicGrid, spec: FluxSpec, field_bound: float) -> flo
     return CFL_NUMBER * h_min / (1.0 + advective_speed_bound(spec, field_bound))
 
 
-def _append_record(
-    traj: Trajectory, t: float, vals: np.ndarray, mean0: float, sup0: float, min0: float
-) -> None:
-    sup = float(np.abs(vals).max())
-    mn = float(vals.min())
-    row = DiagRow(
-        t=t,
-        mean=float(vals.mean()),
-        sup=sup,
-        min=mn,
-        l1=float(np.abs(vals).mean()) * traj.grid.volume,
-        sphere_dev=float(np.abs(vals - mean0).max()),
-    )
-    traj.times.append(t)
-    traj.snapshots.append(ScalarField(grid=traj.grid, values=vals))
-    traj.diagnostics.append(row)
-    if sup > sup0 + MAX_PRINCIPLE_SLACK:
-        traj.flags.append(f"max-principle violation at t={t:.6g}: sup {sup:.12g} > {sup0:.12g}")
-    if min0 > 0.0 and mn <= 0.0:
-        traj.flags.append(f"positivity loss at t={t:.6g}: min {mn:.12g}")
-
-
 def _schedule(
     grid: PeriodicGrid, spec: FluxSpec, cfg: SolveConfig, sup0: float
 ) -> tuple[int, float]:
@@ -373,43 +367,36 @@ def _march(
     stepped together; the loop returns one trajectory per member, each
     bitwise equal to the run of that member alone.  ``cfg.dt`` is checked
     once, against the largest initial sup norm, so a batch raises the
-    :class:`SolverError` its largest member would; each member keeps its own
-    mean, sup and min references, diagnostics and flags.
+    :class:`SolverError` its largest member would; each member gets its own
+    columns and flags.
 
     Records fall every ``record_every`` steps and at ``t_end``, which a
-    shorter tail step reaches when ``dt`` does not divide it.  ``direction``,
-    when given (one member only), is ``(vectors0, transport)``: after each
-    radius step, which must leave the radius positive,
-    ``transport(vectors, radii, dt)`` carries the direction vectors (a plain
-    array) over the step given the grid-shaped radius values ``radii`` at its
-    start, half time and end.  A constant-flux step has no half-time values;
-    its speeds do not depend on the radius, so the end values stand in.  Only
-    records wrap the vectors in a :class:`DirectionField`.  A failing step
+    shorter tail step reaches when ``dt`` does not divide it; each is copied
+    into its slot of the preallocated arrays (see :class:`Trajectory`).
+    ``direction``, when given (one member only), is ``(vectors0, transport)``:
+    after each radius step, which must leave the radius positive,
+    ``transport(vectors, radii, dt)`` carries the direction vectors over the
+    step given the grid-shaped radius values ``radii`` at its start, half
+    time and end.  A constant-flux step has no half-time values; its speeds
+    do not depend on the radius, so the end values stand in.  A failing step
     raises naming its index and time.
     """
     grid = r0s[0].grid
     if any(r.grid != grid for r in r0s):
         raise ValueError("ensemble members live on different grids")
-    sup0s = [float(np.abs(r.values).max()) for r in r0s]
-    mean0s = [mean(r) for r in r0s]
-    min0s = [float(r.values.min()) for r in r0s]
-    n_full, remainder = _schedule(grid, spec, cfg, max(sup0s))
-    n_steps = n_full + (remainder > 0.0)
-    coupled = direction is not None
-    stepper = _Stepper(grid, spec, cfg.dt)
-    trajs = [Trajectory(grid=grid, spec=spec) for _ in r0s]
-
-    def record(t: float, vals: np.ndarray) -> None:
-        for j, (traj, mean0, sup0, min0) in enumerate(zip(trajs, mean0s, sup0s, min0s)):
-            _append_record(traj, t, np.ascontiguousarray(vals[..., j]), mean0, sup0, min0)
-        if coupled:
-            trajs[0].directions.append(DirectionField(grid=grid, vectors=p))
-
     vals = np.stack([r.values for r in r0s], axis=-1)
+    n_full, remainder = _schedule(grid, spec, cfg, float(np.abs(vals).max()))
+    n_steps = n_full + (remainder > 0.0)
+    n_records = 1 + n_steps // cfg.record_every + (n_steps % cfg.record_every > 0)
+    stepper = _Stepper(grid, spec, cfg.dt)
+    times, radii = np.zeros(n_records), np.empty((n_records, *vals.shape))
+    radii[0], slot = vals, 1
     hat = _rfft(grid, vals)
+    coupled, directions = direction is not None, None
     if coupled:
         p, transport = direction
-    record(0.0, vals)
+        directions = np.empty((n_records, *p.shape))
+        directions[0] = p
     for k in range(1, n_steps + 1):
         t = k * cfg.dt
         if k > n_full:
@@ -429,9 +416,23 @@ def _march(
         except SolverError as exc:
             raise SolverError(f"step {k} (t={t:.6g}): {exc}") from exc
         if k % cfg.record_every == 0 or k == n_steps:
-            if not coupled:
-                vals = _irfft(grid, hat)
-            record(t, vals)
+            times[slot] = t
+            radii[slot] = vals if coupled else _irfft(grid, hat)
+            if coupled:
+                directions[slot] = p
+            slot += 1
+    for arr in (times, radii, directions):
+        if arr is not None:
+            arr.flags.writeable = False
+    trajs = [Trajectory(grid, spec, times, radii[..., j], directions) for j in range(len(r0s))]
+    for traj in trajs:  # max-principle and positivity findings from the columns, in record order
+        sup, low = traj.sup.tolist(), traj.min.tolist()
+        for t, top, bottom in zip(times.tolist(), sup, low):
+            if top > sup[0] + MAX_PRINCIPLE_SLACK:
+                excess = f"sup {top:.12g} > {sup[0]:.12g}"
+                traj.flags.append(f"max-principle violation at t={t:.6g}: {excess}")
+            if low[0] > 0.0 and bottom <= 0.0:
+                traj.flags.append(f"positivity loss at t={t:.6g}: min {bottom:.12g}")
     return trajs
 
 

@@ -154,7 +154,7 @@ def evolve_coupled(
     then transported with stage speeds from the radius at the start, the
     half time and the end of the step.  Positivity of the radius is required
     at start and enforced throughout - losing it breaks the polar splitting
-    and aborts the run.  Between records the direction stays a plain array.
+    and aborts the run.  The recorded vectors stack into ``directions``.
     """
     grid = r0.grid
     if grid != p0.grid:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from polarflow import (
+    DirectionField,
     Modulation,
     SolveConfig,
     burgers_flux,
@@ -78,9 +79,9 @@ def test_01_heat_decay_oracle(grid):
     r0 = make_field(grid, np.cos(2.0 * np.pi * theta))
     traj = evolve(r0, zero_flux(1), SolveConfig(dt=1e-4, t_end=0.05, record_every=50))
     sup_err = 0.0
-    for t, snap in zip(traj.times, traj.snapshots):
+    for t, r in zip(traj.times, traj.radii):
         exact = np.exp(-4.0 * np.pi**2 * t) * np.cos(2.0 * np.pi * theta)
-        sup_err = max(sup_err, float(np.abs(snap.values - exact).max()))
+        sup_err = max(sup_err, float(np.abs(r - exact).max()))
     row = next(r for r in mode_decay_report(traj) if r.index == (1,))
     ok = row.rel_error < 0.01 and sup_err < 1e-8
     report(
@@ -98,9 +99,9 @@ def test_02_galilean_equivalence(grid):
     moving = evolve(r0, constant_flux([1.0]), cfg)
     frozen = evolve(r0, zero_flux(1), cfg)
     worst = 0.0
-    for t, a, b in zip(moving.times, moving.snapshots, frozen.snapshots):
-        shifted = galilean_shift(b, [1.0], t)
-        worst = max(worst, float(np.abs(a.values - shifted.values).max()))
+    for t, a, b in zip(moving.times, moving.radii, frozen.radii):
+        shifted = galilean_shift(make_field(grid, b), [1.0], t)
+        worst = max(worst, float(np.abs(a - shifted.values).max()))
     report(2, "galilean-equivalence", worst < 1e-10, f"sup diff {worst:.2e} < 1e-10")
 
 
@@ -109,23 +110,23 @@ def test_03_mean_conservation(registry_runs):
     worst = 0.0
     for label in ("zero", "constant", "burgers"):
         traj = registry_runs["runs"][label]
-        worst = max(worst, max(abs(row.mean - m0) for row in traj.diagnostics))
+        worst = max(worst, max(abs(row_mean - m0) for row_mean in traj.mean))
     report(3, "mean-conservation", worst < 1e-12, f"max drift {worst:.2e} < 1e-12 over 1e4 steps")
 
 
 def test_04_max_principle_and_positivity(registry_runs, ellipse_traj):
     failures = []
     for label, traj in registry_runs["runs"].items():
-        sup0 = traj.diagnostics[0].sup
-        if any(row.sup > sup0 + 1e-8 for row in traj.diagnostics):
+        sup, low = traj.sup, traj.min
+        if any(s > sup[0] + 1e-8 for s in sup):
             failures.append(f"{label}: sup bound")
-        if traj.diagnostics[0].min > 0 and any(row.min <= 0 for row in traj.diagnostics):
+        if low[0] > 0 and any(mn <= 0 for mn in low):
             failures.append(f"{label}: positivity")
     _, _, traj = ellipse_traj
-    sup0 = traj.diagnostics[0].sup
-    if any(row.sup > sup0 + 1e-8 for row in traj.diagnostics):
+    sup, low = traj.sup, traj.min
+    if any(s > sup[0] + 1e-8 for s in sup):
         failures.append("ellipse: sup bound")
-    if any(row.min <= 0 for row in traj.diagnostics):
+    if any(mn <= 0 for mn in low):
         failures.append("ellipse: positivity")
     report(4, "max-principle+positivity", not failures, f"violations: {failures or 'none'}")
 
@@ -168,11 +169,11 @@ def test_07_sphere_convergence(ellipse_traj):
     r0, _, traj = ellipse_traj
     rbar = mean(r0)
     tol = 1e-6 * rbar
-    devs = [row.sphere_dev for row in traj.diagnostics]
+    devs = traj.sphere_dev.tolist()
     skip = max(1, len(devs) // 10)  # initial transient
     monotone = all(b <= a + 1e-9 for a, b in zip(devs[skip:], devs[skip + 1 :]))
     hit = next((t for t, d in zip(traj.times, devs) if d < tol), None)
-    pts = reconstruct(traj.final, traj.directions[-1])
+    pts = reconstruct(traj.final, DirectionField(grid=traj.grid, vectors=traj.directions[-1]))
     radius_err = float(np.abs(np.sqrt((pts**2).sum(-1)) - rbar).max())
     ok = monotone and hit is not None and hit <= 2.0 and radius_err < tol
     report(
@@ -202,7 +203,7 @@ def test_08_transport_correctness(grid, ellipse_traj):
     drift = float(np.abs(np.sqrt((p.vectors**2).sum(-1)) - 1.0).max())
     _, _, traj = ellipse_traj
     for pd in traj.directions:
-        drift = max(drift, float(np.abs(np.sqrt((pd.vectors**2).sum(-1)) - 1.0).max()))
+        drift = max(drift, float(np.abs(np.sqrt((pd**2).sum(-1)) - 1.0).max()))
     ok = worst < 1e-8 and drift <= 1e-12
     report(
         8,

@@ -234,6 +234,19 @@ class TestAttractor:
         rep = attractor_check(sol.v, MODULATED_LINEAR, t_end=5e-4, tol=1e-6, dt=1e-6, record_every=50)
         assert max(rep.sup_distances) < 1e-10
 
+    # inf raised an untyped OverflowError, a NaN t_end "cannot convert float NaN to
+    # integer", and a NaN tol reported converged=False
+    @pytest.mark.parametrize(
+        "name, value",
+        [("t_end", np.inf), ("t_end", np.nan), ("t_end", 0.0), ("tol", np.nan), ("tol", -1e-6)],
+        ids=["t_end_inf", "t_end_nan", "t_end_zero", "tol_nan", "tol_negative"],
+    )
+    def test_bad_horizon_or_tolerance_rejected(self, grid64, name, value):
+        r0 = make_field(grid64, np.full(64, 1.0))
+        kwargs = {"t_end": 0.01, "tol": 1e-6, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value!r}$"):
+            attractor_check(r0, zero_flux(1), **kwargs)
+
     def test_modulated_envelope_found(self, grid64):
         theta = grid64.axis_coords(0)
         r0 = make_field(grid64, 1.0 + 0.2 * np.sin(2 * np.pi * theta))

@@ -42,7 +42,6 @@ from polarflow.cli import (
 )
 from polarflow.errors import ConfigError
 from polarflow.geometry import reconstruct
-from polarflow.spectral import DiagRow
 
 ELLIPSE_CFG = """\
 grid.m = 1
@@ -96,10 +95,11 @@ def reference_write_diagnostics(out, traj, cfg):
         "amp_" + "_".join(map(str, m)) for m in modes
     ]
     rows = []
-    for snap, row in zip(traj.snapshots, traj.diagnostics):
-        amps = np.fft.fftn(snap.values) / traj.grid.num_nodes
-        cells = [row.t, row.mean, row.sup, row.min, row.l1, row.sphere_dev]
-        cells += [abs(amps[m]) for m in modes]
+    mean0 = traj.radii[0].mean()
+    for t, r in zip(traj.times, traj.radii):
+        amps = np.fft.fftn(r) / traj.grid.num_nodes
+        cells = [t, r.mean(), np.abs(r).max(), r.min(), np.abs(r).mean() * traj.grid.volume]
+        cells += [np.abs(r - mean0).max()] + [abs(amps[m]) for m in modes]
         rows.append(",".join(_fmt(c) for c in cells))
     text = _header(["diagnostics time series"], columns, cfg) + "\n".join(rows) + "\n"
     (out / "diagnostics.csv").write_text(text)
@@ -110,8 +110,8 @@ def reference_write_trajectory(out, traj, cfg):
     columns = ["t"] + [f"theta{i}" for i in range(grid.m)] + ["r"]
     coords = [c.ravel() for c in grid.coords()]
     rows = []
-    for t, snap in zip(traj.times, traj.snapshots):
-        vals = snap.values.ravel()
+    for t, r in zip(traj.times, traj.radii):
+        vals = r.ravel()
         for node in range(grid.num_nodes):
             cells = [t] + [c[node] for c in coords] + [vals[node]]
             rows.append(",".join(_fmt(c) for c in cells))
@@ -122,7 +122,7 @@ def reference_write_trajectory(out, traj, cfg):
 def reference_write_snapshot(out, traj, cfg):
     grid = traj.grid
     r = traj.final
-    p = traj.directions[-1]
+    p = DirectionField(grid=grid, vectors=traj.directions[-1])
     x = reconstruct(r, p)
     d = p.d
     columns = (
@@ -147,8 +147,9 @@ def reference_write_snapshot(out, traj, cfg):
 def reference_write_svg_frames(out, traj, cfg):
     frames = out / "frames"
     frames.mkdir(exist_ok=True)
-    span = max(row.sup for row in traj.diagnostics) * 1.1
-    for i, (r, p) in enumerate(zip(traj.snapshots, traj.directions)):
+    span = max(float(np.abs(r).max()) for r in traj.radii) * 1.1
+    for i, (r, p) in enumerate(zip(traj.radii, traj.directions)):
+        r, p = ScalarField(grid=traj.grid, values=r), DirectionField(grid=traj.grid, vectors=p)
         pts = reconstruct(r, p).reshape(-1, 2)
         path = " ".join(
             f"{'M' if j == 0 else 'L'} {_fmt(xy[0])} {_fmt(xy[1])}" for j, xy in enumerate(pts)
@@ -331,8 +332,10 @@ class TestRunEvolve:
             ("trig_random\ninitial.params = 1.5, 3, 0.3", "seed"),
             ("trig_random\ninitial.params = 1, 1e6, 0.3", "max_mode"),
             ("ellipse\ninitial.params = nan, 1.0", "ellipse semi-axes"),
+            ("perturbed_sphere\ninitial.params = 1.0, 0.1, 40", "mode"),
         ],
-        ids=["mode_inf", "mode_fraction", "seed_fraction", "max_mode_huge", "ellipse_nan"],
+        ids=["mode_inf", "mode_fraction", "seed_fraction", "max_mode_huge", "ellipse_nan",
+             "mode_aliases"],
     )
     def test_bad_preset_parameter_is_config_error(self, tmp_path, capsys, params, name):
         text = ELLIPSE_CFG.replace("ellipse\ninitial.params = 2.0, 1.0", params)
@@ -529,7 +532,7 @@ class TestWriterOracles:
         grid = make_grid(1, [1.0], [32])
         r0, p0 = make_initial(grid, "ellipse", [2.0, 1.0])
         traj = evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=1e-3, t_end=0.0105))
-        assert traj.times[-2:] == [0.01, 0.0105]
+        assert traj.times[-2:].tolist() == [0.01, 0.0105]
         got, want = write_both(tmp_path, EVOLVE_WRITERS + SVG_WRITERS, traj, self.CFG)
         assert sum(name.startswith("frames/") for name in want) == len(traj.times) == 12
         assert got == want
@@ -550,15 +553,12 @@ class TestWriterOracles:
             [[1.0, -0.0], [-0.0, 1.0], [-1.0, 0.0], [0.6, -0.8], [-0.0, -1.0], [0.8, 0.6],
              [1.0, 0.0], [-0.6, 0.8]]
         )
-        p = DirectionField(grid=grid, vectors=vectors)
-        row = DiagRow(t=1e-05, mean=-0.0, sup=1e16, min=-2.5e-300, l1=1e-05, sphere_dev=7e22)
         traj = Trajectory(
             grid=grid,
             spec=zero_flux(1),
-            times=[0.0, 1e-05],
-            snapshots=[ScalarField(grid=grid, values=v) for v in (values, -values)],
-            directions=[p, p],
-            diagnostics=[row, row],
+            times=np.array([0.0, 1e-05]),
+            radii=np.stack([values, -values]),
+            directions=np.stack([vectors, vectors]),
         )
         got, want = write_both(tmp_path, EVOLVE_WRITERS + SVG_WRITERS, traj, self.CFG)
         assert got == want

@@ -57,6 +57,18 @@ class TestPerturbedSphere:
         with pytest.raises(ValueError, match="^mode must be an integer"):
             perturbed_sphere_initial(grid2d, 1.0, 0.1, [(1, mode)])
 
+    # mode 40 on N=64 was the mode-24 surface to 2.9e-15, without a word
+    @pytest.mark.parametrize("mode", [40, -33, 64], ids=["aliased", "negative", "full_period"])
+    def test_mode_above_half_resolution_rejected(self, grid64, grid2d, mode):
+        with pytest.raises(ValueError, match=r"^mode must satisfy \|k_i\| <= N_i/2 = \(32,\)"):
+            perturbed_sphere_initial(grid64, 1.0, 0.1, [mode])
+        with pytest.raises(ValueError, match=r"N_i/2 = \(16, 16\), got \(1, "):
+            perturbed_sphere_initial(grid2d, 1.0, 0.1, [(1, 17 if mode > 0 else -17)])
+
+    def test_mode_at_half_resolution_accepted(self, grid64):
+        r0, _ = perturbed_sphere_initial(grid64, 1.0, 0.1, [-32])
+        assert np.array_equal(r0.values, 1.0 + 0.1 * np.cos(np.pi * np.arange(64)))
+
     def test_2d_mode(self, grid2d):
         r0, p0 = perturbed_sphere_initial(grid2d, 1.0, 0.2, [(1, 1)])
         c1, c2 = grid2d.coords()

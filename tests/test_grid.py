@@ -28,6 +28,17 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="power of two"):
             make_grid(1, [1.0], [12])
 
+    # 64.7 made a 64-node grid; NaN failed in int() with a message naming no parameter
+    @pytest.mark.parametrize("n", [64.7, float("nan"), float("inf")], ids=["fraction", "nan", "inf"])
+    def test_resolution_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"^resolution must be an integer, got {n!r}$"):
+            make_grid(1, [1.0], [n])
+        with pytest.raises(ValueError, match="^resolution must be an integer"):
+            make_grid(2, [1.0, 1.0], [16, n])
+
+    def test_integer_valued_resolution_accepted(self):
+        assert make_grid(2, [1.0, 1.0], [16.0, np.int64(8)]).resolution == (16, 8)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             make_grid(2, [1.0], [16, 16])

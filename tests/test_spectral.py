@@ -271,11 +271,11 @@ class TestEnsemble:
         assert len(batch) == len(r0s)
         for r0, traj in zip(r0s, batch):
             alone = evolve(r0, spec, cfg)
-            assert traj.times == alone.times and len(alone.times) == 5
-            assert traj.diagnostics == alone.diagnostics
+            assert np.array_equal(traj.times, alone.times) and len(alone.times) == 5
+            for column in ("mean", "sup", "min", "l1", "sphere_dev"):
+                assert np.array_equal(getattr(traj, column), getattr(alone, column))
             assert traj.flags == alone.flags
-            for a, b in zip(traj.snapshots, alone.snapshots):
-                assert np.array_equal(a.values, b.values)
+            assert np.array_equal(traj.radii, alone.radii)
         if flux == "modulated":
             # the square wave's own flags, and none leaked to the smooth members
             assert batch[2].flags and not batch[0].flags and not batch[1].flags
@@ -327,10 +327,21 @@ class TestEnsemble:
         cfg = SolveConfig(dt=1e-3, t_end=3e-3)
         traj = _march([r0], constant_flux([0.7]), cfg, (p0, hook))[0]
         assert len(seen) == 3
-        for (start, mid, end), before, after in zip(seen, traj.snapshots, traj.snapshots[1:]):
+        for (start, mid, end), before, after in zip(seen, traj.radii, traj.radii[1:]):
             assert start.shape == mid.shape == end.shape == grid64.shape
-            assert np.array_equal(start, before.values) and np.array_equal(end, after.values)
+            assert np.array_equal(start, before) and np.array_equal(end, after)
             assert np.array_equal(mid, end)
+
+    def test_records_are_read_only_views_of_one_array(self, grid64):
+        r0s = [smooth_field(grid64, seed=s, offset=2.0) for s in (46, 47)]
+        cfg = SolveConfig(dt=1e-3, t_end=5e-3, record_every=2)
+        first, second = _march(r0s, burgers_flux(1), cfg)
+        assert first.radii.shape == (4, 64) and first.radii.base is second.radii.base
+        p0 = sphere_directions(grid64, 2).vectors
+        coupled = _march(r0s[:1], burgers_flux(1), cfg, (p0, lambda p, radii, dt: p))[0]
+        assert coupled.directions.shape == (4, 64, 2) and first.directions is None
+        for arr in (first.times, first.radii, coupled.times, coupled.radii, coupled.directions):
+            assert not arr.flags.writeable
 
     def test_members_on_different_grids_rejected(self, grid64, grid128):
         r0s = [make_field(grid64, np.ones(64)), make_field(grid128, np.ones(128))]
@@ -385,16 +396,16 @@ class TestEvolve:
         theta = grid128.axis_coords(0)
         r0 = make_field(grid128, np.cos(2 * np.pi * theta))
         traj = evolve(r0, zero_flux(1), SolveConfig(dt=1e-4, t_end=0.05, record_every=100))
-        for t, snap in zip(traj.times, traj.snapshots):
+        for t, r in zip(traj.times, traj.radii):
             exact = np.exp(-4 * np.pi**2 * t)
-            ratio = sup_norm(snap) / exact
+            ratio = sup_norm(make_field(grid128, r)) / exact
             assert abs(ratio - 1.0) < 0.01
 
     def test_constant_initial_is_fixed_point(self, grid64):
         r0 = make_field(grid64, np.full(64, 1.3))
         traj = evolve(r0, burgers_flux(1), SolveConfig(dt=1e-3, t_end=0.1, record_every=10))
-        for snap in traj.snapshots:
-            assert np.abs(snap.values - 1.3).max() < 1e-13
+        for r in traj.radii:
+            assert np.abs(r - 1.3).max() < 1e-13
 
     def test_burgers_attractor_and_fine_grid_reference(self):
         # same run at N=128 and N=256: both collapse to the initial mean
@@ -418,17 +429,17 @@ class TestEvolve:
         r0 = make_field(grid64, 1.0 + 0.1 * np.sin(2 * np.pi * theta))
         for spec in (zero_flux(1), constant_flux([1.0]), burgers_flux(1), polynomial_flux([1.0, 0.2])):
             traj = evolve(r0, spec, SolveConfig(dt=1e-4, t_end=0.05, record_every=100))
-            for row in traj.diagnostics:
-                assert abs(row.mean - mean(r0)) < 1e-12
+            for row_mean in traj.mean:
+                assert abs(row_mean - mean(r0)) < 1e-12
 
     def test_max_principle_and_positivity(self, grid64):
         theta = grid64.axis_coords(0)
         r0 = make_field(grid64, 1.0 + 0.4 * np.sin(2 * np.pi * theta))
         traj = evolve(r0, burgers_flux(1), SolveConfig(dt=1e-4, t_end=0.5, record_every=500))
         assert traj.flags == []
-        for row in traj.diagnostics:
-            assert row.sup <= sup_norm(r0) + 1e-8
-            assert row.min > 0.0
+        for row_sup, row_min in zip(traj.sup, traj.min):
+            assert row_sup <= sup_norm(r0) + 1e-8
+            assert row_min > 0.0
 
     def test_l1_contraction_between_solutions(self, grid64):
         from polarflow import l1_contraction_series
@@ -497,10 +508,10 @@ class TestEvolve:
         r0 = make_field(grid2d, 1.0 + 0.2 * np.cos(2 * np.pi * c1) * np.sin(2 * np.pi * c2))
         traj = evolve(r0, burgers_flux(2), SolveConfig(dt=1e-3, t_end=0.1, record_every=20))
         assert traj.flags == []
-        for row in traj.diagnostics:
-            assert abs(row.mean - mean(r0)) < 1e-12
-            assert row.sup <= sup_norm(r0) + 1e-8
-            assert row.min > 0.0
+        for row_mean, row_sup, row_min in zip(traj.mean, traj.sup, traj.min):
+            assert abs(row_mean - mean(r0)) < 1e-12
+            assert row_sup <= sup_norm(r0) + 1e-8
+            assert row_min > 0.0
 
     def test_partial_final_step(self, grid64):
         f = smooth_field(grid64, seed=26, offset=1.0)
@@ -517,6 +528,5 @@ class TestEvolve:
         cfg = SolveConfig(dt=1e-3, t_end=0.0205, record_every=5)
         got = evolve(f, spec, cfg)
         want = evolve(f, constant_flux([0.7]), cfg)
-        assert got.times == want.times
-        for a, b in zip(got.snapshots, want.snapshots):
-            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.radii, want.radii)
