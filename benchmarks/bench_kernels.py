@@ -8,7 +8,13 @@ Strang step of the rfft-spectrum stepper (agreement checked on the midpoint
 values both return), and ``reference_transport_step``
 (``tests/test_transport.py``) for one integrating-factor RK4 transport step
 through a varying radius (unmasked, as the package runs it), at N=128 and at
-64^2.  ``heat_kernel_convolve`` at N is compared with
+64^2.  The transforms ``_rfft``/``_irfft``, which call pocketfft's gufuncs
+directly, are timed on ``(128, 1)`` and ``(64, 64, 1)`` against the same
+sequence of ``np.fft.rfft``/``fft``/``ifft``/``irfft`` calls, and one 1-axis
+``_carry`` (N=128, burgers, moving radius) against
+``reference_real_carry`` (``tests/test_transport.py``), its arithmetic out
+of place on ``rfftn``/``irfftn``; both must agree bitwise.
+``heat_kernel_convolve`` at N is compared with
 ``reference_heat_convolve`` (``tests/test_duhamel.py``), the same kernel row
 applied as a dense N x N circulant.  The base of one
 Duhamel window (the heat flow of the initial field to its 32 mesh times) is
@@ -54,14 +60,15 @@ from polarflow import cell
 from polarflow.cli import _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _heat_flow, _Window
 from polarflow.flux import eval_g, eval_g_prime
-from polarflow.spectral import _march, _rfft, _Stepper
+from polarflow import transport
+from polarflow.spectral import _irfft, _march, _rfft, _Stepper
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import full_lattice  # noqa: E402
 from test_cli import read_artifacts, reference_write_svg_frames, reference_write_trajectory  # noqa: E402
 from test_duhamel import reference_heat_convolve, reference_sweep  # noqa: E402
 from test_spectral import reference_advance  # noqa: E402
-from test_transport import reference_transport_step  # noqa: E402
+from test_transport import radius_samples, reference_real_carry, reference_transport_step  # noqa: E402
 
 
 def timeit(fn, repeat):
@@ -129,6 +136,48 @@ def transport_case(shape, label):
     )
 
 
+def numpy_rfft(grid, vals):
+    """Reference: the per-axis ``np.fft`` calls, ``rfft`` on the last grid axis, then ``fft``."""
+    last = grid.m - 1
+    hat = np.fft.rfft(vals, axis=last)
+    for axis in range(last - 1, -1, -1):
+        hat = np.fft.fft(hat, axis=axis)
+    return hat
+
+
+def numpy_irfft(grid, hat):
+    """Reference: ``np.fft.ifft`` on the leading axes, then ``irfft``."""
+    last = grid.m - 1
+    for axis in range(last):
+        hat = np.fft.ifft(hat, axis=axis)
+    return np.fft.irfft(hat, grid.resolution[-1], axis=last)
+
+
+def bitwise_cases(repeat):
+    """Transforms and one 1-axis ``_carry`` against their ``np.fft`` references: equal bitwise."""
+    cases = []
+    for shape in ([128], [64, 64]):
+        m = len(shape)
+        grid = make_grid(m, [1.0] * m, shape)
+        vals = np.random.default_rng(1).normal(size=(*shape, 1))
+        hat = _rfft(grid, vals)
+        label = "(%s, 1)" % ", ".join(map(str, shape))
+        cases.append(("_rfft %s" % label, lambda g=grid, v=vals: _rfft(g, v),
+                      lambda g=grid, v=vals: numpy_rfft(g, v)))
+        cases.append(("_irfft %s" % label, lambda g=grid, h=hat: _irfft(g, h),
+                      lambda g=grid, h=hat: numpy_irfft(g, h)))
+    grid = make_grid(1, [1.0], [128])
+    spec, dt = burgers_flux(1), 1e-3
+    speeds = [transport._speeds(spec, [None], radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
+    p = sphere_directions(grid, 2).vectors
+    cases.append(("_carry N=128 burgers", lambda: transport._carry(p, grid, speeds, dt),
+                  lambda: reference_real_carry(p, grid, speeds, dt)))
+    for name, fast, slow in cases:
+        assert np.array_equal(fast(), slow()), f"{name}: not bitwise equal"
+        t_fast, t_slow = timeit(fast, repeat), timeit(slow, repeat)
+        print(f"{name:<34} {t_fast * 1e3:>10.4f}ms {t_slow * 1e3:>10.4f}ms {t_slow / t_fast:>8.1f}x")
+
+
 def bench(n, repeat):
     rng = np.random.default_rng(0)
     # one Duhamel window as picard_solve builds it (33 targets, 32 nodes)
@@ -180,6 +229,7 @@ def bench(n, repeat):
         # the sweep reference takes ~0.3 s a call, so it gets fewer repeats
         t_slow = timeit(slow, min(repeat, 5) if name.startswith("duhamel") else repeat)
         print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
+    bitwise_cases(repeat)
 
     # the verify contraction pair: one two-member batch vs two single runs
     spec = burgers_flux(1)

@@ -33,6 +33,7 @@ hands it this step as the hook that carries the direction vectors.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,13 +64,20 @@ def _speeds(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _substeps(derivs: tuple, rest: list[float], dt: float) -> int:
-    """RK4 substeps that keep ``sum_i rest_i * max|kappa_i| * |dt|`` below ``_RK4_REACH`` each.
+@lru_cache(maxsize=32)
+def _symbols(grid: PeriodicGrid) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
+    """Unmasked ``-d/dtheta_i`` symbols with a unit component axis, and their top wavenumbers."""
+    derivs = _derivative_symbols(grid, masked=False)
+    return tuple(d[..., None] for d in derivs), tuple(float(np.abs(d).max()) for d in derivs)
 
-    ``rest[i]`` bounds the remainder speed ``|f_i - c_i|`` and ``max|kappa_i|``
-    is the top wavenumber the derivative symbol ``derivs[i]`` passes.
+
+def _substeps(tops: tuple[float, ...], rest: list[float], dt: float) -> int:
+    """RK4 substeps that keep ``sum_i rest_i * tops_i * |dt|`` below ``_RK4_REACH`` each.
+
+    ``rest[i]`` bounds the remainder speed ``|f_i - c_i|`` and ``tops[i]`` is
+    the top wavenumber the derivative symbol of axis ``i`` passes.
     """
-    reach = abs(dt) * sum(s * float(np.abs(d).max()) for s, d in zip(rest, derivs))
+    reach = abs(dt) * sum(s * top for s, top in zip(rest, tops))
     return math.ceil(reach / _RK4_REACH)
 
 
@@ -78,22 +86,25 @@ def _carry(vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float) -> 
 
     ``speeds`` holds the per-axis speeds at the start, the middle and the end
     of the step; substeps take theirs from the quadratic through the three.
-    Returns the renormalized vectors.
+    Returns the renormalized vectors as a new array.  The stages combine in
+    place, in the operand order of the classic formulas, on spectra that
+    :func:`.spectral._rfft` made for this call.
     """
     lo = [min(float(s[i].min()) for s in speeds) for i in range(grid.m)]
     hi = [max(float(s[i].max()) for s in speeds) for i in range(grid.m)]
     centre = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    derivs = _derivative_symbols(grid, masked=False)
-    n_sub = _substeps(derivs, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
+    derivs, tops = _symbols(grid)
+    n_sub = _substeps(tops, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
     hat = _rfft(grid, vectors)
     if n_sub == 0:
-        hat = hat * _shift_symbol(grid, centre, dt)[..., None]
+        np.multiply(hat, _shift_symbol(grid, centre, dt)[..., None], out=hat)
     else:
         h = dt / n_sub
         shift = _shift_symbol(grid, centre, h)[..., None]
         shift_half = _shift_symbol(grid, centre, h / 2.0)[..., None]
-        derivs = [d[..., None] for d in derivs]
-        rests = [[v - c for v, c in zip(s, centre)] for s in speeds]
+        two_shift_half = 2.0 * shift_half
+        rests = [[(v - c)[..., None] for v, c in zip(s, centre)] for s in speeds]
+        scratch, stage = np.empty_like(hat), np.empty_like(hat)
 
         def rest_at(tau: float) -> list[np.ndarray]:
             """Remainder speeds at the fraction ``tau`` of the step (quadratic in time)."""
@@ -103,19 +114,39 @@ def _carry(vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float) -> 
             return [l0 * a + lm * b + l1 * c for a, b, c in zip(*rests)]
 
         def rate(rest: list[np.ndarray], state: np.ndarray) -> np.ndarray:
-            """Spectrum of ``-sum_i rest_i dP/dtheta_i``."""
-            total = 0.0
+            """Spectrum of ``-sum_i rest_i dP/dtheta_i``, a new array."""
+            total = None
             for w, deriv in zip(rest, derivs):
-                total = total + w[..., None] * _irfft(grid, deriv * state)
+                term = _irfft(grid, np.multiply(deriv, state, out=scratch))
+                np.multiply(w, term, out=term)
+                total = term if total is None else np.add(total, term, out=total)
             return _rfft(grid, total)
 
         for j in range(n_sub):
             w0, wm, w1 = (rest_at((j + x) / n_sub) for x in (0.0, 0.5, 1.0))
             k1 = rate(w0, hat)
-            k2 = rate(wm, shift_half * (hat + (h / 2.0) * k1))
-            k3 = rate(wm, shift_half * hat + (h / 2.0) * k2)
-            k4 = rate(w1, shift * hat + h * (shift_half * k3))
-            hat = shift * (hat + (h / 6.0) * k1) + (h / 6.0) * (2.0 * shift_half * (k2 + k3) + k4)
+            # shift_half * (hat + h/2 k1)
+            np.multiply(h / 2.0, k1, out=stage)
+            np.add(hat, stage, out=stage)
+            k2 = rate(wm, np.multiply(shift_half, stage, out=stage))
+            # shift_half * hat + h/2 k2
+            np.multiply(shift_half, hat, out=stage)
+            stage += np.multiply(h / 2.0, k2, out=scratch)
+            k3 = rate(wm, stage)
+            # shift * hat + h (shift_half * k3)
+            np.multiply(shift, hat, out=stage)
+            np.multiply(shift_half, k3, out=scratch)
+            stage += np.multiply(h, scratch, out=scratch)
+            k4 = rate(w1, stage)
+            # shift (hat + h/6 k1) + h/6 (2 shift_half (k2 + k3) + k4)
+            np.multiply(h / 6.0, k1, out=k1)
+            np.add(hat, k1, out=k1)
+            np.multiply(shift, k1, out=k1)
+            np.add(k2, k3, out=k2)
+            np.multiply(two_shift_half, k2, out=k2)
+            np.add(k2, k4, out=k2)
+            np.multiply(h / 6.0, k2, out=k2)
+            hat = np.add(k1, k2, out=k1)
     out = _irfft(grid, hat)
     norms = np.sqrt((out**2).sum(axis=-1))
     if not (norms.min() > 0.0):

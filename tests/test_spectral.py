@@ -25,7 +25,15 @@ from polarflow import (
     zero_flux,
 )
 from polarflow.flux import eval_g
-from polarflow.spectral import _irfft, _march, _rfft, _Stepper
+from polarflow.spectral import (
+    _derivative_symbols,
+    _irfft,
+    _laplacian_half,
+    _march,
+    _rfft,
+    _shift_symbol,
+    _Stepper,
+)
 from conftest import full_lattice, smooth_field
 
 
@@ -61,6 +69,39 @@ def reference_advance(grid, spec, dt, vals):
         mid = half + (dt / 2.0) * divergence_rhs(half)
         out = half + dt * divergence_rhs(mid)
     return np.fft.ifftn(np.fft.fftn(out) * half_heat).real, mid
+
+
+def reference_real_advance(grid, spec, dt, hat):
+    """Reference: ``_Stepper.advance`` as out-of-place arithmetic on ``rfftn``/``irfftn``.
+
+    A real heat multiplier, every stage a new array, every divergence sum
+    started from ``0.0``; the products keep their operand order.  Returns
+    (new_spectrum, mid_values), mid None for a constant flux.
+    """
+    axes = tuple(range(grid.m))
+    half_heat = np.exp(-_laplacian_half(grid) * (dt / 2.0))
+    if spec.is_constant:
+        shift = _shift_symbol(grid, spec.constant_speeds, dt)
+        return hat * (half_heat * half_heat * shift)[..., None], None
+    half_heat = half_heat[..., None]
+    derivs = [d[..., None] for d in _derivative_symbols(grid, masked=True)]
+    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+
+    def divergence(v):
+        out = 0.0
+        for i, (deriv, mod) in enumerate(zip(derivs, mods)):
+            gi = eval_g(spec, i, v)
+            gi = gi if mod is None else gi * mod[..., None]
+            out = out + deriv * np.fft.rfftn(gi, axes=axes)
+        return out
+
+    def irfft(h):
+        return np.fft.irfftn(h, s=grid.shape, axes=axes)
+
+    hh = hat * half_heat
+    half = irfft(hh)
+    mid = half + (dt / 2.0) * irfft(divergence(half))
+    return (hh + dt * divergence(mid)) * half_heat, mid
 
 
 def _oracle_cases():
@@ -234,6 +275,18 @@ class TestPerAxisTransforms:
             assert np.array_equal(hat[(...,) + j], np.fft.rfftn(member))
 
 
+    @pytest.mark.parametrize("resolution", [(128,), (64, 64)])
+    def test_outputs_are_new_arrays(self, resolution):
+        m = len(resolution)
+        grid = make_grid(m, [1.0] * m, resolution)
+        vals = np.random.default_rng(3).normal(size=grid.shape + (1,))
+        hats = [_rfft(grid, vals) for _ in range(2)]
+        backs = [_irfft(grid, hat) for hat in hats]
+        arrays = [vals, *hats, *backs]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
 def _square_wave(grid):
     """Steep positive data (0.01, 2.01, 4.01) whose Gibbs overshoot raises flags."""
     wave = np.prod([np.sin(2 * np.pi * c) for c in grid.coords()], axis=0)
@@ -373,6 +426,38 @@ class TestRealStepper:
         assert worst_mid < self.TOL
         assert np.abs(_irfft(grid, hat)[..., 0] - ref).max() < self.TOL
 
+
+
+class TestInPlaceStep:
+    """``advance`` combines its stages in place: bitwise the out-of-place step, no shared memory."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_out_of_place_bitwise(self, case):
+        grid, spec, dt, vals = ORACLE_CASES[case]
+        stepper = _Stepper(grid, spec, dt)
+        hat = ref = _rfft(grid, vals[..., None])
+        for _ in range(300):
+            hat, mid = stepper.advance(hat)
+            ref, ref_mid = reference_real_advance(grid, spec, dt, ref)
+            assert np.array_equal(hat, ref)
+            assert (mid is None) == (ref_mid is None)
+            assert mid is None or np.array_equal(mid, ref_mid)
+
+    @pytest.mark.parametrize("flux", ["burgers", "modulated", "constant"])
+    @pytest.mark.parametrize("resolution", [(64,), (16, 8)])
+    def test_input_unchanged_and_outputs_new(self, flux, resolution):
+        m = len(resolution)
+        grid = make_grid(m, [1.0] * m, resolution)
+        stepper = _Stepper(grid, ENSEMBLE_FLUXES[flux](m), 1e-4)
+        hat = _rfft(grid, smooth_field(grid, seed=7, offset=1.0).values[..., None])
+        before = hat.copy()
+        new, mid = stepper.advance(hat)
+        assert np.array_equal(hat, before)
+        again, mid_again = stepper.advance(new)  # a caller may hold the previous results
+        arrays = [a for a in (hat, new, mid, again, mid_again) if a is not None]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
 
 class TestSolveConfig:
     @pytest.mark.parametrize("key", ["dt", "t_end"])

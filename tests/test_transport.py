@@ -25,7 +25,7 @@ from polarflow import (
 from polarflow import transport
 from polarflow.flux import Modulation, eval_f
 from polarflow.grid import DirectionField, RadialField, ScalarField
-from polarflow.spectral import max_stable_dt
+from polarflow.spectral import _derivative_symbols, _shift_symbol, max_stable_dt
 from conftest import full_lattice
 
 
@@ -94,6 +94,61 @@ def reference_transport_step(grid, vectors, radii, spec, dt, dealias=True):
         k4 = rate(t1, shift(u, h) + h * shift(k3, h / 2))
         u = shift(u + h / 6 * k1, h) + h / 6 * (2 * shift(k2 + k3, h / 2) + k4)
     return u / np.sqrt((u**2).sum(axis=-1))[..., None], n_sub
+
+
+def reference_real_carry(vectors, grid, speeds, dt):
+    """Reference: ``transport._carry`` as out-of-place arithmetic on ``rfftn``/``irfftn``.
+
+    Every stage is a new array and every sum starts from ``0.0``; the
+    products keep their operand order.  Returns the renormalized vectors.
+    """
+    axes = tuple(range(grid.m))
+
+    def rfft(v):
+        return np.fft.rfftn(v, axes=axes)
+
+    def irfft(hat):
+        return np.fft.irfftn(hat, s=grid.shape, axes=axes)
+
+    lo = [min(float(s[i].min()) for s in speeds) for i in range(grid.m)]
+    hi = [max(float(s[i].max()) for s in speeds) for i in range(grid.m)]
+    centre = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    derivs = _derivative_symbols(grid, masked=False)
+    reach = abs(dt) * sum(
+        0.5 * (b - a) * float(np.abs(d).max()) for a, b, d in zip(lo, hi, derivs)
+    )
+    n_sub = math.ceil(reach / 2.8)
+    hat = rfft(vectors)
+    if n_sub == 0:
+        hat = hat * _shift_symbol(grid, centre, dt)[..., None]
+    else:
+        h = dt / n_sub
+        shift = _shift_symbol(grid, centre, h)[..., None]
+        shift_half = _shift_symbol(grid, centre, h / 2.0)[..., None]
+        derivs = [d[..., None] for d in derivs]
+        rests = [[v - c for v, c in zip(s, centre)] for s in speeds]
+
+        def rest_at(tau):
+            l0 = 2.0 * (tau - 0.5) * (tau - 1.0)
+            lm = 4.0 * tau * (1.0 - tau)
+            l1 = 2.0 * tau * (tau - 0.5)
+            return [l0 * a + lm * b + l1 * c for a, b, c in zip(*rests)]
+
+        def rate(rest, state):
+            total = 0.0
+            for w, deriv in zip(rest, derivs):
+                total = total + w[..., None] * irfft(deriv * state)
+            return rfft(total)
+
+        for j in range(n_sub):
+            w0, wm, w1 = (rest_at((j + x) / n_sub) for x in (0.0, 0.5, 1.0))
+            k1 = rate(w0, hat)
+            k2 = rate(wm, shift_half * (hat + (h / 2.0) * k1))
+            k3 = rate(wm, shift_half * hat + (h / 2.0) * k2)
+            k4 = rate(w1, shift * hat + h * (shift_half * k3))
+            hat = shift * (hat + (h / 6.0) * k1) + (h / 6.0) * (2.0 * shift_half * (k2 + k3) + k4)
+    out = irfft(hat)
+    return out / np.sqrt((out**2).sum(axis=-1))[..., None]
 
 
 def characteristic_foot(coords, speeds, t, h=2.5e-4):
@@ -263,6 +318,57 @@ class TestSubsteps:
         assert np.abs(np.sqrt((coarse**2).sum(-1)) - 1.0).max() <= 1e-12
         # measured 2.56e-6; bound ~4x
         assert np.abs(coarse - fine).max() < 1e-5
+
+
+class TestInPlaceCarry:
+    """``_carry`` combines its RK4 stages in place: bitwise the out-of-place step, no shared memory."""
+
+    CASES = {
+        "constant_1": (1, constant_flux([0.7]), 1e-3, 0),
+        "modulated_1": (1, modulated_flux(1, [60.0, 0.5]), 5e-4, 3),
+        "burgers_2": (2, burgers_flux(2), 5e-3, 1),
+        "modulated_2": (2, modulated_flux(2, [60.0, 0.5]), 3e-4, 2),
+    }
+
+    @staticmethod
+    def inputs(m, spec, dt):
+        grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
+        mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+        radii = [radius_samples(grid, t) for t in (0.0, dt / 2, dt)]
+        speeds = [transport._speeds(spec, mods, r) for r in radii]
+        return grid, sphere_directions(grid, m + 1).vectors, speeds
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_out_of_place_bitwise(self, case, monkeypatch):
+        m, spec, dt, n_sub = self.CASES[case]
+        grid, v, speeds = self.inputs(m, spec, dt)
+        seen = []
+        original = transport._substeps
+
+        def spy(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(transport, "_substeps", spy)
+        ref = v
+        for _ in range(20):
+            v = transport._carry(v, grid, speeds, dt)
+            ref = reference_real_carry(ref, grid, speeds, dt)
+            assert np.array_equal(v, ref)
+        assert set(seen) == {n_sub}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_inputs_unchanged_and_output_new(self, case):
+        m, spec, dt, _ = self.CASES[case]
+        grid, v, speeds = self.inputs(m, spec, dt)
+        inputs = [v] + [s for stage in speeds for s in stage]
+        before = [a.copy() for a in inputs]
+        out = transport._carry(v, grid, speeds, dt)
+        again = transport._carry(out, grid, speeds, dt)  # a caller may hold the previous result
+        assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+        for a in inputs:
+            assert not np.shares_memory(out, a) and not np.shares_memory(again, a)
+        assert not np.shares_memory(out, again)
 
 
 class TestTransportStep:
