@@ -13,7 +13,10 @@ directly, are timed on ``(128, 1)`` and ``(64, 64, 1)`` against the same
 sequence of ``np.fft.rfft``/``fft``/``ifft``/``irfft`` calls, and one 1-axis
 ``_carry`` (N=128, burgers, moving radius) against
 ``reference_real_carry`` (``tests/test_transport.py``), its arithmetic out
-of place on ``rfftn``/``irfftn``; both must agree bitwise.
+of place on ``rfftn``/``irfftn``; both must agree bitwise.  So must
+``_shift_symbol`` at N=128 and 64^2 and ``reference_shift_symbol``
+(``tests/test_spectral.py``), which splits off the Nyquist index with
+``np.where`` on every call.
 ``heat_kernel_convolve`` at N is compared with
 ``reference_heat_convolve`` (``tests/test_duhamel.py``), the same kernel row
 applied as a dense N x N circulant.  The base of one
@@ -28,12 +31,18 @@ are timed on a 1001-record N=128 ellipse run against the per-cell
 bytes.  The writers overwrite their files on every repeat, which is cheaper
 than creating them.  The ``verify`` contraction pair (two N=128 burgers runs
 of 5000 steps) is timed stepped as one two-member batch against two
-``evolve`` runs; every member must match its own run bitwise.
+``evolve`` runs; every member must match its own run bitwise.  Last,
+``run_suite("all")``, which spreads the ``verify`` suites over forked
+workers when two or more cores are usable, is timed against the sum of the
+suites run one after another in this process, after checking that both give
+the same rows; the per-suite times, the worker count and ``nproc`` are
+printed with it.
 
     python benchmarks/bench_kernels.py [--n 128] [--repeat 50]
 """
 
 import argparse
+import os
 import sys
 import tempfile
 import time
@@ -61,13 +70,14 @@ from polarflow.cli import _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _heat_flow, _Window
 from polarflow.flux import eval_g, eval_g_prime
 from polarflow import transport
-from polarflow.spectral import _irfft, _march, _rfft, _Stepper
+from polarflow.spectral import _irfft, _march, _rfft, _shift_symbol, _Stepper
+from polarflow.verify import SUITES, _pool_workers, run_suite
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import full_lattice  # noqa: E402
 from test_cli import read_artifacts, reference_write_svg_frames, reference_write_trajectory  # noqa: E402
 from test_duhamel import reference_heat_convolve, reference_sweep  # noqa: E402
-from test_spectral import reference_advance  # noqa: E402
+from test_spectral import reference_advance, reference_shift_symbol  # noqa: E402
 from test_transport import radius_samples, reference_real_carry, reference_transport_step  # noqa: E402
 
 
@@ -166,6 +176,13 @@ def bitwise_cases(repeat):
                       lambda g=grid, v=vals: numpy_rfft(g, v)))
         cases.append(("_irfft %s" % label, lambda g=grid, h=hat: _irfft(g, h),
                       lambda g=grid, h=hat: numpy_irfft(g, h)))
+    for shape in ([128], [64, 64]):
+        m = len(shape)
+        grid = make_grid(m, [1.0] * m, shape)
+        speeds = [np.float64(0.7)] * m  # a centre speed, as transport passes it
+        label = "x".join(map(str, shape))
+        cases.append(("_shift_symbol %s" % label, lambda g=grid, c=speeds: _shift_symbol(g, c, 1e-3),
+                      lambda g=grid, c=speeds: reference_shift_symbol(g, c, 1e-3)))
     grid = make_grid(1, [1.0], [128])
     spec, dt = burgers_flux(1), 1e-3
     speeds = [transport._speeds(spec, [None], radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
@@ -173,7 +190,9 @@ def bitwise_cases(repeat):
     cases.append(("_carry N=128 burgers", lambda: transport._carry(p, grid, speeds, dt),
                   lambda: reference_real_carry(p, grid, speeds, dt)))
     for name, fast, slow in cases:
-        assert np.array_equal(fast(), slow()), f"{name}: not bitwise equal"
+        got, want = fast(), slow()
+        assert got.dtype == want.dtype and got.shape == want.shape, f"{name}: layouts differ"
+        assert got.tobytes() == want.tobytes(), f"{name}: not bitwise equal"
         t_fast, t_slow = timeit(fast, repeat), timeit(slow, repeat)
         print(f"{name:<34} {t_fast * 1e3:>10.4f}ms {t_slow * 1e3:>10.4f}ms {t_slow / t_fast:>8.1f}x")
 
@@ -269,9 +288,24 @@ def bench(n, repeat):
             print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
 
 
+def verify_row(repeat):
+    """``run_suite("all")`` against its suites run one after another here."""
+    in_process = [r for fn in SUITES.values() for r in fn()]
+    assert run_suite("all") == in_process, "verify all: pooled rows differ"
+    suite_s = {name: timeit(fn, repeat) for name, fn in SUITES.items()}
+    t_pool = timeit(lambda: run_suite("all"), repeat)
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = _pool_workers()
+    t_sum = sum(suite_s.values())
+    name = "verify all (%s, nproc %d)" % ("%d workers" % workers if workers else "in-process", nproc)
+    print(f"{name:<34} {t_pool * 1e3:>10.3f}ms {t_sum * 1e3:>10.3f}ms {t_sum / t_pool:>8.1f}x")
+    print("  suites in-process: " + ", ".join(f"{n} {t * 1e3:.0f}ms" for n, t in suite_s.items()))
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=128)
     ap.add_argument("--repeat", type=int, default=50)
     args = ap.parse_args()
     bench(args.n, args.repeat)
+    verify_row(min(args.repeat, 3))

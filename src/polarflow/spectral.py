@@ -222,6 +222,18 @@ def _derivative_symbols(grid: PeriodicGrid, masked: bool) -> tuple[np.ndarray, .
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def _split_wavenumbers(grid: PeriodicGrid) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per axis, the half-lattice wavenumbers zeroed at the Nyquist index, and only there."""
+    out = []
+    for _, k, nyquist in _half_axes(grid):
+        pair = (np.where(nyquist, 0.0, k), np.where(nyquist, k, 0.0))
+        for arr in pair:
+            arr.flags.writeable = False
+        out.append(pair)
+    return tuple(out)
+
+
 def _shift_symbol(grid: PeriodicGrid, speeds, t: float) -> np.ndarray:
     """Half-lattice multiplier of the translation ``f(theta) -> f(theta - c t)``.
 
@@ -229,10 +241,10 @@ def _shift_symbol(grid: PeriodicGrid, speeds, t: float) -> np.ndarray:
     at theirs, a real field sees only the cosine of their summed phase.
     """
     off = at = 0.0
-    for c, (_, k, nyquist) in zip(speeds, _half_axes(grid)):
-        phase = c * t * k
-        off = off + np.where(nyquist, 0.0, phase)
-        at = at + np.where(nyquist, phase, 0.0)
+    for c, (k_off, k_at) in zip(speeds, _split_wavenumbers(grid)):
+        ct = c * t
+        off = off + ct * k_off
+        at = at + ct * k_at
     return np.exp(-1j * off) * np.cos(at)
 
 

@@ -3,12 +3,16 @@
 Each suite runs a battery of quantitative checks at desk scale and returns
 :class:`CheckResult` rows; the CLI renders them as a pass/fail table plus a
 JSON summary.  Suites: ``heat``, ``duhamel``, ``conservation``,
-``contraction``, ``cell``, ``geometry``, and ``all``.
+``contraction``, ``cell``, ``geometry``, and ``all``.  The suites share no
+state, so ``all`` runs them in forked worker processes when it may use more
+than one core.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from .duhamel import (
     kernel_gradient_l1,
     picard_solve,
 )
+from .errors import PolarflowError
 from .flux import Modulation, burgers_flux, constant_flux, with_modulation, zero_flux
 from .geometry import decompose, ellipse_initial, perturbed_sphere_initial, reconstruct
 from .grid import make_field, make_grid, mean
@@ -208,13 +213,61 @@ SUITES = {
 }
 
 
-def run_suite(name: str) -> list[CheckResult]:
-    """Run one named suite (or every suite for ``all``)."""
-    if name == "all":
-        results = []
-        for fn in SUITES.values():
-            results.extend(fn())
-        return results
-    if name not in SUITES:
-        raise KeyError(name)
+def _run_named(name: str) -> list[CheckResult]:
+    """Worker entry: a suite travels by name, so a forked worker runs the parent's ``SUITES``."""
     return SUITES[name]()
+
+
+def _run_pooled(workers: int) -> list[CheckResult]:
+    """Every suite in ``workers`` forked processes; rows come back in ``SUITES`` order.
+
+    A suite is submitted only when a worker is free: the executor hands
+    submitted calls to its workers ahead of time, out of reach of ``cancel``,
+    so a suite that raises would otherwise wait for every later suite.
+    """
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    queued = iter(SUITES)
+    rows: dict[str, list[CheckResult]] = {}
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        running = {pool.submit(_run_named, name): name for name in islice(queued, workers)}
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                rows[running.pop(future)] = future.result()
+                name = next(queued, None)
+                if name is not None:
+                    running[pool.submit(_run_named, name)] = name
+    except BrokenProcessPool as exc:
+        raise PolarflowError(f"a verify worker process died ({exc})") from None
+    finally:
+        pool.shutdown()
+    return [r for name in SUITES for r in rows[name]]
+
+
+def _pool_workers() -> int:
+    """Workers for ``all``: one per core this process may use, up to one per suite.
+
+    0 on one core, where a pool only adds cost, or where ``fork`` is unavailable.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return min(cores, len(SUITES)) if cores >= 2 and hasattr(os, "fork") else 0
+
+
+def run_suite(name: str) -> list[CheckResult]:
+    """Run one named suite (or every suite for ``all``).
+
+    ``all`` runs its suites in forked workers (:func:`_pool_workers`), or in
+    turn in this process where there are none.  The rows are the same either way.
+    """
+    if name != "all":
+        if name not in SUITES:
+            raise KeyError(name)
+        return SUITES[name]()
+    workers = _pool_workers()
+    if workers:
+        return _run_pooled(workers)
+    return [r for fn in SUITES.values() for r in fn()]

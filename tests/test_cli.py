@@ -1,4 +1,7 @@
 import json
+import os
+import pickle
+import time
 import warnings
 from pathlib import Path
 
@@ -40,7 +43,8 @@ from polarflow.cli import (
     run_evolve,
     run_verify,
 )
-from polarflow.errors import ConfigError
+from polarflow.errors import ConfigError, ConvergenceError, SolverError
+from polarflow.verify import SUITES, CheckResult, run_suite
 from polarflow.geometry import reconstruct
 
 ELLIPSE_CFG = """\
@@ -414,6 +418,108 @@ class TestRunVerify:
         summary = json.loads((tmp_path / "verify_heat.json").read_text())
         assert summary["passed"] is False
         assert [(c["name"], c["passed"]) for c in summary["checks"]] == [("a", True), ("b", False)]
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Make ``verify all`` pool its suites, as it does where two cores are usable."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the pool needs the fork start method")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def patch_suites(monkeypatch, **suites):
+    """Replace every suite; those not named return one passing row named after the suite.
+
+    The patch reaches pool workers because they are forked after it.
+    """
+    for name in SUITES:
+        default = lambda name=name: [CheckResult(f"{name}.ok", True, "ok")]  # noqa: E731
+        monkeypatch.setitem(SUITES, name, suites.get(name, default))
+
+
+def table_rows(out):
+    """``(name, mark, detail)`` of each check row the verify table printed."""
+    return [tuple(line.split(None, 2)) for line in out.splitlines()[:-1]]
+
+
+class TestVerifyAll:
+    def test_pooled_battery_matches_in_process(self, tmp_path, capsys, two_cores):
+        assert main(["verify", "all", "--out", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        rows = table_rows(out)
+        assert out.splitlines()[-1] == "33/33 checks passed"
+        assert len(rows) == 33 and all(mark == "PASS" for _, mark, _ in rows)
+        suite_of = [name.split(".")[0] for name, _, _ in rows]
+        assert suite_of == sorted(suite_of, key=list(SUITES).index)
+        checks = json.loads((tmp_path / "verify_all.json").read_text())["checks"]
+        assert [(c["name"], "PASS" if c["passed"] else "FAIL", c["detail"]) for c in checks] == rows
+        in_process = [r for fn in SUITES.values() for r in fn()]
+        assert [CheckResult(**c) for c in checks] == in_process
+
+    def test_worker_abort_is_one_line_and_skips_queued_suites(
+        self, tmp_path, monkeypatch, capsys, two_cores
+    ):
+        def boom():
+            raise SolverError("state went non-finite")
+
+        def slow(name):
+            def suite():
+                (tmp_path / f"ran_{name}").touch()
+                time.sleep(0.5)
+                return [CheckResult(f"{name}.ok", True, "ok")]
+
+            return suite
+
+        patch_suites(monkeypatch, heat=boom, **{n: slow(n) for n in list(SUITES)[1:]})
+        assert run_verify("all", tmp_path) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == "suite aborted: state went non-finite\n"
+        # duhamel had the other worker; no later suite started
+        assert sorted(f.name for f in tmp_path.glob("ran_*")) == ["ran_duhamel"]
+
+    def test_worker_fail_row_exits_3_in_order(self, tmp_path, monkeypatch, capsys, two_cores):
+        patch_suites(monkeypatch, cell=lambda: [CheckResult("cell.bad", False, "1 > 0")])
+        assert run_verify("all", tmp_path) == EXIT_VERIFY
+        rows = table_rows(capsys.readouterr().out)
+        want = [f"{n}.ok" if n != "cell" else "cell.bad" for n in SUITES]
+        assert [name for name, _, _ in rows] == want
+        assert [mark for _, mark, _ in rows] == ["FAIL" if n == "cell" else "PASS" for n in SUITES]
+
+    def test_dead_worker_is_a_runtime_error(self, tmp_path, monkeypatch, capsys, two_cores):
+        patch_suites(monkeypatch, conservation=lambda: os._exit(1))
+        assert main(["verify", "all", "--out", str(tmp_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("suite aborted: a verify worker process died")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cores, suite, pooled", [
+        ({0}, "all", False), ({0, 1}, "all", True), ({0, 1}, "heat", False),
+    ])
+    def test_where_suites_run(self, monkeypatch, cores, suite, pooled):
+        if pooled and not hasattr(os, "fork"):
+            pytest.skip("the pool needs the fork start method")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores, raising=False)
+        patch_suites(monkeypatch, **{
+            n: lambda n=n: [CheckResult(n, True, str(os.getpid()))] for n in SUITES
+        })
+        rows = run_suite(suite)
+        assert [r.name for r in rows] == (list(SUITES) if suite == "all" else [suite])
+        assert all((r.detail != str(os.getpid())) == pooled for r in rows)
+
+
+class TestErrorsPickle:
+    """Pool workers send a suite's exception to the parent by pickle."""
+
+    def test_convergence_error_keeps_history(self):
+        exc = pickle.loads(pickle.dumps(ConvergenceError("no convergence", history=[1.0, 0.5])))
+        assert type(exc) is ConvergenceError
+        assert (str(exc), exc.history) == ("no convergence", [1.0, 0.5])
+
+    def test_config_error_keeps_line(self):
+        exc = pickle.loads(pickle.dumps(ConfigError("bad value", line=3)))
+        assert type(exc) is ConfigError
+        assert (str(exc), exc.line) == ("line 3: bad value", 3)
 
 
 class TestRunCell:

@@ -27,6 +27,7 @@ from polarflow import (
 from polarflow.flux import eval_g
 from polarflow.spectral import (
     _derivative_symbols,
+    _half_axes,
     _irfft,
     _laplacian_half,
     _march,
@@ -102,6 +103,16 @@ def reference_real_advance(grid, spec, dt, hat):
     half = irfft(hh)
     mid = half + (dt / 2.0) * irfft(divergence(half))
     return (hh + dt * divergence(mid)) * half_heat, mid
+
+
+def reference_shift_symbol(grid, speeds, t):
+    """Reference: the shift symbol with its Nyquist split made by ``np.where`` on every call."""
+    off = at = 0.0
+    for c, (_, k, nyquist) in zip(speeds, _half_axes(grid)):
+        phase = c * t * k
+        off = off + np.where(nyquist, 0.0, phase)
+        at = at + np.where(nyquist, phase, 0.0)
+    return np.exp(-1j * off) * np.cos(at)
 
 
 def _oracle_cases():
@@ -216,6 +227,23 @@ class TestGalileanShift:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^speeds must be finite"):
                 galilean_shift(f, [speed], 10.0)
+
+
+class TestShiftSymbol:
+    @pytest.mark.parametrize("resolution, lengths", [((128,), (1.0,)), ((64, 64), (1.0, 1.0)),
+                                                     ((32, 16), (1.0, 2.0))])
+    def test_bitwise_equal_to_where_formula(self, resolution, lengths):
+        m = len(resolution)
+        grid = make_grid(m, lengths, resolution)
+        rng = np.random.default_rng(len(resolution) * resolution[0])
+        speeds = rng.normal(scale=2.0, size=(2000, m))
+        times = rng.uniform(-1.0, 1.0, size=2000) * 10.0 ** rng.integers(-4, 2, size=2000)
+        times[:3] = 0.0, -0.0, -1e-3  # zero of either sign, and a backward shift
+        speeds[3] = 0.0  # a standing shift
+        for c, t in zip(speeds, times):
+            for cs in (list(c), c.tolist()):  # numpy scalars as transport passes, floats as step does
+                got = _shift_symbol(grid, cs, float(t))
+                assert got.tobytes() == reference_shift_symbol(grid, cs, float(t)).tobytes()
 
 
 class TestStep:
