@@ -11,18 +11,8 @@ contraction, mode decay, sphere deviation) that turn the qualitative theory
 into executable checks.
 """
 
-from .cell import AttractorReport, CellSolution, attractor_check, monotonicity_check, solve_cell
-from .diagnostics import (
-    ModeDecayRow,
-    harnack_ratio,
-    harnack_report,
-    l1_contraction_series,
-    l1_norm,
-    min_value,
-    mode_decay_report,
-    sphere_deviation,
-    sup_norm,
-)
+from .cell import CellSolution, monotonicity_check, solve_cell
+from .diagnostics import ModeDecayRow, l1_contraction_series, mode_decay_report
 from .duhamel import (
     PicardReport,
     contraction_horizon,
@@ -77,7 +67,6 @@ from .transport import evolve_coupled, transport_step
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttractorReport",
     "CellSolution",
     "ConfigError",
     "ConvergenceError",
@@ -93,7 +82,6 @@ __all__ = [
     "SolveConfig",
     "SolverError",
     "Trajectory",
-    "attractor_check",
     "burgers_flux",
     "constant_flux",
     "contraction_horizon",
@@ -106,19 +94,15 @@ __all__ = [
     "evolve_coupled",
     "flux_envelope_bound",
     "galilean_shift",
-    "harnack_ratio",
-    "harnack_report",
     "heat_kernel_convolve",
     "heat_propagate",
     "kernel_gradient_l1",
     "l1_contraction_series",
-    "l1_norm",
     "make_field",
     "make_grid",
     "make_initial",
     "max_stable_dt",
     "mean",
-    "min_value",
     "mode_decay_report",
     "monotonicity_check",
     "perturbed_sphere_initial",
@@ -127,10 +111,8 @@ __all__ = [
     "polynomial_flux",
     "reconstruct",
     "solve_cell",
-    "sphere_deviation",
     "sphere_directions",
     "step",
-    "sup_norm",
     "transport_step",
     "trig_random_initial",
     "with_modulation",

@@ -70,7 +70,7 @@ def fd_cell_solve(
         res = -d2 @ v + d1 @ (a * eval_g(spec, 0, v))
         if float(np.abs(res).max()) <= tol:
             return v
-        jac = -d2 + d1 @ np.diag(a * eval_g_prime(spec, 0, v))
+        jac = -d2 + d1 * (a * eval_g_prime(spec, 0, v))  # d1 @ diag(a g'(v)) as a column scaling
         sys = np.zeros((n + 1, n + 1))
         sys[:n, :n] = jac
         sys[:n, n] = 1.0

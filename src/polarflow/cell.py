@@ -1,4 +1,4 @@
-"""Stationary states with prescribed mean, and the attractor diagnostics.
+"""Stationary states with prescribed mean, and the monotonicity of their branch.
 
 The stationary problem is
 
@@ -27,28 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import L1_SLACK
 from .errors import ConvergenceError
 from .flux import FluxSpec, _check_axes, eval_g, eval_g_prime
-from .grid import PeriodicGrid, ScalarField, mean
-from .spectral import (
-    SolveConfig,
-    _derivative_symbols,
-    _flux_divergence,
-    _irfft,
-    _laplacian_half,
-    _rfft,
-    evolve,
-    max_stable_dt,
-)
+from .grid import PeriodicGrid, ScalarField
+from .spectral import _derivative_symbols, _flux_divergence, _irfft, _laplacian_half, _rfft
 
-__all__ = [
-    "CellSolution",
-    "AttractorReport",
-    "solve_cell",
-    "monotonicity_check",
-    "attractor_check",
-]
+__all__ = ["CellSolution", "solve_cell", "monotonicity_check"]
 
 CELL_TOL = 1e-11  # sup residual at which Newton stops
 MAX_NEWTON = 40
@@ -189,84 +173,3 @@ def monotonicity_check(spec: FluxSpec, grid: PeriodicGrid, p: float, q: float) -
     vp = solve_cell(spec, grid, p).v
     vq = solve_cell(spec, grid, q).v
     return bool((vp.values - vq.values).min() > 0.0)
-
-
-@dataclass
-class AttractorReport:
-    times: list[float]
-    sup_distances: list[float]
-    l1_distances: list[float]
-    beta_low: float | None
-    beta_high: float | None
-    envelope_ok: bool
-    converged: bool
-    l1_monotone: bool
-    cell: CellSolution
-
-
-def _find_envelope(
-    spec: FluxSpec, grid: PeriodicGrid, r0: ScalarField
-) -> tuple[float | None, float | None, bool]:
-    """Means ``beta_low <= beta_high`` whose stationary states bracket ``r0``."""
-    lo = float(r0.values.min())
-    hi = float(r0.values.max())
-    if not spec.has_modulation:
-        # stationary states are the constants themselves
-        return lo, hi, True
-
-    def search(cand: float, sign: float, side) -> float | None:
-        # step away from r0 in doubling spans until side(v(cand), r0) holds everywhere
-        span = max(hi - lo, 1.0)
-        for _ in range(12):
-            if side(solve_cell(spec, grid, cand).v.values, r0.values).all():
-                return cand
-            cand += sign * span
-            span *= 2.0
-        return None
-
-    beta_low = search(lo, -1.0, np.less_equal)
-    beta_high = search(hi, 1.0, np.greater_equal)
-    return beta_low, beta_high, beta_low is not None and beta_high is not None
-
-
-def attractor_check(
-    r0: ScalarField,
-    spec: FluxSpec,
-    t_end: float,
-    tol: float,
-    dt: float | None = None,
-    record_every: int | None = None,
-) -> AttractorReport:
-    """Evolve ``r0`` and track its distance to the stationary state of equal mean.
-
-    Also searches for a bracketing pair of stationary states around the
-    initial data (trivially the min/max constants when the flux carries no
-    modulation).  Non-convergence within ``t_end`` is reported, not raised;
-    the L1 distance series is checked to be non-increasing within 1e-8.
-    Raises ``ValueError`` unless ``t_end`` and ``tol`` are positive and finite.
-    """
-    for name, value in (("t_end", t_end), ("tol", tol)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    cell = solve_cell(spec, r0.grid, mean(r0))
-    if dt is None:
-        dt = min(1e-3, 0.9 * max_stable_dt(r0.grid, spec, float(np.abs(r0.values).max())))
-    if record_every is None:
-        record_every = max(1, int(round(t_end / dt / 200)))
-    traj = evolve(r0, spec, SolveConfig(dt=dt, t_end=t_end, record_every=record_every))
-    gap = np.abs(traj.radii - cell.v.values)
-    sup_d = gap.max(axis=traj._grid_axes).tolist()
-    l1_d = (gap.sum(axis=traj._grid_axes) * (r0.grid.volume / r0.grid.num_nodes)).tolist()
-    monotone = all(b <= a + L1_SLACK for a, b in zip(l1_d, l1_d[1:]))
-    beta_low, beta_high, env_ok = _find_envelope(spec, r0.grid, r0)
-    return AttractorReport(
-        times=traj.times.tolist(),
-        sup_distances=sup_d,
-        l1_distances=l1_d,
-        beta_low=beta_low,
-        beta_high=beta_high,
-        envelope_ok=env_ok,
-        converged=sup_d[-1] < tol,
-        l1_monotone=monotone,
-        cell=cell,
-    )

@@ -1,4 +1,4 @@
-"""Quantitative checks over fields and trajectories.
+"""Quantitative checks over trajectories: L1 contraction and mode decay.
 
 Everything here is a pure, deterministic function: identical inputs give
 bit-identical outputs.
@@ -10,16 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PeriodicGrid, ScalarField
+from .grid import PeriodicGrid
 from .spectral import Trajectory, _half_axes, _rfft
 
 __all__ = [
-    "sup_norm",
-    "l1_norm",
-    "min_value",
-    "sphere_deviation",
-    "harnack_ratio",
-    "harnack_report",
     "l1_contraction_series",
     "ModeDecayRow",
     "mode_decay_report",
@@ -28,55 +22,6 @@ __all__ = [
 NOISE_FLOOR = 1e-14
 FIT_FLOOR = 1e-12
 L1_SLACK = 1e-8  # rise of an L1 distance between records that counts as an increase
-
-
-def sup_norm(f: ScalarField) -> float:
-    return float(np.abs(f.values).max())
-
-
-def l1_norm(f: ScalarField) -> float:
-    """Torus L1 norm, trapezoid weights (= cell volume times node sum)."""
-    return float(np.abs(f.values).mean()) * f.grid.volume
-
-
-def min_value(f: ScalarField) -> float:
-    return float(f.values.min())
-
-
-def sphere_deviation(r: ScalarField, r_bar: float) -> float:
-    """Sup distance of the radius profile from the constant ``r_bar``."""
-    return float(np.abs(r.values - r_bar).max())
-
-
-def harnack_ratio(traj: Trajectory, t: float, tau: float) -> float:
-    """Measured ``sup u(t - tau) / ||u(t)||_1`` for a positive solution.
-
-    Scale-invariant (degree zero in u).  Raises ``KeyError`` when the needed
-    snapshots are missing and ``ValueError`` when the field is not positive.
-    """
-    if tau <= 0.0:
-        raise ValueError("lag tau must be positive")
-    past = ScalarField(grid=traj.grid, values=traj.radii[traj.index_at(t - tau)])
-    now = ScalarField(grid=traj.grid, values=traj.radii[traj.index_at(t)])
-    if min_value(past) <= 0.0 or min_value(now) <= 0.0:
-        raise ValueError("harnack ratio requires a positive solution")
-    return sup_norm(past) / l1_norm(now)
-
-
-def harnack_report(traj: Trajectory, tau: float) -> tuple[list[tuple[float, float]], float]:
-    """Ratio series over every admissible time, plus its max (empirical constant).
-
-    The constant is reported, never asserted against a prescribed value.
-    """
-    series = []
-    for t in traj.times.tolist():
-        try:
-            series.append((t, harnack_ratio(traj, t, tau)))
-        except KeyError:
-            continue
-    if not series:
-        raise ValueError("no snapshot pairs separated by tau")
-    return series, max(r for _, r in series)
 
 
 def l1_contraction_series(traj1: Trajectory, traj2: Trajectory) -> list[tuple[float, float]]:

@@ -65,7 +65,6 @@ __all__ = [
 
 MAX_PRINCIPLE_SLACK = 1e-8
 CFL_NUMBER = 0.5
-SNAPSHOT_TIME_TOL = 1e-9  # how far a snapshot time may lie from a requested one
 
 
 @dataclass(frozen=True)
@@ -129,12 +128,6 @@ class Trajectory:
     @property
     def _grid_axes(self) -> tuple[int, ...]:
         return tuple(range(1, self.grid.m + 1))
-
-    def index_at(self, t: float) -> int:
-        for i, ti in enumerate(self.times):
-            if abs(ti - t) <= SNAPSHOT_TIME_TOL:
-                return i
-        raise KeyError(f"no snapshot at t={t}")
 
     @property
     def final(self) -> ScalarField:
@@ -389,7 +382,10 @@ def _schedule(
         raise SolverError(
             f"dt={cfg.dt:.3e} violates advective stability bound {dt_max:.3e}"
         )
-    n_full = int(np.floor(cfg.t_end / cfg.dt + 1e-12))
+    steps = cfg.t_end / cfg.dt
+    if not math.isfinite(steps):
+        raise SolverError(f"dt={cfg.dt:.3e} takes too many steps to reach t_end={cfg.t_end:.6g}")
+    n_full = int(np.floor(steps + 1e-12))
     remainder = cfg.t_end - n_full * cfg.dt
     if remainder < 1e-12 * max(1.0, cfg.t_end):
         remainder = 0.0
@@ -411,7 +407,8 @@ def _march(
 
     Records fall every ``record_every`` steps and at ``t_end``, which a
     shorter tail step reaches when ``dt`` does not divide it; each is copied
-    into its slot of the preallocated arrays (see :class:`Trajectory`).
+    into its slot of the preallocated arrays (see :class:`Trajectory`), and
+    arrays too large to allocate raise :class:`SolverError`.
     ``direction``, when given (one member only), is ``(vectors0, transport)``:
     after each radius step, which must leave the radius positive,
     ``transport(vectors, radii, dt)`` carries the direction vectors over the
@@ -427,15 +424,21 @@ def _march(
     n_full, remainder = _schedule(grid, spec, cfg, float(np.abs(vals).max()))
     n_steps = n_full + (remainder > 0.0)
     n_records = 1 + n_steps // cfg.record_every + (n_steps % cfg.record_every > 0)
-    stepper = _Stepper(grid, spec, cfg.dt)
-    times, radii = np.zeros(n_records), np.empty((n_records, *vals.shape))
-    radii[0], slot = vals, 1
-    hat = _rfft(grid, vals)
-    coupled, directions = direction is not None, None
+    coupled = direction is not None
     if coupled:
         p, transport = direction
-        directions = np.empty((n_records, *p.shape))
+    try:
+        times, radii = np.zeros(n_records), np.empty((n_records, *vals.shape))
+        directions = np.empty((n_records, *p.shape)) if coupled else None
+    except (ValueError, MemoryError) as exc:
+        raise SolverError(
+            f"cannot allocate {n_records:.3g} records of dt={cfg.dt:.3e} to t_end={cfg.t_end:.6g}: {exc}"
+        ) from exc
+    stepper = _Stepper(grid, spec, cfg.dt)
+    radii[0], slot = vals, 1
+    if coupled:
         directions[0] = p
+    hat = _rfft(grid, vals)
     for k in range(1, n_steps + 1):
         t = k * cfg.dt
         if k > n_full:
@@ -479,7 +482,8 @@ def evolve(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig) -> Trajectory:
     """Integrate from ``t=0`` to ``cfg.t_end``, recording every ``record_every`` steps.
 
     Raises :class:`SolverError` when ``cfg.dt`` exceeds the advective stability
-    bound for the initial data or when the state stops being finite; runs that
+    bound for the initial data, when it is too small for the records of the
+    run to be allocated, or when the state stops being finite; runs that
     merely breach the sup-norm bound or positivity are flagged, not aborted.
     The state between records stays a spectrum (see :class:`_Stepper`).
     """

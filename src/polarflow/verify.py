@@ -18,7 +18,7 @@ import numpy as np
 
 from ._fdcell import fd_cell_solve
 from .cell import monotonicity_check, solve_cell
-from .diagnostics import l1_contraction_series, mode_decay_report, sphere_deviation
+from .diagnostics import L1_SLACK, l1_contraction_series, mode_decay_report
 from .duhamel import (
     contraction_horizon,
     heat_kernel_convolve,
@@ -174,6 +174,14 @@ def suite_cell() -> list[CheckResult]:
     s1 = solve_cell(spec, grid, 1.0)
     drift = float(np.abs(step(s1.v, spec, 1e-5).values - s1.v.values).max())
     out.append(_check("cell.stationary_under_step", drift, 1e-9))
+
+    # the attractor: a solution of mean 1 approaches s1 to Strang's O(dt^2) floor
+    r0 = make_field(grid, 1.0 + 0.2 * np.sin(2.0 * np.pi * grid.axis_coords(0)))
+    traj = evolve(r0, spec, SolveConfig(dt=5e-4, t_end=0.5, record_every=50))
+    gap = np.abs(traj.radii - s1.v.values)
+    out.append(_check("cell.attractor_sup_distance", float(gap[-1].max()), 1e-5))
+    l1 = gap.mean(axis=1) * grid.volume
+    out.append(_check("cell.attractor_l1_nonincreasing", float(np.diff(l1).max()), L1_SLACK))
     return out
 
 
@@ -196,7 +204,7 @@ def suite_geometry() -> list[CheckResult]:
 
     traj = evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=5e-4, t_end=0.5, record_every=100))
     rbar = mean(r0)
-    dev = sphere_deviation(traj.final, rbar)
+    dev = float(traj.sphere_dev[-1])
     out.append(_check("geometry.sphere_convergence", dev, 1e-6 * rbar))
     radii = np.sqrt(((traj.radii[-1][..., None] * traj.directions[-1]) ** 2).sum(-1))
     out.append(_check("geometry.points_on_sphere", float(np.abs(radii - rbar).max()), 1e-6 * rbar))
@@ -213,6 +221,10 @@ SUITES = {
 }
 
 
+# longest first, so that no worker idles while another runs a long suite
+_COST_ORDER = ("conservation", "contraction", "geometry", "duhamel", "cell", "heat")
+
+
 def _run_named(name: str) -> list[CheckResult]:
     """Worker entry: a suite travels by name, so a forked worker runs the parent's ``SUITES``."""
     return SUITES[name]()
@@ -221,15 +233,16 @@ def _run_named(name: str) -> list[CheckResult]:
 def _run_pooled(workers: int) -> list[CheckResult]:
     """Every suite in ``workers`` forked processes; rows come back in ``SUITES`` order.
 
-    A suite is submitted only when a worker is free: the executor hands
-    submitted calls to its workers ahead of time, out of reach of ``cancel``,
-    so a suite that raises would otherwise wait for every later suite.
+    Suites start in ``_COST_ORDER``, each only when a worker is free: the
+    executor hands submitted calls to its workers ahead of time, out of reach
+    of ``cancel``, so a suite that raises would otherwise wait for every later
+    suite.
     """
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
-    queued = iter(SUITES)
+    queued = iter(_COST_ORDER)
     rows: dict[str, list[CheckResult]] = {}
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:

@@ -36,6 +36,7 @@ from polarflow import (
 )
 from polarflow._fdcell import fd_cell_solve
 from polarflow.cli import run_evolve
+from polarflow.verify import run_suite
 
 
 def report(num, name, ok, detail):
@@ -239,19 +240,11 @@ def test_09_cell_problem():
     )
 
 
-def test_10_attractor(grid):
-    from polarflow import attractor_check
-
-    theta = grid.axis_coords(0)
-    r0 = make_field(grid, 1.0 + 0.3 * np.cos(2.0 * np.pi * theta))
-    rep = attractor_check(r0, burgers_flux(1), t_end=1.0, tol=1e-6)
-    ok = rep.converged and rep.l1_monotone
-    report(
-        10,
-        "attractor",
-        ok,
-        f"sup distance at t=1: {rep.sup_distances[-1]:.2e} < 1e-6, L1 non-increasing: {rep.l1_monotone}",
-    )
+def test_10_attractor():
+    # verify's cell suite evolves 1 + 0.2 sin(2 pi theta) under a modulated flux
+    rows = [r for r in run_suite("cell") if r.name.startswith("cell.attractor_")]
+    ok = len(rows) == 2 and all(r.passed for r in rows)
+    report(10, "attractor", ok, "; ".join(f"{r.name} {r.detail}" for r in rows))
 
 
 def test_11_determinism(tmp_path):

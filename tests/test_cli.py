@@ -44,7 +44,7 @@ from polarflow.cli import (
     run_verify,
 )
 from polarflow.errors import ConfigError, ConvergenceError, SolverError
-from polarflow.verify import SUITES, CheckResult, run_suite
+from polarflow.verify import _COST_ORDER, SUITES, CheckResult, run_suite
 from polarflow.geometry import reconstruct
 
 ELLIPSE_CFG = """\
@@ -291,6 +291,14 @@ class TestRunEvolve:
         assert "finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    # the record arrays of 1e300 steps ended in a ValueError traceback
+    def test_tiny_dt_is_a_runtime_error(self, tmp_path, capsys):
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG.replace("solver.dt = 5e-4", "solver.dt = 1e-300"))
+        assert main(["evolve", str(cfg_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: cannot allocate") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flux_lines",
         [
@@ -448,8 +456,8 @@ class TestVerifyAll:
         assert main(["verify", "all", "--out", str(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out
         rows = table_rows(out)
-        assert out.splitlines()[-1] == "33/33 checks passed"
-        assert len(rows) == 33 and all(mark == "PASS" for _, mark, _ in rows)
+        assert out.splitlines()[-1] == "35/35 checks passed"
+        assert len(rows) == 35 and all(mark == "PASS" for _, mark, _ in rows)
         suite_of = [name.split(".")[0] for name, _, _ in rows]
         assert suite_of == sorted(suite_of, key=list(SUITES).index)
         checks = json.loads((tmp_path / "verify_all.json").read_text())["checks"]
@@ -471,12 +479,16 @@ class TestVerifyAll:
 
             return suite
 
-        patch_suites(monkeypatch, heat=boom, **{n: slow(n) for n in list(SUITES)[1:]})
+        first, second = _COST_ORDER[:2]
+        patch_suites(monkeypatch, **{n: slow(n) for n in _COST_ORDER[1:]}, **{first: boom})
         assert run_verify("all", tmp_path) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert err == "suite aborted: state went non-finite\n"
-        # duhamel had the other worker; no later suite started
-        assert sorted(f.name for f in tmp_path.glob("ran_*")) == ["ran_duhamel"]
+        # the second suite had the other worker; no later suite started
+        assert sorted(f.name for f in tmp_path.glob("ran_*")) == [f"ran_{second}"]
+
+    def test_cost_order_covers_every_suite_once(self):
+        assert sorted(_COST_ORDER) == sorted(SUITES)
 
     def test_worker_fail_row_exits_3_in_order(self, tmp_path, monkeypatch, capsys, two_cores):
         patch_suites(monkeypatch, cell=lambda: [CheckResult("cell.bad", False, "1 > 0")])

@@ -5,74 +5,69 @@ import pytest
 
 from polarflow import (
     SolveConfig,
+    Trajectory,
     burgers_flux,
+    ellipse_initial,
     evolve,
-    harnack_ratio,
-    harnack_report,
     l1_contraction_series,
-    l1_norm,
     make_field,
     make_grid,
-    min_value,
+    mean,
     mode_decay_report,
-    sphere_deviation,
-    sup_norm,
     zero_flux,
 )
 from polarflow.diagnostics import NOISE_FLOOR
 from conftest import smooth_field
 
 
+def columns(f):
+    """A one-record trajectory of ``f``: its columns hold the norms of ``f``."""
+    return Trajectory(f.grid, zero_flux(f.grid.m), np.zeros(1), f.values[None])
+
+
 class TestNorms:
     def test_constant(self, grid64):
-        f = make_field(grid64, np.full(64, 2.0))
-        assert sup_norm(f) == 2.0
-        assert l1_norm(f) == pytest.approx(2.0)
-        assert min_value(f) == 2.0
+        rec = columns(make_field(grid64, np.full(64, 2.0)))
+        assert rec.sup[0] == 2.0
+        assert rec.l1[0] == pytest.approx(2.0)
+        assert rec.min[0] == 2.0
 
     def test_cosine(self, grid128):
         theta = grid128.axis_coords(0)
-        f = make_field(grid128, np.cos(2 * np.pi * theta))
-        assert sup_norm(f) == pytest.approx(1.0, abs=1e-4)  # node offset h^2 slack
+        rec = columns(make_field(grid128, np.cos(2 * np.pi * theta)))
+        assert rec.sup[0] == pytest.approx(1.0, abs=1e-4)  # node offset h^2 slack
         # closed form: integral of |cos(2 pi x)| over one period = 2/pi;
         # |cos| is only piecewise smooth, so the trapezoid rule is O(h^2) here
-        assert l1_norm(f) == pytest.approx(2.0 / np.pi, abs=5e-4)
+        assert rec.l1[0] == pytest.approx(2.0 / np.pi, abs=5e-4)
 
     def test_l1_converges_second_order_on_kinked_integrand(self):
-        from polarflow import make_grid
-
         errs = []
         for n in (128, 256):
             g = make_grid(1, [1.0], [n])
-            f = make_field(g, np.cos(2 * np.pi * g.axis_coords(0)))
-            errs.append(abs(l1_norm(f) - 2.0 / np.pi))
+            rec = columns(make_field(g, np.cos(2 * np.pi * g.axis_coords(0))))
+            errs.append(abs(rec.l1[0] - 2.0 / np.pi))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
 
     def test_negation_symmetry(self, grid64):
         f = smooth_field(grid64, seed=50, offset=0.5)
-        neg = make_field(grid64, -f.values)
-        assert sup_norm(neg) == sup_norm(f)
-        assert min_value(neg) == -float(f.values.max())
+        neg = columns(make_field(grid64, -f.values))
+        assert neg.sup[0] == columns(f).sup[0]
+        assert neg.min[0] == -float(f.values.max())
 
     def test_l1_uses_volume(self):
-        from polarflow import make_grid
-
         g = make_grid(1, [2.0], [64])
-        f = make_field(g, np.full(64, 3.0))
-        assert l1_norm(f) == pytest.approx(6.0)  # 3 over a period of length 2
+        rec = columns(make_field(g, np.full(64, 3.0)))
+        assert rec.l1[0] == pytest.approx(6.0)  # 3 over a period of length 2
 
 
 class TestSphereDeviation:
     def test_exact_sphere(self, grid64):
-        f = make_field(grid64, np.full(64, 1.5))
-        assert sphere_deviation(f, 1.5) == 0.0
+        assert columns(make_field(grid64, np.full(64, 1.5))).sphere_dev[0] == 0.0
 
     def test_ellipse_initial_deviation(self, grid128):
-        from polarflow import ellipse_initial, mean
-
         r0, _ = ellipse_initial(grid128, 2.0, 1.0)
         rbar = mean(r0)
-        dev = sphere_deviation(r0, rbar)
+        dev = columns(r0).sphere_dev[0]
         assert dev == pytest.approx(max(2.0 - rbar, rbar - 1.0), abs=1e-12)
 
     def test_monotone_decrease_zero_flux(self, grid64):
@@ -81,42 +76,6 @@ class TestSphereDeviation:
         traj = evolve(r0, zero_flux(1), SolveConfig(dt=1e-3, t_end=0.2, record_every=20))
         devs = traj.sphere_dev.tolist()
         assert all(b < a for a, b in zip(devs, devs[1:]))
-
-
-class TestHarnack:
-    def run(self, grid, values, t_end=1.0):
-        return evolve(
-            make_field(grid, values), zero_flux(1), SolveConfig(dt=1e-3, t_end=t_end, record_every=100)
-        )
-
-    def test_constant_solution_ratio_one(self, grid64):
-        traj = self.run(grid64, np.full(64, 3.0))
-        assert harnack_ratio(traj, 0.5, 0.2) == pytest.approx(1.0)
-
-    def test_bounded_over_window(self, grid64):
-        theta = grid64.axis_coords(0)
-        traj = self.run(grid64, 1.0 + 0.5 * np.cos(2 * np.pi * theta))
-        series, cmax = harnack_report(traj, 0.1)
-        assert all(np.isfinite(r) for _, r in series)
-        assert cmax < 10.0
-
-    def test_scale_invariance(self, grid64):
-        theta = grid64.axis_coords(0)
-        base = 1.0 + 0.5 * np.cos(2 * np.pi * theta)
-        r1 = harnack_ratio(self.run(grid64, base), 0.5, 0.2)
-        r2 = harnack_ratio(self.run(grid64, 2.0 * base), 0.5, 0.2)
-        assert r1 == pytest.approx(r2, rel=1e-12)
-
-    def test_missing_snapshot_rejected(self, grid64):
-        traj = self.run(grid64, np.full(64, 1.0))
-        with pytest.raises(KeyError):
-            harnack_ratio(traj, 0.5, 0.123)
-
-    def test_non_positive_rejected(self, grid64):
-        theta = grid64.axis_coords(0)
-        traj = self.run(grid64, np.cos(2 * np.pi * theta))
-        with pytest.raises(ValueError, match="positive"):
-            harnack_ratio(traj, 0.5, 0.2)
 
 
 class TestL1Contraction:
