@@ -29,24 +29,31 @@ stationary state.  The trajectory and SVG writers of ``polarflow evolve``
 are timed on a 1001-record N=128 ellipse run against the per-cell
 ``reference_*`` writers of ``tests/test_cli.py``; both must write identical
 bytes.  The writers overwrite their files on every repeat, which is cheaper
-than creating them.  The ``verify`` contraction pair (two N=128 burgers runs
-of 5000 steps) is timed stepped as one two-member batch against two
-``evolve`` runs; every member must match its own run bitwise.  Last,
+than creating them.  All the writers of that run with its SVG frames
+(``_write_evolve``) are timed through the fork pool against in-process (as on
+one core); every repeat writes into a fresh directory, since creating the
+1001 frame files is much of the cost, and both must write identical bytes.
+The ``verify`` contraction pair (two N=128 burgers runs of 5000 steps) is
+timed stepped as one two-member batch against two ``evolve`` runs; every
+member must match its own run bitwise.  Last,
 ``run_suite("all")``, which spreads the ``verify`` suites over forked
 workers when two or more cores are usable, is timed against the sum of the
 suites run one after another in this process, after checking that both give
 the same rows; the per-suite times, the worker count and ``nproc`` are
-printed with it.
+printed with it.  Both pooled rows start ``polarflow._pool.usable_workers()``
+workers at most.
 
     python benchmarks/bench_kernels.py [--n 128] [--repeat 50]
 """
 
 import argparse
 import os
+import shutil
 import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -66,12 +73,13 @@ from polarflow import (
     with_modulation,
 )
 from polarflow import cell
-from polarflow.cli import _write_svg_frames, _write_trajectory
+from polarflow._pool import usable_workers
+from polarflow.cli import _write_evolve, _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _heat_flow, _Window
 from polarflow.flux import eval_g, eval_g_prime
 from polarflow import transport
 from polarflow.spectral import _irfft, _march, _rfft, _shift_symbol, _Stepper
-from polarflow.verify import SUITES, _pool_workers, run_suite
+from polarflow.verify import SUITES, run_suite
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import full_lattice  # noqa: E402
@@ -286,6 +294,32 @@ def bench(n, repeat):
             t_fast = timeit(lambda: fast(new, traj, cfg), min(repeat, 3))
             t_slow = timeit(lambda: slow(ref, traj, cfg), min(repeat, 3))
             print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
+    evolve_writers_row(traj, cfg, min(repeat, 5))
+
+
+def fresh_write_s(traj, cfg, root, repeat):
+    """Best time of ``_write_evolve`` with frames, each repeat into a new directory."""
+    best = np.inf
+    for _ in range(repeat + 1):  # the first is a warm-up
+        out = Path(tempfile.mkdtemp(dir=root))
+        t0 = time.perf_counter()
+        _write_evolve(out, traj, cfg, svg=True)
+        best = min(best, time.perf_counter() - t0)
+        artifacts = read_artifacts(out)
+        shutil.rmtree(out)
+    return best, artifacts
+
+
+def evolve_writers_row(traj, cfg, repeat):
+    """Every ``evolve`` writer of one run with frames: pooled against in-process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        t_pool, pooled = fresh_write_s(traj, cfg, tmp, repeat)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            t_here, here = fresh_write_s(traj, cfg, tmp, repeat)
+    assert pooled == here, "evolve writers: pooled and in-process bytes differ"
+    workers = usable_workers()
+    name = "evolve writers (%s)" % ("%d workers" % workers if workers else "in-process")
+    print(f"{name:<34} {t_pool * 1e3:>10.3f}ms {t_here * 1e3:>10.3f}ms {t_here / t_pool:>8.1f}x")
 
 
 def verify_row(repeat):
@@ -295,7 +329,7 @@ def verify_row(repeat):
     suite_s = {name: timeit(fn, repeat) for name, fn in SUITES.items()}
     t_pool = timeit(lambda: run_suite("all"), repeat)
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = _pool_workers()
+    workers = min(usable_workers(), len(SUITES))
     t_sum = sum(suite_s.values())
     name = "verify all (%s, nproc %d)" % ("%d workers" % workers if workers else "in-process", nproc)
     print(f"{name:<34} {t_pool * 1e3:>10.3f}ms {t_sum * 1e3:>10.3f}ms {t_sum / t_pool:>8.1f}x")

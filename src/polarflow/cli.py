@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .cell import CellSolution, monotonicity_check, solve_cell
+from ._pool import run_jobs, usable_workers
 from .errors import ConfigError, PolarflowError
 from .flux import FluxSpec, Modulation, burgers_flux, constant_flux, polynomial_flux, with_modulation, zero_flux
 from .geometry import make_initial
@@ -49,6 +50,11 @@ KNOWN_KEYS = frozenset(
     " flux.mod_sin flux.mod_cos solver.dt solver.t_end initial.preset initial.params initial.d"
     " output.dir output.record_every output.svg seed cell.p cell.pairs".split()
 )
+
+# records per diagnostics fftn: this many grid nodes, 512 kB of complex spectra
+_FFT_CHUNK_NODES = 1 << 15
+
+_FRAME = "frame_{:05d}.svg"
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +195,7 @@ def _write_csv(path: Path, head: str, rows: list[str]) -> None:
     path.write_text(head + "\n".join(rows) + "\n")
 
 
-def _write_failed(exc: OSError) -> int:
+def _write_failed(exc: Exception) -> int:
     print(f"cannot write artifacts: {exc}", file=sys.stderr)
     return EXIT_RUNTIME
 
@@ -214,9 +220,16 @@ def _write_diagnostics(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None
     columns = ["t", "mean", "sup", "min", "l1", "sphere_dev"] + [
         "amp_" + "_".join(map(str, m)) for m in modes
     ]
-    # one record at a time: an fftn over all records would hold a complex copy of them
-    spectra = (np.fft.fftn(record) / traj.grid.num_nodes for record in traj.radii)
-    amps = [[abs(spectrum[m]) for m in modes] for spectrum in spectra]
+    # a fixed number of nodes per fftn: one over all records would hold a complex copy of them
+    nodes = traj.grid.num_nodes
+    chunk = max(1, _FFT_CHUNK_NODES // nodes)
+    axes = tuple(range(1, traj.grid.m + 1))
+    amps = np.empty((len(traj.times), len(modes)))
+    for lo in range(0, len(traj.times), chunk):
+        spectra = np.fft.fftn(traj.radii[lo : lo + chunk], axes=axes)
+        for j, mode in enumerate(modes):
+            z = spectra[(slice(None), *mode)] / nodes
+            amps[lo : lo + chunk, j] = np.hypot(z.real, z.imag)  # abs(z), bitwise
     table = np.column_stack(
         [traj.times, traj.mean, traj.sup, traj.min, traj.l1, traj.sphere_dev, amps]
     )
@@ -255,9 +268,12 @@ def _write_snapshot(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
     _write_csv(out / "snapshot_final.csv", head, _csv_rows(table))
 
 
-def _write_svg_frames(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
-    frames = out / "frames"
-    frames.mkdir(exist_ok=True)
+def _write_svg_frames(
+    out: Path, traj: Trajectory, cfg: dict[str, str], frames: range | None = None
+) -> None:
+    """One SVG file per record in ``out/frames``; ``frames`` picks the record indices (all by default)."""
+    folder = out / "frames"
+    folder.mkdir(exist_ok=True)
     span = float(traj.sup.max()) * 1.1
     before_path = (
         f" config_hash={config_hash(cfg)} -->\n"
@@ -269,13 +285,52 @@ def _write_svg_frames(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
         f' Z" fill="none" stroke="black" stroke-width="{_fmt(span / 200)}"/>\n'
         "</svg>\n"
     )
-    for i, (t, r, p) in enumerate(zip(traj.times, traj.radii, traj.directions)):
-        path = " L ".join([f"{x!r} {y!r}" for x, y in (r[..., None] * p).reshape(-1, 2).tolist()])
+    for i in range(len(traj.times)) if frames is None else frames:
+        xy = (traj.radii[i][..., None] * traj.directions[i]).reshape(-1, 2).tolist()
+        path = " L ".join([f"{x!r} {y!r}" for x, y in xy])
         svg = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f"<!-- frame t={_fmt(t)}{before_path}{path}{after_path}"
+            f"<!-- frame t={_fmt(traj.times[i])}{before_path}{path}{after_path}"
         )
-        (frames / f"frame_{i:05d}.svg").write_text(svg)
+        (folder / _FRAME.format(i)).write_text(svg)
+
+
+def _remove_stale_frames(out: Path, count: int) -> None:
+    """Delete the frame files in ``out/frames`` that a run of ``count`` frames does not write."""
+    keep = {_FRAME.format(i) for i in range(count)}
+    for path in (out / "frames").glob("frame_*.svg"):
+        if path.name not in keep:
+            path.unlink()
+
+
+def _write_evolve(out: Path, traj: Trajectory, cfg: dict[str, str], svg: bool) -> None:
+    """Write every artifact of an ``evolve`` run into ``out``.
+
+    A run with SVG frames hands its writers to :func:`run_jobs`, with the
+    frames split into one interleaved shard per usable worker; each job
+    looks its writer up by name when it runs.  Without frames the files are
+    few and small, and the pool would cost more than it saves, so the
+    writers run here.
+    """
+    if not svg:
+        _write_diagnostics(out, traj, cfg)
+        _write_trajectory(out, traj, cfg)
+        _write_snapshot(out, traj, cfg)
+        return
+    n = len(traj.times)
+    _remove_stale_frames(out, n)
+    shards = max(1, usable_workers())
+    run_jobs(
+        [
+            *(
+                lambda k=k: _write_svg_frames(out, traj, cfg, frames=range(k, n, shards))
+                for k in range(shards)
+            ),
+            lambda: _write_trajectory(out, traj, cfg),
+            lambda: _write_diagnostics(out, traj, cfg),
+            lambda: _write_snapshot(out, traj, cfg),
+        ]
+    )
 
 
 def run_evolve(config_path: str | Path) -> int:
@@ -311,12 +366,8 @@ def run_evolve(config_path: str | Path) -> int:
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_diagnostics(out_dir, traj, cfg)
-        _write_trajectory(out_dir, traj, cfg)
-        _write_snapshot(out_dir, traj, cfg)
-        if want_svg and grid.m == 1 and p0.d == 2:
-            _write_svg_frames(out_dir, traj, cfg)
-    except OSError as exc:
+        _write_evolve(out_dir, traj, cfg, want_svg and grid.m == 1 and p0.d == 2)
+    except (OSError, PolarflowError) as exc:  # PolarflowError: a writer process died
         return _write_failed(exc)
     for flag in traj.flags:
         print(f"flag: {flag}")
@@ -352,7 +403,9 @@ def run_verify(suite: str, out_dir: str | Path = "out") -> int:
         "suite": suite,
         "passed": n_fail == 0,
         "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+            {"name": r.name, "passed": r.passed, "detail": r.detail, "value": r.value,
+             "bound": r.bound}
+            for r in results
         ],
     }
     try:

@@ -10,13 +10,12 @@ than one core.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from ._fdcell import fd_cell_solve
+from ._pool import run_jobs
 from .cell import monotonicity_check, solve_cell
 from .diagnostics import L1_SLACK, l1_contraction_series, mode_decay_report
 from .duhamel import (
@@ -25,7 +24,6 @@ from .duhamel import (
     kernel_gradient_l1,
     picard_solve,
 )
-from .errors import PolarflowError
 from .flux import Modulation, burgers_flux, constant_flux, with_modulation, zero_flux
 from .geometry import decompose, ellipse_initial, perturbed_sphere_initial, reconstruct
 from .grid import make_field, make_grid, mean
@@ -37,14 +35,20 @@ __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check: ``value`` against ``bound`` where the check compares two numbers, else ``None``."""
+
     name: str
     passed: bool
     detail: str
+    value: float | None = None
+    bound: float | None = None
 
 
 def _check(name: str, value: float, bound: float) -> CheckResult:
-    # a Python bool: numpy scalars (np.bool_) are not JSON-serializable
-    return CheckResult(name, bool(value <= bound), f"{value:.3e} <= {bound:.3e}")
+    # Python bool and floats: numpy scalars are not JSON-serializable
+    return CheckResult(
+        name, bool(value <= bound), f"{value:.3e} <= {bound:.3e}", float(value), float(bound)
+    )
 
 
 def _grid1(n: int = 128):
@@ -225,62 +229,16 @@ SUITES = {
 _COST_ORDER = ("conservation", "contraction", "geometry", "duhamel", "cell", "heat")
 
 
-def _run_named(name: str) -> list[CheckResult]:
-    """Worker entry: a suite travels by name, so a forked worker runs the parent's ``SUITES``."""
-    return SUITES[name]()
-
-
-def _run_pooled(workers: int) -> list[CheckResult]:
-    """Every suite in ``workers`` forked processes; rows come back in ``SUITES`` order.
-
-    Suites start in ``_COST_ORDER``, each only when a worker is free: the
-    executor hands submitted calls to its workers ahead of time, out of reach
-    of ``cancel``, so a suite that raises would otherwise wait for every later
-    suite.
-    """
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    queued = iter(_COST_ORDER)
-    rows: dict[str, list[CheckResult]] = {}
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        running = {pool.submit(_run_named, name): name for name in islice(queued, workers)}
-        while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
-                rows[running.pop(future)] = future.result()
-                name = next(queued, None)
-                if name is not None:
-                    running[pool.submit(_run_named, name)] = name
-    except BrokenProcessPool as exc:
-        raise PolarflowError(f"a verify worker process died ({exc})") from None
-    finally:
-        pool.shutdown()
-    return [r for name in SUITES for r in rows[name]]
-
-
-def _pool_workers() -> int:
-    """Workers for ``all``: one per core this process may use, up to one per suite.
-
-    0 on one core, where a pool only adds cost, or where ``fork`` is unavailable.
-    """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cores, len(SUITES)) if cores >= 2 and hasattr(os, "fork") else 0
-
-
 def run_suite(name: str) -> list[CheckResult]:
     """Run one named suite (or every suite for ``all``).
 
-    ``all`` runs its suites in forked workers (:func:`_pool_workers`), or in
-    turn in this process where there are none.  The rows are the same either way.
+    ``all`` runs its suites through :func:`~polarflow._pool.run_jobs`, longest
+    first, in forked workers where two or more cores are usable; the rows come
+    back in ``SUITES`` order either way.
     """
     if name != "all":
         if name not in SUITES:
             raise KeyError(name)
         return SUITES[name]()
-    workers = _pool_workers()
-    if workers:
-        return _run_pooled(workers)
-    return [r for fn in SUITES.values() for r in fn()]
+    rows = dict(zip(_COST_ORDER, run_jobs(SUITES[suite] for suite in _COST_ORDER)))
+    return [r for name in SUITES for r in rows[name]]

@@ -1,6 +1,10 @@
+import errno
 import json
 import os
 import pickle
+import shutil
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -24,6 +28,7 @@ from polarflow import (
     with_modulation,
     zero_flux,
 )
+from polarflow import cli
 from polarflow.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -386,6 +391,98 @@ class TestRunEvolve:
         assert cells[4] == pytest.approx(cells[1] * cells[2])  # x0 = r * p0
 
 
+def frame_hashes(out):
+    """``{frame file name: config_hash}`` of every SVG frame under ``out/frames``."""
+    return {
+        path.name: path.read_text().split("config_hash=", 1)[1].split(" ", 1)[0]
+        for path in (out / "frames").glob("*.svg")
+    }
+
+
+EVERY_STEP_CFG = ELLIPSE_CFG.replace("output.record_every = 100", "output.record_every = 1")
+
+
+class TestEvolveWriters:
+    """``evolve`` hands its writers to the fork pool when it writes SVG frames."""
+
+    def test_shorter_rerun_leaves_only_its_own_frames(self, tmp_path):
+        text = EVERY_STEP_CFG.replace("solver.dt = 5e-4", "solver.dt = 1e-3")
+        cfg_path, out = write_cfg(tmp_path, text.replace("t_end = 0.2", "t_end = 0.02"))
+        assert run_evolve(cfg_path) == EXIT_OK
+        assert len(frame_hashes(out)) == 21
+        (out / "frames" / "notes.txt").write_text("not a frame\n")
+        cfg_path, _ = write_cfg(tmp_path, text.replace("t_end = 0.2", "t_end = 0.005"))
+        assert run_evolve(cfg_path) == EXIT_OK
+        hashes = frame_hashes(out)
+        assert sorted(hashes) == [f"frame_{i:05d}.svg" for i in range(6)]
+        assert set(hashes.values()) == {config_hash(load_config(cfg_path))}
+        assert (out / "frames" / "notes.txt").exists()
+
+    def test_pooled_and_in_process_write_the_same_bytes(self, tmp_path, monkeypatch):
+        if not hasattr(os, "fork"):
+            pytest.skip("the pool needs the fork start method")
+        cfg_path, out = write_cfg(tmp_path, EVERY_STEP_CFG.replace("t_end = 0.2", "t_end = 0.01"))
+        artifacts = []
+        for cores in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cores: c, raising=False)
+            assert run_evolve(cfg_path) == EXIT_OK
+            artifacts.append(read_artifacts(out))
+            shutil.rmtree(out)
+        assert sum(name.startswith("frames/") for name in artifacts[0]) == 21
+        assert artifacts[0] == artifacts[1]
+
+    def test_writer_error_in_a_worker_is_one_line(self, tmp_path, monkeypatch, capsys, two_cores):
+        def full(out, traj, cfg):
+            raise OSError(errno.ENOSPC, f"No space left on device (pid {os.getpid()})")
+
+        monkeypatch.setattr(cli, "_write_diagnostics", full)
+        cfg_path, _ = write_cfg(tmp_path, ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01"))
+        assert main(["evolve", str(cfg_path)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot write artifacts: [Errno 28] No space left on device")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert f"(pid {os.getpid()})" not in captured.err  # it was raised in a worker
+
+    @pytest.mark.parametrize("command, fails", [
+        ("evolve", False), ("evolve", True), ("verify", False), ("verify", True),
+    ])
+    def test_no_child_process_is_left(self, tmp_path, monkeypatch, two_cores, command, fails):
+        if command == "evolve":
+            cfg_path, _ = write_cfg(tmp_path, ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01"))
+            if fails:
+                monkeypatch.setattr(cli, "_write_snapshot", lambda *args: os._exit(1))
+            code = main(["evolve", str(cfg_path)])
+        else:
+            def boom():
+                raise SolverError("state went non-finite")
+
+            patch_suites(monkeypatch, **({"heat": boom} if fails else {}))
+            code = main(["verify", "all", "--out", str(tmp_path)])
+        assert code == (EXIT_RUNTIME if fails else EXIT_OK)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_piped_stdout_holds_each_line_once(self, tmp_path):
+        if not hasattr(os, "fork"):
+            pytest.skip("the pool needs the fork start method")
+        cfg_path, _ = write_cfg(tmp_path, ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01"))
+        # the line printed before the run sits in the pipe's buffer when the pool forks
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from polarflow.cli import main\n"
+            "print('before the run')\n"
+            f"sys.exit(main(['evolve', {str(cfg_path)!r}]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout.count("before the run\n") == 1
+        assert done.stdout.count("wrote artifacts") == 1
+
+
 class TestRunVerify:
     def test_heat_suite_passes(self, tmp_path, capsys):
         assert run_verify("heat", tmp_path) == EXIT_OK
@@ -427,6 +524,20 @@ class TestRunVerify:
         assert summary["passed"] is False
         assert [(c["name"], c["passed"]) for c in summary["checks"]] == [("a", True), ("b", False)]
 
+    def test_summary_carries_value_and_bound(self, tmp_path, monkeypatch):
+        from polarflow import verify as V
+
+        results = [V._check("a", np.float64(1e-9), 1e-8), CheckResult("b", True, "min 0.5 > 0")]
+        monkeypatch.setitem(V.SUITES, "heat", lambda: results)
+        assert run_verify("heat", tmp_path) == EXIT_OK
+        checks = json.loads((tmp_path / "verify_heat.json").read_text())["checks"]
+        assert checks == [
+            {"name": "a", "passed": True, "detail": "1.000e-09 <= 1.000e-08", "value": 1e-9,
+             "bound": 1e-8},
+            {"name": "b", "passed": True, "detail": "min 0.5 > 0", "value": None, "bound": None},
+        ]
+        assert [list(c) for c in checks] == [["name", "passed", "detail", "value", "bound"]] * 2
+
 
 @pytest.fixture
 def two_cores(monkeypatch):
@@ -464,6 +575,12 @@ class TestVerifyAll:
         assert [(c["name"], "PASS" if c["passed"] else "FAIL", c["detail"]) for c in checks] == rows
         in_process = [r for fn in SUITES.values() for r in fn()]
         assert [CheckResult(**c) for c in checks] == in_process
+        by_hand = [c["name"] for c in checks if c["value"] is None]
+        assert by_hand == [f"conservation.positivity_{f}" for f in ("zero", "constant", "burgers")] + [
+            "cell.monotonicity_random_pairs"
+        ]
+        numeric = [c for c in checks if c["value"] is not None]
+        assert all(c["passed"] == (c["value"] <= c["bound"]) for c in numeric)
 
     def test_worker_abort_is_one_line_and_skips_queued_suites(
         self, tmp_path, monkeypatch, capsys, two_cores
@@ -502,7 +619,7 @@ class TestVerifyAll:
         patch_suites(monkeypatch, conservation=lambda: os._exit(1))
         assert main(["verify", "all", "--out", str(tmp_path)]) == EXIT_RUNTIME
         err = capsys.readouterr().err
-        assert err.startswith("suite aborted: a verify worker process died")
+        assert err.startswith("suite aborted: a worker process died")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cores, suite, pooled", [
@@ -662,6 +779,25 @@ class TestWriterOracles:
         traj = evolve_coupled(r0, p0, burgers_flux(2), cfg)
         assert len(traj.times) == 4  # t = 0, 3, 6 steps and the final 7th
         got, want = write_both(tmp_path, EVOLVE_WRITERS, traj, self.CFG)
+        assert got == want
+
+    # 5 records per fftn on the curve (chunks of 5, 5 and 2), 3 on the surface (3 and 1)
+    @pytest.mark.parametrize("case", ["curve", "surface"])
+    def test_diagnostics_in_several_chunks(self, tmp_path, monkeypatch, case):
+        if case == "curve":
+            grid = make_grid(1, [1.0], [32])
+            r0, p0 = make_initial(grid, "ellipse", [2.0, 1.0])
+            traj = evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=1e-3, t_end=0.0105))
+            chunk = 5
+        else:
+            grid = make_grid(2, [1.0, 2.0], [16, 8])
+            r0, p0 = make_initial(grid, "trig_random", [5, 2, 0.2])
+            cfg = SolveConfig(dt=1e-3, t_end=0.007, record_every=3)
+            traj = evolve_coupled(r0, p0, burgers_flux(2), cfg)
+            chunk = 3
+        monkeypatch.setattr(cli, "_FFT_CHUNK_NODES", chunk * grid.num_nodes)
+        writers = [(_write_diagnostics, reference_write_diagnostics)]
+        got, want = write_both(tmp_path, writers, traj, self.CFG)
         assert got == want
 
     def test_exponent_notation_and_negative_zero(self, tmp_path):
