@@ -75,7 +75,7 @@ from polarflow import (
 from polarflow import cell
 from polarflow._pool import usable_workers
 from polarflow.cli import _write_evolve, _write_svg_frames, _write_trajectory
-from polarflow.duhamel import _heat_flow, _Window
+from polarflow.duhamel import _N_GAUSS, _N_TIME, _heat_flow, _Window
 from polarflow.flux import eval_g, eval_g_prime
 from polarflow import transport
 from polarflow.spectral import _irfft, _march, _rfft, _shift_symbol, _Stepper
@@ -207,11 +207,11 @@ def bitwise_cases(repeat):
 
 def bench(n, repeat):
     rng = np.random.default_rng(0)
-    # one Duhamel window as picard_solve builds it (33 targets, 32 nodes)
+    # one Duhamel window as picard_solve builds it (_N_TIME targets, _N_GAUSS nodes)
     grid = make_grid(1, [1.0], [n])
     r0 = make_field(grid, 1.0 + 0.2 * np.sin(2 * np.pi * grid.axis_coords(0)))
-    window = _Window(grid, burgers_flux(1), 1e-3, 33, 32)
-    base = np.stack([r0.values] * 33)
+    window = _Window(grid, burgers_flux(1), 1e-3, _N_TIME, _N_GAUSS)
+    base = np.stack([r0.values] * _N_TIME)
     iterate = base + 0.01 * rng.normal(size=base.shape)
     stepper = _Stepper(grid, burgers_flux(1), 1e-4)
     hat0 = _rfft(grid, r0.values[..., None])  # a batch of one member
@@ -230,9 +230,9 @@ def bench(n, repeat):
             lambda: [heat_kernel_convolve(r0, t).values for t in window.mesh[1:]],
         ),
         (
-            "duhamel sweep N=%d (33x32 nodes)" % n,
+            "duhamel sweep N=%d (%dx%d nodes)" % (n, _N_TIME, _N_GAUSS),
             lambda: window.sweep(base, iterate),
-            lambda: reference_sweep(window, base, iterate, 32),
+            lambda: reference_sweep(window, base, iterate, _N_GAUSS),
         ),
         (
             "strang step N=%d burgers" % n,

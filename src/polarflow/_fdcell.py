@@ -20,6 +20,8 @@ _D1 = ((-3, -1.0 / 60.0), (-2, 3.0 / 20.0), (-1, -3.0 / 4.0),
        (1, 3.0 / 4.0), (2, -3.0 / 20.0), (3, 1.0 / 60.0))
 _D2 = ((-3, 1.0 / 90.0), (-2, -3.0 / 20.0), (-1, 3.0 / 2.0), (0, -49.0 / 18.0),
        (1, 3.0 / 2.0), (2, -3.0 / 20.0), (3, 1.0 / 90.0))
+_TOL_ULPS = 100.0  # residual tolerance in ulps of the second-derivative operator norm
+_MAX_NEWTON = 60
 
 
 def _banded_periodic(n: int, stencil, scale: float) -> np.ndarray:
@@ -40,33 +42,26 @@ def fd_laplacian_matrix(n: int, length: float) -> np.ndarray:
     return _banded_periodic(n, _D2, (n / length) ** 2)
 
 
-def fd_cell_solve(
-    spec: FluxSpec,
-    n: int,
-    length: float,
-    p: float,
-    tol: float | None = None,
-    max_newton: int = 60,
-) -> np.ndarray:
+def fd_cell_solve(spec: FluxSpec, n: int, length: float, p: float) -> np.ndarray:
     """Newton solve of the one-axis stationary problem on ``n`` nodes.
 
     Returns the solution samples at ``theta_j = j * length / n``.  The mean
     constraint rides along as a bordered row/column of the Newton system.
-    The default residual tolerance scales with the second-derivative operator
-    norm, which sets the roundoff floor of the dense residual.
+    The residual tolerance scales with the second-derivative operator norm,
+    which sets the roundoff floor of the dense residual; at most
+    :data:`_MAX_NEWTON` steps are taken.
     """
     if spec.m != 1:
         raise ValueError("reference solver handles one axis only")
     d1 = fd_derivative_matrix(n, length)
     d2 = fd_laplacian_matrix(n, length)
-    if tol is None:
-        tol = 100.0 * np.finfo(float).eps * (n / length) ** 2 * max(1.0, abs(p))
+    tol = _TOL_ULPS * np.finfo(float).eps * (n / length) ** 2 * max(1.0, abs(p))
     theta = np.arange(n) * (length / n)
     mod = spec.components[0].modulation
     a = np.ones(n) if mod is None else mod.evaluate(theta, length)
 
     v = np.full(n, float(p))
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         res = -d2 @ v + d1 @ (a * eval_g(spec, 0, v))
         if float(np.abs(res).max()) <= tol:
             return v

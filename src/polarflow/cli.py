@@ -310,15 +310,16 @@ def _write_evolve(out: Path, traj: Trajectory, cfg: dict[str, str], svg: bool) -
     frames split into one interleaved shard per usable worker; each job
     looks its writer up by name when it runs.  Without frames the files are
     few and small, and the pool would cost more than it saves, so the
-    writers run here.
+    writers run here.  Either way the frames of an earlier run that this
+    run does not write are deleted first.
     """
+    n = len(traj.times) if svg else 0
+    _remove_stale_frames(out, n)
     if not svg:
         _write_diagnostics(out, traj, cfg)
         _write_trajectory(out, traj, cfg)
         _write_snapshot(out, traj, cfg)
         return
-    n = len(traj.times)
-    _remove_stale_frames(out, n)
     shards = max(1, usable_workers())
     run_jobs(
         [

@@ -24,8 +24,10 @@ path with :mod:`polarflow.spectral`):
   the window is built;
 * the time integral uses the substitution ``s = t - sigma^2``, which removes
   the integrable endpoint singularity, evaluated by Gauss-Legendre nodes;
-* iterates live on a uniform time mesh over the window and are interpolated
-  in time with 4-point Lagrange stencils;
+* iterates live on a fixed uniform mesh of 33 times over the window and are
+  interpolated in time with 4-point Lagrange stencils; each target's time
+  integral takes 32 Gauss nodes, and sweeps run until the sup-norm change
+  reaches 1e-10, at most 60 of them;
 * a sweep handles one target time at a time with all its Gauss nodes in one
   batch: one stencil matrix interpolates the node fields, and each axis is a
   direct periodic convolution of every node's field with its own row, read
@@ -55,7 +57,12 @@ __all__ = [
     "picard_extend",
 ]
 
-DEFAULT_HORIZON_CAP = 1.0  # window for flux-free problems, where one sweep is exact
+DEFAULT_HORIZON_CAP = 1.0  # window for flux-free problems and zero data, where one sweep is exact
+_MAX_SWEEPS = 60  # fixed-point sweeps per window before ConvergenceError
+_SWEEP_TOL = 1e-10  # sup-norm change of a sweep that ends the iteration
+_N_TIME = 33  # uniform mesh times per window, both ends included
+_N_GAUSS = 32  # Gauss-Legendre nodes of each target's time integral
+_MAX_WINDOWS = 10000  # windows picard_extend may chain before ConvergenceError
 _FD8 = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
 _GRADIENT_PANELS = 64  # composite Gauss-Legendre panels of kernel_gradient_l1
 _GRADIENT_NODES = 16  # nodes per panel
@@ -66,14 +73,13 @@ def _check_time(name: str, t: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {t!r}")
 
 
-def contraction_horizon(
-    field_bound: float, flux_bound: float, n_axes: int, cap: float = DEFAULT_HORIZON_CAP
-) -> float:
+def contraction_horizon(field_bound: float, flux_bound: float, n_axes: int) -> float:
     """Window length on which one fixed-point sweep halves the sup distance.
 
     ``min((field_bound * sqrt(pi) / (2 flux_bound))^2,
-    (sqrt(pi) / (4 flux_bound n_axes))^2)``; a vanishing flux bound means the
-    map is exact in one sweep and the configured cap is returned.
+    (sqrt(pi) / (4 flux_bound n_axes))^2)``.  A vanishing flux bound means the
+    map is exact in one sweep, and vanishing data is a fixed point (every
+    flux has ``g(0) = 0``); both return :data:`DEFAULT_HORIZON_CAP`.
     """
     if not (field_bound >= 0.0 and math.isfinite(field_bound)):
         raise ValueError(f"field_bound must be non-negative and finite, got {field_bound!r}")
@@ -81,9 +87,8 @@ def contraction_horizon(
         raise ValueError(f"flux_bound must be non-negative and finite, got {flux_bound!r}")
     if n_axes < 1:
         raise ValueError("n_axes must be >= 1")
-    _check_time("cap", cap)
-    if flux_bound == 0.0:
-        return cap
+    if flux_bound == 0.0 or field_bound == 0.0:
+        return DEFAULT_HORIZON_CAP
     sqrt_pi = np.sqrt(np.pi)
     t1 = (field_bound * sqrt_pi / (2.0 * flux_bound)) ** 2
     t2 = (sqrt_pi / (4.0 * flux_bound * n_axes)) ** 2
@@ -186,14 +191,11 @@ class PicardReport:
     """Outcome of one fixed-point window solve."""
 
     horizon: float
-    iterates: int
     sup_deltas: list[float]
     final: ScalarField
     field_bound: float
     flux_bound: float
-    mesh_times: np.ndarray
     max_iterate_sup: float
-    converged: bool
 
     def delta_ratios(self) -> list[float]:
         """Successive ``sup_deltas[k+1] / sup_deltas[k]`` while above roundoff."""
@@ -281,107 +283,92 @@ class _Window:
         return new
 
 
-def _check_mesh(n_time: int, n_gauss: int) -> None:
-    if n_time < 4:
-        raise ValueError("n_time must be >= 4 (the time stencil spans 4 mesh points)")
-    if n_gauss < 1:
-        raise ValueError("n_gauss must be >= 1")
+def _bounds(r0: ScalarField, spec: FluxSpec) -> tuple[float, float, float]:
+    """Sup bound, flux envelope and contraction horizon of a window that starts at ``r0``."""
+    field_bound = float(np.abs(r0.values).max())
+    flux_bound = flux_envelope_bound(spec, field_bound)
+    return field_bound, flux_bound, contraction_horizon(field_bound, flux_bound, spec.m)
 
 
-def picard_solve(
-    r0: ScalarField,
-    spec: FluxSpec,
-    k_max: int = 60,
-    tol: float = 1e-10,
-    t_final: float | None = None,
-    n_time: int = 33,
-    n_gauss: int = 32,
-) -> PicardReport:
+def _check_window(horizon: float) -> None:
+    """Reject a window below the normal floats: its mesh step or kernel times would reach 0."""
+    if horizon < np.finfo(np.float64).tiny:
+        raise ConvergenceError(f"the window length {horizon:.3e} underflows")
+
+
+def picard_solve(r0: ScalarField, spec: FluxSpec, t_final: float | None = None) -> PicardReport:
     """Fixed-point solve on one contraction window.
 
     The window is computed from the initial sup bound and the flux envelope,
-    then shortened to ``t_final`` when given.  Raises
-    :class:`ConvergenceError` (carrying the delta history) if ``k_max`` sweeps
-    do not reach ``tol``.
+    then shortened to ``t_final`` when given.  It carries :data:`_N_TIME`
+    uniform mesh times with :data:`_N_GAUSS` Gauss nodes per target.  Sweeps
+    stop once the sup-norm change reaches :data:`_SWEEP_TOL`; raises
+    :class:`ConvergenceError` (carrying the delta history) if
+    :data:`_MAX_SWEEPS` sweeps do not, or if the window is shorter than the
+    smallest normal float.
     """
     _check_axes(r0.grid, spec)
-    _check_mesh(n_time, n_gauss)
-    field_bound = float(np.abs(r0.values).max())
-    flux_bound = flux_envelope_bound(spec, field_bound)
-    horizon = contraction_horizon(field_bound, flux_bound, spec.m)
+    field_bound, flux_bound, horizon = _bounds(r0, spec)
     if t_final is not None:
         _check_time("t_final", t_final)
         horizon = min(horizon, t_final)
+    _check_window(horizon)
 
-    window = _Window(r0.grid, spec, horizon, n_time, n_gauss)
-    base = np.empty((n_time,) + r0.grid.shape)
+    window = _Window(r0.grid, spec, horizon, _N_TIME, _N_GAUSS)
+    base = np.empty((_N_TIME,) + r0.grid.shape)
     base[0] = r0.values
     base[1:] = _heat_flow(r0.grid, r0.values, window.mesh[1:])
 
     iterate = base.copy()
     sup_deltas: list[float] = []
     max_sup = float(np.abs(iterate).max())
-    converged = False
-    for _ in range(k_max):
+    for _ in range(_MAX_SWEEPS):
         new = window.sweep(base, iterate)
         max_sup = max(max_sup, float(np.abs(new).max()))
         delta = float(np.abs(new - iterate).max())
         sup_deltas.append(delta)
         iterate = new
-        if delta <= tol:
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"fixed-point iteration did not reach {tol:.1e} in {k_max} sweeps "
-            f"(last delta {sup_deltas[-1]:.3e})",
-            history=sup_deltas,
-        )
-    return PicardReport(
-        horizon=horizon,
-        iterates=len(sup_deltas),
-        sup_deltas=sup_deltas,
-        final=ScalarField(grid=r0.grid, values=iterate[-1]),
-        field_bound=field_bound,
-        flux_bound=flux_bound,
-        mesh_times=window.mesh,
-        max_iterate_sup=max_sup,
-        converged=True,
+        if delta <= _SWEEP_TOL:
+            return PicardReport(
+                horizon=horizon,
+                sup_deltas=sup_deltas,
+                final=ScalarField(grid=r0.grid, values=iterate[-1]),
+                field_bound=field_bound,
+                flux_bound=flux_bound,
+                max_iterate_sup=max_sup,
+            )
+    raise ConvergenceError(
+        f"fixed-point iteration did not reach {_SWEEP_TOL:.1e} in {_MAX_SWEEPS} sweeps "
+        f"(last delta {sup_deltas[-1]:.3e})",
+        history=sup_deltas,
     )
 
 
-def picard_extend(
-    r0: ScalarField,
-    spec: FluxSpec,
-    t_end: float,
-    k_max: int = 60,
-    tol: float = 1e-10,
-    n_time: int = 33,
-    n_gauss: int = 32,
-) -> ScalarField:
+def picard_extend(r0: ScalarField, spec: FluxSpec, t_end: float) -> ScalarField:
     """Reach ``t_end`` by chaining window solves.
 
     The sup bound never grows along the flow, so successive windows do not
-    shrink and finitely many restarts suffice.
+    shrink and the first window fixes how many restarts suffice.  Raises
+    :class:`ConvergenceError` before any window is built when that count
+    exceeds :data:`_MAX_WINDOWS`.
     """
     _check_time("t_end", t_end)
-    _check_mesh(n_time, n_gauss)
+    _check_axes(r0.grid, spec)
+    horizon = _bounds(r0, spec)[2]
+    _check_window(horizon)
+    if t_end > _MAX_WINDOWS * horizon:
+        raise ConvergenceError(
+            f"reaching t_end = {t_end:g} takes about {t_end / horizon:.0f} windows, "
+            f"more than the budget of {_MAX_WINDOWS}"
+        )
     state = r0
     elapsed = 0.0
     guard = 0
     while elapsed < t_end - 1e-14:
-        report = picard_solve(
-            state,
-            spec,
-            k_max=k_max,
-            tol=tol,
-            t_final=t_end - elapsed,
-            n_time=n_time,
-            n_gauss=n_gauss,
-        )
+        report = picard_solve(state, spec, t_final=t_end - elapsed)
         state = report.final
         elapsed += report.horizon
         guard += 1
-        if guard > 10000:
+        if guard > _MAX_WINDOWS:  # the sup bound grew by roundoff and the windows shrank
             raise ConvergenceError("window restarts did not reach t_end")
     return state

@@ -114,10 +114,6 @@ class FluxSpec:
             raise ValueError("flux is not purely constant")
         return tuple(c.coeffs[0] for c in self.components)
 
-    @property
-    def has_modulation(self) -> bool:
-        return any(c.modulation is not None for c in self.components)
-
     def modulation_values(self, grid: PeriodicGrid, i: int) -> np.ndarray | None:
         """Modulation samples for axis ``i`` broadcast over the grid, or None."""
         mod = self.components[i].modulation

@@ -400,6 +400,9 @@ def frame_hashes(out):
 
 
 EVERY_STEP_CFG = ELLIPSE_CFG.replace("output.record_every = 100", "output.record_every = 1")
+SHORT_FRAMES_CFG = EVERY_STEP_CFG.replace("solver.dt = 5e-4", "solver.dt = 1e-3").replace(
+    "t_end = 0.2", "t_end = 0.02"
+)  # 21 frames
 
 
 class TestEvolveWriters:
@@ -416,6 +419,24 @@ class TestEvolveWriters:
         hashes = frame_hashes(out)
         assert sorted(hashes) == [f"frame_{i:05d}.svg" for i in range(6)]
         assert set(hashes.values()) == {config_hash(load_config(cfg_path))}
+        assert (out / "frames" / "notes.txt").exists()
+
+    @pytest.mark.parametrize("rerun", [
+        SHORT_FRAMES_CFG.replace("output.svg = true", "output.svg = false"),
+        SHORT_FRAMES_CFG.replace("grid.m = 1", "grid.m = 2")
+        .replace("grid.lengths = 1.0", "grid.lengths = 1.0, 1.0")
+        .replace("grid.resolution = 64", "grid.resolution = 16, 16")
+        .replace("initial.preset = ellipse", "initial.preset = trig_random")
+        .replace("initial.params = 2.0, 1.0", "initial.params = 3, 2, 0.1"),
+    ], ids=["svg_false", "two_axes"])
+    def test_rerun_without_frames_leaves_none(self, tmp_path, rerun):
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        assert run_evolve(cfg_path) == EXIT_OK
+        assert len(frame_hashes(out)) == 21
+        (out / "frames" / "notes.txt").write_text("not a frame\n")
+        cfg_path, _ = write_cfg(tmp_path, rerun)
+        assert run_evolve(cfg_path) == EXIT_OK
+        assert frame_hashes(out) == {}
         assert (out / "frames" / "notes.txt").exists()
 
     def test_pooled_and_in_process_write_the_same_bytes(self, tmp_path, monkeypatch):
