@@ -16,6 +16,7 @@ path with :mod:`polarflow.spectral`):
 
 * kernels are periodized by image sums, truncated once the farthest image is
   below 1e-16, sampled on the grid, and normalized to unit discrete mass;
+  from ``tau = L^2`` on a row is flat to roundoff and is taken as ``1/n``;
 * the kernel-gradient convolution uses ``D_j K(tau)`` with ``D_j`` an
   8th-order periodic finite difference rather than the raw gradient kernel,
   which degenerates when ``tau`` is below grid resolution.  ``D_j`` and the
@@ -29,10 +30,12 @@ path with :mod:`polarflow.spectral`):
   integral takes 32 Gauss nodes, and sweeps run until the sup-norm change
   reaches 1e-10, at most 60 of them;
 * a sweep handles one target time at a time with all its Gauss nodes in one
-  batch: one stencil matrix interpolates the node fields, and each axis is a
-  direct periodic convolution of every node's field with its own row, read
-  through a sliding window of the wrap-padded batch;
-* that one convolution also gives the heat-flow term ``K(t) * r0``: the
+  batch: one stencil matrix interpolates the node fields; each axis but the
+  last is a direct periodic convolution of every node's field with its own
+  row, read through a sliding window of the wrap-padded batch; on the last
+  axis the sum over nodes comes first, as one matrix product of the rows
+  with the batch, and the convolution is then one wrapped-diagonal sum;
+* the per-node convolution also gives the heat-flow term ``K(t) * r0``: the
   window's base is a single batch with one kernel row per mesh time.
 """
 
@@ -42,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConvergenceError
 from .flux import FluxSpec, _check_axes, eval_g, flux_envelope_bound
@@ -100,9 +103,14 @@ def _plain_row(n: int, length: float, tau: float | np.ndarray) -> np.ndarray:
 
     Includes the quadrature weight ``h``, so a circulant application of the
     row is the full convolution integral along that axis.  An array ``tau``
-    gives one row per entry, stacked on a leading axis.
+    gives one row per entry, stacked on a leading axis.  From ``tau = L^2``
+    on, the periodized kernel's first Fourier mode is ``2 exp(-4 pi^2)``,
+    about 1.4e-17, of its mean: such a row is ``1/n``, and the image sum
+    runs at most to that ``tau``, so its length stays bounded.
     """
     tau = np.asarray(tau, dtype=np.float64)[..., None]
+    flat = tau >= length * length
+    tau = np.minimum(tau, length * length)
     h = length / n
     x = np.arange(n) * h
     n_img = int(np.ceil(14.0 * np.sqrt(tau.max()) / length)) + 1
@@ -111,7 +119,7 @@ def _plain_row(n: int, length: float, tau: float | np.ndarray) -> np.ndarray:
         xi = x - img * length
         row += np.exp(-(xi * xi) / (4.0 * tau))
     # prefactor (4 pi tau)^(-1/2) and weight h cancel in the normalization
-    return row / row.sum(axis=-1, keepdims=True)
+    return np.where(flat, 1.0 / n, row / row.sum(axis=-1, keepdims=True))
 
 
 def _heat_flow(grid: PeriodicGrid, vals: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -153,12 +161,36 @@ def kernel_gradient_l1(t: float) -> float:
     return 2.0 * total
 
 
+def _axis_slice(ndim: int, axis: int, start: int, stop: int | None) -> tuple:
+    """Index of ``start:stop`` along ``axis`` and everything on the other axes."""
+    index = [slice(None)] * ndim
+    index[axis] = slice(start, stop)
+    return tuple(index)
+
+
 def _fd_derivative(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """8th-order periodic central difference along one axis."""
+    """8th-order periodic central difference along one axis.
+
+    The shifts ``vals[j +- k]`` are slices of one copy of ``vals`` wrapped by
+    the stencil's half-width on both sides.
+    """
+    n, width = vals.shape[axis], len(_FD8)
+    padded = np.concatenate(
+        (vals[_axis_slice(vals.ndim, axis, n - width, None)], vals,
+         vals[_axis_slice(vals.ndim, axis, 0, width)]),
+        axis=axis,
+    )
     out = np.zeros_like(vals)
     for k, c in enumerate(_FD8, start=1):
-        out += c * (np.roll(vals, -k, axis=axis) - np.roll(vals, k, axis=axis))
+        ahead = padded[_axis_slice(vals.ndim, axis, width + k, width + k + n)]
+        behind = padded[_axis_slice(vals.ndim, axis, width - k, width - k + n)]
+        out += c * (ahead - behind)
     return out / h
+
+
+def _wrap_front(batch: np.ndarray, axis: int) -> np.ndarray:
+    """``batch`` with its last ``N - 1`` entries along ``axis`` copied in front."""
+    return np.concatenate((batch[_axis_slice(batch.ndim, axis, 1, None)], batch), axis=axis)
 
 
 def _convolve_nodes(rows: np.ndarray, batch: np.ndarray, axis: int) -> np.ndarray:
@@ -170,11 +202,30 @@ def _convolve_nodes(rows: np.ndarray, batch: np.ndarray, axis: int) -> np.ndarra
     consecutive padded entries; the sliding window over them is a view, and
     the contraction builds no ``N x N`` gather.
     """
-    n = rows.shape[-1]
-    pad = [(0, 0)] * batch.ndim
-    pad[axis] = (n - 1, 0)
-    windows = sliding_window_view(np.pad(batch, pad, mode="wrap"), n, axis=axis)
+    windows = sliding_window_view(_wrap_front(batch, axis), rows.shape[-1], axis=axis)
     return np.einsum("qk,q...k->q...", rows, windows)
+
+
+def _convolve_sum_last(rows: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """``_convolve_nodes(rows, batch, -1).sum(axis=0)``, summed over the nodes first.
+
+    The node sum goes into one matrix product,
+    ``Z[k, .., l] = sum_q rows[q, k] batch[q, .., l]``, and then
+    ``out[.., j] = sum_k Z[k, .., (j + k - N + 1) % N]``.  That is entry
+    ``j + k`` of ``Z`` wrap-padded in front along its last axis: a read-only
+    view whose step in ``k`` is one row plus one column, summed over ``k``.
+    """
+    n_nodes, n = rows.shape
+    z = (rows.T @ batch.reshape(n_nodes, -1)).reshape((n,) + batch.shape[1:])
+    padded = _wrap_front(z, -1)
+    step = padded.strides
+    diagonal = as_strided(
+        padded,
+        shape=z.shape,
+        strides=(step[0] + step[-1],) + step[1:],
+        writeable=False,
+    )
+    return diagonal.sum(axis=0)
 
 
 def _lagrange4_weights(frac: np.ndarray):
@@ -217,7 +268,9 @@ class _Window:
     derivative folded in) and ``kernels[ax][i]`` the plain rows ``K(tau_q)``,
     all reversed for :func:`_convolve_nodes`.  Flux term ``j`` takes the
     gradient rows on axis ``j`` and the plain rows on every other axis, so
-    with one axis the plain rows are never read and not kept.
+    with one axis the plain rows are never read and not kept.  A sweep
+    convolves each node on every axis but the last and contracts the last
+    axis and the nodes together with :func:`_convolve_sum_last`.
     """
 
     def __init__(
@@ -270,16 +323,17 @@ class _Window:
         history = iterate.reshape(len(self.mesh), -1)
         for i in range(1, len(self.mesh)):
             fields = (self.stencils[i] @ history).reshape((-1,) + self.grid.shape)
-            acc = np.zeros_like(fields)
             for j in range(self.spec.m):
                 term = eval_g(self.spec, j, fields)
                 if self.mods[j] is not None:
                     term = term * self.mods[j]
-                for ax in range(self.grid.m):
-                    rows = self.gradients[ax] if ax == j else self.kernels[ax]
-                    term = _convolve_nodes(rows[i], term, axis=ax + 1)
-                acc += term
-            new[i] -= acc.sum(axis=0)
+                rows = [
+                    (self.gradients[ax] if ax == j else self.kernels[ax])[i]
+                    for ax in range(self.grid.m)
+                ]
+                for ax, row in enumerate(rows[:-1]):
+                    term = _convolve_nodes(row, term, axis=ax + 1)
+                new[i] -= _convolve_sum_last(rows[-1], term)
         return new
 
 

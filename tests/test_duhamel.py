@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,6 +29,7 @@ from polarflow import (
 from polarflow import duhamel
 from polarflow.duhamel import (
     _convolve_nodes,
+    _convolve_sum_last,
     _fd_derivative,
     _heat_flow,
     _lagrange4_weights,
@@ -41,6 +45,32 @@ def dense_circulant(row, arr, axis=0):
     n = row.shape[0]
     matrix = row[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
     return np.moveaxis(np.tensordot(matrix, arr, axes=(1, axis)), 0, axis)
+
+
+def padded_convolve_nodes(rows, batch, axis):
+    """:func:`_convolve_nodes` on a batch wrap-padded by ``np.pad``: must agree bitwise."""
+    n = rows.shape[-1]
+    pad = [(0, 0)] * batch.ndim
+    pad[axis] = (n - 1, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(batch, pad, mode="wrap"), n, axis=axis)
+    return np.einsum("qk,q...k->q...", rows, windows)
+
+
+def rolled_fd_derivative(vals, axis, h):
+    """:func:`_fd_derivative` with every shift an ``np.roll`` copy: must agree bitwise."""
+    out = np.zeros_like(vals)
+    for k, c in enumerate(duhamel._FD8, start=1):
+        out += c * (np.roll(vals, -k, axis=axis) - np.roll(vals, k, axis=axis))
+    return out / h
+
+
+def run_python(script, timeout, **env):
+    """Run ``script`` in a fresh interpreter with extra environment variables; its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def reference_heat_convolve(f, t):
@@ -168,6 +198,30 @@ class TestHeatKernelConvolve:
         single = np.stack([heat_kernel_convolve(f, t).values for t in taus])
         assert np.abs(batched - single).max() < 1e-14
 
+    def test_huge_time_returns_the_mean(self):
+        # a sum over 14 sqrt(t) / L images would not end at t = 1e300
+        script = (
+            "import time\n"
+            "import numpy as np\n"
+            "from polarflow import heat_kernel_convolve, make_field, make_grid\n"
+            "grid = make_grid(2, [1.0, 2.5], [16, 32])\n"
+            "f = make_field(grid, np.random.default_rng(46).normal(size=(16, 32)))\n"
+            "t0 = time.perf_counter()\n"
+            "with np.errstate(all='raise'):\n"
+            "    out = heat_kernel_convolve(f, 1e300).values\n"
+            "print(time.perf_counter() - t0, np.abs(out - f.values.mean()).max())\n"
+        )
+        seconds, gap = map(float, run_python(script, timeout=60).split())
+        assert gap < 1e-15
+        assert seconds < 1.0
+
+    def test_flat_from_one_period_squared(self):
+        # the first Fourier mode is 2 exp(-4 pi^2) ~ 1.4e-17 of the mean at tau = L^2
+        row = _plain_row(64, 2.0, np.array([1e-3, 4.0, 1e12]))
+        assert np.array_equal(row[1:], np.full((2, 64), 1.0 / 64))
+        assert np.array_equal(row[0], _plain_row(64, 2.0, 1e-3))
+        assert np.abs(_plain_row(64, 2.0, 3.99) * 64 - 1.0).max() < 1e-15
+
     def test_memory_stays_linear_in_n(self):
         # an N x N gather table alone would take 32 MiB at N=2048
         grid = make_grid(1, [1.0], [2048])
@@ -196,6 +250,35 @@ class TestConvolveNodes:
         rows = np.zeros((3, 16))
         rows[:, 0] = 1.0
         assert np.abs(_convolve_nodes(rows[:, ::-1], batch, axis=1) - batch).max() < 1e-15
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_bitwise_equal_to_np_pad(self, axis):
+        rng = np.random.default_rng(79)
+        batch = rng.normal(size=(4, 6, 8, 10))
+        rows = rng.normal(size=(4, batch.shape[axis]))
+        out = _convolve_nodes(rows, batch, axis=axis)
+        assert np.array_equal(out, padded_convolve_nodes(rows, batch, axis=axis))
+
+
+class TestConvolveSumLast:
+    @pytest.mark.parametrize(
+        "shape, axis",
+        [((16,), 0), ((12, 16), 0), ((12, 16), 1), ((6, 8, 10), 0), ((6, 8, 10), 1), ((6, 8, 10), 2)],
+        ids=["1d", "2d_axis0", "2d_axis1", "3d_axis0", "3d_axis1", "3d_axis2"],
+    )
+    def test_matches_node_sum_and_dense_reference(self, shape, axis):
+        rng = np.random.default_rng(80)
+        n_nodes = 7
+        batch = rng.normal(size=(n_nodes,) + shape)
+        rows = rng.normal(size=(n_nodes, shape[axis]))  # a distinct row per node
+        # the contracted axis moved last, and the result moved back
+        moved = np.moveaxis(batch, axis + 1, -1)
+        out = np.moveaxis(_convolve_sum_last(rows[:, ::-1], moved), -1, axis)
+        per_node = _convolve_nodes(rows[:, ::-1], batch, axis=axis + 1).sum(axis=0)
+        dense = sum(dense_circulant(rows[q], batch[q], axis=axis) for q in range(n_nodes))
+        assert out.shape == shape
+        assert np.abs(out - per_node).max() < 1e-13
+        assert np.abs(out - dense).max() < 1e-13
 
 
 class TestKernelGradientL1:
@@ -326,8 +409,16 @@ class TestBatchedSweep:
                 ),
             ),
             (2, 16, burgers_flux(2)),
+            (
+                2,
+                8,
+                with_modulation(
+                    polynomial_flux([1.0, 0.3], m=2), 0, Modulation(const=1.0, cos_amps=(0.4,))
+                ),
+            ),
+            (3, 8, burgers_flux(3)),
         ],
-        ids=["burgers_1d", "modulated_poly_1d", "burgers_2d"],
+        ids=["burgers_1d", "modulated_poly_1d", "burgers_2d", "modulated_poly_2d", "burgers_3d"],
     )
     def test_matches_reference_sweep(self, m, n, spec):
         grid = make_grid(m, [1.0] * m, [n] * m)
@@ -343,6 +434,58 @@ class TestBatchedSweep:
         # same arithmetic summed in another order (folded rows, batched nodes)
         assert np.abs(fast - slow).max() < 1e-13
         assert np.abs(fast - base).max() > 1e-3  # the flux term is not trivial
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_fd_derivative_bitwise_equal_to_rolls(self, axis):
+        vals = np.random.default_rng(40).normal(size=(9, 10, 11))
+        assert np.array_equal(_fd_derivative(vals, axis, 0.1), rolled_fd_derivative(vals, axis, 0.1))
+
+    def test_window_rows_bitwise_equal_to_rolled_stencil(self):
+        grid = make_grid(2, [1.0, 1.5], [16, 8])
+        n_time, n_gauss = 5, 8
+        window = _Window(grid, burgers_flux(2), 2e-3, n_time, n_gauss)
+        nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
+        for i in range(1, n_time):
+            half = 0.5 * np.sqrt(window.mesh[i])
+            sigma = half * (nodes + 1.0)
+            wq = (2.0 * sigma * half * weights)[:, None]
+            for ax in range(grid.m):
+                rows = _plain_row(grid.resolution[ax], grid.lengths[ax], sigma * sigma)
+                grad = rolled_fd_derivative(rows, axis=1, h=grid.spacings[ax])
+                assert np.array_equal(window.gradients[ax][i], wq * grad[:, ::-1])
+                assert np.array_equal(window.kernels[ax][i], rows[:, ::-1])
+
+
+class TestDeterminism:
+    def test_picard_extend_bitwise_equal_across_blas_threads(self):
+        # the sweep contracts the Gauss nodes through dgemm
+        script = (
+            "import numpy as np\n"
+            "from polarflow import burgers_flux, make_field, make_grid, picard_extend\n"
+            "grid = make_grid(1, [1.0], [128])\n"
+            "theta = grid.axis_coords(0)\n"
+            "r0 = make_field(grid, 1.0 + 0.2 * np.sin(2 * np.pi * theta) + 0.05 * np.cos(6 * np.pi * theta))\n"
+            "print(picard_extend(r0, burgers_flux(1), 0.1).values.tobytes().hex())\n"
+        )
+        one, two = (run_python(script, timeout=120, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert len(one.strip()) == 2 * 8 * 128  # 128 doubles in hex
+        assert one == two
+
+
+class TestTimeOrder:
+    def test_strang_is_second_order_through_the_oracle(self, grid128):
+        # measured ratios 4.20 and 4.38: errors 1.43e-8, 3.40e-9 and 7.76e-10
+        r0 = make_field(grid128, 1.0 + 0.2 * np.sin(2 * np.pi * grid128.axis_coords(0)))
+        spec = burgers_flux(1)
+        rep = picard_solve(r0, spec)
+        horizon = rep.horizon
+        errors = []
+        for steps in (64, 128, 256):
+            cfg = SolveConfig(dt=horizon / steps, t_end=horizon, record_every=1 << 20)
+            run = evolve(r0, spec, cfg)
+            errors.append(float(np.abs(run.final.values - rep.final.values).max()))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(3.5 < r < 5.0 for r in ratios), (errors, ratios)
 
 
 class TestNonFiniteTimes:
