@@ -7,9 +7,9 @@ sweep, ``reference_advance`` (``tests/test_spectral.py``) for one burgers
 Strang step of the rfft-spectrum stepper (agreement checked on the midpoint
 values both return), and ``reference_transport_step``
 (``tests/test_transport.py``) for one integrating-factor RK4 transport step
-through a varying radius (unmasked, as the package runs it), at N=128 and at
-64^2.  The transforms ``_rfft``/``_irfft``, which call pocketfft's gufuncs
-directly, are timed on ``(128, 1)`` and ``(64, 64, 1)`` against the same
+through a varying radius, at N=128 and at 64^2.  The transforms
+``_rfft``/``_irfft``, which call pocketfft's gufuncs directly, are timed on
+``(128, 1)`` and ``(64, 64, 1)`` against the same
 sequence of ``np.fft.rfft``/``fft``/``ifft``/``irfft`` calls, and one 1-axis
 ``_carry`` (N=128, burgers, moving radius) against
 ``reference_real_carry`` (``tests/test_transport.py``), its arithmetic out
@@ -25,11 +25,11 @@ timed as the one batch ``picard_solve`` builds against 32 single
 ``heat_kernel_convolve`` calls.  A modulated ``solve_cell`` at
 N=64 runs its Newton iteration once on the real-FFT operator and once on the
 complex full-lattice operator defined below; both must reach the same
-stationary state.  The trajectory and SVG writers of ``polarflow evolve``
-are timed on a 1001-record N=128 ellipse run against the per-cell
-``reference_*`` writers of ``tests/test_cli.py``; both must write identical
-bytes.  The writers overwrite their files on every repeat, which is cheaper
-than creating them.  All the writers of that run with its SVG frames
+stationary state.  The trajectory, diagnostics and SVG writers of
+``polarflow evolve`` are timed on a 1001-record N=128 ellipse run against
+the per-cell ``reference_*`` writers of ``tests/test_cli.py``; both must
+write identical bytes.  The writers overwrite their files on every repeat,
+which is cheaper than creating them.  All the writers of that run with its SVG frames
 (``_write_evolve``) are timed through the fork pool against in-process (as on
 one core); every repeat writes into a fresh directory, since creating the
 1001 frame files is much of the cost, and both must write identical bytes.
@@ -74,7 +74,7 @@ from polarflow import (
 )
 from polarflow import cell
 from polarflow._pool import usable_workers
-from polarflow.cli import _write_evolve, _write_svg_frames, _write_trajectory
+from polarflow.cli import _write_diagnostics, _write_evolve, _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _N_GAUSS, _N_TIME, _heat_flow, _Window
 from polarflow.flux import eval_g, eval_g_prime
 from polarflow import transport
@@ -83,7 +83,12 @@ from polarflow.verify import SUITES, run_suite
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import full_lattice  # noqa: E402
-from test_cli import read_artifacts, reference_write_svg_frames, reference_write_trajectory  # noqa: E402
+from test_cli import (  # noqa: E402
+    read_artifacts,
+    reference_write_diagnostics,
+    reference_write_svg_frames,
+    reference_write_trajectory,
+)
 from test_duhamel import reference_heat_convolve, reference_sweep  # noqa: E402
 from test_spectral import reference_advance, reference_shift_symbol  # noqa: E402
 from test_transport import radius_samples, reference_real_carry, reference_transport_step  # noqa: E402
@@ -100,11 +105,11 @@ def timeit(fn, repeat):
 
 
 class ReferenceCellOperator(cell._CellOperator):
-    """Reference: the stationary operator on complex full-lattice FFTs, ``np.where`` masking."""
+    """Reference: the stationary operator on complex full-lattice FFTs."""
 
     def __init__(self, grid, spec):
         super().__init__(grid, spec)
-        kappas, lap, self.mask = full_lattice(grid)
+        kappas, lap = full_lattice(grid)
         self.lap_full = lap
         self.lap_full_inv = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0.0)
         self.ik = [1j * k for k in kappas]
@@ -113,7 +118,7 @@ class ReferenceCellOperator(cell._CellOperator):
         out = 0.0
         for ik, mod, fi in zip(self.ik, self.mods, fluxes):
             fi = fi if mod is None else fi * mod
-            out = out + ik * np.where(self.mask, np.fft.fftn(fi), 0.0)
+            out = out + ik * np.fft.fftn(fi)
         return out
 
     def residual(self, v):
@@ -148,9 +153,7 @@ def transport_case(shape, label):
     return (
         "transport_step %s burgers" % label,
         lambda: transport_step(p, r, spec, 1e-3).vectors,
-        lambda: reference_transport_step(
-            grid, p.vectors, [r.values] * 3, spec, 1e-3, dealias=False
-        )[0],
+        lambda: reference_transport_step(grid, p.vectors, [r.values] * 3, spec, 1e-3)[0],
     )
 
 
@@ -281,6 +284,7 @@ def bench(n, repeat):
     cfg = {"grid.resolution": "128"}
     writers = [
         ("write trajectory.csv (1001x128)", _write_trajectory, reference_write_trajectory),
+        ("write diagnostics.csv (1001x128)", _write_diagnostics, reference_write_diagnostics),
         ("write svg frames (1001x128)", _write_svg_frames, reference_write_svg_frames),
     ]
     with tempfile.TemporaryDirectory() as tmp:

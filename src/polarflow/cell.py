@@ -11,8 +11,8 @@ discretization: the mean is pinned by working in the zero-mean complement
 (the equation itself has no zero mode), the Jacobian is applied spectrally,
 and the inner linear solves run a Richardson iteration preconditioned by the
 inverse Laplacian.  The operator uses the real-FFT half-lattice symbols of
-:mod:`.spectral`: ``|kappa|^2`` and the 2/3-masked derivatives of the radius
-stepper, so a stationary state stays stationary under :func:`.spectral.step`.
+:mod:`.spectral`: ``|kappa|^2`` and the derivatives of the radius stepper, so
+a stationary state stays stationary under :func:`.spectral.step`.
 
 Applicability note: the solve assumes the flux derivative grows at most
 polynomially on the relevant range.  Every flux is a polynomial in ``v``
@@ -58,7 +58,7 @@ class _CellOperator:
         self.spec = spec
         self.lap = _laplacian_half(grid)
         self.lap_inv = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap > 0.0)
-        self.derivs = _derivative_symbols(grid, masked=True)  # of -d/dtheta_i
+        self.derivs = _derivative_symbols(grid)  # of -d/dtheta_i
         self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
 
     def residual(self, v: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .cell import CellSolution, monotonicity_check, solve_cell
+from .diagnostics import _record_moduli
 from ._pool import run_jobs, usable_workers
 from .errors import ConfigError, PolarflowError
 from .flux import FluxSpec, Modulation, burgers_flux, constant_flux, polynomial_flux, with_modulation, zero_flux
@@ -50,9 +51,6 @@ KNOWN_KEYS = frozenset(
     " flux.mod_sin flux.mod_cos solver.dt solver.t_end initial.preset initial.params initial.d"
     " output.dir output.record_every output.svg seed cell.p cell.pairs".split()
 )
-
-# records per diagnostics fftn: this many grid nodes, 512 kB of complex spectra
-_FFT_CHUNK_NODES = 1 << 15
 
 _FRAME = "frame_{:05d}.svg"
 
@@ -220,18 +218,10 @@ def _write_diagnostics(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None
     columns = ["t", "mean", "sup", "min", "l1", "sphere_dev"] + [
         "amp_" + "_".join(map(str, m)) for m in modes
     ]
-    # a fixed number of nodes per fftn: one over all records would hold a complex copy of them
-    nodes = traj.grid.num_nodes
-    chunk = max(1, _FFT_CHUNK_NODES // nodes)
-    axes = tuple(range(1, traj.grid.m + 1))
-    amps = np.empty((len(traj.times), len(modes)))
-    for lo in range(0, len(traj.times), chunk):
-        spectra = np.fft.fftn(traj.radii[lo : lo + chunk], axes=axes)
-        for j, mode in enumerate(modes):
-            z = spectra[(slice(None), *mode)] / nodes
-            amps[lo : lo + chunk, j] = np.hypot(z.real, z.imag)  # abs(z), bitwise
+    moduli = _record_moduli(traj.grid, traj.radii)
     table = np.column_stack(
-        [traj.times, traj.mean, traj.sup, traj.min, traj.l1, traj.sphere_dev, amps]
+        [traj.times, traj.mean, traj.sup, traj.min, traj.l1, traj.sphere_dev]
+        + [moduli[mode] for mode in modes]
     )
     head = _header(["diagnostics time series"], columns, cfg)
     _write_csv(out / "diagnostics.csv", head, _csv_rows(table))
@@ -454,6 +444,8 @@ def run_cell(config_path: str | Path) -> int:
         if n_pairs < 0:
             raise ConfigError(f"cell.pairs must be >= 0, got {n_pairs}")
         seed = int(_get(cfg, "seed", "0"))
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         out_dir = Path(_get(cfg, "output.dir"))
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

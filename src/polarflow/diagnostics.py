@@ -57,6 +57,16 @@ class ModeDecayRow:
     rel_error: float
 
 
+def _record_moduli(grid: PeriodicGrid, radii: np.ndarray) -> np.ndarray:
+    """Half-lattice amplitude moduli of ``(records, *grid.shape)`` radii, records last.
+
+    ``hypot(re, im)`` is bitwise Python's ``abs``; ``np.abs`` of a complex array is not.
+    """
+    z = _rfft(grid, np.moveaxis(radii, 0, -1))
+    z /= grid.num_nodes
+    return np.hypot(z.real, z.imag)
+
+
 def _leader(index: list[np.ndarray]) -> np.ndarray:
     """First nonzero component of each multi-index (0 for the zero index)."""
     lead = 0
@@ -99,27 +109,18 @@ def mode_decay_report(traj: Trajectory) -> list[ModeDecayRow]:
     """
     if len(traj.times) < 3:
         raise ValueError("mode decay fit needs at least 3 snapshots")
-    grid = traj.grid
-    # the record axis moved last, where _rfft leaves it alone
-    moduli = np.abs(_rfft(grid, np.moveaxis(traj.radii, 0, -1)) / grid.num_nodes)
-    times = traj.times
+    grid, times = traj.grid, traj.times
     rows = []
-    for index, amps in zip(*_canonical_modes(grid, moduli)):
+    for index, amps in zip(*_canonical_modes(grid, _record_moduli(grid, traj.radii))):
         window = amps > FIT_FLOOR
-        theo = 0.0
-        for k, L in zip(index, grid.lengths):
-            theo += (2.0 * np.pi * k / L) ** 2
-        if all(k == 0 for k in index):
-            # conserved mean: report drift rate directly
-            fitted = 0.0
-            if amps[0] > FIT_FLOOR and window.sum() >= 3:
-                slope, _ = np.polyfit(times[window], np.log(amps[window]), 1)
-                fitted = -float(slope)
-            rows.append(ModeDecayRow(index, fitted, 0.0, abs(fitted)))
+        mean_mode = not any(index)  # conserved: its rate is the drift, reported as is
+        fitted = 0.0
+        if window.sum() >= 3 and (window[0] or not mean_mode):
+            slope, _ = np.polyfit(times[window], np.log(amps[window]), 1)
+            fitted = -float(slope)
+        elif not mean_mode:
             continue
-        if window.sum() < 3:
-            continue
-        slope, _ = np.polyfit(times[window], np.log(amps[window]), 1)
-        fitted = -float(slope)
-        rows.append(ModeDecayRow(index, fitted, theo, abs(fitted - theo) / theo))
+        theo = sum((2.0 * np.pi * k / L) ** 2 for k, L in zip(index, grid.lengths))
+        rel = abs(fitted - theo) / theo if theo else abs(fitted)
+        rows.append(ModeDecayRow(index, fitted, theo, rel))
     return rows

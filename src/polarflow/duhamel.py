@@ -341,6 +341,8 @@ def _bounds(r0: ScalarField, spec: FluxSpec) -> tuple[float, float, float]:
     """Sup bound, flux envelope and contraction horizon of a window that starts at ``r0``."""
     field_bound = float(np.abs(r0.values).max())
     flux_bound = flux_envelope_bound(spec, field_bound)
+    if math.isinf(flux_bound):
+        raise ConvergenceError(f"the flux envelope overflows on data of sup {field_bound:.3e}")
     return field_bound, flux_bound, contraction_horizon(field_bound, flux_bound, spec.m)
 
 
@@ -358,8 +360,8 @@ def picard_solve(r0: ScalarField, spec: FluxSpec, t_final: float | None = None) 
     uniform mesh times with :data:`_N_GAUSS` Gauss nodes per target.  Sweeps
     stop once the sup-norm change reaches :data:`_SWEEP_TOL`; raises
     :class:`ConvergenceError` (carrying the delta history) if
-    :data:`_MAX_SWEEPS` sweeps do not, or if the window is shorter than the
-    smallest normal float.
+    :data:`_MAX_SWEEPS` sweeps do not, if the window is shorter than the
+    smallest normal float or if the flux envelope overflows.
     """
     _check_axes(r0.grid, spec)
     field_bound, flux_bound, horizon = _bounds(r0, spec)
@@ -404,7 +406,7 @@ def picard_extend(r0: ScalarField, spec: FluxSpec, t_end: float) -> ScalarField:
     The sup bound never grows along the flow, so successive windows do not
     shrink and the first window fixes how many restarts suffice.  Raises
     :class:`ConvergenceError` before any window is built when that count
-    exceeds :data:`_MAX_WINDOWS`.
+    exceeds :data:`_MAX_WINDOWS` or the flux envelope overflows.
     """
     _check_time("t_end", t_end)
     _check_axes(r0.grid, spec)

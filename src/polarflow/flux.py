@@ -212,23 +212,35 @@ def _sup_abs(comp: FluxComponent, coeffs: tuple[float, ...], bound: float) -> fl
     part of every root of ``p'`` inside the interval is a candidate: a real
     double root that rounding splits into a complex pair still lands on its
     critical point, and an extra point inside the interval can never raise
-    the maximum above the true one.
+    the maximum above the true one.  A leading coefficient of ``p'`` whose
+    ratio to a later one, ``j`` degrees down, overflows the companion matrix
+    of ``np.roots`` is below roundoff next to it while ``bound^j < 1e292``,
+    so it is dropped.  Coefficients or a maximum that overflow give ``inf``.
     """
-    crit = np.roots(np.polyder(coeffs[::-1])).real
-    pts = np.concatenate(([-bound, bound], crit[np.abs(crit) < bound]))
-    s = float(np.abs(_horner(coeffs, pts)).max())
+    with np.errstate(all="ignore"):
+        deriv = np.polyder(coeffs[::-1])
+        if not np.isfinite(deriv).all():
+            return math.inf
+        while len(deriv) > 1 and not np.isfinite(deriv[1:] / deriv[0]).all():
+            deriv = deriv[1:]
+        crit = np.roots(deriv).real
+        pts = np.concatenate(([-bound, bound], crit[np.abs(crit) < bound]))
+        s = float(np.abs(_horner(coeffs, pts)).max())
+    if not math.isfinite(s):
+        return math.inf
     return s if comp.modulation is None else s * comp.modulation.sup_bound()
 
 
 def advective_speed_bound(spec: FluxSpec, field_bound: float) -> float:
-    """``max_i sup |a_i g_i'|`` over ``|v| <= field_bound``."""
+    """``max_i sup |a_i g_i'|`` over ``|v| <= field_bound``, ``inf`` if it overflows."""
     return max(_sup_abs(c, _g_prime_coeffs(c), field_bound) for c in spec.components)
 
 
 def flux_envelope_bound(spec: FluxSpec, field_bound: float) -> float:
     """``max_i sup(|a_i g_i|, |a_i g_i'|)`` over ``|v| <= (m+1)*field_bound``.
 
-    Exact up to roundoff: the fixed-point window downstream is sized from it.
+    Exact up to roundoff, or ``inf`` if it overflows: the fixed-point window
+    downstream is sized from it.
     """
     if field_bound < 0.0:
         raise ValueError("field bound must be non-negative")

@@ -7,35 +7,36 @@ half-step of heat.  The diffusive part therefore carries no CFL restriction;
 only the advective limit remains.
 
 Every field is real, so one operator serves the stepper, :func:`heat_propagate`,
-:func:`galilean_shift`, the stationary solver of :mod:`.cell` and the mode
-amplitudes of :mod:`.diagnostics`: real FFTs onto the half mode lattice, with
-every multiplier built there from per-axis wavenumbers (:func:`_half_axes`).
-A real field's derivative along an axis is zero at that axis's Nyquist index,
-and where axes sit at theirs a translation keeps only the cosine of their
-summed phase.  :func:`_rfft` and :func:`_irfft` call the pocketfft kernels
-that ``rfftn``/``irfftn`` reach, the gufuncs of ``numpy.fft._pocketfft_umath``
-(numpy >= 2.0): ``rfft_n_even`` on the last grid axis and ``fft`` on the
-others, ``ifft`` and ``irfft`` back, each with ``np.fft``'s normalisation
-factor (1 forward, ``1/n`` inverse) and a new output array.  That is bitwise
-equal and skips both the n-d wrapper and ``np.fft``'s per-call checks: an
-``(128, 1)`` transform costs about 4 µs, against 7-9 µs through ``np.fft.rfft``
-and about 21 µs through ``rfftn``.  Axes after the grid axes (vector
-components, ensemble members) are left alone.  The stepper carries
-the state from step to step as this half spectrum, not as grid values; the
-time loop transforms back only where it needs samples.  The state always has
-a trailing member axis: one loop, :func:`_march`, steps any number of initial
-radii together, each member bitwise equal to its own run, and a single run
-(:func:`evolve`, or the coupled driver of :mod:`.transport` with its
-direction-transport hook) is a batch of one.  Records are that same array
-with a leading record axis, ``(records, *grid.shape, members)``, filled in
-place; a :class:`Trajectory` holds a member's view of it.
+:func:`galilean_shift`, the stationary solver of :mod:`.cell`, direction
+transport and the mode amplitudes of :mod:`.diagnostics`: real FFTs onto the
+half mode lattice, with every multiplier built there from per-axis
+wavenumbers (:func:`_half_axes`).  A real field's derivative along an axis is
+zero at that axis's Nyquist index, and where axes sit at theirs a translation
+keeps only the cosine of their summed phase.  :func:`_rfft` and
+:func:`_irfft` call the pocketfft kernels that ``rfftn``/``irfftn`` reach,
+the gufuncs of ``numpy.fft._pocketfft_umath`` (numpy >= 2.0): ``rfft_n_even``
+on the last grid axis and ``fft`` on the others, ``ifft`` and ``irfft`` back,
+each with ``np.fft``'s normalisation factor (1 forward, ``1/n`` inverse) and
+a new output array.  That is bitwise equal and skips both the n-d wrapper
+and ``np.fft``'s per-call checks, most of the cost of a small transform.
+Axes after the grid axes (vector components, ensemble members) are left
+alone.  The stepper carries the state from step to step as this half
+spectrum, not as grid values; the time loop transforms back only where it
+needs samples.  The state always has a trailing member axis: one loop,
+:func:`_march`, steps any number of initial radii together, each member
+bitwise equal to its own run, and a single run (:func:`evolve`, or the
+coupled driver of :mod:`.transport` with its direction-transport hook) is a
+batch of one.  Records are that same array with a leading record axis,
+``(records, *grid.shape, members)``, filled in place; a :class:`Trajectory`
+holds a member's view of it.
 
-The advective substep differentiates ``g_i(r)`` spectrally under Orszag's
-2/3 rule and advances with a midpoint Runge-Kutta stage, except when every
-flux component is an unmodulated constant (degree 0): then the whole step is
-one product with the cached heat-times-shift multiplier.  Either way the zero
-mode of the spectrum is only ever multiplied by one, so the field mean is
-conserved to roundoff.
+The advective substep differentiates ``g_i(r)`` with
+:func:`_derivative_symbols`, the one set that :mod:`.cell` and
+:mod:`.transport` read too, and advances with a midpoint Runge-Kutta stage,
+except when every flux component is an unmodulated constant (degree 0): then
+the whole step is one product with the cached heat-times-shift multiplier.
+Either way the zero mode of the spectrum is only ever multiplied by one, so
+the field mean is conserved to roundoff.
 """
 
 from __future__ import annotations
@@ -196,23 +197,15 @@ def _laplacian_half(grid: PeriodicGrid) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _derivative_symbols(grid: PeriodicGrid, masked: bool) -> tuple[np.ndarray, ...]:
-    """Per axis, the half-lattice symbol of ``-d/dtheta_i``, in the 2/3-rule band if ``masked``.
+def _derivative_symbols(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
+    """Per axis, the half-lattice symbol ``-i kappa_i`` of ``-d/dtheta_i``, zero at the Nyquist index.
 
-    A real field's odd derivative is zero at the axis's Nyquist index.  The
-    radius operators (here and in :mod:`.cell`) mask; direction transport does not.
+    A real field's odd derivative is zero there.  Every operator reads this one set.
     """
-    axes = _half_axes(grid)
-    keep = np.ones(np.broadcast_shapes(*(k.shape for _, k, _ in axes)), dtype=bool)
-    if masked:
-        for _, k, _ in axes:
-            keep = keep & (np.abs(k) <= (2.0 / 3.0) * np.abs(k).max() + 1e-12)
-    out = []
-    for _, k, nyquist in axes:
-        sym = np.where(keep & ~nyquist, -1j * k, 0.0)
+    out = tuple(np.where(nyquist, 0.0, -1j * k) for _, k, nyquist in _half_axes(grid))
+    for sym in out:
         sym.flags.writeable = False
-        out.append(sym)
-    return tuple(out)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -300,7 +293,7 @@ class _Stepper:
     unit axis that broadcasts over the members, so every member sees the same
     elementwise arithmetic and the same per-line transforms as when it is
     stepped alone: the half-step heat multiplier (complex, so that no product
-    casts) and, for a general flux, one masked derivative symbol, one
+    casts) and, for a general flux, one derivative symbol, one
     modulation and the coefficients of ``g_i`` per axis; for an unmodulated
     constant flux, the whole step (``H^2`` times the shift).  A general step
     combines its stages in place, in the operand order of
@@ -320,7 +313,7 @@ class _Stepper:
             shift = _shift_symbol(grid, spec.constant_speeds, dt)
             self.exact_step = (half_heat * half_heat * shift)[..., None]
         else:
-            self.derivs = [d[..., None] for d in _derivative_symbols(grid, masked=True)]
+            self.derivs = [d[..., None] for d in _derivative_symbols(grid)]
             mods = (spec.modulation_values(grid, i) for i in range(spec.m))
             self.modulations = [None if a is None else a[..., None] for a in mods]
             self.g_coeffs = [_g_coeffs(c) for c in spec.components]

@@ -10,11 +10,9 @@ every vector component:
   (it minimises the largest remainder ``|f_i - c_i|``), is applied exactly
   as the phase shift of :func:`.spectral._shift_symbol`;
 * RK4 integrates the remainder ``-(f_i - c_i) dP/dtheta_i`` with the
-  derivative symbols of :mod:`.spectral`, unmasked: the equation is linear
-  in ``P``, and the 2/3 rule of the radius equation would only cut the top
-  third of its spectrum (on a 2-axis oracle at 32^2 the error is 5.6e-10
-  unmasked, 3.0e-8 masked).  The stage speeds come from the radius at the
-  start, the middle and the end of the step;
+  derivative symbols of :mod:`.spectral`, the set the radius stepper reads.
+  The stage speeds come from the radius at the start, the middle and the
+  end of the step;
 * the vectors are renormalized to unit length, which enforces the sphere
   constraint exactly.
 
@@ -66,8 +64,8 @@ def _speeds(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> list[np.ndarray]:
 
 @lru_cache(maxsize=32)
 def _symbols(grid: PeriodicGrid) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
-    """Unmasked ``-d/dtheta_i`` symbols with a unit component axis, and their top wavenumbers."""
-    derivs = _derivative_symbols(grid, masked=False)
+    """The ``-d/dtheta_i`` symbols with a unit component axis, and their top wavenumbers."""
+    derivs = _derivative_symbols(grid)
     return tuple(d[..., None] for d in derivs), tuple(float(np.abs(d).max()) for d in derivs)
 
 

@@ -20,21 +20,19 @@ def grid2d():
 
 
 def full_lattice(grid):
-    """Full-lattice ``(kappas, |kappa|^2, 2/3 mask)`` for the complex-FFT reference oracles.
+    """Full-lattice ``(kappas, |kappa|^2)`` for the complex-FFT reference oracles.
 
     ``kappas`` holds one broadcast-ready wavenumber array per axis; the
-    Laplacian symbol and the mask have the grid's shape.
+    Laplacian symbol has the grid's shape.
     """
     kappas, lap = [], np.zeros(grid.shape)
-    mask = np.ones(grid.shape, dtype=bool)
     for ax, n in enumerate(grid.resolution):
         shape = [1] * grid.m
         shape[ax] = n
         k = grid.wavenumbers(ax).reshape(shape)
         kappas.append(k)
         lap = lap + k**2
-        mask &= np.abs(k) <= (2.0 / 3.0) * np.abs(k).max() + 1e-12
-    return kappas, lap, mask
+    return kappas, lap
 
 
 def smooth_field(grid, seed, n_modes=8, offset=0.0):

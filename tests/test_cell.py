@@ -31,24 +31,20 @@ MODULATED_LINEAR = with_modulation(
 class ReferenceCellOperator:
     """Reference: the stationary operator on complex FFTs of the full mode lattice.
 
-    Flux spectra are 2/3-masked by ``np.where`` and multiplied by ``i kappa``;
-    every product returns to the grid through ``ifftn(...).real``.
+    Flux spectra are multiplied by ``i kappa``; every product returns to the
+    grid through ``ifftn(...).real``, which drops the Nyquist derivatives.
     """
 
     def __init__(self, grid, spec):
         self.spec = spec
         self.shape = grid.shape
-        kappas, self.lap, mask = full_lattice(grid)
+        kappas, self.lap = full_lattice(grid)
         inv = np.zeros(grid.shape)
         nz = self.lap > 0.0
         inv[nz] = 1.0 / self.lap[nz]
         self.lap_inv = inv
         self.ik = [1j * k for k in kappas]
-        self.mask = mask
         self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
-
-    def _masked(self, hat):
-        return np.where(self.mask, hat, 0.0)
 
     def residual(self, v):
         out_hat = np.fft.fftn(v) * self.lap
@@ -56,7 +52,7 @@ class ReferenceCellOperator:
             gi = eval_g(self.spec, i, v)
             if self.mods[i] is not None:
                 gi = gi * self.mods[i]
-            out_hat += self.ik[i] * self._masked(np.fft.fftn(gi))
+            out_hat += self.ik[i] * np.fft.fftn(gi)
         return np.fft.ifftn(out_hat).real
 
     def jacobian_flux_part(self, v, delta):
@@ -65,7 +61,7 @@ class ReferenceCellOperator:
             coeff = eval_g_prime(self.spec, i, v)
             if self.mods[i] is not None:
                 coeff = coeff * self.mods[i]
-            out_hat += self.ik[i] * self._masked(np.fft.fftn(coeff * delta))
+            out_hat += self.ik[i] * np.fft.fftn(coeff * delta)
         return np.fft.ifftn(out_hat).real
 
     def precondition(self, rhs):

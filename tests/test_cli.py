@@ -105,8 +105,9 @@ def reference_write_diagnostics(out, traj, cfg):
     ]
     rows = []
     mean0 = traj.radii[0].mean()
-    for t, r in zip(traj.times, traj.radii):
-        amps = np.fft.fftn(r) / traj.grid.num_nodes
+    axes = tuple(range(1, traj.grid.m + 1))
+    spectra = np.fft.rfftn(traj.radii, axes=axes) / traj.grid.num_nodes
+    for t, r, amps in zip(traj.times, traj.radii, spectra):
         cells = [t, r.mean(), np.abs(r).max(), r.min(), np.abs(r).mean() * traj.grid.volume]
         cells += [np.abs(r - mean0).max()] + [abs(amps[m]) for m in modes]
         rows.append(",".join(_fmt(c) for c in cells))
@@ -320,6 +321,30 @@ class TestRunEvolve:
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
         assert not out.exists()
+
+    # np.roots raised LinAlgError on the companion matrix of both fluxes
+    def test_overflowing_flux_bound_is_a_runtime_error(self, tmp_path, capsys):
+        flux = "flux.kind = poly\nflux.coeffs = 1e308, 1e308, 1e308"
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG.replace("flux.kind = burgers", flux))
+        assert main(["evolve", str(cfg_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("run failed:")
+        assert "violates advective stability bound 0.000e+00" in err[0]
+        assert not out.exists()
+
+    def test_negligible_leading_coefficient_runs_as_without_it(self, tmp_path):
+        flux = "flux.kind = poly\nflux.coeffs = 0.0, 0.5, 1e-320"
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG.replace("flux.kind = burgers", flux))
+        assert main(["evolve", str(cfg_path)]) == EXIT_OK
+        (tmp_path / "ref").mkdir()
+        burgers_path, burgers_out = write_cfg(tmp_path / "ref", ELLIPSE_CFG)
+        assert main(["evolve", str(burgers_path)]) == EXIT_OK
+        for name in ("diagnostics.csv", "trajectory.csv", "snapshot_final.csv"):
+            rows = [
+                [l for l in (d / name).read_text().splitlines() if not l.startswith("#")]
+                for d in (out, burgers_out)
+            ]
+            assert rows[0] == rows[1]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG)
@@ -760,6 +785,14 @@ class TestRunCell:
         assert "cell.pairs must be >= 0" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        # the generator raised numpy's "expected non-negative integer" after the solve
+        cfg_path, out = write_cfg(tmp_path, CELL_CFG.replace("seed = 7", "seed = -1"), name="cell.cfg")
+        assert main(["cell", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: seed must be >= 0, got -1"]
+        assert not out.exists()
+
     def test_missing_p_is_config_error(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("grid.m = 1\ngrid.lengths = 1.0\ngrid.resolution = 64\noutput.dir = x\n")
@@ -800,25 +833,6 @@ class TestWriterOracles:
         traj = evolve_coupled(r0, p0, burgers_flux(2), cfg)
         assert len(traj.times) == 4  # t = 0, 3, 6 steps and the final 7th
         got, want = write_both(tmp_path, EVOLVE_WRITERS, traj, self.CFG)
-        assert got == want
-
-    # 5 records per fftn on the curve (chunks of 5, 5 and 2), 3 on the surface (3 and 1)
-    @pytest.mark.parametrize("case", ["curve", "surface"])
-    def test_diagnostics_in_several_chunks(self, tmp_path, monkeypatch, case):
-        if case == "curve":
-            grid = make_grid(1, [1.0], [32])
-            r0, p0 = make_initial(grid, "ellipse", [2.0, 1.0])
-            traj = evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=1e-3, t_end=0.0105))
-            chunk = 5
-        else:
-            grid = make_grid(2, [1.0, 2.0], [16, 8])
-            r0, p0 = make_initial(grid, "trig_random", [5, 2, 0.2])
-            cfg = SolveConfig(dt=1e-3, t_end=0.007, record_every=3)
-            traj = evolve_coupled(r0, p0, burgers_flux(2), cfg)
-            chunk = 3
-        monkeypatch.setattr(cli, "_FFT_CHUNK_NODES", chunk * grid.num_nodes)
-        writers = [(_write_diagnostics, reference_write_diagnostics)]
-        got, want = write_both(tmp_path, writers, traj, self.CFG)
         assert got == want
 
     def test_exponent_notation_and_negative_zero(self, tmp_path):

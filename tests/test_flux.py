@@ -1,14 +1,26 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from polarflow import (
+    ConvergenceError,
     Modulation,
+    SolveConfig,
+    SolverError,
     burgers_flux,
     constant_flux,
     eval_f,
     eval_g,
     eval_g_prime,
+    evolve,
     flux_envelope_bound,
+    make_field,
+    make_grid,
+    max_stable_dt,
+    picard_extend,
+    picard_solve,
     polynomial_flux,
     with_modulation,
     zero_flux,
@@ -144,6 +156,43 @@ class TestEnvelopeBound:
         base = constant_flux([1.0])
         mod = with_modulation(base, 0, Modulation(const=0.0, sin_amps=(2.0,)))
         assert flux_envelope_bound(mod, 1.0) >= 2.0 * flux_envelope_bound(base, 1.0) - 1e-15
+
+
+class TestExtremeCoefficients:
+    """A negligible leading term or an overflowing flux: a finite bound or ``inf``, not LinAlgError."""
+
+    GRID = make_grid(1, [1.0], [64])
+
+    # np.roots saw a companion matrix with an overflowed entry for each of these
+    @pytest.mark.parametrize(
+        "coeffs, without",
+        [([1.0, 1.0, 1e-320], [1.0, 1.0]), ([0.0, 1e10, 1e-300], [0.0, 1e10])],
+    )
+    def test_negligible_leading_term(self, coeffs, without):
+        spec, ref = polynomial_flux(coeffs), polynomial_flux(without)
+        for bound in (advective_speed_bound, flux_envelope_bound):
+            assert bound(spec, 1.5) == pytest.approx(bound(ref, 1.5), rel=1e-15, abs=0.0)
+        assert max_stable_dt(self.GRID, spec, 1.5) == pytest.approx(
+            max_stable_dt(self.GRID, ref, 1.5), rel=1e-15, abs=0.0
+        )
+
+    @pytest.mark.parametrize("coeffs", [[1e308] * 3, [0.0, 1e308, -1e308], [1e200, 1e200]])
+    def test_overflow_is_infinite(self, coeffs):
+        spec = polynomial_flux(coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert advective_speed_bound(spec, 1e200) == math.inf
+            assert flux_envelope_bound(spec, 1e200) == math.inf
+            assert max_stable_dt(self.GRID, spec, 1e200) == 0.0
+
+    def test_infinite_bound_stops_the_solvers_with_typed_errors(self):
+        spec = polynomial_flux([1e308] * 3)
+        r0 = make_field(self.GRID, 1.0 + 0.2 * np.sin(2 * np.pi * self.GRID.axis_coords(0)))
+        with pytest.raises(SolverError, match="stability bound 0.000e\\+00"):
+            evolve(r0, spec, SolveConfig(dt=1e-4, t_end=1e-3))
+        for solve in (picard_solve, lambda r, s: picard_extend(r, s, 0.1)):
+            with pytest.raises(ConvergenceError, match="flux envelope overflows"):
+                solve(r0, spec)
 
 
 class TestModulation:

@@ -41,11 +41,11 @@ def reference_advance(grid, spec, dt, vals):
     """Reference: one Strang step on complex FFTs of the full mode lattice.
 
     Heat half step, then the advective substep (an exact phase shift for an
-    unmodulated constant flux, else a midpoint stage whose flux spectra are
-    2/3-masked by ``np.where``), then heat half step; every stage returns to
-    grid values through ``ifftn(...).real``.  Returns (new_values, mid_values).
+    unmodulated constant flux, else a midpoint stage on the flux spectra),
+    then heat half step; every stage returns to grid values through
+    ``ifftn(...).real``.  Returns (new_values, mid_values).
     """
-    kappas, lap, mask = full_lattice(grid)
+    kappas, lap = full_lattice(grid)
     half_heat = np.exp(-lap * (dt / 2.0))
     half = np.fft.ifftn(np.fft.fftn(vals) * half_heat).real
     if spec.is_constant:
@@ -62,8 +62,7 @@ def reference_advance(grid, spec, dt, vals):
                 mod = spec.modulation_values(grid, i)
                 if mod is not None:
                     gi = gi * mod
-                gi_hat = np.where(mask, np.fft.fftn(gi), 0.0)
-                rhs_hat -= 1j * kap * gi_hat
+                rhs_hat -= 1j * kap * np.fft.fftn(gi)
             return np.fft.ifftn(rhs_hat).real
 
         mid = half + (dt / 2.0) * divergence_rhs(half)
@@ -84,7 +83,7 @@ def reference_real_advance(grid, spec, dt, hat):
         shift = _shift_symbol(grid, spec.constant_speeds, dt)
         return hat * (half_heat * half_heat * shift)[..., None], None
     half_heat = half_heat[..., None]
-    derivs = [d[..., None] for d in _derivative_symbols(grid, masked=True)]
+    derivs = [d[..., None] for d in _derivative_symbols(grid)]
     mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
 
     def divergence(v):
@@ -208,7 +207,7 @@ class TestGalileanShift:
         # shift is the cosine of the summed phase, not a product of per-axis factors
         m = len(resolution)
         grid = make_grid(m, lengths, resolution)
-        kappas, _, _ = full_lattice(grid)
+        kappas, _ = full_lattice(grid)
         rng = np.random.default_rng(sum(resolution))
         eps = np.finfo(float).eps
         for t in (1e-3, 2e-3, 0.05, 0.37, 2.0, 11.0):

@@ -14,6 +14,7 @@ from polarflow import (
     galilean_shift,
     make_field,
     make_grid,
+    make_initial,
     perturbed_sphere_initial,
     polynomial_flux,
     reconstruct,
@@ -33,22 +34,21 @@ def circle_field(grid):
     return sphere_directions(grid, 2)
 
 
-def reference_transport_step(grid, vectors, radii, spec, dt, dealias=True):
+def reference_transport_step(grid, vectors, radii, spec, dt):
     """Reference: one integrating-factor RK4 step on complex full-lattice FFTs.
 
     The midrange speed ``c_i`` is shifted out exactly by ``exp(-i c.kappa h)``
     and RK4 integrates ``-(f_i - c_i) dP/dtheta_i`` with the derivative
-    ``-i kappa_i`` masked by ``np.where``; every stage returns to grid values
-    through ``ifftn(...).real``.  ``radii`` holds the radius at the start, the
-    middle and the end of the step; substeps take their speeds from the
-    quadratic through the three.  The substep count follows the same rule as
-    the package, with the top kept mode of each axis counted here: ``N // 3``
-    under the 2/3 rule, else ``N/2 - 1`` (a real field's Nyquist derivative is
-    zero).  Returns (renormalized vectors, substeps).
+    ``-i kappa_i``; every stage returns to grid values through
+    ``ifftn(...).real``.  ``radii`` holds the radius at the start, the middle
+    and the end of the step; substeps take their speeds from the quadratic
+    through the three.  The substep count follows the same rule as the
+    package, with the top kept mode of each axis counted here: ``N/2 - 1``
+    (a real field's Nyquist derivative is zero).  Returns (renormalized
+    vectors, substeps).
     """
     axes = tuple(range(grid.m))
-    kappas, _, mask = full_lattice(grid)
-    mask = mask if dealias else np.ones(grid.shape, dtype=bool)
+    kappas, _ = full_lattice(grid)
 
     def speeds(r):
         out = []
@@ -61,10 +61,7 @@ def reference_transport_step(grid, vectors, radii, spec, dt, dealias=True):
     lo = [min(s[i].min() for s in stages) for i in range(grid.m)]
     hi = [max(s[i].max() for s in stages) for i in range(grid.m)]
     centre = [(a + b) / 2.0 for a, b in zip(lo, hi)]
-    top = [
-        2.0 * math.pi / length * (n // 3 if dealias else n // 2 - 1)
-        for length, n in zip(grid.lengths, grid.resolution)
-    ]
+    top = [2.0 * math.pi / length * (n // 2 - 1) for length, n in zip(grid.lengths, grid.resolution)]
     reach = dt * sum((b - a) / 2.0 * k for a, b, k in zip(lo, hi, top))
     n_sub = math.ceil(reach / 2.8)
 
@@ -79,7 +76,7 @@ def reference_transport_step(grid, vectors, radii, spec, dt, dealias=True):
         out = np.zeros_like(u)
         for i, k in enumerate(kappas):
             w = l0 * stages[0][i] + lm * stages[1][i] + l1 * stages[2][i] - centre[i]
-            out += w[..., None] * apply(np.where(mask, -1j * k, 0.0), u)
+            out += w[..., None] * apply(-1j * k, u)
         return out
 
     u = np.array(vectors, dtype=np.float64)
@@ -113,7 +110,7 @@ def reference_real_carry(vectors, grid, speeds, dt):
     lo = [min(float(s[i].min()) for s in speeds) for i in range(grid.m)]
     hi = [max(float(s[i].max()) for s in speeds) for i in range(grid.m)]
     centre = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    derivs = _derivative_symbols(grid, masked=False)
+    derivs = _derivative_symbols(grid)
     reach = abs(dt) * sum(
         0.5 * (b - a) * float(np.abs(d).max()) for a, b, d in zip(lo, hi, derivs)
     )
@@ -271,9 +268,7 @@ class TestAgainstReference:
         p = sphere_directions(grid, m + 1)
         r = make_field(grid, radius_samples(grid, 0.0))
         got = transport_step(p, r, spec, dt).vectors
-        want, n_sub = reference_transport_step(
-            grid, p.vectors, [r.values] * 3, spec, dt, dealias=False
-        )
+        want, n_sub = reference_transport_step(grid, p.vectors, [r.values] * 3, spec, dt)
         assert n_sub == (0 if spec.is_constant else 1)
         assert np.abs(got - want).max() < 5e-15  # measured at most 5.6e-16
 
@@ -283,7 +278,7 @@ class TestAgainstReference:
         p = sphere_directions(grid, m + 1)
         radii = [radius_samples(grid, t) for t in (0.0, dt / 2, dt)]
         got = carry_steps(p, spec, dt, 1)
-        want, _ = reference_transport_step(grid, p.vectors, radii, spec, dt, dealias=False)
+        want, _ = reference_transport_step(grid, p.vectors, radii, spec, dt)
         assert np.abs(got - want).max() < 5e-15  # measured at most 6.7e-16
 
 
@@ -291,7 +286,7 @@ class TestSubsteps:
     """A step whose RK4 argument exceeds 2.8 splits into substeps."""
 
     def test_split_step_agrees_with_quarter_steps(self, grid2d, monkeypatch):
-        # speeds near 60 make the unmasked argument at max_stable_dt 2.87
+        # speeds near 60 make the RK4 argument at max_stable_dt 2.87
         spec = modulated_flux(2, [60.0, 0.5])
         dt = max_stable_dt(grid2d, spec, 1.3)
         p0 = sphere_directions(grid2d, 3)
@@ -309,8 +304,7 @@ class TestSubsteps:
         fine = carry_steps(p0, spec, dt / 4, 40)
         assert set(seen) == {1}
         want, n_sub = reference_transport_step(
-            grid2d, p0.vectors, [radius_samples(grid2d, t) for t in (0.0, dt / 2, dt)],
-            spec, dt, dealias=False,
+            grid2d, p0.vectors, [radius_samples(grid2d, t) for t in (0.0, dt / 2, dt)], spec, dt
         )
         assert n_sub == 2
         assert np.abs(carry_steps(p0, spec, dt, 1) - want).max() < 5e-15
@@ -577,6 +571,37 @@ class TestEvolveCoupled:
         cfg = SolveConfig(dt=1e-3, t_end=0.01, record_every=100)
         with pytest.raises(SolverError, match=r"step 3 \(t=0\.003\): positivity lost"):
             evolve_coupled(r0, p0, burgers_flux(1), cfg)
+
+
+class TestRotationalInvariance:
+    """The paper's title property: rotating the initial directions rotates the whole run.
+
+    The radius equation does not see ``P``, and the transport is linear and
+    acts on each component alone, so ``evolve_coupled(r0, Q P0)`` is ``Q``
+    applied to ``evolve_coupled(r0, P0)`` for every orthogonal ``Q``.
+    """
+
+    CASES = {
+        "ellipse": ((128,), "ellipse", [2.5, 1.0], None, 5e-4, 0.2),
+        "trig_random_32x32": ((32, 32), "trig_random", [5, 3, 0.2], 3, 1e-3, 0.1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rotated_start_gives_rotated_run(self, case):
+        shape, preset, params, d, dt, t_end = self.CASES[case]
+        grid = make_grid(len(shape), [1.0] * len(shape), list(shape))
+        r0, p0 = make_initial(grid, preset, params, d=d)
+        rng = np.random.default_rng(sum(shape))
+        q, _ = np.linalg.qr(rng.standard_normal((p0.d, p0.d)))
+        rotated = DirectionField(grid=grid, vectors=p0.vectors @ q.T)
+        cfg = SolveConfig(dt=dt, t_end=t_end, record_every=50)
+        plain = evolve_coupled(r0, p0, burgers_flux(grid.m), cfg)
+        turned = evolve_coupled(r0, rotated, burgers_flux(grid.m), cfg)
+        assert np.array_equal(turned.times, plain.times)
+        assert np.array_equal(turned.radii, plain.radii)
+        # measured 9.0e-15 on the ellipse and 6.2e-15 on the 32^2 surface
+        assert np.abs(turned.directions - plain.directions @ q.T).max() < 1e-13
+
 
 class TestFlowResidual:
     """The reconstructed embedding satisfies the original evolution equation."""
