@@ -9,8 +9,9 @@ values both return), and ``reference_transport_step``
 (``tests/test_transport.py``) for one integrating-factor RK4 transport step
 through a varying radius, at N=128 and at 64^2.  The transforms
 ``_rfft``/``_irfft``, which call pocketfft's gufuncs directly, are timed on
-``(128, 1)`` and ``(64, 64, 1)`` against the same
-sequence of ``np.fft.rfft``/``fft``/``ifft``/``irfft`` calls, and one 1-axis
+``(1, 128)``, ``(1, 64, 64)`` and the transport's ``(3, 64, 64)`` (batch axes
+first) against the same sequence of ``np.fft.rfft``/``fft``/``ifft``/``irfft``
+calls on the trailing grid axes, and one 1-axis
 ``_carry`` (N=128, burgers, moving radius) against
 ``reference_real_carry`` (``tests/test_transport.py``), its arithmetic out
 of place on ``rfftn``/``irfftn``; both must agree bitwise.  So must
@@ -158,31 +159,29 @@ def transport_case(shape, label):
 
 
 def numpy_rfft(grid, vals):
-    """Reference: the per-axis ``np.fft`` calls, ``rfft`` on the last grid axis, then ``fft``."""
-    last = grid.m - 1
-    hat = np.fft.rfft(vals, axis=last)
-    for axis in range(last - 1, -1, -1):
+    """Reference: the per-axis ``np.fft`` calls, ``rfft`` on the last axis, then ``fft``."""
+    hat = np.fft.rfft(vals, axis=-1)
+    for axis in range(-2, -grid.m - 1, -1):
         hat = np.fft.fft(hat, axis=axis)
     return hat
 
 
 def numpy_irfft(grid, hat):
-    """Reference: ``np.fft.ifft`` on the leading axes, then ``irfft``."""
-    last = grid.m - 1
-    for axis in range(last):
+    """Reference: ``np.fft.ifft`` on the other grid axes, then ``irfft`` on the last."""
+    for axis in range(-grid.m, -1):
         hat = np.fft.ifft(hat, axis=axis)
-    return np.fft.irfft(hat, grid.resolution[-1], axis=last)
+    return np.fft.irfft(hat, grid.resolution[-1], axis=-1)
 
 
 def bitwise_cases(repeat):
     """Transforms and one 1-axis ``_carry`` against their ``np.fft`` references: equal bitwise."""
     cases = []
-    for shape in ([128], [64, 64]):
+    for batch, shape in ((1, [128]), (1, [64, 64]), (3, [64, 64])):
         m = len(shape)
         grid = make_grid(m, [1.0] * m, shape)
-        vals = np.random.default_rng(1).normal(size=(*shape, 1))
+        vals = np.random.default_rng(1).normal(size=(batch, *shape))
         hat = _rfft(grid, vals)
-        label = "(%s, 1)" % ", ".join(map(str, shape))
+        label = "(%s)" % ", ".join(map(str, vals.shape))
         cases.append(("_rfft %s" % label, lambda g=grid, v=vals: _rfft(g, v),
                       lambda g=grid, v=vals: numpy_rfft(g, v)))
         cases.append(("_irfft %s" % label, lambda g=grid, h=hat: _irfft(g, h),
@@ -217,7 +216,7 @@ def bench(n, repeat):
     base = np.stack([r0.values] * _N_TIME)
     iterate = base + 0.01 * rng.normal(size=base.shape)
     stepper = _Stepper(grid, burgers_flux(1), 1e-4)
-    hat0 = _rfft(grid, r0.values[..., None])  # a batch of one member
+    hat0 = _rfft(grid, r0.values[None])  # a batch of one member
     cell_grid = make_grid(1, [1.0], [64])
     cell_spec = with_modulation(burgers_flux(1), 0, Modulation(const=0.0, sin_amps=(0.8,)))
 
@@ -239,7 +238,7 @@ def bench(n, repeat):
         ),
         (
             "strang step N=%d burgers" % n,
-            lambda: stepper.advance(hat0)[1][..., 0],
+            lambda: stepper.advance(hat0)[1][0],
             lambda: reference_advance(grid, burgers_flux(1), 1e-4, r0.values)[1],
         ),
         transport_case([n], "N=%d" % n),

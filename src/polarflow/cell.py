@@ -77,15 +77,21 @@ class _CellOperator:
         return _irfft(self.grid, _rfft(self.grid, rhs) * self.lap_inv)
 
     def solve_newton_system(self, v: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
-        """Richardson iteration for ``(-Lap + B) delta = rhs`` on zero-mean fields."""
-        delta = self.precondition(rhs)
-        for _ in range(MAX_INNER):
-            new = self.precondition(rhs - self.jacobian_flux_part(v, delta))
-            new = new - new.mean()
-            change = float(np.abs(new - delta).max())
-            delta = new
-            if change <= tol:
-                return delta
+        """Richardson iteration for ``(-Lap + B) delta = rhs`` on zero-mean fields.
+
+        A diverging iteration overflows, and stops at the first change that is not finite.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = self.precondition(rhs)
+            for k in range(1, MAX_INNER + 1):
+                new = self.precondition(rhs - self.jacobian_flux_part(v, delta))
+                new = new - new.mean()
+                change = float(np.abs(new - delta).max())
+                if not math.isfinite(change):
+                    raise ConvergenceError(f"inner linear solve diverged at iteration {k}")
+                delta = new
+                if change <= tol:
+                    return delta
         raise ConvergenceError(
             f"inner linear solve stagnated (last change {change:.3e})"
         )

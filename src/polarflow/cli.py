@@ -221,7 +221,7 @@ def _write_diagnostics(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None
     moduli = _record_moduli(traj.grid, traj.radii)
     table = np.column_stack(
         [traj.times, traj.mean, traj.sup, traj.min, traj.l1, traj.sphere_dev]
-        + [moduli[mode] for mode in modes]
+        + [moduli[(..., *mode)] for mode in modes]
     )
     head = _header(["diagnostics time series"], columns, cfg)
     _write_csv(out / "diagnostics.csv", head, _csv_rows(table))

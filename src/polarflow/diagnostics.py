@@ -58,11 +58,11 @@ class ModeDecayRow:
 
 
 def _record_moduli(grid: PeriodicGrid, radii: np.ndarray) -> np.ndarray:
-    """Half-lattice amplitude moduli of ``(records, *grid.shape)`` radii, records last.
+    """Half-lattice amplitude moduli of ``(records, *grid.shape)`` radii, records first.
 
     ``hypot(re, im)`` is bitwise Python's ``abs``; ``np.abs`` of a complex array is not.
     """
-    z = _rfft(grid, np.moveaxis(radii, 0, -1))
+    z = _rfft(grid, radii)
     z /= grid.num_nodes
     return np.hypot(z.real, z.imag)
 
@@ -80,7 +80,7 @@ def _canonical_modes(
 ) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Modes above the noise floor at the first snapshot, one per +/- pair.
 
-    ``moduli`` holds half-lattice amplitude moduli with a trailing snapshot
+    ``moduli`` holds half-lattice amplitude moduli with a leading snapshot
     axis.  An index is kept when its first nonzero component is positive, so
     a pair led by ``-N/2`` has none.  The half lattice stores the partner of
     an index whose last component lies in ``(-N/2, 0)``: such an entry, with a
@@ -92,11 +92,11 @@ def _canonical_modes(
     negated = [np.where(nyquist, mode, -mode) for mode, _, nyquist in axes]
     direct = _leader(index) >= 0
     partner = (_leader(negated) > 0) & (index[-1] > 0)
-    keep = (direct | partner) & (moduli[..., 0] > NOISE_FLOOR)
+    keep = (direct | partner) & (moduli[0] > NOISE_FLOOR)
     reported = [np.where(direct, k, neg)[keep] for k, neg in zip(index, negated)]
     order = np.lexsort(reported[::-1])
     modes = [tuple(int(k[i]) for k in reported) for i in order]
-    return modes, moduli[keep][order]
+    return modes, moduli[..., keep].T[order]
 
 
 def mode_decay_report(traj: Trajectory) -> list[ModeDecayRow]:

@@ -17,18 +17,18 @@ keeps only the cosine of their summed phase.  :func:`_rfft` and
 the gufuncs of ``numpy.fft._pocketfft_umath`` (numpy >= 2.0): ``rfft_n_even``
 on the last grid axis and ``fft`` on the others, ``ifft`` and ``irfft`` back,
 each with ``np.fft``'s normalisation factor (1 forward, ``1/n`` inverse) and
-a new output array.  That is bitwise equal and skips both the n-d wrapper
-and ``np.fft``'s per-call checks, most of the cost of a small transform.
-Axes after the grid axes (vector components, ensemble members) are left
-alone.  The stepper carries the state from step to step as this half
-spectrum, not as grid values; the time loop transforms back only where it
-needs samples.  The state always has a trailing member axis: one loop,
-:func:`_march`, steps any number of initial radii together, each member
-bitwise equal to its own run, and a single run (:func:`evolve`, or the
-coupled driver of :mod:`.transport` with its direction-transport hook) is a
-batch of one.  Records are that same array with a leading record axis,
-``(records, *grid.shape, members)``, filled in place; a :class:`Trajectory`
-holds a member's view of it.
+a new C-ordered output array.  That is bitwise equal and skips both the n-d
+wrapper and ``np.fft``'s per-call checks, most of the cost of a small
+transform.  They transform the trailing ``grid.m`` axes: batch axes
+(members, vector components, records) lead, so every multiplier broadcasts
+over them as built.  The stepper carries the state from step to step as
+this half spectrum, not as grid values; the time loop transforms back only
+where it needs samples.  One loop, :func:`_march`, steps any number of
+initial radii together on a leading member axis, each member bitwise equal
+to its own run, and a single run (:func:`evolve`, or the coupled driver of
+:mod:`.transport` with its direction-transport hook) is a batch of one.
+Records are that same array behind a record axis, ``(records, members,
+*grid.shape)``, filled in place; a :class:`Trajectory` holds a member's view.
 
 The advective substep differentiates ``g_i(r)`` with
 :func:`_derivative_symbols`, the one set that :mod:`.cell` and
@@ -138,31 +138,28 @@ class Trajectory:
 def _rfft(grid: PeriodicGrid, vals: np.ndarray) -> np.ndarray:
     """Unnormalised real FFT of float64 grid values onto the half mode lattice.
 
-    ``rfftn`` over the grid axes, as its own sequence of pocketfft kernel
-    calls: ``rfft`` on the last grid axis, then ``fft`` on each leading
-    axis, last to first.  Each call writes a new array.
+    ``rfftn`` over the trailing ``grid.m`` axes, as its own sequence of
+    pocketfft kernel calls: ``rfft`` on the last axis, then ``fft`` on each
+    other grid axis, last to first.  Each call writes a new C-ordered array:
+    one that copied the strides of a strided ``vals`` (``empty_like``) would
+    leave every later spectrum strided, and slow.
     """
-    res = grid.resolution
-    last, n = len(res) - 1, res[-1]  # even: make_grid rejects odd N
-    shape = vals.shape[:last] + (n // 2 + 1,) + vals.shape[last + 1 :]
-    hat = _pfu.rfft_n_even(
-        vals, 1.0, axes=[(last,), (), (last,)], out=np.empty_like(vals, shape=shape, dtype=complex)
-    )
-    for axis in range(last - 1, -1, -1):
-        hat = _pfu.fft(hat, 1.0, axes=[(axis,), (), (axis,)], out=np.empty_like(hat))
+    n = grid.resolution[-1]  # even: make_grid rejects odd N
+    out = np.empty((*vals.shape[:-1], n // 2 + 1), complex)
+    hat = _pfu.rfft_n_even(vals, 1.0, axes=[(-1,), (), (-1,)], out=out)
+    for axis in range(-2, -grid.m - 1, -1):
+        hat = _pfu.fft(hat, 1.0, axes=[(axis,), (), (axis,)], out=np.empty(hat.shape, complex))
     return hat
 
 
 def _irfft(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_rfft`: ``ifft`` on the leading axes, then ``irfft``."""
+    """Inverse of :func:`_rfft`: ``ifft`` on the other grid axes, first to last, then ``irfft``."""
     res = grid.resolution
-    last, n = len(res) - 1, res[-1]
-    for axis in range(last):
+    for axis in range(-grid.m, -1):
         fct = 1.0 / res[axis]
-        hat = _pfu.ifft(hat, fct, axes=[(axis,), (), (axis,)], out=np.empty_like(hat))
-    shape = hat.shape[:last] + (n,) + hat.shape[last + 1 :]
-    out = np.empty_like(hat, shape=shape, dtype=float)
-    return _pfu.irfft(hat, 1.0 / n, axes=[(last,), (), (last,)], out=out)
+        hat = _pfu.ifft(hat, fct, axes=[(axis,), (), (axis,)], out=np.empty(hat.shape, complex))
+    out = np.empty((*hat.shape[:-1], res[-1]))
+    return _pfu.irfft(hat, 1.0 / res[-1], axes=[(-1,), (), (-1,)], out=out)
 
 
 @lru_cache(maxsize=32)
@@ -287,13 +284,13 @@ class _Stepper:
     """Strang steps of size ``dt`` on one (grid, flux), acting on the rfft spectrum.
 
     The state is the unnormalised half-lattice spectrum (:func:`_rfft`) of
-    grid values with a trailing member axis: :meth:`advance` maps it to the
+    grid values, with any leading member axes: :meth:`advance` maps it to the
     spectrum one step later, and the drivers transform back (:func:`_irfft`)
-    only where they need grid samples.  The symbols are built once, with a
-    unit axis that broadcasts over the members, so every member sees the same
-    elementwise arithmetic and the same per-line transforms as when it is
-    stepped alone: the half-step heat multiplier (complex, so that no product
-    casts) and, for a general flux, one derivative symbol, one
+    only where they need grid samples.  The symbols are built once, with the
+    grid's shape, and broadcast over the members, so every member sees the
+    same elementwise arithmetic and the same per-line transforms as when it
+    is stepped alone: the half-step heat multiplier (complex, so that no
+    product casts) and, for a general flux, one derivative symbol, one
     modulation and the coefficients of ``g_i`` per axis; for an unmodulated
     constant flux, the whole step (``H^2`` times the shift).  A general step
     combines its stages in place, in the operand order of
@@ -307,15 +304,13 @@ class _Stepper:
         self.spec = spec
         self.dt = dt
         half_heat = np.exp(-_laplacian_half(grid) * (dt / 2.0))
-        self.half_heat = half_heat[..., None].astype(complex)
+        self.half_heat = half_heat.astype(complex)
         self.exact_step = None
         if spec.is_constant:
-            shift = _shift_symbol(grid, spec.constant_speeds, dt)
-            self.exact_step = (half_heat * half_heat * shift)[..., None]
+            self.exact_step = half_heat * half_heat * _shift_symbol(grid, spec.constant_speeds, dt)
         else:
-            self.derivs = [d[..., None] for d in _derivative_symbols(grid)]
-            mods = (spec.modulation_values(grid, i) for i in range(spec.m))
-            self.modulations = [None if a is None else a[..., None] for a in mods]
+            self.derivs = _derivative_symbols(grid)
+            self.modulations = [spec.modulation_values(grid, i) for i in range(spec.m)]
             self.g_coeffs = [_g_coeffs(c) for c in spec.components]
 
     def _divergence(self, vals: np.ndarray) -> np.ndarray:
@@ -352,8 +347,8 @@ def step(r: ScalarField, spec: FluxSpec, dt: float) -> ScalarField:
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    new, _ = _Stepper(r.grid, spec, dt).advance(_rfft(r.grid, r.values[..., None]))
-    return ScalarField(grid=r.grid, values=_irfft(r.grid, new)[..., 0])
+    new, _ = _Stepper(r.grid, spec, dt).advance(_rfft(r.grid, r.values))
+    return ScalarField(grid=r.grid, values=_irfft(r.grid, new))
 
 
 def max_stable_dt(grid: PeriodicGrid, spec: FluxSpec, field_bound: float) -> float:
@@ -391,7 +386,7 @@ def _march(
     """The one time loop: :func:`evolve`, the coupled driver and ensemble runs.
 
     ``r0s`` holds the initial radii of the members, which must share a grid
-    (else ``ValueError``).  They are stacked on a trailing member axis and
+    (else ``ValueError``).  They are stacked on a leading member axis and
     stepped together; the loop returns one trajectory per member, each
     bitwise equal to the run of that member alone.  ``cfg.dt`` is checked
     once, against the largest initial sup norm, so a batch raises the
@@ -413,7 +408,7 @@ def _march(
     grid = r0s[0].grid
     if any(r.grid != grid for r in r0s):
         raise ValueError("ensemble members live on different grids")
-    vals = np.stack([r.values for r in r0s], axis=-1)
+    vals = np.stack([r.values for r in r0s])
     n_full, remainder = _schedule(grid, spec, cfg, float(np.abs(vals).max()))
     n_steps = n_full + (remainder > 0.0)
     n_records = 1 + n_steps // cfg.record_every + (n_steps % cfg.record_every > 0)
@@ -447,7 +442,7 @@ def _march(
                         "geometric evolution is no longer well defined"
                     )
                 mid = vals if mid is None else mid
-                p = transport(p, (start[..., 0], mid[..., 0], vals[..., 0]), stepper.dt)
+                p = transport(p, (start[0], mid[0], vals[0]), stepper.dt)
         except SolverError as exc:
             raise SolverError(f"step {k} (t={t:.6g}): {exc}") from exc
         if k % cfg.record_every == 0 or k == n_steps:
@@ -459,7 +454,7 @@ def _march(
     for arr in (times, radii, directions):
         if arr is not None:
             arr.flags.writeable = False
-    trajs = [Trajectory(grid, spec, times, radii[..., j], directions) for j in range(len(r0s))]
+    trajs = [Trajectory(grid, spec, times, radii[:, j], directions) for j in range(len(r0s))]
     for traj in trajs:  # max-principle and positivity findings from the columns, in record order
         sup, low = traj.sup.tolist(), traj.min.tolist()
         for t, top, bottom in zip(times.tolist(), sup, low):

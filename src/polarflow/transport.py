@@ -31,7 +31,6 @@ hands it this step as the hook that carries the direction vectors.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,46 +61,43 @@ def _speeds(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-@lru_cache(maxsize=32)
-def _symbols(grid: PeriodicGrid) -> tuple[tuple[np.ndarray, ...], tuple[float, ...]]:
-    """The ``-d/dtheta_i`` symbols with a unit component axis, and their top wavenumbers."""
-    derivs = _derivative_symbols(grid)
-    return tuple(d[..., None] for d in derivs), tuple(float(np.abs(d).max()) for d in derivs)
+def _substeps(derivs: tuple[np.ndarray, ...], rest: list[float], dt: float) -> int:
+    """RK4 substeps that keep ``sum_i rest_i * top_i * |dt|`` below ``_RK4_REACH`` each.
 
-
-def _substeps(tops: tuple[float, ...], rest: list[float], dt: float) -> int:
-    """RK4 substeps that keep ``sum_i rest_i * tops_i * |dt|`` below ``_RK4_REACH`` each.
-
-    ``rest[i]`` bounds the remainder speed ``|f_i - c_i|`` and ``tops[i]`` is
-    the top wavenumber the derivative symbol of axis ``i`` passes.
+    ``rest[i]`` bounds the remainder speed ``|f_i - c_i|`` and ``top_i`` is
+    the top wavenumber the derivative symbol ``derivs[i]`` passes.
     """
-    reach = abs(dt) * sum(s * top for s, top in zip(rest, tops))
+    reach = abs(dt) * sum(s * float(np.abs(d).max()) for s, d in zip(rest, derivs))
     return math.ceil(reach / _RK4_REACH)
 
 
 def _carry(vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float) -> np.ndarray:
-    """Transport unit vectors (grid shape plus a trailing component axis) over ``dt``.
+    """Transport unit vectors, ``(*grid.shape, d)`` as in :class:`.DirectionField`, over ``dt``.
 
     ``speeds`` holds the per-axis speeds at the start, the middle and the end
     of the step; substeps take theirs from the quadratic through the three.
-    Returns the renormalized vectors as a new array.  The stages combine in
-    place, in the operand order of the classic formulas, on spectra that
+    Inside, the component axis leads: one transposed view on entry (the view
+    ``np.moveaxis`` makes, without its per-call axis checks) makes it a batch
+    axis of :func:`.spectral._rfft`, so every symbol and speed broadcasts over
+    the components as built, and one on exit gives the renormalized vectors
+    back as a new ``(*grid.shape, d)`` array.  The stages combine in place,
+    in the operand order of the classic formulas, on spectra that
     :func:`.spectral._rfft` made for this call.
     """
     lo = [min(float(s[i].min()) for s in speeds) for i in range(grid.m)]
     hi = [max(float(s[i].max()) for s in speeds) for i in range(grid.m)]
     centre = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    derivs, tops = _symbols(grid)
-    n_sub = _substeps(tops, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
-    hat = _rfft(grid, vectors)
+    derivs = _derivative_symbols(grid)
+    n_sub = _substeps(derivs, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
+    hat = _rfft(grid, vectors.transpose(grid.m, *range(grid.m)))
     if n_sub == 0:
-        np.multiply(hat, _shift_symbol(grid, centre, dt)[..., None], out=hat)
+        np.multiply(hat, _shift_symbol(grid, centre, dt), out=hat)
     else:
         h = dt / n_sub
-        shift = _shift_symbol(grid, centre, h)[..., None]
-        shift_half = _shift_symbol(grid, centre, h / 2.0)[..., None]
+        shift = _shift_symbol(grid, centre, h)
+        shift_half = _shift_symbol(grid, centre, h / 2.0)
         two_shift_half = 2.0 * shift_half
-        rests = [[(v - c)[..., None] for v, c in zip(s, centre)] for s in speeds]
+        rests = [[v - c for v, c in zip(s, centre)] for s in speeds]
         scratch, stage = np.empty_like(hat), np.empty_like(hat)
 
         def rest_at(tau: float) -> list[np.ndarray]:
@@ -146,11 +142,11 @@ def _carry(vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float) -> 
             np.multiply(h / 6.0, k2, out=k2)
             hat = np.add(k1, k2, out=k1)
     out = _irfft(grid, hat)
-    norms = np.sqrt((out**2).sum(axis=-1))
+    norms = np.sqrt((out**2).sum(axis=0))
     if not (norms.min() > 0.0):
         raise SolverError("direction vector collapsed to zero during transport")
-    out /= norms[..., None]
-    return out
+    out /= norms
+    return out.transpose(*range(1, grid.m + 1), 0)
 
 
 def transport_step(

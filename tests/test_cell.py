@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,14 @@ class TestSolveCellInputs:
         # g(1e200) overflows, so the residual is NaN, which never exceeds tol
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
             solve_cell(burgers_flux(1), grid64, 1e200)
+
+
+    def test_diverging_inner_solve_raises_without_warnings(self):
+        spec = with_modulation(constant_flux([1.0]), 0, Modulation(const=0.0, sin_amps=(100.0,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="inner linear solve diverged"):
+                solve_cell(spec, make_grid(1, [1.0], [32]), 1.0)
 
 
 class TestMonotonicity:

@@ -712,6 +712,16 @@ class TestRunCell:
         assert len(rows) == 3
         assert all(r.split(",")[2] == "1" for r in rows)
 
+    def test_diverging_solve_is_one_error_line(self, tmp_path, capsys):
+        # a strong modulation makes the inner Richardson iteration overflow
+        diverging = CELL_CFG.replace("resolution = 64", "resolution = 32")
+        cfg_path, _ = write_cfg(tmp_path, diverging.replace("mod_sin = 1.0", "mod_sin = 100"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cell", str(cfg_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "inner linear solve diverged" in err[0]
+
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         cfg_path, out = write_cfg(tmp_path, CELL_CFG, name="cell.cfg")
         out.write_text("a file, not a directory\n")

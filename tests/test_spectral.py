@@ -77,20 +77,19 @@ def reference_real_advance(grid, spec, dt, hat):
     started from ``0.0``; the products keep their operand order.  Returns
     (new_spectrum, mid_values), mid None for a constant flux.
     """
-    axes = tuple(range(grid.m))
+    axes = tuple(range(-grid.m, 0))
     half_heat = np.exp(-_laplacian_half(grid) * (dt / 2.0))
     if spec.is_constant:
         shift = _shift_symbol(grid, spec.constant_speeds, dt)
-        return hat * (half_heat * half_heat * shift)[..., None], None
-    half_heat = half_heat[..., None]
-    derivs = [d[..., None] for d in _derivative_symbols(grid)]
+        return hat * (half_heat * half_heat * shift), None
+    derivs = _derivative_symbols(grid)
     mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
 
     def divergence(v):
         out = 0.0
         for i, (deriv, mod) in enumerate(zip(derivs, mods)):
             gi = eval_g(spec, i, v)
-            gi = gi if mod is None else gi * mod[..., None]
+            gi = gi if mod is None else gi * mod
             out = out + deriv * np.fft.rfftn(gi, axes=axes)
         return out
 
@@ -284,28 +283,44 @@ class TestPerAxisTransforms:
     @pytest.mark.parametrize(
         "resolution", [(128,), (8,), (32, 32), (16, 64), (64, 8), (8, 16, 32), (16, 8, 8)]
     )
-    @pytest.mark.parametrize("tail", [(), (3,), (2,)])
-    def test_bitwise_equal_to_rfftn(self, resolution, tail):
+    # the ids are the names these cases have always been reported under
+    @pytest.mark.parametrize("batch", [(), (3,), (2,)], ids=["tail0", "tail1", "tail2"])
+    def test_bitwise_equal_to_rfftn(self, resolution, batch):
         m = len(resolution)
         grid = make_grid(m, [1.0] * m, resolution)
-        vals = np.random.default_rng(sum(resolution)).normal(size=grid.shape + tail)
-        axes = tuple(range(m))
+        vals = np.random.default_rng(sum(resolution)).normal(size=batch + grid.shape)
+        axes = tuple(range(-m, 0))
         hat = _rfft(grid, vals)
         ref = np.fft.rfftn(vals, axes=axes)
         assert hat.shape == ref.shape and np.array_equal(hat, ref)
         back = _irfft(grid, hat)
         assert np.array_equal(back, np.fft.irfftn(ref, s=grid.shape, axes=axes))
-        # a trailing axis holds independent fields: each equals its own transform
-        for j in np.ndindex(*tail):
-            member = np.ascontiguousarray(vals[(...,) + j])
-            assert np.array_equal(hat[(...,) + j], np.fft.rfftn(member))
+        # a leading axis holds independent fields: each equals its own transform
+        for j in np.ndindex(*batch):
+            assert np.array_equal(hat[j], np.fft.rfftn(vals[j]))
+
+    @pytest.mark.parametrize("resolution", [(128,), (64, 64), (8, 16, 32)])
+    def test_strided_input_gives_c_ordered_output(self, resolution):
+        m = len(resolution)
+        grid = make_grid(m, [1.0] * m, resolution)
+        # components last in memory, first in shape: the view _carry transforms
+        vals = np.moveaxis(np.random.default_rng(2).normal(size=grid.shape + (3,)), -1, 0)
+        assert not vals.flags.c_contiguous
+        hat = _rfft(grid, vals)
+        assert hat.flags.c_contiguous
+        assert hat.tobytes() == _rfft(grid, np.ascontiguousarray(vals)).tobytes()
+        strided = np.moveaxis(np.moveaxis(hat, 0, -1).copy(), -1, 0)
+        assert not strided.flags.c_contiguous
+        back = _irfft(grid, strided)
+        assert back.flags.c_contiguous
+        assert back.tobytes() == _irfft(grid, hat).tobytes()
 
 
     @pytest.mark.parametrize("resolution", [(128,), (64, 64)])
     def test_outputs_are_new_arrays(self, resolution):
         m = len(resolution)
         grid = make_grid(m, [1.0] * m, resolution)
-        vals = np.random.default_rng(3).normal(size=grid.shape + (1,))
+        vals = np.random.default_rng(3).normal(size=(1,) + grid.shape)
         hats = [_rfft(grid, vals) for _ in range(2)]
         backs = [_irfft(grid, hat) for hat in hats]
         arrays = [vals, *hats, *backs]
@@ -439,8 +454,8 @@ class TestRealStepper:
         grid, spec, dt, vals = ORACLE_CASES[case]
         assert dt <= max_stable_dt(grid, spec, float(np.abs(vals).max()))
         stepper = _Stepper(grid, spec, dt)
-        # the state carries a trailing member axis; this is a batch of one
-        hat, ref = _rfft(grid, vals[..., None]), vals
+        # the state carries a leading member axis; this is a batch of one
+        hat, ref = _rfft(grid, vals[None]), vals
         worst_mid = 0.0
         for _ in range(300):
             hat, mid = stepper.advance(hat)
@@ -448,9 +463,9 @@ class TestRealStepper:
             if spec.is_constant:
                 assert mid is None  # one product, no half-time stage
             else:
-                worst_mid = max(worst_mid, float(np.abs(mid[..., 0] - ref_mid).max()))
+                worst_mid = max(worst_mid, float(np.abs(mid[0] - ref_mid).max()))
         assert worst_mid < self.TOL
-        assert np.abs(_irfft(grid, hat)[..., 0] - ref).max() < self.TOL
+        assert np.abs(_irfft(grid, hat)[0] - ref).max() < self.TOL
 
 
 
@@ -461,7 +476,7 @@ class TestInPlaceStep:
     def test_matches_out_of_place_bitwise(self, case):
         grid, spec, dt, vals = ORACLE_CASES[case]
         stepper = _Stepper(grid, spec, dt)
-        hat = ref = _rfft(grid, vals[..., None])
+        hat = ref = _rfft(grid, vals[None])
         for _ in range(300):
             hat, mid = stepper.advance(hat)
             ref, ref_mid = reference_real_advance(grid, spec, dt, ref)
@@ -475,7 +490,7 @@ class TestInPlaceStep:
         m = len(resolution)
         grid = make_grid(m, [1.0] * m, resolution)
         stepper = _Stepper(grid, ENSEMBLE_FLUXES[flux](m), 1e-4)
-        hat = _rfft(grid, smooth_field(grid, seed=7, offset=1.0).values[..., None])
+        hat = _rfft(grid, smooth_field(grid, seed=7, offset=1.0).values[None])
         before = hat.copy()
         new, mid = stepper.advance(hat)
         assert np.array_equal(hat, before)

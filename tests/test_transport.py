@@ -436,9 +436,22 @@ class TestTransportStep:
     def test_collapse_is_a_solver_error(self, grid64, monkeypatch):
         p = circle_field(grid64)
         r = make_field(grid64, np.full(64, 1.5))
-        monkeypatch.setattr(transport, "_irfft", lambda grid, hat: np.zeros(grid.shape + hat.shape[grid.m:]))
+        monkeypatch.setattr(transport, "_irfft", lambda grid, hat: np.zeros(hat.shape[:-grid.m] + grid.shape))
         with pytest.raises(SolverError, match="collapsed"):
             transport_step(p, r, burgers_flux(1), 1e-3)
+
+    def test_2d_keeps_layout_and_bits_for_strided_vectors(self, grid2d):
+        p = sphere_directions(grid2d, 3)
+        # the same vectors with the components outermost in memory
+        strided = np.moveaxis(np.moveaxis(p.vectors, -1, 0).copy(), 0, -1)
+        q = DirectionField(grid=grid2d, vectors=strided)
+        assert not q.vectors.flags.c_contiguous
+        r = make_field(grid2d, radius_samples(grid2d, 0.0))
+        out, out_strided = (transport_step(v, r, burgers_flux(2), 2e-3) for v in (p, q))
+        assert out.vectors.shape == out_strided.vectors.shape == grid2d.shape + (3,)
+        assert np.abs(out.vectors - p.vectors).max() > 1e-3  # the step moved the vectors
+        a, b = (np.ascontiguousarray(v.vectors).tobytes() for v in (out, out_strided))
+        assert a == b
 
     def test_2d_translation(self, grid2d):
         p0 = sphere_directions(grid2d, 3)
