@@ -11,10 +11,13 @@ through a varying radius, at N=128 and at 64^2.  The transforms
 ``_rfft``/``_irfft``, which call pocketfft's gufuncs directly, are timed on
 ``(1, 128)``, ``(1, 64, 64)`` and the transport's ``(3, 64, 64)`` (batch axes
 first) against the same sequence of ``np.fft.rfft``/``fft``/``ifft``/``irfft``
-calls on the trailing grid axes, and one 1-axis
-``_carry`` (N=128, burgers, moving radius) against
-``reference_real_carry`` (``tests/test_transport.py``), its arithmetic out
-of place on ``rfftn``/``irfftn``; both must agree bitwise.  So must
+calls on the trailing grid axes, one N=128 burgers Strang step of a
+one-member ``_Stepper`` (built at the state's shape, as ``_march`` builds
+it) against ``reference_real_advance`` (``tests/test_spectral.py``), and one
+1-axis ``_carry`` (N=128, burgers, moving radius) against
+``reference_real_carry`` (``tests/test_transport.py``), both references
+their arithmetic out of place on ``rfftn``/``irfftn``; each pair must agree
+bitwise.  ``tests/test_benchmarks.py`` runs these bitwise cases.  So must
 ``_shift_symbol`` at N=128 and 64^2 and ``reference_shift_symbol``
 (``tests/test_spectral.py``), which splits off the Nyquist index with
 ``np.where`` on every call.
@@ -91,7 +94,7 @@ from test_cli import (  # noqa: E402
     reference_write_trajectory,
 )
 from test_duhamel import reference_heat_convolve, reference_sweep  # noqa: E402
-from test_spectral import reference_advance, reference_shift_symbol  # noqa: E402
+from test_spectral import reference_advance, reference_real_advance, reference_shift_symbol  # noqa: E402
 from test_transport import radius_samples, reference_real_carry, reference_transport_step  # noqa: E402
 
 
@@ -174,7 +177,7 @@ def numpy_irfft(grid, hat):
 
 
 def bitwise_cases(repeat):
-    """Transforms and one 1-axis ``_carry`` against their ``np.fft`` references: equal bitwise."""
+    """Transforms, a Strang step and a 1-axis ``_carry`` against their references: equal bitwise."""
     cases = []
     for batch, shape in ((1, [128]), (1, [64, 64]), (3, [64, 64])):
         m = len(shape)
@@ -195,6 +198,10 @@ def bitwise_cases(repeat):
                       lambda g=grid, c=speeds: reference_shift_symbol(g, c, 1e-3)))
     grid = make_grid(1, [1.0], [128])
     spec, dt = burgers_flux(1), 1e-3
+    stepper = _Stepper(grid, spec, 1e-4, (1,))
+    hat = _rfft(grid, radius_samples(grid, 0.0)[None])
+    cases.append(("_Stepper.advance N=128 burgers", lambda: stepper.advance(hat)[0],
+                  lambda: reference_real_advance(grid, spec, 1e-4, hat)[0]))
     speeds = [transport._speeds(spec, [None], radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
     p = sphere_directions(grid, 2).vectors
     cases.append(("_carry N=128 burgers", lambda: transport._carry(p, grid, speeds, dt),
@@ -215,8 +222,8 @@ def bench(n, repeat):
     window = _Window(grid, burgers_flux(1), 1e-3, _N_TIME, _N_GAUSS)
     base = np.stack([r0.values] * _N_TIME)
     iterate = base + 0.01 * rng.normal(size=base.shape)
-    stepper = _Stepper(grid, burgers_flux(1), 1e-4)
-    hat0 = _rfft(grid, r0.values[None])  # a batch of one member
+    stepper = _Stepper(grid, burgers_flux(1), 1e-4, (1,))  # a batch of one member, as in _march
+    hat0 = _rfft(grid, r0.values[None])
     cell_grid = make_grid(1, [1.0], [64])
     cell_spec = with_modulation(burgers_flux(1), 0, Modulation(const=0.0, sin_amps=(0.8,)))
 

@@ -37,6 +37,7 @@ __all__ = ["CellSolution", "solve_cell", "monotonicity_check"]
 CELL_TOL = 1e-11  # sup residual at which Newton stops
 MAX_NEWTON = 40
 MAX_INNER = 400  # Richardson iterations per Newton system
+GROWTH_RUN = 8  # growing changes in a row that mark divergence; converging solves show at most 1
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,20 @@ class _CellOperator:
     def solve_newton_system(self, v: np.ndarray, rhs: np.ndarray, tol: float) -> np.ndarray:
         """Richardson iteration for ``(-Lap + B) delta = rhs`` on zero-mean fields.
 
-        A diverging iteration overflows, and stops at the first change that is not finite.
+        The iteration diverges once its change is not finite (it overflowed)
+        or has grown at :data:`GROWTH_RUN` iterations in a row.
         """
+        last, growing = math.inf, 0
         with np.errstate(over="ignore", invalid="ignore"):
             delta = self.precondition(rhs)
             for k in range(1, MAX_INNER + 1):
                 new = self.precondition(rhs - self.jacobian_flux_part(v, delta))
                 new = new - new.mean()
                 change = float(np.abs(new - delta).max())
-                if not math.isfinite(change):
+                growing = growing + 1 if change > last else 0
+                if growing == GROWTH_RUN or not math.isfinite(change):
                     raise ConvergenceError(f"inner linear solve diverged at iteration {k}")
-                delta = new
+                delta, last = new, change
                 if change <= tol:
                     return delta
         raise ConvergenceError(

@@ -13,22 +13,20 @@ half mode lattice, with every multiplier built there from per-axis
 wavenumbers (:func:`_half_axes`).  A real field's derivative along an axis is
 zero at that axis's Nyquist index, and where axes sit at theirs a translation
 keeps only the cosine of their summed phase.  :func:`_rfft` and
-:func:`_irfft` call the pocketfft kernels that ``rfftn``/``irfftn`` reach,
-the gufuncs of ``numpy.fft._pocketfft_umath`` (numpy >= 2.0): ``rfft_n_even``
-on the last grid axis and ``fft`` on the others, ``ifft`` and ``irfft`` back,
-each with ``np.fft``'s normalisation factor (1 forward, ``1/n`` inverse) and
-a new C-ordered output array.  That is bitwise equal and skips both the n-d
-wrapper and ``np.fft``'s per-call checks, most of the cost of a small
-transform.  They transform the trailing ``grid.m`` axes: batch axes
-(members, vector components, records) lead, so every multiplier broadcasts
-over them as built.  The stepper carries the state from step to step as
-this half spectrum, not as grid values; the time loop transforms back only
-where it needs samples.  One loop, :func:`_march`, steps any number of
-initial radii together on a leading member axis, each member bitwise equal
-to its own run, and a single run (:func:`evolve`, or the coupled driver of
-:mod:`.transport` with its direction-transport hook) is a batch of one.
-Records are that same array behind a record axis, ``(records, members,
-*grid.shape)``, filled in place; a :class:`Trajectory` holds a member's view.
+:func:`_irfft` call the gufuncs of ``numpy.fft._pocketfft_umath`` (numpy
+>= 2.0) that ``rfftn``/``irfftn`` reach, ``rfft_n_even``/``fft`` forward and
+``ifft``/``irfft`` back, with ``np.fft``'s normalisation and a new C-ordered
+output: bitwise equal, without the n-d wrapper and per-call checks that
+cost most of a small transform.  They transform the trailing grid axes, so
+batch axes (members, vector components, records) lead.  The stepper carries
+the state as this half spectrum and builds its multipliers once at the
+state's shape; the time loop transforms back only where it needs samples.
+One loop, :func:`_march`, steps any number of initial radii together on a
+leading member axis, each member bitwise equal to its own run; a single run
+(:func:`evolve`, or the coupled driver of :mod:`.transport` with its
+direction-transport hook) is a batch of one.  Records are that same array
+behind a record axis, ``(records, members, *grid.shape)``, filled in place;
+a :class:`Trajectory` holds a member's view.
 
 The advective substep differentiates ``g_i(r)`` with
 :func:`_derivative_symbols`, the one set that :mod:`.cell` and
@@ -66,6 +64,7 @@ __all__ = [
 
 MAX_PRINCIPLE_SLACK = 1e-8
 CFL_NUMBER = 0.5
+_AXES = tuple([(-a,), (), (-a,)] for a in range(65))  # gufunc axes=[...] on grid axis -a, built once
 
 
 @dataclass(frozen=True)
@@ -144,22 +143,21 @@ def _rfft(grid: PeriodicGrid, vals: np.ndarray) -> np.ndarray:
     one that copied the strides of a strided ``vals`` (``empty_like``) would
     leave every later spectrum strided, and slow.
     """
-    n = grid.resolution[-1]  # even: make_grid rejects odd N
-    out = np.empty((*vals.shape[:-1], n // 2 + 1), complex)
-    hat = _pfu.rfft_n_even(vals, 1.0, axes=[(-1,), (), (-1,)], out=out)
-    for axis in range(-2, -grid.m - 1, -1):
-        hat = _pfu.fft(hat, 1.0, axes=[(axis,), (), (axis,)], out=np.empty(hat.shape, complex))
+    res = grid.resolution
+    out = np.empty((*vals.shape[:-1], res[-1] // 2 + 1), complex)  # even: make_grid rejects odd N
+    hat = _pfu.rfft_n_even(vals, 1.0, out=out)  # a gufunc's core axis is the last by default
+    for a in range(2, len(res) + 1):
+        hat = _pfu.fft(hat, 1.0, axes=_AXES[a], out=np.empty(hat.shape, complex))
     return hat
 
 
 def _irfft(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_rfft`: ``ifft`` on the other grid axes, first to last, then ``irfft``."""
     res = grid.resolution
-    for axis in range(-grid.m, -1):
-        fct = 1.0 / res[axis]
-        hat = _pfu.ifft(hat, fct, axes=[(axis,), (), (axis,)], out=np.empty(hat.shape, complex))
+    for a in range(len(res), 1, -1):
+        hat = _pfu.ifft(hat, 1.0 / res[-a], axes=_AXES[a], out=np.empty(hat.shape, complex))
     out = np.empty((*hat.shape[:-1], res[-1]))
-    return _pfu.irfft(hat, 1.0 / res[-1], axes=[(-1,), (), (-1,)], out=out)
+    return _pfu.irfft(hat, 1.0 / res[-1], out=out)
 
 
 @lru_cache(maxsize=32)
@@ -280,41 +278,55 @@ def _flux_divergence(grid: PeriodicGrid, derivs, mods, fluxes) -> np.ndarray:
     return out
 
 
+def _at(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``arr`` broadcast to a new read-only C-ordered array of ``shape`` (see :class:`_Stepper`)."""
+    out = np.broadcast_to(arr, shape).copy()
+    out.flags.writeable = False
+    return out
+
+
 class _Stepper:
     """Strang steps of size ``dt`` on one (grid, flux), acting on the rfft spectrum.
 
     The state is the unnormalised half-lattice spectrum (:func:`_rfft`) of
-    grid values, with any leading member axes: :meth:`advance` maps it to the
-    spectrum one step later, and the drivers transform back (:func:`_irfft`)
-    only where they need grid samples.  The symbols are built once, with the
-    grid's shape, and broadcast over the members, so every member sees the
-    same elementwise arithmetic and the same per-line transforms as when it
-    is stepped alone: the half-step heat multiplier (complex, so that no
-    product casts) and, for a general flux, one derivative symbol, one
-    modulation and the coefficients of ``g_i`` per axis; for an unmodulated
-    constant flux, the whole step (``H^2`` times the shift).  A general step
-    combines its stages in place, in the operand order of
+    grid values, with the leading member axes ``batch``: :meth:`advance`
+    maps it to the spectrum one step later, and the drivers transform back
+    (:func:`_irfft`) only where they need grid samples.  The symbols are
+    built once, with the grid's shape, and copied to the state's shape, so
+    every member sees the same elementwise arithmetic and the same per-line
+    transforms as when it is stepped alone, and every product takes numpy's
+    same-shape loop, twice as fast on a small state as the broadcasting one.
+    They are the half-step heat multiplier (complex, so that no product
+    casts) and, for a general flux, one derivative symbol and one modulation
+    per axis; for an unmodulated constant flux, the whole step (``H^2``
+    times the shift).  ``dt``, ``dt/2`` and the coefficients of ``g_i`` are
+    0-d arrays, ``dt`` complex like the spectrum it scales, which numpy takes
+    without converting a float on every call; the products are the same.  A
+    general step combines its stages in place, in the operand order of
     ``half + dt/2 * D(half)`` and ``(hh + dt * D(mid)) * H``, on arrays it
     makes itself; what it returns is new.
     """
 
-    def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float):
+    def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float, batch: tuple[int, ...] = ()):
         _check_axes(grid, spec)
-        self.grid = grid
-        self.spec = spec
-        self.dt = dt
-        half_heat = np.exp(-_laplacian_half(grid) * (dt / 2.0))
-        self.half_heat = half_heat.astype(complex)
+        self.grid, self.dt = grid, dt
+        self._dt, self._half_dt = np.array(dt, complex), np.array(dt / 2.0)
+        lap = _laplacian_half(grid)
+        half = (*batch, *lap.shape)
+        half_heat = np.exp(-lap * (dt / 2.0))
+        self.half_heat = _at(half_heat.astype(complex), half)
         self.exact_step = None
         if spec.is_constant:
-            self.exact_step = half_heat * half_heat * _shift_symbol(grid, spec.constant_speeds, dt)
+            shift = _shift_symbol(grid, spec.constant_speeds, dt)
+            self.exact_step = _at(half_heat * half_heat * shift, half)
         else:
-            self.derivs = _derivative_symbols(grid)
-            self.modulations = [spec.modulation_values(grid, i) for i in range(spec.m)]
-            self.g_coeffs = [_g_coeffs(c) for c in spec.components]
+            self.derivs = [_at(d, half) for d in _derivative_symbols(grid)]
+            mods = (spec.modulation_values(grid, i) for i in range(spec.m))
+            self.modulations = [None if a is None else _at(a, (*batch, *grid.shape)) for a in mods]
+            self.g_coeffs = [tuple(map(np.array, _g_coeffs(c))) for c in spec.components]
 
     def _divergence(self, vals: np.ndarray) -> np.ndarray:
-        fluxes = (_horner(c, vals) for c in self.g_coeffs)
+        fluxes = [_horner(c, vals) for c in self.g_coeffs]
         return _flux_divergence(self.grid, self.derivs, self.modulations, fluxes)
 
     def advance(self, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -329,12 +341,12 @@ class _Stepper:
             hh = hat * self.half_heat
             mid = _irfft(self.grid, hh)
             rate = _irfft(self.grid, self._divergence(mid))
-            mid += np.multiply(self.dt / 2.0, rate, out=rate)
+            mid += np.multiply(self._half_dt, rate, out=rate)
             new = self._divergence(mid)
-            np.multiply(self.dt, new, out=new)
+            np.multiply(self._dt, new, out=new)
             np.add(hh, new, out=new)
             np.multiply(new, self.half_heat, out=new)
-        if not np.isfinite(new.view(np.float64)).all():
+        if np.count_nonzero(np.isfinite(new)) < new.size:  # half the cost of .all()
             raise SolverError("non-finite field after step")
         return new, mid
 
@@ -422,7 +434,8 @@ def _march(
         raise SolverError(
             f"cannot allocate {n_records:.3g} records of dt={cfg.dt:.3e} to t_end={cfg.t_end:.6g}: {exc}"
         ) from exc
-    stepper = _Stepper(grid, spec, cfg.dt)
+    batch = vals.shape[:1]
+    stepper = _Stepper(grid, spec, cfg.dt, batch)
     radii[0], slot = vals, 1
     if coupled:
         directions[0] = p
@@ -430,7 +443,7 @@ def _march(
     for k in range(1, n_steps + 1):
         t = k * cfg.dt
         if k > n_full:
-            stepper = _Stepper(grid, spec, remainder)
+            stepper = _Stepper(grid, spec, remainder, batch)
             t = cfg.t_end
         try:
             hat, mid = stepper.advance(hat)

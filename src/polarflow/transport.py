@@ -31,6 +31,7 @@ hands it this step as the hook that carries the direction vectors.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,8 +41,10 @@ from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField
 from .spectral import (
     SolveConfig,
     Trajectory,
+    _at,
     _derivative_symbols,
     _irfft,
+    _laplacian_half,
     _march,
     _rfft,
     _shift_symbol,
@@ -61,13 +64,24 @@ def _speeds(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _substeps(derivs: tuple[np.ndarray, ...], rest: list[float], dt: float) -> int:
-    """RK4 substeps that keep ``sum_i rest_i * top_i * |dt|`` below ``_RK4_REACH`` each.
+@lru_cache(maxsize=32)
+def _component_derivatives(grid: PeriodicGrid, d: int) -> tuple[tuple, tuple]:
+    """The derivative symbols at the shape ``(d, *half)`` of ``d`` component spectra, and their tops.
 
-    ``rest[i]`` bounds the remainder speed ``|f_i - c_i|`` and ``top_i`` is
-    the top wavenumber the derivative symbol ``derivs[i]`` passes.
+    A symbol's top is the largest wavenumber ``|kappa_i|`` it passes.
     """
-    reach = abs(dt) * sum(s * float(np.abs(d).max()) for s, d in zip(rest, derivs))
+    derivs = _derivative_symbols(grid)
+    half = (d, *_laplacian_half(grid).shape)
+    return tuple(_at(s, half) for s in derivs), tuple(float(np.abs(s).max()) for s in derivs)
+
+
+def _substeps(tops: tuple[float, ...], rest: list[float], dt: float) -> int:
+    """RK4 substeps that keep ``sum_i rest_i * tops_i * |dt|`` below ``_RK4_REACH`` each.
+
+    ``rest[i]`` bounds the remainder speed ``|f_i - c_i|`` and ``tops[i]`` is
+    the top wavenumber the derivative symbol of axis ``i`` passes.
+    """
+    reach = abs(dt) * sum(s * top for s, top in zip(rest, tops))
     return math.ceil(reach / _RK4_REACH)
 
 
@@ -78,17 +92,18 @@ def _carry(vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float) -> 
     of the step; substeps take theirs from the quadratic through the three.
     Inside, the component axis leads: one transposed view on entry (the view
     ``np.moveaxis`` makes, without its per-call axis checks) makes it a batch
-    axis of :func:`.spectral._rfft`, so every symbol and speed broadcasts over
-    the components as built, and one on exit gives the renormalized vectors
-    back as a new ``(*grid.shape, d)`` array.  The stages combine in place,
-    in the operand order of the classic formulas, on spectra that
-    :func:`.spectral._rfft` made for this call.
+    axis of :func:`.spectral._rfft`, and one on exit gives the renormalized
+    vectors back as a new ``(*grid.shape, d)`` array.  The derivative symbols
+    come at the spectra's shape, built once per grid and ``d`` with their top
+    wavenumbers; speeds and shifts broadcast over the components.  The
+    stages combine in place, in the operand order of the classic formulas,
+    on spectra that :func:`.spectral._rfft` made for this call.
     """
     lo = [min(float(s[i].min()) for s in speeds) for i in range(grid.m)]
     hi = [max(float(s[i].max()) for s in speeds) for i in range(grid.m)]
     centre = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    derivs = _derivative_symbols(grid)
-    n_sub = _substeps(derivs, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
+    derivs, tops = _component_derivatives(grid, vectors.shape[-1])
+    n_sub = _substeps(tops, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
     hat = _rfft(grid, vectors.transpose(grid.m, *range(grid.m)))
     if n_sub == 0:
         np.multiply(hat, _shift_symbol(grid, centre, dt), out=hat)

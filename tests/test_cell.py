@@ -20,7 +20,7 @@ from polarflow import (
     zero_flux,
 )
 from polarflow._fdcell import fd_cell_solve, fd_derivative_matrix, fd_laplacian_matrix
-from polarflow.cell import _CellOperator
+from polarflow.cell import GROWTH_RUN, _CellOperator
 from polarflow.errors import ConvergenceError
 from polarflow.flux import eval_g, eval_g_prime
 from conftest import full_lattice
@@ -193,6 +193,22 @@ class TestSolveCellInputs:
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match="inner linear solve diverged"):
                 solve_cell(spec, make_grid(1, [1.0], [32]), 1.0)
+
+    def test_growing_inner_solve_stops_within_ten_iterations(self, monkeypatch):
+        # the change grows about 6x an iteration from the first; the solve
+        # once ran 370 iterations, until it overflowed
+        spec = with_modulation(constant_flux([1.0]), 0, Modulation(const=0.0, sin_amps=(100.0,)))
+        calls = []
+        original = _CellOperator.jacobian_flux_part
+
+        def counting(self, v, delta):
+            calls.append(1)
+            return original(self, v, delta)
+
+        monkeypatch.setattr(_CellOperator, "jacobian_flux_part", counting)
+        with pytest.raises(ConvergenceError, match=f"diverged at iteration {GROWTH_RUN + 1}$"):
+            solve_cell(spec, make_grid(1, [1.0], [32]), 1.0)
+        assert len(calls) == GROWTH_RUN + 1 <= 10
 
 
 class TestMonotonicity:

@@ -31,6 +31,7 @@ from polarflow.spectral import (
     _laplacian_half,
     _march,
     _rfft,
+    _schedule,
     _shift_symbol,
     _Stepper,
 )
@@ -453,7 +454,7 @@ class TestRealStepper:
     def test_matches_reference_advance(self, case):
         grid, spec, dt, vals = ORACLE_CASES[case]
         assert dt <= max_stable_dt(grid, spec, float(np.abs(vals).max()))
-        stepper = _Stepper(grid, spec, dt)
+        stepper = _Stepper(grid, spec, dt, (1,))
         # the state carries a leading member axis; this is a batch of one
         hat, ref = _rfft(grid, vals[None]), vals
         worst_mid = 0.0
@@ -469,14 +470,45 @@ class TestRealStepper:
 
 
 
-class TestInPlaceStep:
-    """``advance`` combines its stages in place: bitwise the out-of-place step, no shared memory."""
+def stepper_inputs(grid, spec, dt, vals, members, tail):
+    """A stepper as ``_march`` builds it and the spectrum of ``members`` distinct members.
 
-    @pytest.mark.parametrize("case", list(ORACLE_CASES))
-    def test_matches_out_of_place_bitwise(self, case):
+    The members are shifted and scaled copies of ``vals`` (the first is
+    ``vals``).  A tail stepper takes the step that ``_schedule`` leaves
+    after two full steps of ``dt`` to ``t_end = 2.5 dt``, as ``_march``
+    rebuilds it for the last step.
+    """
+    batch = np.stack([np.roll(vals, 3 * j, axis=-1) * (1.0 + 0.1 * j) for j in range(members)])
+    if tail:
+        cfg = SolveConfig(dt=dt, t_end=2.5 * dt)
+        n_full, dt = _schedule(grid, spec, cfg, float(np.abs(batch).max()))
+        assert n_full == 2 and 0.0 < dt < cfg.dt
+    return _Stepper(grid, spec, dt, (members,)), dt, _rfft(grid, batch)
+
+
+# (members, tail) and the suffix each adds to an oracle case's test id
+BATCHES = {(1, False): "", (1, True): "-tail", (3, False): "-3members", (3, True): "-3members-tail"}
+
+
+class TestInPlaceStep:
+    """``advance`` combines its stages in place: bitwise the out-of-place step, no shared memory.
+
+    The stepper is built at the state's shape, as ``_march`` builds it, for
+    one and three members, full steps and a tail step.
+    """
+
+    @pytest.mark.parametrize(
+        "case, members, tail",
+        [
+            pytest.param(case, members, tail, id=case + suffix)
+            for case in ORACLE_CASES
+            for (members, tail), suffix in BATCHES.items()
+        ],
+    )
+    def test_matches_out_of_place_bitwise(self, case, members, tail):
         grid, spec, dt, vals = ORACLE_CASES[case]
-        stepper = _Stepper(grid, spec, dt)
-        hat = ref = _rfft(grid, vals[None])
+        stepper, dt, hat = stepper_inputs(grid, spec, dt, vals, members, tail)
+        ref = hat
         for _ in range(300):
             hat, mid = stepper.advance(hat)
             ref, ref_mid = reference_real_advance(grid, spec, dt, ref)
@@ -484,13 +516,12 @@ class TestInPlaceStep:
             assert (mid is None) == (ref_mid is None)
             assert mid is None or np.array_equal(mid, ref_mid)
 
-    @pytest.mark.parametrize("flux", ["burgers", "modulated", "constant"])
-    @pytest.mark.parametrize("resolution", [(64,), (16, 8)])
-    def test_input_unchanged_and_outputs_new(self, flux, resolution):
+    @staticmethod
+    def check_outputs_new(flux, resolution, members, tail):
         m = len(resolution)
         grid = make_grid(m, [1.0] * m, resolution)
-        stepper = _Stepper(grid, ENSEMBLE_FLUXES[flux](m), 1e-4)
-        hat = _rfft(grid, smooth_field(grid, seed=7, offset=1.0).values[None])
+        vals = smooth_field(grid, seed=7, offset=1.0).values
+        stepper, _, hat = stepper_inputs(grid, ENSEMBLE_FLUXES[flux](m), 1e-4, vals, members, tail)
         before = hat.copy()
         new, mid = stepper.advance(hat)
         assert np.array_equal(hat, before)
@@ -499,6 +530,18 @@ class TestInPlaceStep:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("flux", ["burgers", "modulated", "constant"])
+    @pytest.mark.parametrize("resolution", [(64,), (16, 8)])
+    def test_input_unchanged_and_outputs_new(self, flux, resolution):
+        self.check_outputs_new(flux, resolution, 1, False)
+
+    @pytest.mark.parametrize("flux", ["burgers", "modulated", "constant"])
+    @pytest.mark.parametrize("resolution", [(64,), (16, 8)])
+    @pytest.mark.parametrize("members, tail", [(1, True), (3, False), (3, True)])
+    def test_members_and_tail_outputs_new(self, flux, resolution, members, tail):
+        self.check_outputs_new(flux, resolution, members, tail)
+
 
 class TestSolveConfig:
     @pytest.mark.parametrize("key", ["dt", "t_end"])
