@@ -493,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     p_evolve.add_argument("config", help="path to the run configuration")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", help="heat | duhamel | conservation | contraction | cell | geometry | all")
+    p_verify.add_argument("suite", help=" | ".join([*SUITES, "all"]))
     p_verify.add_argument("--out", default="out", help="directory for the JSON summary")
 
     p_cell = sub.add_parser("cell", help="solve the stationary mean-constrained problem")

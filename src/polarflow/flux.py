@@ -231,8 +231,17 @@ def _sup_abs(comp: FluxComponent, coeffs: tuple[float, ...], bound: float) -> fl
     return s if comp.modulation is None else s * comp.modulation.sup_bound()
 
 
+def _check_field_bound(field_bound: float) -> None:
+    if not (field_bound >= 0.0 and math.isfinite(field_bound)):
+        raise ValueError(f"field_bound must be non-negative and finite, got {field_bound!r}")
+
+
 def advective_speed_bound(spec: FluxSpec, field_bound: float) -> float:
-    """``max_i sup |a_i g_i'|`` over ``|v| <= field_bound``, ``inf`` if it overflows."""
+    """``max_i sup |a_i g_i'|`` over ``|v| <= field_bound``, ``inf`` if it overflows.
+
+    Raises ``ValueError`` unless ``field_bound`` is non-negative and finite.
+    """
+    _check_field_bound(field_bound)
     return max(_sup_abs(c, _g_prime_coeffs(c), field_bound) for c in spec.components)
 
 
@@ -240,10 +249,10 @@ def flux_envelope_bound(spec: FluxSpec, field_bound: float) -> float:
     """``max_i sup(|a_i g_i|, |a_i g_i'|)`` over ``|v| <= (m+1)*field_bound``.
 
     Exact up to roundoff, or ``inf`` if it overflows: the fixed-point window
-    downstream is sized from it.
+    downstream is sized from it.  Raises ``ValueError`` unless
+    ``field_bound`` is non-negative and finite.
     """
-    if field_bound < 0.0:
-        raise ValueError("field bound must be non-negative")
+    _check_field_bound(field_bound)
     reach = (spec.m + 1) * field_bound
     return max(
         max(_sup_abs(c, _g_coeffs(c), reach), _sup_abs(c, _g_prime_coeffs(c), reach))

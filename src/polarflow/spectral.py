@@ -364,7 +364,10 @@ def step(r: ScalarField, spec: FluxSpec, dt: float) -> ScalarField:
 
 
 def max_stable_dt(grid: PeriodicGrid, spec: FluxSpec, field_bound: float) -> float:
-    """Advective CFL bound; diffusion is integrated exactly and imposes none."""
+    """Advective CFL bound; diffusion is integrated exactly and imposes none.
+
+    Raises ``ValueError`` unless ``field_bound`` is non-negative and finite.
+    """
     h_min = min(grid.spacings)
     return CFL_NUMBER * h_min / (1.0 + advective_speed_bound(spec, field_bound))
 

@@ -5,7 +5,8 @@ Each suite runs a battery of quantitative checks at desk scale and returns
 JSON summary.  Suites: ``heat``, ``duhamel``, ``conservation``,
 ``contraction``, ``cell``, ``geometry``, and ``all``.  The suites share no
 state, so ``all`` runs them in forked worker processes when it may use more
-than one core.
+than one core.  These rows are the one place the paper's claims are
+computed: the acceptance tests read them by name.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .duhamel import (
 from .flux import Modulation, burgers_flux, constant_flux, with_modulation, zero_flux
 from .geometry import decompose, ellipse_initial, perturbed_sphere_initial, reconstruct
 from .grid import make_field, make_grid, mean
-from .spectral import SolveConfig, _march, evolve, heat_propagate, step
+from .spectral import SolveConfig, _march, evolve, galilean_shift, heat_propagate, step
 from .transport import evolve_coupled
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -120,12 +121,13 @@ def suite_conservation() -> list[CheckResult]:
     grid = _grid1()
     theta = grid.axis_coords(0)
     r0 = make_field(grid, 1.0 + 0.1 * np.sin(2.0 * np.pi * theta))
+    runs = {}
     for label, spec in (
         ("zero", zero_flux(1)),
         ("constant", constant_flux([1.0])),
         ("burgers", burgers_flux(1)),
     ):
-        traj = evolve(r0, spec, SolveConfig(dt=1e-4, t_end=1.0, record_every=1000))
+        traj = runs[label] = evolve(r0, spec, SolveConfig(dt=1e-4, t_end=1.0, record_every=1000))
         drift = float(np.abs(traj.mean - mean(r0)).max())
         out.append(_check(f"conservation.mean_drift_{label}", drift, 1e-12))
         sup_exc = float(traj.sup.max() - traj.sup[0])  # record 0 is r0
@@ -134,6 +136,13 @@ def suite_conservation() -> list[CheckResult]:
         out.append(
             CheckResult(f"conservation.positivity_{label}", low > 0.0, f"min {low:.6f} > 0")
         )
+    # Galilean invariance: the speed-1 flux translates the zero-flux run by t
+    moving, frozen = runs["constant"], runs["zero"]
+    gap = max(
+        float(np.abs(a - galilean_shift(make_field(grid, b), [1.0], t).values).max())
+        for t, a, b in zip(moving.times, moving.radii, frozen.radii)
+    )
+    out.append(_check("conservation.galilean_constant", gap, 1e-10))
     return out
 
 
@@ -159,8 +168,9 @@ def suite_cell() -> list[CheckResult]:
     )
 
     spec = with_modulation(constant_flux([1.0]), 0, Modulation(const=0.0, sin_amps=(1.0,)))
+    sols = {}
     for p in (1.0, 0.0):
-        s = solve_cell(spec, grid, p)
+        s = sols[p] = solve_cell(spec, grid, p)
         ref = fd_cell_solve(spec, 512, 1.0, p)
         diff = float(np.abs(s.v.values - ref[:: 512 // 64]).max())
         out.append(_check(f"cell.modulated_vs_fd_p{p:g}", diff, 1e-8))
@@ -175,7 +185,7 @@ def suite_cell() -> list[CheckResult]:
         ok &= monotonicity_check(spec, grid, float(p), float(q))
     out.append(CheckResult("cell.monotonicity_random_pairs", bool(ok), "10 pairs"))
 
-    s1 = solve_cell(spec, grid, 1.0)
+    s1 = sols[1.0]
     drift = float(np.abs(step(s1.v, spec, 1e-5).values - s1.v.values).max())
     out.append(_check("cell.stationary_under_step", drift, 1e-9))
 
@@ -212,6 +222,11 @@ def suite_geometry() -> list[CheckResult]:
     out.append(_check("geometry.sphere_convergence", dev, 1e-6 * rbar))
     radii = np.sqrt(((traj.radii[-1][..., None] * traj.directions[-1]) ** 2).sum(-1))
     out.append(_check("geometry.points_on_sphere", float(np.abs(radii - rbar).max()), 1e-6 * rbar))
+    out.append(_check("geometry.max_principle", float(traj.sup.max() - traj.sup[0]), 1e-8))
+    rise = float(np.diff(traj.sphere_dev).max())
+    out.append(_check("geometry.sphere_dev_nonincreasing", rise, 1e-9))
+    drift = np.abs(np.sqrt((traj.directions**2).sum(-1)) - 1.0).max()
+    out.append(_check("geometry.unit_norm", float(drift), 1e-12))
     return out
 
 

@@ -1,7 +1,9 @@
 import errno
+import itertools
 import json
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -28,7 +30,7 @@ from polarflow import (
     with_modulation,
     zero_flux,
 )
-from polarflow import cli
+from polarflow import cli, transport
 from polarflow.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -49,6 +51,8 @@ from polarflow.cli import (
     run_verify,
 )
 from polarflow.errors import ConfigError, ConvergenceError, SolverError
+from polarflow.flux import FluxSpec
+from polarflow.spectral import _rfft, _Stepper
 from polarflow.verify import _COST_ORDER, SUITES, CheckResult, run_suite
 from polarflow.geometry import reconstruct
 
@@ -246,6 +250,12 @@ class TestConfigParsing:
 
     def test_hash_stable_under_reordering(self):
         assert config_hash({"a": "1", "b": "2"}) == config_hash({"b": "2", "a": "1"})
+
+    def test_readme_ini_block_lists_the_known_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [m[1] for m in map(re.compile(r"#?([\w.]+) *=").match, block.splitlines()) if m]
+        assert sorted(keys) == sorted(cli.KNOWN_KEYS)
 
 
 class TestRunEvolve:
@@ -613,8 +623,8 @@ class TestVerifyAll:
         assert main(["verify", "all", "--out", str(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out
         rows = table_rows(out)
-        assert out.splitlines()[-1] == "35/35 checks passed"
-        assert len(rows) == 35 and all(mark == "PASS" for _, mark, _ in rows)
+        assert out.splitlines()[-1] == "39/39 checks passed"
+        assert len(rows) == 39 and all(mark == "PASS" for _, mark, _ in rows)
         suite_of = [name.split(".")[0] for name, _, _ in rows]
         assert suite_of == sorted(suite_of, key=list(SUITES).index)
         checks = json.loads((tmp_path / "verify_all.json").read_text())["checks"]
@@ -681,6 +691,39 @@ class TestVerifyAll:
         rows = run_suite(suite)
         assert [r.name for r in rows] == (list(SUITES) if suite == "all" else [suite])
         assert all((r.detail != str(os.getpid())) == pooled for r in rows)
+
+
+class TestRowsCanFail:
+    """Rows that read 0 or roundoff on working code read FAIL on the defect they guard."""
+
+    @staticmethod
+    def passed(suite):
+        return {r.name: r.passed for r in SUITES[suite]()}
+
+    def test_wrong_constant_speed_fails_galilean_row(self, monkeypatch):
+        wrong = property(lambda spec: tuple(1.01 * c.coeffs[0] for c in spec.components))
+        monkeypatch.setattr(FluxSpec, "constant_speeds", wrong)
+        assert not self.passed("conservation")["conservation.galilean_constant"]
+
+    def test_radius_bump_fails_max_principle_and_sphere_rows(self, monkeypatch):
+        advance, calls = _Stepper.advance, itertools.count(1)
+
+        def bumped(stepper, hat):
+            new, mid = advance(stepper, hat)
+            if next(calls) == 100:  # the first record after t = 0
+                theta = stepper.grid.axis_coords(0)
+                new = new + _rfft(stepper.grid, np.exp(-(((theta - 0.5) / 0.05) ** 2)))
+            return new, mid
+
+        monkeypatch.setattr(_Stepper, "advance", bumped)
+        rows = self.passed("geometry")
+        assert not rows["geometry.max_principle"]
+        assert not rows["geometry.sphere_dev_nonincreasing"]
+
+    def test_unrenormalised_directions_fail_unit_norm_row(self, monkeypatch):
+        carry = transport._carry
+        monkeypatch.setattr(transport, "_carry", lambda *args: carry(*args) * (1.0 + 1e-9))
+        assert not self.passed("geometry")["geometry.unit_norm"]
 
 
 class TestErrorsPickle:

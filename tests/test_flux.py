@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ class TestExtremeCoefficients:
             assert advective_speed_bound(spec, 1e200) == math.inf
             assert flux_envelope_bound(spec, 1e200) == math.inf
             assert max_stable_dt(self.GRID, spec, 1e200) == 0.0
+
+    @pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
+    def test_bad_field_bound_is_a_value_error(self, bad):
+        # a negative bound used to give the value for |bound|, a non-finite one 0.0 or inf
+        cases = (advective_speed_bound, flux_envelope_bound, partial(max_stable_dt, self.GRID))
+        for fn in cases:
+            with pytest.raises(ValueError, match="field_bound must be non-negative and finite"):
+                fn(burgers_flux(1), bad)
 
     def test_infinite_bound_stops_the_solvers_with_typed_errors(self):
         spec = polynomial_flux([1e308] * 3)

@@ -17,6 +17,7 @@ from polarflow import (
     max_stable_dt,
     mean,
     mode_decay_report,
+    perturbed_sphere_initial,
     polynomial_flux,
     sphere_directions,
     step,
@@ -621,6 +622,20 @@ class TestEvolve:
         for row_sup, row_min in zip(traj.sup, traj.min):
             assert row_sup <= np.abs(r0.values).max() + 1e-8
             assert row_min > 0.0
+
+    def test_max_principle_and_positivity_poly_flux_and_perturbed_sphere(self, grid128):
+        # the two cases of acceptance criterion 4 that `verify` does not run
+        theta = grid128.axis_coords(0)
+        wave = make_field(grid128, 1.0 + 0.1 * np.sin(2 * np.pi * theta))
+        sphere, _ = perturbed_sphere_initial(grid128, 1.0, 0.3, [1])
+        cfg = SolveConfig(dt=1e-4, t_end=0.5, record_every=500)
+        for label, r0, spec in (
+            ("poly", wave, polynomial_flux([1.0, 0.3])),
+            ("perturbed_sphere", sphere, burgers_flux(1)),
+        ):
+            traj = evolve(r0, spec, cfg)
+            assert traj.sup.max() <= traj.sup[0] + 1e-8, label
+            assert traj.min[0] > 0.0 and traj.min.min() > 0.0, label
 
     def test_l1_contraction_between_solutions(self, grid64):
         from polarflow import l1_contraction_series
