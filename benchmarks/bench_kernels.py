@@ -29,11 +29,17 @@ timed as the one batch ``picard_solve`` builds against 32 single
 ``heat_kernel_convolve`` calls.  A modulated ``solve_cell`` at
 N=64 runs its Newton iteration once on the real-FFT operator and once on the
 complex full-lattice operator defined below; both must reach the same
-stationary state.  The trajectory, diagnostics and SVG writers of
-``polarflow evolve`` are timed on a 1001-record N=128 ellipse run against
-the per-cell ``reference_*`` writers of ``tests/test_cli.py``; both must
-write identical bytes.  The writers overwrite their files on every repeat,
-which is cheaper than creating them.  All the writers of that run with its SVG frames
+stationary state.  The finite-difference reference of ``verify cell``,
+``fd_cell_solve`` (``polarflow._fdcell``: ``np.roll`` stencils and a banded
+elimination of the bordered Newton system, no BLAS), runs the same modulated
+problem at N=512 against ``reference_fd_cell_solve`` (``tests/test_cell.py``),
+which takes each Newton step from dense stencil matrices and a dense bordered
+``np.linalg.solve``; the two must agree below 1e-12.  The trajectory,
+diagnostics and SVG writers of ``polarflow evolve`` are timed on a
+1001-record N=128 ellipse run against the per-cell ``reference_*`` writers
+of ``tests/test_cli.py``; both must write identical bytes.  The writers
+overwrite their files on every repeat, which is cheaper than creating them.
+All the writers of that run with its SVG frames
 (``_write_evolve``) are timed through the fork pool against in-process (as on
 one core); every repeat writes into a fresh directory, since creating the
 1001 frame files is much of the cost, and both must write identical bytes.
@@ -77,6 +83,7 @@ from polarflow import (
     with_modulation,
 )
 from polarflow import cell
+from polarflow._fdcell import fd_cell_solve
 from polarflow._pool import usable_workers
 from polarflow.cli import _write_diagnostics, _write_evolve, _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _N_GAUSS, _N_TIME, _heat_flow, _Window
@@ -87,6 +94,7 @@ from polarflow.verify import SUITES, run_suite
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from conftest import full_lattice  # noqa: E402
+from test_cell import reference_fd_cell_solve  # noqa: E402
 from test_cli import (  # noqa: E402
     read_artifacts,
     reference_write_diagnostics,
@@ -266,6 +274,7 @@ def bench(n, repeat):
         t_slow = timeit(slow, min(repeat, 5) if name.startswith("duhamel") else repeat)
         print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
     bitwise_cases(repeat)
+    fd_cell_row(cell_spec, repeat)
 
     # the verify contraction pair: one two-member batch vs two single runs
     spec = burgers_flux(1)
@@ -305,6 +314,17 @@ def bench(n, repeat):
             t_slow = timeit(lambda: slow(ref, traj, cfg), min(repeat, 3))
             print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
     evolve_writers_row(traj, cfg, min(repeat, 5))
+
+
+def fd_cell_row(spec, repeat):
+    """``fd_cell_solve`` at N=512 against the dense bordered route; they agree below 1e-12."""
+    fast = lambda: fd_cell_solve(spec, 512, 1.0, 1.0)  # noqa: E731
+    slow = lambda: reference_fd_cell_solve(spec, 512, 1.0, 1.0)  # noqa: E731
+    gap = np.abs(fast() - slow()).max()
+    assert gap < 1e-12, f"fd_cell_solve: routes disagree by {gap:.3e}"
+    t_fast, t_slow = timeit(fast, repeat), timeit(slow, repeat)
+    name = "fd_cell_solve modulated N=512"
+    print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
 
 
 def fresh_write_s(traj, cfg, root, repeat):

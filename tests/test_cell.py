@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from polarflow import (
     with_modulation,
     zero_flux,
 )
-from polarflow._fdcell import fd_cell_solve, fd_derivative_matrix, fd_laplacian_matrix
+from polarflow._fdcell import _D1, _D2, _newton_update, _residual, fd_cell_solve, fd_derivative, fd_laplacian
 from polarflow.cell import GROWTH_RUN, _CellOperator
 from polarflow.errors import ConvergenceError
 from polarflow.flux import eval_g, eval_g_prime
@@ -98,31 +99,143 @@ class TestCellOperatorOracle:
             assert np.abs(got - want).max() <= self.TOL * np.abs(want).max()
 
 
+def dense_stencil_matrix(n, stencil, scale):
+    """Reference: a periodic stencil as a dense ``n x n`` matrix."""
+    mat = np.zeros((n, n))
+    idx = np.arange(n)
+    for off, c in stencil:
+        mat[idx, (idx + off) % n] += c * scale
+    return mat
+
+
+def reference_newton_update(c, res, length):
+    """Reference: the Newton step from the dense bordered system ``[J 1; 1^T/n 0]``."""
+    n = res.size
+    d1 = dense_stencil_matrix(n, _D1, n / length)
+    d2 = dense_stencil_matrix(n, _D2, (n / length) ** 2)
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = -d2 + d1 * c  # d1 @ diag(c) as a column scaling
+    system[:n, n] = 1.0
+    system[n, :n] = 1.0 / n
+    rhs = np.zeros(n + 1)
+    rhs[:n] = -res
+    return np.linalg.solve(system, rhs)[:n]
+
+
+def reference_fd_cell_solve(spec, n, length, p):
+    """Reference: :func:`fd_cell_solve` on dense stencil matrices and a dense bordered solve."""
+    d1 = dense_stencil_matrix(n, _D1, n / length)
+    d2 = dense_stencil_matrix(n, _D2, (n / length) ** 2)
+    mod = spec.components[0].modulation
+    a = mod.evaluate(np.arange(n) * (length / n), length)
+    v = np.full(n, float(p))
+    for _ in range(60):
+        res = -d2 @ v + d1 @ (a * eval_g(spec, 0, v))
+        if np.abs(res).max() <= 100.0 * np.finfo(float).eps * (n / length) ** 2 * max(1.0, abs(p)):
+            break
+        dv = reference_newton_update(a * eval_g_prime(spec, 0, v), res, length)
+        v = v + dv
+        v = v - v.mean() + p
+    return v
+
+
+FD_SPECS = {
+    "constant": MODULATED_LINEAR,
+    "burgers": with_modulation(burgers_flux(1), 0, Modulation(const=0.0, sin_amps=(0.8,))),
+    "cubic": with_modulation(polynomial_flux([0.2, 0.0, 0.0, 0.3]), 0, Modulation(const=0.3, cos_amps=(0.6,))),
+}
+
+
 class TestFdOracle:
-    """Self-checks of the dense finite-difference reference route."""
+    """Self-checks of the banded finite-difference reference route."""
 
     def test_derivative_matrix_on_harmonics(self):
         n = 256
-        d1 = fd_derivative_matrix(n, 1.0)
         theta = np.arange(n) / n
         for k in (1, 2, 5):
             f = np.sin(2 * np.pi * k * theta)
             kappa = 2 * np.pi * k
             exact = kappa * np.cos(2 * np.pi * k * theta)
             # 6th-order truncation: |error| ~ kappa (kappa h)^6 / 140
-            assert np.abs(d1 @ f - exact).max() < 10 * kappa * (kappa / n) ** 6 / 140
+            assert np.abs(fd_derivative(f, 1.0) - exact).max() < 10 * kappa * (kappa / n) ** 6 / 140
 
     def test_laplacian_matrix_on_harmonics(self):
         n = 256
-        d2 = fd_laplacian_matrix(n, 1.0)
         theta = np.arange(n) / n
         f = np.cos(4 * np.pi * theta)
         exact = -((4 * np.pi) ** 2) * f
-        assert np.abs(d2 @ f - exact).max() < 1e-6
+        assert np.abs(fd_laplacian(f, 1.0) - exact).max() < 1e-6
+
+    @pytest.mark.parametrize("n", [7, 16, 512])  # n = 7: every row wraps
+    def test_operators_equal_dense_products(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        for got, stencil, scale in ((fd_derivative(x, 2.0), _D1, n / 2.0),
+                                    (fd_laplacian(x, 2.0), _D2, (n / 2.0) ** 2)):
+            want = dense_stencil_matrix(n, stencil, scale) @ x
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("flux", sorted(FD_SPECS))
+    def test_newton_update_equals_dense_bordered_solve(self, flux, n):
+        # measured worst relative difference: 2.0e-13 (cubic, n = 512)
+        spec = FD_SPECS[flux]
+        theta = np.arange(n) / n
+        v = 1.0 + 0.3 * np.sin(2 * np.pi * theta) + 0.01 * np.random.default_rng(n).standard_normal(n)
+        a = spec.components[0].modulation.evaluate(theta, 1.0)
+        c = a * eval_g_prime(spec, 0, v)
+        res = _residual(spec, a, v, 1.0)
+        got, want = _newton_update(c, res, 1.0), reference_newton_update(c, res, 1.0)
+        assert abs(got.mean()) <= 1e-14 * np.abs(got).max()
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("flux", sorted(FD_SPECS))
+    def test_solve_equals_dense_route(self, flux):
+        got = fd_cell_solve(FD_SPECS[flux], 512, 1.0, 1.0)
+        want = reference_fd_cell_solve(FD_SPECS[flux], 512, 1.0, 1.0)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_oracle_residual_is_small(self):
         v = fd_cell_solve(MODULATED_LINEAR, 512, 1.0, 1.0)
         assert abs(v.mean() - 1.0) < 1e-13
+
+    def test_solve_traces_under_one_megabyte(self):
+        # the dense route's 512 x 512 matrices peak at 10 MB
+        fd_cell_solve(MODULATED_LINEAR, 64, 1.0, 1.0)  # warm up imports and caches
+        tracemalloc.start()
+        try:
+            fd_cell_solve(MODULATED_LINEAR, 512, 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestFdCellSolveInputs:
+    @pytest.mark.parametrize("p", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_p_rejected(self, p):
+        with pytest.raises(ValueError, match="p must be finite"):
+            fd_cell_solve(MODULATED_LINEAR, 64, 1.0, p)
+
+    @pytest.mark.parametrize("n", [0, 4], ids=["empty", "below_stencil"])
+    def test_too_few_nodes_rejected(self, n):
+        with pytest.raises(ValueError, match="at least 7 nodes"):
+            fd_cell_solve(MODULATED_LINEAR, n, 1.0, 1.0)
+
+    @pytest.mark.parametrize("length", [0.0, -1.0], ids=["zero", "negative"])
+    def test_non_positive_length_rejected(self, length):
+        with pytest.raises(ValueError, match="length must be positive and finite"):
+            fd_cell_solve(MODULATED_LINEAR, 64, length, 1.0)
+
+    def test_non_finite_residual_is_not_converged(self):
+        # -D2 v overflows at v = 1e305 while c = a g'(v) stays finite, so every
+        # pivot is finite and only the final residual check can see the NaN
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="residual nan"):
+            fd_cell_solve(MODULATED_LINEAR, 64, 1.0, 1e305)
+
+    def test_non_finite_pivot_is_not_converged(self):
+        # g(1e160) overflows in the residual and a g'(v) ~ 1e160 overflows the elimination
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="pivot"):
+            fd_cell_solve(FD_SPECS["burgers"], 64, 1.0, 1e160)
 
 
 class TestSolveCell:

@@ -548,6 +548,23 @@ class TestRunVerify:
         assert summary["passed"] is True
         assert all(c["passed"] for c in summary["checks"])
 
+    def test_cell_json_bitwise_equal_across_blas_threads(self, tmp_path):
+        # cell.modulated_vs_fd_p1 once came from a dense LU, whose sums follow the thread count
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            script = (
+                "import sys\n"
+                "from polarflow.cli import main\n"
+                f"sys.exit(main(['verify', 'cell', '--out', {str(out)!r}]))\n"
+            )
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env=env, timeout=120)
+            assert done.returncode == EXIT_OK, done.stderr
+            written.append((out / "verify_cell.json").read_bytes())
+        assert written[0] == written[1]
+
     def test_unknown_suite_usage_error(self, tmp_path):
         assert run_verify("bogus", tmp_path) == EXIT_CONFIG
 
