@@ -27,8 +27,8 @@ applied as a dense N x N circulant.  The base of one
 Duhamel window (the heat flow of the initial field to its 32 mesh times) is
 timed as the one batch ``picard_solve`` builds against 32 single
 ``heat_kernel_convolve`` calls.  A modulated ``solve_cell`` at
-N=64 runs its Newton iteration once on the real-FFT operator and once on the
-complex full-lattice operator defined below; both must reach the same
+N=64 runs its fixed-point iteration once on the real-FFT operator and once on
+the complex full-lattice operator defined below; both must reach the same
 stationary state.  The finite-difference reference of ``verify cell``,
 ``fd_cell_solve`` (``polarflow._fdcell``: ``np.roll`` stencils and a banded
 elimination of the bordered Newton system, no BLAS), runs the same modulated
@@ -87,7 +87,7 @@ from polarflow._fdcell import fd_cell_solve
 from polarflow._pool import usable_workers
 from polarflow.cli import _write_diagnostics, _write_evolve, _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _N_GAUSS, _N_TIME, _heat_flow, _Window
-from polarflow.flux import eval_g, eval_g_prime
+from polarflow.flux import eval_g
 from polarflow import transport
 from polarflow.spectral import _irfft, _march, _rfft, _shift_symbol, _Stepper
 from polarflow.verify import SUITES, run_suite
@@ -136,10 +136,6 @@ class ReferenceCellOperator(cell._CellOperator):
     def residual(self, v):
         fluxes = [eval_g(self.spec, i, v) for i in range(self.spec.m)]
         return np.fft.ifftn(np.fft.fftn(v) * self.lap_full + self._divergence_hat(fluxes)).real
-
-    def jacobian_flux_part(self, v, delta):
-        fluxes = [eval_g_prime(self.spec, i, v) * delta for i in range(self.spec.m)]
-        return np.fft.ifftn(self._divergence_hat(fluxes)).real
 
     def precondition(self, rhs):
         return np.fft.ifftn(np.fft.fftn(rhs) * self.lap_full_inv).real

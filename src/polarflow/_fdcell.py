@@ -100,8 +100,9 @@ def fd_cell_solve(spec: FluxSpec, n: int, length: float, p: float) -> np.ndarray
     constraint rides along as a bordered row/column of the Newton system.
     The residual tolerance scales with the second-derivative operator norm,
     which sets the roundoff floor of the stencil residual; at most
-    :data:`_MAX_NEWTON` steps are taken.  ``n`` must cover the 7-point
-    stencil, ``length`` must be positive and finite and ``p`` finite.
+    :data:`_MAX_NEWTON` steps are taken, and none on a residual that is not
+    finite.  ``n`` must cover the 7-point stencil, ``length`` must be
+    positive and finite and ``p`` finite.
     """
     if spec.m != 1:
         raise ValueError("reference solver handles one axis only")
@@ -119,8 +120,11 @@ def fd_cell_solve(spec: FluxSpec, n: int, length: float, p: float) -> np.ndarray
     v = np.full(n, float(p))
     for _ in range(_MAX_NEWTON):
         res = _residual(spec, a, v, length)
-        if float(np.abs(res).max()) <= tol:
+        res_norm = float(np.abs(res).max())
+        if res_norm <= tol:
             return v
+        if not math.isfinite(res_norm):
+            break
         dv = _newton_update(a * eval_g_prime(spec, 0, v), res, length)
         v = v + dv
         v = v - v.mean() + p

@@ -131,6 +131,10 @@ def _build_grid(cfg: dict[str, str]) -> PeriodicGrid:
         raise ConfigError(str(exc)) from exc
 
 
+def _too_large(grid: PeriodicGrid, exc: MemoryError) -> str:
+    return f"grid {'x'.join(map(str, grid.resolution))} does not fit in memory ({exc})"
+
+
 def _build_flux(cfg: dict[str, str], m: int) -> FluxSpec:
     kind = _get(cfg, "flux.kind", "zero").lower()
     coeffs = _numbers(cfg["flux.coeffs"]) if "flux.coeffs" in cfg else []
@@ -345,6 +349,8 @@ def run_evolve(config_path: str | Path) -> int:
             r0, p0 = make_initial(grid, preset, params, d=d)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except MemoryError as exc:
+            raise ConfigError(_too_large(grid, exc)) from exc
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -417,7 +423,7 @@ def _write_cell(out: Path, sol: CellSolution, pairs: list, cfg: dict[str, str]) 
     head = _header(
         [
             "stationary state with prescribed mean",
-            f"p={_fmt(sol.p)} residual={sol.residual:.3e} newton_iters={sol.newton_iters}",
+            f"p={_fmt(sol.p)} residual={sol.residual:.3e} iterations={sol.iterations}",
         ],
         [f"theta{i}" for i in range(grid.m)] + ["v"],
         cfg,
@@ -461,6 +467,9 @@ def run_cell(config_path: str | Path) -> int:
                 # beyond |p| ~ 2e13 the 1e-3 gap rounds away; one float up keeps hi > lo
                 hi = max(lo + 1e-3, np.nextafter(lo, np.inf))
             pairs.append((float(hi), float(lo), monotonicity_check(spec, grid, float(hi), float(lo))))
+    except MemoryError as exc:
+        print(f"config error: {_too_large(grid, exc)}", file=sys.stderr)
+        return EXIT_CONFIG
     except PolarflowError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -472,7 +481,7 @@ def run_cell(config_path: str | Path) -> int:
         return _write_failed(exc)
     print(
         f"wrote cell solution (residual {sol.residual:.3e}, "
-        f"{sol.newton_iters} Newton iterations) and monotonicity report to {out_dir}"
+        f"{sol.iterations} iterations) and monotonicity report to {out_dir}"
     )
     return EXIT_OK
 

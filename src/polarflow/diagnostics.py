@@ -1,7 +1,8 @@
 """Quantitative checks over trajectories: L1 contraction and mode decay.
 
-Everything here is a pure, deterministic function: identical inputs give
-bit-identical outputs.
+Everything here is deterministic: identical inputs give bit-identical
+outputs.  :func:`mode_decay_report` is pure; :func:`l1_contraction_series`
+also appends a flag to both input trajectories when the series increases.
 """
 
 from __future__ import annotations

@@ -191,7 +191,7 @@ def reference_write_cell(out, sol, pairs, cfg):
     text = _header(
         [
             "stationary state with prescribed mean",
-            f"p={_fmt(sol.p)} residual={sol.residual:.3e} newton_iters={sol.newton_iters}",
+            f"p={_fmt(sol.p)} residual={sol.residual:.3e} iterations={sol.iterations}",
         ],
         columns,
         cfg,
@@ -395,6 +395,16 @@ class TestRunEvolve:
         assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{name} must " in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_grid_too_large_for_memory_is_config_error(self, tmp_path, capsys):
+        # make_initial ended in numpy's _ArrayMemoryError traceback, exit code 1;
+        # numpy refuses 2^50 points at once, without allocating
+        text = ELLIPSE_CFG.replace("resolution = 64", f"resolution = {2**50}")
+        cfg_path, out = write_cfg(tmp_path, text)
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: grid {2**50} does not fit in memory")
         assert not out.exists()
 
     # both used to run silently, the first without any effect
@@ -773,14 +783,14 @@ class TestRunCell:
         assert all(r.split(",")[2] == "1" for r in rows)
 
     def test_diverging_solve_is_one_error_line(self, tmp_path, capsys):
-        # a strong modulation makes the inner Richardson iteration overflow
+        # a strong modulation makes the fixed-point iteration grow without bound
         diverging = CELL_CFG.replace("resolution = 64", "resolution = 32")
         cfg_path, _ = write_cfg(tmp_path, diverging.replace("mod_sin = 1.0", "mod_sin = 100"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["cell", str(cfg_path)]) == EXIT_RUNTIME
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "inner linear solve diverged" in err[0]
+        assert len(err) == 1 and "fixed-point iteration diverged" in err[0]
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         cfg_path, out = write_cfg(tmp_path, CELL_CFG, name="cell.cfg")
@@ -837,6 +847,16 @@ class TestRunCell:
         rows = [l for l in mono if not l.startswith("#")][1:]
         pairs = [[float(c) for c in r.split(",")[:2]] for r in rows]
         assert len(pairs) == 3 and all(p > q for p, q in pairs)
+
+    def test_grid_too_large_for_memory_is_config_error(self, tmp_path, capsys):
+        # solve_cell ended in numpy's _ArrayMemoryError traceback, exit code 1;
+        # numpy refuses 2^50 points at once, without allocating
+        text = CELL_CFG.replace("resolution = 64", f"resolution = {2**50}")
+        cfg_path, out = write_cfg(tmp_path, text, name="cell.cfg")
+        assert main(["cell", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: grid {2**50} does not fit in memory")
+        assert not out.exists()
 
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         cfg_path, out = write_cfg(tmp_path, CELL_CFG + "cell.tol = 1e-12\n", name="cell.cfg")
@@ -934,7 +954,7 @@ class TestWriterOracles:
         else:
             values = np.array([1e-05, 1e16, -0.0, 0.25] * 8)
             sol = CellSolution(p=1e-05, v=ScalarField(grid=grid, values=values), residual=1e-16,
-                               newton_iters=3)
+                               iterations=3)
         pairs = [(1.5, 0.5, True), (1e-05, -0.0, False)]
         writers = [(_write_cell, reference_write_cell)]
         got, want = write_both(tmp_path, writers, sol, pairs, self.CFG)
