@@ -12,6 +12,11 @@ begins with '#'-prefixed header lines naming its columns and carrying a hash
 of the normalized configuration, and identical configurations produce
 byte-identical artifacts (no timestamps, shortest-roundtrip float formatting).
 
+Each subcommand imports only the modules it runs: ``verify``, and with it
+the reference solvers, loads in :func:`run_verify`, and ``cell`` in
+:func:`run_cell` or :func:`run_verify`.  ``SUITES`` and ``run_suite`` are
+attributes of this module all the same, read from ``verify`` on first use.
+
 Exit codes: 0 success, 1 runtime failure, 2 configuration error,
 3 verification failure.
 """
@@ -20,14 +25,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cell import CellSolution, monotonicity_check, solve_cell
 from .diagnostics import _record_moduli
 from ._pool import run_jobs, usable_workers
 from .errors import ConfigError, PolarflowError
@@ -36,7 +40,9 @@ from .geometry import make_initial
 from .grid import PeriodicGrid, _flat_coords, make_grid
 from .spectral import SolveConfig, Trajectory
 from .transport import evolve_coupled
-from .verify import SUITES, run_suite
+
+if TYPE_CHECKING:
+    from .cell import CellSolution
 
 __all__ = ["main", "run_evolve", "run_verify", "run_cell", "load_config"]
 
@@ -53,6 +59,24 @@ KNOWN_KEYS = frozenset(
 )
 
 _FRAME = "frame_{:05d}.svg"
+
+# the keys of `verify.SUITES`, for the help text; `evolve` and `cell` never load `verify`
+_SUITE_NAMES = ("heat", "duhamel", "conservation", "contraction", "cell", "geometry")
+
+
+def _bind_verify() -> None:
+    """Bind ``SUITES`` and ``run_suite`` from :mod:`polarflow.verify`, keeping a name already rebound."""
+    from . import verify
+
+    globals().setdefault("SUITES", verify.SUITES)
+    globals().setdefault("run_suite", verify.run_suite)
+
+
+def __getattr__(name: str):
+    if name in ("SUITES", "run_suite"):
+        _bind_verify()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +404,9 @@ def run_evolve(config_path: str | Path) -> int:
 
 def run_verify(suite: str, out_dir: str | Path = "out") -> int:
     """Run a named verification suite, print the table, write a JSON summary."""
+    import json
+
+    _bind_verify()  # the names are looked up now, so a rebound `run_suite` is the one called
     if suite != "all" and suite not in SUITES:
         known = ", ".join(sorted(SUITES) + ["all"])
         print(f"unknown suite {suite!r}; choose one of: {known}", file=sys.stderr)
@@ -438,6 +465,8 @@ def _write_cell(out: Path, sol: CellSolution, pairs: list, cfg: dict[str, str]) 
 
 def run_cell(config_path: str | Path) -> int:
     """Stationary solve with prescribed mean plus a monotonicity report."""
+    from .cell import monotonicity_check, solve_cell
+
     try:
         cfg = load_config(config_path)
         _check_keys(cfg)
@@ -502,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     p_evolve.add_argument("config", help="path to the run configuration")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("suite", help=" | ".join([*SUITES, "all"]))
+    p_verify.add_argument("suite", help=" | ".join([*_SUITE_NAMES, "all"]))
     p_verify.add_argument("--out", default="out", help="directory for the JSON summary")
 
     p_cell = sub.add_parser("cell", help="solve the stationary mean-constrained problem")

@@ -69,7 +69,9 @@ class PeriodicGrid:
         if len(self.lengths) < 1:
             raise ValueError("grid needs at least one axis")
         for L in self.lengths:
-            if not (L > 0.0) or not np.isfinite(L):
+            if not np.isfinite(L):
+                raise ValueError(f"non-finite axis length {L!r}")
+            if not L > 0.0:
                 raise ValueError(f"non-positive axis length {L!r}")
         for n in self.resolution:
             if n < 8 or n % 2 != 0:

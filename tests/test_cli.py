@@ -307,6 +307,15 @@ class TestRunEvolve:
         assert "finite" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("length", ["inf", "nan"])
+    def test_non_finite_length_is_config_error(self, tmp_path, capsys, length):
+        text = ELLIPSE_CFG.replace("grid.lengths = 1.0", f"grid.lengths = {length}")
+        cfg_path, out = write_cfg(tmp_path, text)
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: non-finite axis length {length}\n"
+        assert not out.exists()
+
     # the record arrays of 1e300 steps ended in a ValueError traceback
     def test_tiny_dt_is_a_runtime_error(self, tmp_path, capsys):
         cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG.replace("solver.dt = 5e-4", "solver.dt = 1e-300"))
@@ -900,6 +909,85 @@ class TestMain:
     def test_cell_subcommand(self, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, CELL_CFG, name="cell.cfg")
         assert main(["cell", str(cfg_path)]) == EXIT_OK
+
+    def test_verify_help_lists_every_suite(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["verify", "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"suite {' | '.join([*SUITES, 'all'])} " in text
+
+
+class TestLookupAtCallTime:
+    """``perfbench/child.py`` reads and rebinds ``cli.run_suite`` and ``cli.make_initial``."""
+
+    def test_names_are_module_attributes(self):
+        assert cli.run_suite is run_suite and cli.SUITES is SUITES
+        assert cli.make_initial is make_initial
+
+    def test_verify_calls_the_rebound_run_suite(self, tmp_path, monkeypatch):
+        calls = []
+
+        def stub(name):
+            calls.append(name)
+            return [CheckResult("stub.ok", True, "ok")]
+
+        monkeypatch.setattr(cli, "run_suite", stub)
+        assert main(["verify", "heat", "--out", str(tmp_path)]) == EXIT_OK
+        assert calls == ["heat"]
+        checks = json.loads((tmp_path / "verify_heat.json").read_text())["checks"]
+        assert [c["name"] for c in checks] == ["stub.ok"]
+
+    def test_evolve_calls_the_rebound_make_initial(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return make_initial(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_initial", counted)
+        cfg_path, _ = write_cfg(tmp_path, ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01"))
+        assert main(["evolve", str(cfg_path)]) == EXIT_OK
+        assert calls == ["ellipse"]
+
+
+def loaded_modules(tmp_path, code: str) -> set[str]:
+    """The ``polarflow`` modules a fresh interpreter holds after running ``code``."""
+    script = code + (
+        "\nimport sys\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'polarflow'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+class TestImportsPerSubcommand:
+    """Each subcommand imports only the modules it runs."""
+
+    def test_package_import_loads_no_submodule(self, tmp_path):
+        assert loaded_modules(tmp_path, "import polarflow") == {"polarflow"}
+
+    def test_evolve_loads_no_reference_solver(self, tmp_path):
+        text = ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01").replace("svg = true", "svg = false")
+        cfg_path, _ = write_cfg(tmp_path, text)
+        loaded = loaded_modules(
+            tmp_path, f"from polarflow import cli\nassert cli.main(['evolve', {str(cfg_path)!r}]) == 0"
+        )
+        assert "polarflow.transport" in loaded
+        for name in ("verify", "duhamel", "cell", "_fdcell"):
+            assert f"polarflow.{name}" not in loaded
+
+    def test_cell_loads_no_reference_solver(self, tmp_path):
+        cfg_path, _ = write_cfg(tmp_path, CELL_CFG, name="cell.cfg")
+        loaded = loaded_modules(
+            tmp_path, f"from polarflow import cli\nassert cli.main(['cell', {str(cfg_path)!r}]) == 0"
+        )
+        assert "polarflow.cell" in loaded
+        for name in ("verify", "duhamel", "_fdcell"):
+            assert f"polarflow.{name}" not in loaded
 
 
 class TestWriterOracles:

@@ -47,6 +47,12 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="non-positive"):
             make_grid(1, [0.0], [16])
 
+    # inf and nan were reported as "non-positive axis length"
+    @pytest.mark.parametrize("length", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_length(self, length):
+        with pytest.raises(ValueError, match=f"^non-finite axis length {length!r}$"):
+            make_grid(1, [length], [16])
+
     def test_wavenumbers(self):
         g = make_grid(1, [2.0], [16])
         k = g.wavenumbers(0)
