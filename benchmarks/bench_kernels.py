@@ -11,16 +11,26 @@ through a varying radius, at N=128 and at 64^2.  The transforms
 ``_rfft``/``_irfft``, which call pocketfft's gufuncs directly, are timed on
 ``(1, 128)``, ``(1, 64, 64)`` and the transport's ``(3, 64, 64)`` (batch axes
 first) against the same sequence of ``np.fft.rfft``/``fft``/``ifft``/``irfft``
-calls on the trailing grid axes, one N=128 burgers Strang step of a
-one-member ``_Stepper`` (built at the state's shape, as ``_march`` builds
-it) against ``reference_real_advance`` (``tests/test_spectral.py``), and one
-1-axis ``_carry`` (N=128, burgers, moving radius) against
-``reference_real_carry`` (``tests/test_transport.py``), both references
-their arithmetic out of place on ``rfftn``/``irfftn``; each pair must agree
-bitwise.  ``tests/test_benchmarks.py`` runs these bitwise cases.  So must
+calls on the trailing grid axes, one N=128 burgers and one constant-flux
+step of a one-member ``_Stepper`` (built at the state's shape, as
+``_march`` builds it) against ``reference_real_advance``
+(``tests/test_spectral.py``), and a 1-axis ``_carry`` (N=128, burgers,
+moving radius, one substep) and a 64^2 one (a modulated flux at the CFL
+bound, two substeps, so stage speeds are interpolated at 1/4 and 3/4 and
+taken as they are at 0, 1/2 and 1) against ``reference_real_carry``
+(``tests/test_transport.py``), which interpolates at every stage; the
+references do their arithmetic out of place on ``rfftn``/``irfftn``, and
+each pair must agree bitwise.
+``tests/test_benchmarks.py`` runs these bitwise cases.  So must
 ``_shift_symbol`` at N=128 and 64^2 and ``reference_shift_symbol``
 (``tests/test_spectral.py``), which splits off the Nyquist index with
 ``np.where`` on every call.
+The work the time loop reuses is timed per step against the loop as it
+was, bitwise equal: the constant-flux step against its product followed by
+a scan for non-finite values, and coupled ``evolve_coupled`` steps (N=128
+burgers, one substep; N=128 constant flux, shift only; 64^2 modulated, two
+substeps) against ``_march`` with a hook that evaluates ``f(r)`` and its
+extrema at all three stages and interpolates every stage's speeds.
 ``heat_kernel_convolve`` at N is compared with
 ``reference_heat_convolve`` (``tests/test_duhamel.py``), the same kernel row
 applied as a dense N x N circulant.  The base of one
@@ -70,13 +80,16 @@ import numpy as np
 from polarflow import (
     Modulation,
     SolveConfig,
+    SolverError,
     burgers_flux,
+    constant_flux,
     evolve,
     evolve_coupled,
     heat_kernel_convolve,
     make_field,
     make_grid,
     make_initial,
+    max_stable_dt,
     solve_cell,
     sphere_directions,
     transport_step,
@@ -103,7 +116,12 @@ from test_cli import (  # noqa: E402
 )
 from test_duhamel import reference_heat_convolve, reference_sweep  # noqa: E402
 from test_spectral import reference_advance, reference_real_advance, reference_shift_symbol  # noqa: E402
-from test_transport import radius_samples, reference_real_carry, reference_transport_step  # noqa: E402
+from test_transport import (  # noqa: E402
+    modulated_flux,
+    radius_samples,
+    reference_real_carry,
+    reference_transport_step,
+)
 
 
 def timeit(fn, repeat):
@@ -206,10 +224,22 @@ def bitwise_cases(repeat):
     hat = _rfft(grid, radius_samples(grid, 0.0)[None])
     cases.append(("_Stepper.advance N=128 burgers", lambda: stepper.advance(hat)[0],
                   lambda: reference_real_advance(grid, spec, 1e-4, hat)[0]))
+    constant = _Stepper(grid, constant_flux([0.7]), 1e-4, (1,))
+    cases.append(("_Stepper.advance N=128 constant", lambda: constant.advance(hat)[0],
+                  lambda: reference_real_advance(grid, constant_flux([0.7]), 1e-4, hat)[0]))
     speeds = [transport._speeds(spec, [None], radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
     p = sphere_directions(grid, 2).vectors
     cases.append(("_carry N=128 burgers", lambda: transport._carry(p, grid, speeds, dt),
                   lambda: reference_real_carry(p, grid, speeds, dt)))
+    # two substeps: stage speeds at tau = 1/4 and 3/4 interpolated, at 0, 1/2 and 1 taken as they are
+    grid2 = make_grid(2, [1.0, 1.0], [64, 64])
+    spec2 = modulated_flux(2, [60.0, 0.5])
+    dt2 = max_stable_dt(grid2, spec2, 1.3)
+    mods = [spec2.modulation_values(grid2, i) for i in range(2)]
+    speeds2 = [transport._speeds(spec2, mods, radius_samples(grid2, t)) for t in (0.0, dt2 / 2, dt2)]
+    p2 = sphere_directions(grid2, 3).vectors
+    cases.append(("_carry 64^2 modulated, 2 substeps", lambda: transport._carry(p2, grid2, speeds2, dt2),
+                  lambda: reference_real_carry(p2, grid2, speeds2, dt2)))
     for name, fast, slow in cases:
         got, want = fast(), slow()
         assert got.dtype == want.dtype and got.shape == want.shape, f"{name}: layouts differ"
@@ -270,6 +300,7 @@ def bench(n, repeat):
         t_slow = timeit(slow, min(repeat, 5) if name.startswith("duhamel") else repeat)
         print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
     bitwise_cases(repeat)
+    step_rows(repeat)
     fd_cell_row(cell_spec, repeat)
 
     # the verify contraction pair: one two-member batch vs two single runs
@@ -310,6 +341,67 @@ def bench(n, repeat):
             t_slow = timeit(lambda: slow(ref, traj, cfg), min(repeat, 3))
             print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
     evolve_writers_row(traj, cfg, min(repeat, 5))
+
+
+def scanned_constant_advance(stepper, hat):
+    """A constant-flux step as it was: the product, then a scan of it for non-finite values."""
+    new = hat * stepper.exact_step
+    if np.count_nonzero(np.isfinite(new)) < new.size:
+        raise SolverError("non-finite field after step")
+    return new
+
+
+def quadratic_rest_at(rests, tau):
+    """Stage speeds as they were: the quadratic through the three stages, at every ``tau``."""
+    l0 = 2.0 * (tau - 0.5) * (tau - 1.0)
+    lm = 4.0 * tau * (1.0 - tau)
+    l1 = 2.0 * tau * (tau - 0.5)
+    return [l0 * a + lm * b + l1 * c for a, b, c in zip(*rests)]
+
+
+def recomputing_march(r0, p0, spec, cfg):
+    """A coupled run as it was: ``f(r)`` and its extrema taken at every stage, every ``tau`` interpolated."""
+    grid = r0.grid
+    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+
+    def carry(vectors, radii, dt):
+        return transport._carry(vectors, grid, [transport._speeds(spec, mods, r) for r in radii], dt)
+
+    with mock.patch.object(transport, "_rest_at", quadratic_rest_at):
+        return _march([r0], spec, cfg, (p0.vectors, carry))[0]
+
+
+def step_rows(repeat):
+    """Per-step cost of the reused work: the constant-flux step, and coupled steps, now and as they were.
+
+    Each pair must agree bitwise.  The coupled rows time whole ``evolve_coupled``
+    runs against :func:`recomputing_march` and divide by the step count.
+    """
+    grid = make_grid(1, [1.0], [128])
+    stepper = _Stepper(grid, constant_flux([0.7]), 1e-4, (1,))
+    hat = _rfft(grid, radius_samples(grid, 0.0)[None])
+    rows = [("constant step N=128", 1, lambda: stepper.advance(hat)[0],
+             lambda: scanned_constant_advance(stepper, hat))]
+    r0, p0 = make_initial(grid, "ellipse", [2.0, 1.0])
+    cfg = SolveConfig(dt=5e-4, t_end=0.025)
+    for name, spec in (("burgers, 1 substep", burgers_flux(1)), ("constant, shift only", constant_flux([0.7]))):
+        rows.append(("coupled step N=128 %s" % name, 50,
+                     lambda s=spec: evolve_coupled(r0, p0, s, cfg).directions,
+                     lambda s=spec: recomputing_march(r0, p0, s, cfg).directions))
+    grid2 = make_grid(2, [1.0, 1.0], [64, 64])
+    spec2 = modulated_flux(2, [60.0, 0.5])
+    r2, p2 = make_initial(grid2, "perturbed_sphere", [1.0, 0.3, 1, 1])
+    dt2 = max_stable_dt(grid2, spec2, float(r2.values.max()))
+    cfg2 = SolveConfig(dt=dt2, t_end=10 * dt2)
+    rows.append(("coupled step 64^2 modulated, 2 substeps", 10,
+                 lambda: evolve_coupled(r2, p2, spec2, cfg2).directions,
+                 lambda: recomputing_march(r2, p2, spec2, cfg2).directions))
+    print(f"{'step':<40} {'now':>12} {'as it was':>12} {'speedup':>9}")
+    for name, steps, fast, slow in rows:
+        assert fast().tobytes() == slow().tobytes(), f"{name}: not bitwise equal"
+        t_fast = timeit(fast, repeat) / steps
+        t_slow = timeit(slow, repeat) / steps
+        print(f"{name:<40} {t_fast * 1e6:>10.2f}us {t_slow * 1e6:>10.2f}us {t_slow / t_fast:>8.2f}x")
 
 
 def fd_cell_row(spec, repeat):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .flux import FluxSpec, _check_axes, eval_g
+from .flux import FluxSpec, _check_axes, _g_coeffs
 from .grid import PeriodicGrid, ScalarField
 from .spectral import _derivative_symbols, _flux_divergence, _irfft, _laplacian_half, _rfft
 
@@ -60,11 +60,11 @@ class _CellOperator:
         self.lap_inv = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap > 0.0)
         self.derivs = _derivative_symbols(grid)  # of -d/dtheta_i
         self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+        self.g_coeffs = [_g_coeffs(c) for c in spec.components]
 
     def residual(self, v: np.ndarray) -> np.ndarray:
         """-Lap v + div(a g(v)) on the grid."""
-        fluxes = (eval_g(self.spec, i, v) for i in range(self.spec.m))
-        minus_div = _flux_divergence(self.grid, self.derivs, self.mods, fluxes)
+        minus_div = _flux_divergence(self.grid, self.derivs, self.mods, self.g_coeffs, v)
         return _irfft(self.grid, _rfft(self.grid, v) * self.lap - minus_div)
 
     def precondition(self, rhs: np.ndarray) -> np.ndarray:

@@ -264,7 +264,13 @@ def _write_trajectory(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
         fh.write(_header(["radius field history"], columns, cfg))
         for t, record in zip(traj.times, traj.radii):
             lead = _fmt(t) + ","
-            radii = _csv_rows(record.reshape(-1, 1))
+            # a radius near its mean repeats: format each distinct value once, keyed by its
+            # bits, which keep -0.0 apart from 0.0
+            bits = record.reshape(-1).view(np.int64).tolist()
+            distinct = list(dict.fromkeys(bits))
+            values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+            text = dict(zip(distinct, map(repr, values)))
+            radii = list(map(text.__getitem__, bits))
             fh.write("".join([f"{lead}{theta},{r}\n" for theta, r in zip(thetas, radii)]))
 
 

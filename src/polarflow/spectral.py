@@ -48,7 +48,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pfu
 
 from .errors import SolverError
-from .flux import FluxSpec, _check_axes, _g_coeffs, _horner, advective_speed_bound
+from .flux import FluxSpec, _check_axes, _g_coeffs, advective_speed_bound
 from .grid import PeriodicGrid, ScalarField
 
 __all__ = [
@@ -65,6 +65,7 @@ __all__ = [
 MAX_PRINCIPLE_SLACK = 1e-8
 CFL_NUMBER = 0.5
 _AXES = tuple([(-a,), (), (-a,)] for a in range(65))  # gufunc axes=[...] on grid axis -a, built once
+_EXACT_STEP_LIMIT = np.finfo(np.float64).max / 2.0  # see _Stepper.start
 
 
 @dataclass(frozen=True)
@@ -134,29 +135,37 @@ class Trajectory:
         return ScalarField(grid=self.grid, values=self.radii[-1])
 
 
-def _rfft(grid: PeriodicGrid, vals: np.ndarray) -> np.ndarray:
+def _rfft(grid: PeriodicGrid, vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalised real FFT of float64 grid values onto the half mode lattice.
 
     ``rfftn`` over the trailing ``grid.m`` axes, as its own sequence of
-    pocketfft kernel calls: ``rfft`` on the last axis, then ``fft`` on each
-    other grid axis, last to first.  Each call writes a new C-ordered array:
-    one that copied the strides of a strided ``vals`` (``empty_like``) would
-    leave every later spectrum strided, and slow.
+    pocketfft kernel calls: ``rfft`` on the last axis into ``out``, then
+    ``fft`` in place on each other grid axis, last to first (the gufunc
+    reads a line before it writes it).  ``out`` is a new C-ordered array
+    unless the caller passes one of that shape: one that copied the strides
+    of a strided ``vals`` (``empty_like``) would leave every later spectrum
+    strided, and slow.
     """
     res = grid.resolution
-    out = np.empty((*vals.shape[:-1], res[-1] // 2 + 1), complex)  # even: make_grid rejects odd N
-    hat = _pfu.rfft_n_even(vals, 1.0, out=out)  # a gufunc's core axis is the last by default
+    if out is None:
+        out = np.empty((*vals.shape[:-1], res[-1] // 2 + 1), complex)  # even: make_grid rejects odd N
+    _pfu.rfft_n_even(vals, 1.0, out=out)  # a gufunc's core axis is the last by default
     for a in range(2, len(res) + 1):
-        hat = _pfu.fft(hat, 1.0, axes=_AXES[a], out=np.empty(hat.shape, complex))
-    return hat
+        _pfu.fft(out, 1.0, axes=_AXES[a], out=out)
+    return out
 
 
-def _irfft(grid: PeriodicGrid, hat: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_rfft`: ``ifft`` on the other grid axes, first to last, then ``irfft``."""
+def _irfft(grid: PeriodicGrid, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`_rfft`: ``ifft`` on the other grid axes, first to last, then ``irfft``.
+
+    The grid values go into ``out`` when the caller passes a C-ordered float
+    array of their shape, else into a new one; ``hat`` is left as it was.
+    """
     res = grid.resolution
     for a in range(len(res), 1, -1):
         hat = _pfu.ifft(hat, 1.0 / res[-a], axes=_AXES[a], out=np.empty(hat.shape, complex))
-    out = np.empty((*hat.shape[:-1], res[-1]))
+    if out is None:
+        out = np.empty((*hat.shape[:-1], res[-1]))
     return _pfu.irfft(hat, 1.0 / res[-1], out=out)
 
 
@@ -260,21 +269,38 @@ def galilean_shift(f: ScalarField, speeds, t: float) -> ScalarField:
     return ScalarField(grid=f.grid, values=_irfft(f.grid, hat))
 
 
-def _flux_divergence(grid: PeriodicGrid, derivs, mods, fluxes) -> np.ndarray:
-    """Spectrum of ``-sum_i d/dtheta_i (a_i F_i)``: ``sum_i derivs[i] * rfft(a_i F_i)``.
+def _flux_divergence(
+    grid: PeriodicGrid, derivs, mods, g_coeffs, vals: np.ndarray, flux=None, out=None
+) -> np.ndarray:
+    """Spectrum of ``-sum_i d/dtheta_i (a_i g_i(vals))``: ``sum_i derivs[i] * rfft(a_i g_i(vals))``.
 
     ``derivs`` are the symbols of ``-d/dtheta_i`` (:func:`_derivative_symbols`),
     ``mods[i]`` is the modulation ``a_i`` on the grid or None for one, and
-    ``fluxes`` yields the fields ``F_i``, new arrays that are modulated in
-    place.  The stepper and the stationary operator of :mod:`.cell` share it.
+    ``g_coeffs[i]`` holds the coefficients of ``g_i`` (:func:`.flux._g_coeffs`:
+    no constant term, so at least two).  Each ``a_i g_i`` is evaluated in
+    ``flux`` by Horner's rule, in the operations of :func:`.flux._horner`,
+    and transformed into ``out``, where the sum is taken; either is a new
+    array unless the caller passes one.  The stepper and the stationary
+    operator of :mod:`.cell` share it.
     """
-    out = None
-    for deriv, mod, fi in zip(derivs, mods, fluxes):
+    if flux is None:
+        flux = np.empty(vals.shape)
+    for i, (deriv, mod, coeffs) in enumerate(zip(derivs, mods, g_coeffs)):
+        np.multiply(coeffs[-1], vals, out=flux)
+        for k in range(len(coeffs) - 2, -1, -1):
+            if coeffs[k]:
+                flux += coeffs[k]
+            if k:
+                flux *= vals
         if mod is not None:
-            np.multiply(fi, mod, out=fi)
-        term = _rfft(grid, fi)
-        np.multiply(deriv, term, out=term)
-        out = term if out is None else np.add(out, term, out=out)
+            flux *= mod
+        if i == 0:
+            out = _rfft(grid, flux, out)
+            np.multiply(deriv, out, out=out)
+        else:
+            term = _rfft(grid, flux)
+            np.multiply(deriv, term, out=term)
+            np.add(out, term, out=out)
     return out
 
 
@@ -289,8 +315,9 @@ class _Stepper:
     """Strang steps of size ``dt`` on one (grid, flux), acting on the rfft spectrum.
 
     The state is the unnormalised half-lattice spectrum (:func:`_rfft`) of
-    grid values, with the leading member axes ``batch``: :meth:`advance`
-    maps it to the spectrum one step later, and the drivers transform back
+    grid values, with the leading member axes ``batch``: :meth:`start`
+    transforms the initial values, :meth:`advance` maps the spectrum to the
+    spectrum one step later, and the drivers transform back
     (:func:`_irfft`) only where they need grid samples.  The symbols are
     built once, with the grid's shape, and copied to the state's shape, so
     every member sees the same elementwise arithmetic and the same per-line
@@ -301,10 +328,19 @@ class _Stepper:
     per axis; for an unmodulated constant flux, the whole step (``H^2``
     times the shift).  ``dt``, ``dt/2`` and the coefficients of ``g_i`` are
     0-d arrays, ``dt`` complex like the spectrum it scales, which numpy takes
-    without converting a float on every call; the products are the same.  A
-    general step combines its stages in place, in the operand order of
-    ``half + dt/2 * D(half)`` and ``(hh + dt * D(mid)) * H``, on arrays it
-    makes itself; what it returns is new.
+    without converting a float on every call; the products are the same.
+
+    A general step calls :func:`_flux_divergence` twice, with two
+    workspaces of the state's shape that the stepper keeps: the grid values
+    of ``a_i g_i`` (then the rate at the half step) and the divergence
+    spectrum.  Neither leaves :meth:`advance`, which combines its stages in
+    place, in the operand order of ``half + dt/2 * D(half)`` and
+    ``(hh + dt * D(mid)) * H``, into the arrays of ``half`` and ``hh`` that
+    it makes and returns.  Its new spectrum is scanned for non-finite
+    values.  A constant-flux step's is not: it multiplies by ``H^2`` times
+    the shift, of modulus at most 1 up to ulps, so a spectrum whose parts all
+    lie within half the float range, as :meth:`start` checks, stays finite
+    however long it steps.
     """
 
     def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float, batch: tuple[int, ...] = ()):
@@ -324,10 +360,22 @@ class _Stepper:
             mods = (spec.modulation_values(grid, i) for i in range(spec.m))
             self.modulations = [None if a is None else _at(a, (*batch, *grid.shape)) for a in mods]
             self.g_coeffs = [tuple(map(np.array, _g_coeffs(c))) for c in spec.components]
+            self._flux, self._div = np.empty((*batch, *grid.shape)), np.empty(half, complex)
 
-    def _divergence(self, vals: np.ndarray) -> np.ndarray:
-        fluxes = [_horner(c, vals) for c in self.g_coeffs]
-        return _flux_divergence(self.grid, self.derivs, self.modulations, fluxes)
+    def start(self, vals: np.ndarray) -> np.ndarray:
+        """The spectrum of the grid values ``vals`` to step from.
+
+        For a constant flux, whose steps are not scanned, raises
+        :class:`SolverError` unless every real and imaginary part of it is
+        at most half the largest float: a finite field whose transform
+        overflows fails here, before any step.
+        """
+        hat = _rfft(self.grid, vals)
+        if self.exact_step is not None:
+            top = np.abs(hat.view(np.float64)).max()
+            if not (top <= _EXACT_STEP_LIMIT):
+                raise SolverError(f"initial spectrum part {top:.3e} is beyond half the float range")
+        return hat
 
     def advance(self, hat: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """One full step; returns (new_spectrum, half_time_values).
@@ -336,16 +384,17 @@ class _Stepper:
         returns None for the half-time values.
         """
         if self.exact_step is not None:
-            new, mid = hat * self.exact_step, None
-        else:
-            hh = hat * self.half_heat
-            mid = _irfft(self.grid, hh)
-            rate = _irfft(self.grid, self._divergence(mid))
-            mid += np.multiply(self._half_dt, rate, out=rate)
-            new = self._divergence(mid)
-            np.multiply(self._dt, new, out=new)
-            np.add(hh, new, out=new)
-            np.multiply(new, self.half_heat, out=new)
+            return hat * self.exact_step, None
+        grid, flux, div = self.grid, self._flux, self._div
+        operator = (grid, self.derivs, self.modulations, self.g_coeffs)
+        new = hat * self.half_heat  # hh, combined in place into the new spectrum
+        mid = _irfft(grid, new)
+        rate = _irfft(grid, _flux_divergence(*operator, mid, flux, div), flux)
+        mid += np.multiply(self._half_dt, rate, out=rate)
+        div = _flux_divergence(*operator, mid, flux, div)
+        np.multiply(self._dt, div, out=div)
+        np.add(new, div, out=new)
+        np.multiply(new, self.half_heat, out=new)
         if np.count_nonzero(np.isfinite(new)) < new.size:  # half the cost of .all()
             raise SolverError("non-finite field after step")
         return new, mid
@@ -359,7 +408,8 @@ def step(r: ScalarField, spec: FluxSpec, dt: float) -> ScalarField:
     """
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    new, _ = _Stepper(r.grid, spec, dt).advance(_rfft(r.grid, r.values))
+    stepper = _Stepper(r.grid, spec, dt)
+    new, _ = stepper.advance(stepper.start(r.values))
     return ScalarField(grid=r.grid, values=_irfft(r.grid, new))
 
 
@@ -416,9 +466,12 @@ def _march(
     after each radius step, which must leave the radius positive,
     ``transport(vectors, radii, dt)`` carries the direction vectors over the
     step given the grid-shaped radius values ``radii`` at its start, half
-    time and end.  A constant-flux step has no half-time values; its speeds
-    do not depend on the radius, so the end values stand in.  A failing step
-    raises naming its index and time.
+    time and end.  Each step's start values are the very array passed as the
+    previous step's end values, never written since, so the hook may reuse
+    what it computed from them.  A constant-flux step has no half-time
+    values; its speeds do not depend on the radius, so the end values stand
+    in, again the same array.  A failing step raises naming its index and
+    time.
     """
     grid = r0s[0].grid
     if any(r.grid != grid for r in r0s):
@@ -441,27 +494,28 @@ def _march(
     stepper = _Stepper(grid, spec, cfg.dt, batch)
     radii[0], slot = vals, 1
     if coupled:
-        directions[0] = p
-    hat = _rfft(grid, vals)
+        directions[0], end = p, vals[0]
+    hat = stepper.start(vals)
+    advance, dt, every = stepper.advance, cfg.dt, cfg.record_every
     for k in range(1, n_steps + 1):
-        t = k * cfg.dt
+        t = k * dt
         if k > n_full:
             stepper = _Stepper(grid, spec, remainder, batch)
-            t = cfg.t_end
+            advance, t = stepper.advance, cfg.t_end
         try:
-            hat, mid = stepper.advance(hat)
+            hat, mid = advance(hat)
             if coupled:
-                start, vals = vals, _irfft(grid, hat)
+                vals = _irfft(grid, hat)
                 if not (vals.min() > 0.0):
                     raise SolverError(
                         f"positivity lost (min {vals.min():.3e}); "
                         "geometric evolution is no longer well defined"
                     )
-                mid = vals if mid is None else mid
-                p = transport(p, (start[0], mid[0], vals[0]), stepper.dt)
+                start, end = end, vals[0]
+                p = transport(p, (start, end if mid is None else mid[0], end), stepper.dt)
         except SolverError as exc:
             raise SolverError(f"step {k} (t={t:.6g}): {exc}") from exc
-        if k % cfg.record_every == 0 or k == n_steps:
+        if k % every == 0 or k == n_steps:
             times[slot] = t
             radii[slot] = vals if coupled else _irfft(grid, hat)
             if coupled:

@@ -12,7 +12,8 @@ every vector component:
 * RK4 integrates the remainder ``-(f_i - c_i) dP/dtheta_i`` with the
   derivative symbols of :mod:`.spectral`, the set the radius stepper reads.
   The stage speeds come from the radius at the start, the middle and the
-  end of the step;
+  end of the step: a substep at a fraction 0, 1/2 or 1 of the step takes
+  that radius's speeds as they are, and only the others are interpolated;
 * the vectors are renormalized to unit length, which enforces the sphere
   constraint exactly.
 
@@ -25,7 +26,10 @@ CFL bound keeps the argument below ``m pi / 2`` on ``m`` axes: one substep
 on 1 axis, up to two on 2 axes at the CFL bound.
 
 :func:`evolve_coupled` runs the radius time loop of :mod:`.spectral` and
-hands it this step as the hook that carries the direction vectors.
+hands it this step as the hook that carries the direction vectors.  The
+loop passes each step's end radius as the next step's start, the same
+array, so ``f(r)`` and its extrema are taken twice a step, at the middle
+and the end, and once for a constant flux, whose middle is its end.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .spectral import (
 __all__ = ["transport_step", "evolve_coupled"]
 
 _RK4_REACH = 2.8  # largest RK4 argument a substep may take; the limit is 2 sqrt 2
+_EXACT_TAU = {0.0: 0, 0.5: 1, 1.0: 2}  # step fractions that fall on a stage, and its index
 
 
 def _speeds(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> list[np.ndarray]:
@@ -62,6 +67,30 @@ def _speeds(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> list[np.ndarray]:
         vi = eval_f(spec, i, r_vals)  # grid-shaped for every degree
         out.append(vi if mod is None else vi * mod)
     return out
+
+
+def _extrema(speeds: list[np.ndarray]) -> list[tuple[float, float]]:
+    """Per axis, the (min, max) of one stage's speeds."""
+    return [(float(s.min()), float(s.max())) for s in speeds]
+
+
+def _rest_at(rests: list[list[np.ndarray]], tau: float) -> list[np.ndarray]:
+    """Remainder speeds at the fraction ``tau`` of the step: the quadratic through the three stages.
+
+    ``rests`` holds the per-axis remainder speeds at the start, the middle
+    and the end of the step.  At ``tau`` = 0, 1/2 and 1 the Lagrange weights
+    are exactly 1 and two (signed) zeros, so that stage's own arrays come
+    back, with no product or sum: equal to the weighted sum wherever a
+    remainder speed is finite and not ``-0.0`` (which the sum may turn into
+    ``+0.0``).
+    """
+    exact = _EXACT_TAU.get(tau)
+    if exact is not None:
+        return rests[exact]
+    l0 = 2.0 * (tau - 0.5) * (tau - 1.0)
+    lm = 4.0 * tau * (1.0 - tau)
+    l1 = 2.0 * tau * (tau - 0.5)
+    return [l0 * a + lm * b + l1 * c for a, b, c in zip(*rests)]
 
 
 @lru_cache(maxsize=32)
@@ -85,11 +114,17 @@ def _substeps(tops: tuple[float, ...], rest: list[float], dt: float) -> int:
     return math.ceil(reach / _RK4_REACH)
 
 
-def _carry(vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float) -> np.ndarray:
+def _carry(
+    vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float, extrema: list | None = None
+) -> np.ndarray:
     """Transport unit vectors, ``(*grid.shape, d)`` as in :class:`.DirectionField`, over ``dt``.
 
     ``speeds`` holds the per-axis speeds at the start, the middle and the end
-    of the step; substeps take theirs from the quadratic through the three.
+    of the step, and ``extrema`` the :func:`_extrema` of each, which are
+    taken here when the caller does not pass them.  Substeps take their
+    speeds from the quadratic through the three (:func:`_rest_at`), which
+    is not evaluated at the step's start, middle and end.
+
     Inside, the component axis leads: one transposed view on entry (the view
     ``np.moveaxis`` makes, without its per-call axis checks) makes it a batch
     axis of :func:`.spectral._rfft`, and one on exit gives the renormalized
@@ -99,8 +134,10 @@ def _carry(vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float) -> 
     stages combine in place, in the operand order of the classic formulas,
     on spectra that :func:`.spectral._rfft` made for this call.
     """
-    lo = [min(float(s[i].min()) for s in speeds) for i in range(grid.m)]
-    hi = [max(float(s[i].max()) for s in speeds) for i in range(grid.m)]
+    if extrema is None:
+        extrema = [_extrema(s) for s in speeds]
+    lo = [min(e[i][0] for e in extrema) for i in range(grid.m)]
+    hi = [max(e[i][1] for e in extrema) for i in range(grid.m)]
     centre = [0.5 * (a + b) for a, b in zip(lo, hi)]
     derivs, tops = _component_derivatives(grid, vectors.shape[-1])
     n_sub = _substeps(tops, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
@@ -115,13 +152,6 @@ def _carry(vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float) -> 
         rests = [[v - c for v, c in zip(s, centre)] for s in speeds]
         scratch, stage = np.empty_like(hat), np.empty_like(hat)
 
-        def rest_at(tau: float) -> list[np.ndarray]:
-            """Remainder speeds at the fraction ``tau`` of the step (quadratic in time)."""
-            l0 = 2.0 * (tau - 0.5) * (tau - 1.0)
-            lm = 4.0 * tau * (1.0 - tau)
-            l1 = 2.0 * tau * (tau - 0.5)
-            return [l0 * a + lm * b + l1 * c for a, b, c in zip(*rests)]
-
         def rate(rest: list[np.ndarray], state: np.ndarray) -> np.ndarray:
             """Spectrum of ``-sum_i rest_i dP/dtheta_i``, a new array."""
             total = None
@@ -132,7 +162,7 @@ def _carry(vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float) -> 
             return _rfft(grid, total)
 
         for j in range(n_sub):
-            w0, wm, w1 = (rest_at((j + x) / n_sub) for x in (0.0, 0.5, 1.0))
+            w0, wm, w1 = (_rest_at(rests, (j + x) / n_sub) for x in (0.0, 0.5, 1.0))
             k1 = rate(w0, hat)
             # shift_half * (hat + h/2 k1)
             np.multiply(h / 2.0, k1, out=stage)
@@ -182,7 +212,8 @@ def transport_step(
         raise ValueError(f"dt must be finite, got {dt!r}")
     mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
     speeds = _speeds(spec, mods, r.values)
-    return DirectionField(grid=grid, vectors=_carry(p.vectors, grid, [speeds] * 3, dt))
+    vectors = _carry(p.vectors, grid, [speeds] * 3, dt, [_extrema(speeds)] * 3)
+    return DirectionField(grid=grid, vectors=vectors)
 
 
 def evolve_coupled(
@@ -192,7 +223,8 @@ def evolve_coupled(
 
     The radius advances first (its equation is autonomous); the direction is
     then transported with stage speeds from the radius at the start, the
-    half time and the end of the step.  Positivity of the radius is required
+    half time and the end of the step, the start's kept from the step
+    before.  Positivity of the radius is required
     at start and enforced throughout - losing it breaks the polar splitting
     and aborts the run.  The recorded vectors stack into ``directions``.
     """
@@ -203,9 +235,18 @@ def evolve_coupled(
         raise SolverError("initial radius must be strictly positive")
     _check_axes(grid, spec)
     mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+    last = [None, None]  # the radius array evaluated last, and its (speeds, extrema)
+
+    def stage(r: np.ndarray) -> tuple:
+        if r is not last[0]:
+            speeds = _speeds(spec, mods, r)
+            last[:] = r, (speeds, _extrema(speeds))
+        return last[1]
 
     def carry(vectors: np.ndarray, radii: tuple, dt: float) -> np.ndarray:
-        speeds = [_speeds(spec, mods, r) for r in radii]
-        return _carry(vectors, grid, speeds, dt)
+        # the start radius is the array that ended the last step, and a
+        # constant flux passes the end as the middle: neither is evaluated twice
+        stages = [stage(r) for r in radii]
+        return _carry(vectors, grid, [s for s, _ in stages], dt, [e for _, e in stages])
 
     return _march([r0], spec, cfg, (p0.vectors, carry))[0]

@@ -1033,6 +1033,23 @@ class TestWriterOracles:
         for token in ("1.25e-06", "e-05", "e+16", "-0.0", "e-300"):
             assert token in text
 
+    def test_repeated_radii_and_both_zeros(self, tmp_path):
+        # the trajectory writer formats each distinct radius of a record once
+        grid = make_grid(2, [1.0, 1.0], [8, 8])
+        record = np.array([0.0, -0.0, 1.5, 0.0, 1.5, -0.0, 1.0 / 3.0, 1.5] * 8).reshape(8, 8)
+        traj = Trajectory(
+            grid=grid,
+            spec=zero_flux(2),
+            times=np.array([0.0, 0.5, 1.0]),
+            radii=np.stack([record, record.T, np.full((8, 8), -0.0)]),
+        )
+        writers = [(_write_trajectory, reference_write_trajectory)]
+        got, want = write_both(tmp_path, writers, traj, self.CFG)
+        assert got == want
+        cells = [row.rsplit(",", 1)[1] for row in got["trajectory.csv"].decode().splitlines()[-192:]]
+        assert cells[:8] == ["0.0", "-0.0", "1.5", "0.0", "1.5", "-0.0", "0.3333333333333333", "1.5"]
+        assert cells[128:] == ["-0.0"] * 64
+
     @pytest.mark.parametrize("case", ["solved", "hand_built"])
     def test_cell(self, tmp_path, case):
         grid = make_grid(1, [1.0], [32])

@@ -527,7 +527,10 @@ class TestInPlaceStep:
         new, mid = stepper.advance(hat)
         assert np.array_equal(hat, before)
         again, mid_again = stepper.advance(new)  # a caller may hold the previous results
-        arrays = [a for a in (hat, new, mid, again, mid_again) if a is not None]
+        # a general stepper's two workspaces never leave advance
+        workspaces = [getattr(stepper, name, None) for name in ("_flux", "_div")]
+        assert (workspaces[0] is None) == ENSEMBLE_FLUXES[flux](m).is_constant
+        arrays = [a for a in (hat, new, mid, again, mid_again, *workspaces) if a is not None]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
@@ -542,6 +545,47 @@ class TestInPlaceStep:
     @pytest.mark.parametrize("members, tail", [(1, True), (3, False), (3, True)])
     def test_members_and_tail_outputs_new(self, flux, resolution, members, tail):
         self.check_outputs_new(flux, resolution, members, tail)
+
+
+class TestConstantFluxStart:
+    """Constant-flux steps are not scanned: the initial spectrum is checked once, before any step."""
+
+    @staticmethod
+    def run(grid, value, monkeypatch):
+        from polarflow import spectral
+
+        calls = []
+        original = spectral._Stepper.advance
+
+        def counting(self, hat):
+            calls.append(1)
+            return original(self, hat)
+
+        monkeypatch.setattr(spectral._Stepper, "advance", counting)
+        r0 = make_field(grid, np.full(grid.shape, value))
+        spec = constant_flux([0.7, -0.4][: grid.m])
+        return lambda: evolve(r0, spec, SolveConfig(dt=1e-3, t_end=5e-3)), calls
+
+    # 1e308: the transform overflows; 2.2e306: finite, but its zero mode
+    # (1.4e308 on 64 nodes) is past half the float range
+    @pytest.mark.parametrize("value", [1e308, 2.2e306, -2.2e306])
+    def test_overflowing_spectrum_fails_before_stepping(self, grid64, value, monkeypatch):
+        run, calls = self.run(grid64, value, monkeypatch)
+        with np.errstate(all="ignore"), pytest.raises(SolverError, match="^initial spectrum part"):
+            run()
+        with np.errstate(all="ignore"), pytest.raises(SolverError, match="^initial spectrum part"):
+            step(make_field(grid64, np.full(64, value)), constant_flux([0.7]), 1e-3)
+        assert calls == []
+
+    @pytest.mark.parametrize("resolution", [(64,), (16, 8)])
+    def test_spectrum_within_half_the_range_steps_finite(self, resolution, monkeypatch):
+        m = len(resolution)
+        grid = make_grid(m, [1.0] * m, resolution)
+        value = 0.45 * np.finfo(np.float64).max / grid.num_nodes
+        run, calls = self.run(grid, value, monkeypatch)
+        traj = run()
+        assert len(calls) == 5
+        assert np.isfinite(traj.radii).all()
 
 
 class TestSolveConfig:

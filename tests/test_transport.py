@@ -26,7 +26,7 @@ from polarflow import (
 from polarflow import transport
 from polarflow.flux import Modulation, eval_f
 from polarflow.grid import DirectionField, RadialField, ScalarField
-from polarflow.spectral import _derivative_symbols, _shift_symbol, max_stable_dt
+from polarflow.spectral import _derivative_symbols, _march, _shift_symbol, max_stable_dt
 from conftest import full_lattice
 
 
@@ -363,6 +363,79 @@ class TestInPlaceCarry:
         for a in inputs:
             assert not np.shares_memory(out, a) and not np.shares_memory(again, a)
         assert not np.shares_memory(out, again)
+
+
+class TestExactStageSpeeds:
+    """At a step fraction of 0, 1/2 or 1 the stage speeds are a stage's own: bitwise the quadratic's."""
+
+    CASES = {
+        "burgers_1": (1, burgers_flux(1), 2e-3, [0.0, 0.5, 1.0]),
+        # three substeps: (j + x) / 3 for x in 0, 1/2, 1
+        "modulated_1": (
+            1, modulated_flux(1, [60.0, 0.5]), 5e-4, [k / 6 for k in (0, 1, 2, 2, 3, 4, 4, 5, 6)]
+        ),
+        "modulated_2": (2, modulated_flux(2, [60.0, 0.5]), 3e-4, [0.0, 0.25, 0.5, 0.5, 0.75, 1.0]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bitwise_the_quadratic(self, case, monkeypatch):
+        m, spec, dt, taus = self.CASES[case]
+        grid, v, speeds = TestInPlaceCarry.inputs(m, spec, dt)
+        seen = []
+        original = transport._rest_at
+
+        def spy(rests, tau):
+            out = original(rests, tau)
+            l0, lm, l1 = 2.0 * (tau - 0.5) * (tau - 1.0), 4.0 * tau * (1.0 - tau), 2.0 * tau * (tau - 0.5)
+            for w, a, b, c in zip(out, *rests):
+                assert w.tobytes() == (l0 * a + lm * b + l1 * c).tobytes()
+            seen.append(tau)
+            return out
+
+        monkeypatch.setattr(transport, "_rest_at", spy)
+        transport._carry(v, grid, speeds, dt)
+        assert seen == taus
+
+
+class TestReusedSpeeds:
+    """A coupled step evaluates ``f(r)`` at its middle and end: its start is the last step's end."""
+
+    CASES = {
+        "burgers_1": (1, burgers_flux, 1e-3, 2),
+        "constant_1": (1, lambda m: constant_flux([0.7]), 1e-3, 1),  # the end stands in for the middle
+        "burgers_2": (2, burgers_flux, 1e-3, 2),
+        # at the CFL bound: two RK4 substeps a full step
+        "modulated_2": (2, lambda m: modulated_flux(m, [60.0, 0.5]), None, 2),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_evaluations_per_step_and_bits(self, case, monkeypatch):
+        m, make_spec, dt, per_step = self.CASES[case]
+        grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
+        spec = make_spec(m)
+        r0, p0 = perturbed_sphere_initial(grid, 1.0, 0.3, [[1] * m])
+        dt = dt or max_stable_dt(grid, spec, float(r0.values.max()))
+        cfg = SolveConfig(dt=dt, t_end=10.5 * dt, record_every=4)  # ten steps and a tail step
+        evaluated = []
+        original = transport._speeds
+
+        def counting(*args):
+            evaluated.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(transport, "_speeds", counting)
+        traj = evolve_coupled(r0, p0, spec, cfg)
+        assert len(evaluated) == 1 + per_step * 11
+        monkeypatch.undo()
+
+        mods = [spec.modulation_values(grid, i) for i in range(m)]
+
+        def recomputed(vectors, radii, h):
+            return transport._carry(vectors, grid, [transport._speeds(spec, mods, r) for r in radii], h)
+
+        want = _march([r0], spec, cfg, (p0.vectors, recomputed))[0]
+        assert np.array_equal(traj.radii, want.radii)
+        assert traj.directions.tobytes() == want.directions.tobytes()
 
 
 class TestTransportStep:
