@@ -363,8 +363,11 @@ def recomputing_march(r0, p0, spec, cfg):
     """A coupled run as it was: ``f(r)`` and its extrema taken at every stage, every ``tau`` interpolated."""
     grid = r0.grid
     mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+    start = [r0.values]
 
-    def carry(vectors, radii, dt):
+    def carry(vectors, mid, end, dt):
+        radii = (start[0], end if mid is None else mid, end)
+        start[0] = end
         return transport._carry(vectors, grid, [transport._speeds(spec, mods, r) for r in radii], dt)
 
     with mock.patch.object(transport, "_rest_at", quadratic_rest_at):

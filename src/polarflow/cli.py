@@ -162,6 +162,8 @@ def _too_large(grid: PeriodicGrid, exc: MemoryError) -> str:
 def _build_flux(cfg: dict[str, str], m: int) -> FluxSpec:
     kind = _get(cfg, "flux.kind", "zero").lower()
     coeffs = _numbers(cfg["flux.coeffs"]) if "flux.coeffs" in cfg else []
+    if "flux.coeffs" in cfg and kind in ("zero", "burgers"):
+        raise ConfigError(f"flux.coeffs does not apply to flux.kind {kind!r}")
     try:
         if kind == "zero":
             spec = zero_flux(m)

@@ -48,7 +48,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConvergenceError
-from .flux import FluxSpec, _check_axes, eval_g, flux_envelope_bound
+from .flux import FluxSpec, _check_axes, _g_coeffs, _horner, flux_envelope_bound
 from .grid import PeriodicGrid, ScalarField
 
 __all__ = [
@@ -323,10 +323,8 @@ class _Window:
         history = iterate.reshape(len(self.mesh), -1)
         for i in range(1, len(self.mesh)):
             fields = (self.stencils[i] @ history).reshape((-1,) + self.grid.shape)
-            for j in range(self.spec.m):
-                term = eval_g(self.spec, j, fields)
-                if self.mods[j] is not None:
-                    term = term * self.mods[j]
+            for j, (comp, mod) in enumerate(zip(self.spec.components, self.mods)):
+                term = _horner(_g_coeffs(comp), fields, mod)
                 rows = [
                     (self.gradients[ax] if ax == j else self.kernels[ax])[i]
                     for ax in range(self.grid.m)

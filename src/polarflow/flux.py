@@ -173,20 +173,30 @@ def _g_prime_coeffs(comp: FluxComponent) -> tuple[float, ...]:
     return tuple((k + 1) * c for k, c in enumerate(comp.coeffs))
 
 
-def _horner(coeffs: tuple[float, ...], nu: np.ndarray):
-    """``sum_k coeffs[k] nu^k`` by Horner's rule, as an array or a float for 0-d ``nu``.
+def _horner(coeffs, nu: np.ndarray, mod: np.ndarray | None = None, out: np.ndarray | None = None):
+    """``mod * sum_k coeffs[k] nu^k`` by Horner's rule, as an array or a float for 0-d ``nu``.
 
-    The steps run in place on one array, which large inputs need: a new
-    temporary per step costs more than the arithmetic.  A zero coefficient
-    costs no addition, so ``g`` of burgers is ``(0.5 nu) nu``, bitwise equal
-    to ``nu nu / 2``.
+    The one evaluator of every flux term; ``mod`` is a modulation ``a_i``
+    that broadcasts to ``nu``, or None.  The steps run in place on one
+    array, the float array ``out`` of ``nu``'s shape when the caller passes
+    one, else a new one, and return it: a new temporary per step costs more
+    than the arithmetic on large inputs.  ``nu`` is only read.  A zero
+    coefficient costs no addition, so ``g`` of burgers is ``(0.5 nu) nu``,
+    bitwise equal to ``nu nu / 2``.
     """
-    out = coeffs[-1] * nu if len(coeffs) > 1 else np.full_like(nu, coeffs[0])
+    if out is None:
+        out = np.empty(nu.shape)
+    if len(coeffs) > 1:
+        np.multiply(coeffs[-1], nu, out=out)
+    else:
+        out.fill(coeffs[0])
     for k in reversed(range(len(coeffs) - 1)):
         if coeffs[k]:
             out += coeffs[k]
         if k:
             out *= nu
+    if mod is not None:
+        out *= mod
     return out if out.ndim else float(out)
 
 

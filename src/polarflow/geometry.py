@@ -60,6 +60,12 @@ def ellipse_initial(grid: PeriodicGrid, a: float, b: float) -> tuple[RadialField
     return decompose(grid, x)
 
 
+def _phase(grid: PeriodicGrid, coords: list, kvec) -> np.ndarray:
+    """``2 pi k . theta / L`` of the mode ``kvec``: the axes' terms added in order to zeros."""
+    terms = (2.0 * np.pi * k * c / L for k, c, L in zip(kvec, coords, grid.lengths))
+    return sum(terms, np.zeros(grid.shape))
+
+
 def perturbed_sphere_initial(
     grid: PeriodicGrid,
     radius: float,
@@ -86,10 +92,7 @@ def perturbed_sphere_initial(
     coords = grid.coords()
     r = np.full(grid.shape, float(radius))
     for kvec in mode_list:
-        phase = np.zeros(grid.shape)
-        for k, c, L in zip(kvec, coords, grid.lengths):
-            phase = phase + 2.0 * np.pi * k * c / L
-        r += amplitude * np.cos(phase)
+        r += amplitude * np.cos(_phase(grid, coords, kvec))
     return RadialField(grid=grid, values=r), sphere_directions(grid, d)
 
 
@@ -124,9 +127,7 @@ def trig_random_initial(
             continue
         damp = 1.0 / float(sum(k * k for k in kvec))
         c, s = rng.uniform(-1.0, 1.0, size=2)
-        phase = np.zeros(grid.shape)
-        for k, xc, L in zip(kvec, coords, grid.lengths):
-            phase = phase + 2.0 * np.pi * k * xc / L
+        phase = _phase(grid, coords, kvec)
         pert += damp * (c * np.cos(phase) + s * np.sin(phase))
     sup = np.abs(pert).max()
     if sup > 0.0:

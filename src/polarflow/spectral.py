@@ -48,7 +48,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pfu
 
 from .errors import SolverError
-from .flux import FluxSpec, _check_axes, _g_coeffs, advective_speed_bound
+from .flux import FluxSpec, _check_axes, _g_coeffs, _horner, advective_speed_bound
 from .grid import PeriodicGrid, ScalarField
 
 __all__ = [
@@ -276,24 +276,14 @@ def _flux_divergence(
 
     ``derivs`` are the symbols of ``-d/dtheta_i`` (:func:`_derivative_symbols`),
     ``mods[i]`` is the modulation ``a_i`` on the grid or None for one, and
-    ``g_coeffs[i]`` holds the coefficients of ``g_i`` (:func:`.flux._g_coeffs`:
-    no constant term, so at least two).  Each ``a_i g_i`` is evaluated in
-    ``flux`` by Horner's rule, in the operations of :func:`.flux._horner`,
-    and transformed into ``out``, where the sum is taken; either is a new
-    array unless the caller passes one.  The stepper and the stationary
-    operator of :mod:`.cell` share it.
+    ``g_coeffs[i]`` holds the coefficients of ``g_i`` (:func:`.flux._g_coeffs`).
+    :func:`.flux._horner` evaluates each ``a_i g_i`` into ``flux``, which is
+    transformed into ``out``, where the sum is taken; either is a new array
+    unless the caller passes one.  The stepper and the stationary operator of
+    :mod:`.cell` share it.
     """
-    if flux is None:
-        flux = np.empty(vals.shape)
     for i, (deriv, mod, coeffs) in enumerate(zip(derivs, mods, g_coeffs)):
-        np.multiply(coeffs[-1], vals, out=flux)
-        for k in range(len(coeffs) - 2, -1, -1):
-            if coeffs[k]:
-                flux += coeffs[k]
-            if k:
-                flux *= vals
-        if mod is not None:
-            flux *= mod
+        flux = _horner(coeffs, vals, mod, flux)
         if i == 0:
             out = _rfft(grid, flux, out)
             np.multiply(deriv, out, out=out)
@@ -332,8 +322,9 @@ class _Stepper:
 
     A general step calls :func:`_flux_divergence` twice, with two
     workspaces of the state's shape that the stepper keeps: the grid values
-    of ``a_i g_i`` (then the rate at the half step) and the divergence
-    spectrum.  Neither leaves :meth:`advance`, which combines its stages in
+    of ``a_i g_i`` from :func:`.flux._horner` (then the rate at the half
+    step) and the divergence spectrum.  Neither leaves :meth:`advance`,
+    which combines its stages in
     place, in the operand order of ``half + dt/2 * D(half)`` and
     ``(hh + dt * D(mid)) * H``, into the arrays of ``half`` and ``hh`` that
     it makes and returns.  Its new spectrum is scanned for non-finite
@@ -464,14 +455,10 @@ def _march(
     arrays too large to allocate raise :class:`SolverError`.
     ``direction``, when given (one member only), is ``(vectors0, transport)``:
     after each radius step, which must leave the radius positive,
-    ``transport(vectors, radii, dt)`` carries the direction vectors over the
-    step given the grid-shaped radius values ``radii`` at its start, half
-    time and end.  Each step's start values are the very array passed as the
-    previous step's end values, never written since, so the hook may reuse
-    what it computed from them.  A constant-flux step has no half-time
-    values; its speeds do not depend on the radius, so the end values stand
-    in, again the same array.  A failing step raises naming its index and
-    time.
+    ``transport(vectors, mid, end, dt)`` carries the direction vectors over
+    the step given the grid-shaped radius values at its half time and end;
+    ``mid`` is None for a constant-flux step, which has no half-time values.
+    A failing step raises naming its index and time.
     """
     grid = r0s[0].grid
     if any(r.grid != grid for r in r0s):
@@ -494,7 +481,7 @@ def _march(
     stepper = _Stepper(grid, spec, cfg.dt, batch)
     radii[0], slot = vals, 1
     if coupled:
-        directions[0], end = p, vals[0]
+        directions[0] = p
     hat = stepper.start(vals)
     advance, dt, every = stepper.advance, cfg.dt, cfg.record_every
     for k in range(1, n_steps + 1):
@@ -511,8 +498,7 @@ def _march(
                         f"positivity lost (min {vals.min():.3e}); "
                         "geometric evolution is no longer well defined"
                     )
-                start, end = end, vals[0]
-                p = transport(p, (start, end if mid is None else mid[0], end), stepper.dt)
+                p = transport(p, None if mid is None else mid[0], vals[0], stepper.dt)
         except SolverError as exc:
             raise SolverError(f"step {k} (t={t:.6g}): {exc}") from exc
         if k % every == 0 or k == n_steps:

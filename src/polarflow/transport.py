@@ -27,9 +27,11 @@ on 1 axis, up to two on 2 axes at the CFL bound.
 
 :func:`evolve_coupled` runs the radius time loop of :mod:`.spectral` and
 hands it this step as the hook that carries the direction vectors.  The
-loop passes each step's end radius as the next step's start, the same
-array, so ``f(r)`` and its extrema are taken twice a step, at the middle
-and the end, and once for a constant flux, whose middle is its end.
+loop gives the hook the radius at the middle and the end of each step; the
+hook keeps the end's speeds and their extrema as the next step's start, so
+``f(r)`` is evaluated twice a step, and once for a constant flux, whose
+middle is its end.  The speeds are ``a_i f_i(r)`` from the one flux
+evaluator, :func:`.flux._horner`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError
-from .flux import FluxSpec, _check_axes, eval_f
+from .flux import FluxSpec, _check_axes, _horner
 from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField
 from .spectral import (
     SolveConfig,
@@ -61,12 +63,8 @@ _EXACT_TAU = {0.0: 0, 0.5: 1, 1.0: 2}  # step fractions that fall on a stage, an
 
 
 def _speeds(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> list[np.ndarray]:
-    """``f_i(r)`` per axis, times the axis modulation if there is one."""
-    out = []
-    for i, mod in enumerate(mods):
-        vi = eval_f(spec, i, r_vals)  # grid-shaped for every degree
-        out.append(vi if mod is None else vi * mod)
-    return out
+    """``a_i f_i(r)`` per axis, grid-shaped for every degree; ``mods[i]`` is ``a_i``, or None for one."""
+    return [_horner(c.coeffs, r_vals, mod) for c, mod in zip(spec.components, mods)]
 
 
 def _extrema(speeds: list[np.ndarray]) -> list[tuple[float, float]]:
@@ -223,8 +221,11 @@ def evolve_coupled(
 
     The radius advances first (its equation is autonomous); the direction is
     then transported with stage speeds from the radius at the start, the
-    half time and the end of the step, the start's kept from the step
-    before.  Positivity of the radius is required
+    half time and the end of the step.  The hook keeps each step's end
+    speeds and their extrema as the next step's start; ``r0``'s are
+    evaluated on its first call, so a run rejected before its first step
+    evaluates none.  A constant flux's end speeds stand in for its middle.
+    Positivity of the radius is required
     at start and enforced throughout - losing it breaks the polar splitting
     and aborts the run.  The recorded vectors stack into ``directions``.
     """
@@ -235,18 +236,17 @@ def evolve_coupled(
         raise SolverError("initial radius must be strictly positive")
     _check_axes(grid, spec)
     mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
-    last = [None, None]  # the radius array evaluated last, and its (speeds, extrema)
+    last = None  # the (speeds, extrema) of the radius that ended the last step
 
     def stage(r: np.ndarray) -> tuple:
-        if r is not last[0]:
-            speeds = _speeds(spec, mods, r)
-            last[:] = r, (speeds, _extrema(speeds))
-        return last[1]
+        speeds = _speeds(spec, mods, r)
+        return speeds, _extrema(speeds)
 
-    def carry(vectors: np.ndarray, radii: tuple, dt: float) -> np.ndarray:
-        # the start radius is the array that ended the last step, and a
-        # constant flux passes the end as the middle: neither is evaluated twice
-        stages = [stage(r) for r in radii]
+    def carry(vectors: np.ndarray, mid: np.ndarray | None, end: np.ndarray, dt: float) -> np.ndarray:
+        nonlocal last
+        start = stage(r0.values) if last is None else last
+        last = stage(end)
+        stages = (start, last if mid is None else stage(mid), last)
         return _carry(vectors, grid, [s for s, _ in stages], dt, [e for _, e in stages])
 
     return _march([r0], spec, cfg, (p0.vectors, carry))[0]

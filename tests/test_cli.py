@@ -425,6 +425,16 @@ class TestRunEvolve:
         assert f"unknown config key {line.split(' ')[0]!r}" in err and "Traceback" not in err
         assert not out.exists()
 
+    # both ran the flux of their kind and ignored the coefficients
+    @pytest.mark.parametrize("kind", ["zero", "burgers"])
+    def test_coeffs_of_a_fixed_kind_are_config_error(self, tmp_path, capsys, kind):
+        flux = f"flux.kind = {kind}\nflux.coeffs = 1, 2"
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG.replace("flux.kind = burgers", flux))
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: flux.coeffs does not apply to flux.kind {kind!r}\n"
+        assert not out.exists()
+
     def test_one_file_serves_evolve_and_cell(self, tmp_path):
         shared = ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01")
         shared += "cell.p = 1.0\ncell.pairs = 1\n"

@@ -26,6 +26,7 @@ from polarflow import (
     with_modulation,
     zero_flux,
 )
+from polarflow.flux import _g_coeffs, _horner
 from polarflow.spectral import advective_speed_bound
 
 ALL_SPECS = [
@@ -69,6 +70,29 @@ class TestEval:
         spec = burgers_flux(1)
         nu = np.linspace(-2, 2, 11)
         assert np.allclose(eval_g(spec, 0, nu), nu**2 / 2)
+
+
+class TestHorner:
+    """``_horner`` with a modulation and a workspace, as every grid flux term calls it."""
+
+    CASES = {
+        "burgers_g": (burgers_flux(1), eval_g, _g_coeffs),
+        "cubic_f": (polynomial_flux([0.3, -0.5, 0.0, 0.2]), eval_f, lambda c: c.coeffs),
+        "degree0_f": (constant_flux([2.5]), eval_f, lambda c: c.coeffs),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_mod_and_out_bitwise_equal_evaluation_times_mod(self, case):
+        spec, evaluate, coeffs = self.CASES[case]
+        rng = np.random.default_rng(14)
+        nu = rng.uniform(-3.0, 3.0, size=(4, 16))
+        nu.flags.writeable = False  # any write to nu raises
+        mod = np.broadcast_to(rng.uniform(-1.0, 1.0, size=16), nu.shape)
+        want = (evaluate(spec, 0, nu) * mod).tobytes()
+        out = np.full(nu.shape, np.nan)
+        assert _horner(coeffs(spec.components[0]), nu, mod, out) is out
+        assert out.tobytes() == want
+        assert _horner(coeffs(spec.components[0]), nu, mod).tobytes() == want
 
 
 class TestIdentities:

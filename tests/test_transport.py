@@ -398,7 +398,10 @@ class TestExactStageSpeeds:
 
 
 class TestReusedSpeeds:
-    """A coupled step evaluates ``f(r)`` at its middle and end: its start is the last step's end."""
+    """A coupled step evaluates ``f(r)`` at its middle and end: its start is the last step's end.
+
+    ``r0``'s speeds are evaluated on the hook's first call: one more than two per step.
+    """
 
     CASES = {
         "burgers_1": (1, burgers_flux, 1e-3, 2),
@@ -416,6 +419,27 @@ class TestReusedSpeeds:
         r0, p0 = perturbed_sphere_initial(grid, 1.0, 0.3, [[1] * m])
         dt = dt or max_stable_dt(grid, spec, float(r0.values.max()))
         cfg = SolveConfig(dt=dt, t_end=10.5 * dt, record_every=4)  # ten steps and a tail step
+        evaluated = self.count_speeds(monkeypatch)
+        traj = evolve_coupled(r0, p0, spec, cfg)
+        assert len(evaluated) == 1 + per_step * 11
+        monkeypatch.undo()
+
+        mods = [spec.modulation_values(grid, i) for i in range(m)]
+        start = [r0.values]
+
+        def recomputed(vectors, mid, end, h):
+            # f(r) and its extrema taken afresh at all three stages
+            radii = (start[0], end if mid is None else mid, end)
+            start[0] = end
+            return transport._carry(vectors, grid, [transport._speeds(spec, mods, r) for r in radii], h)
+
+        want = _march([r0], spec, cfg, (p0.vectors, recomputed))[0]
+        assert np.array_equal(traj.radii, want.radii)
+        assert traj.directions.tobytes() == want.directions.tobytes()
+
+    @staticmethod
+    def count_speeds(monkeypatch) -> list:
+        """Patch ``transport._speeds`` to record one entry per call; return the record."""
         evaluated = []
         original = transport._speeds
 
@@ -424,18 +448,15 @@ class TestReusedSpeeds:
             return original(*args)
 
         monkeypatch.setattr(transport, "_speeds", counting)
-        traj = evolve_coupled(r0, p0, spec, cfg)
-        assert len(evaluated) == 1 + per_step * 11
-        monkeypatch.undo()
+        return evaluated
 
-        mods = [spec.modulation_values(grid, i) for i in range(m)]
-
-        def recomputed(vectors, radii, h):
-            return transport._carry(vectors, grid, [transport._speeds(spec, mods, r) for r in radii], h)
-
-        want = _march([r0], spec, cfg, (p0.vectors, recomputed))[0]
-        assert np.array_equal(traj.radii, want.radii)
-        assert traj.directions.tobytes() == want.directions.tobytes()
+    def test_rejected_dt_evaluates_no_speeds(self, grid64, monkeypatch):
+        r0, p0 = perturbed_sphere_initial(grid64, 1.0, 0.3, [[1]])
+        dt = 2.0 * max_stable_dt(grid64, burgers_flux(1), float(r0.values.max()))
+        evaluated = self.count_speeds(monkeypatch)
+        with pytest.raises(SolverError, match="violates advective stability bound"):
+            evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=dt, t_end=10 * dt))
+        assert evaluated == []
 
 
 class TestTransportStep:
