@@ -25,24 +25,18 @@ each pair must agree bitwise.
 ``_shift_symbol`` at N=128 and 64^2 and ``reference_shift_symbol``
 (``tests/test_spectral.py``), which splits off the Nyquist index with
 ``np.where`` on every call.
-The work the time loop reuses is timed per step against the loop as it
-was, bitwise equal: the constant-flux step against its product followed by
-a scan for non-finite values, and coupled ``evolve_coupled`` steps (N=128
-burgers, one substep; N=128 constant flux, shift only; 64^2 modulated, two
-substeps) against ``_march`` with a hook that evaluates ``f(r)`` and its
-extrema at all three stages and interpolates every stage's speeds.
+The time loop is timed per step: the N=128 constant-flux step, and whole
+coupled ``evolve_coupled`` runs (N=128 burgers, one substep; N=128 constant
+flux, shift only; 64^2 modulated, two substeps) divided by their step count.
 ``heat_kernel_convolve`` at N is compared with
 ``reference_heat_convolve`` (``tests/test_duhamel.py``), the same kernel row
 applied as a dense N x N circulant.  The base of one
 Duhamel window (the heat flow of the initial field to its 32 mesh times) is
 timed as the one batch ``picard_solve`` builds against 32 single
-``heat_kernel_convolve`` calls.  A modulated ``solve_cell`` at
-N=64 runs its fixed-point iteration once on the real-FFT operator and once on
-the complex full-lattice operator defined below; both must reach the same
-stationary state.  The finite-difference reference of ``verify cell``,
-``fd_cell_solve`` (``polarflow._fdcell``: ``np.roll`` stencils and a banded
-elimination of the bordered Newton system, no BLAS), runs the same modulated
-problem at N=512 against ``reference_fd_cell_solve`` (``tests/test_cell.py``),
+``heat_kernel_convolve`` calls.  The finite-difference reference of ``verify
+cell``, ``fd_cell_solve`` (``polarflow._fdcell``: ``np.roll`` stencils and a
+banded elimination of the bordered Newton system, no BLAS), runs a modulated
+burgers problem at N=512 against ``reference_fd_cell_solve`` (``tests/test_cell.py``),
 which takes each Newton step from dense stencil matrices and a dense bordered
 ``np.linalg.solve``; the two must agree below 1e-12.  The trajectory,
 diagnostics and SVG writers of ``polarflow evolve`` are timed on a
@@ -80,7 +74,6 @@ import numpy as np
 from polarflow import (
     Modulation,
     SolveConfig,
-    SolverError,
     burgers_flux,
     constant_flux,
     evolve,
@@ -90,23 +83,19 @@ from polarflow import (
     make_grid,
     make_initial,
     max_stable_dt,
-    solve_cell,
     sphere_directions,
     transport_step,
     with_modulation,
 )
-from polarflow import cell
 from polarflow._fdcell import fd_cell_solve
 from polarflow._pool import usable_workers
 from polarflow.cli import _write_diagnostics, _write_evolve, _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _N_GAUSS, _N_TIME, _heat_flow, _Window
-from polarflow.flux import eval_g
 from polarflow import transport
 from polarflow.spectral import _irfft, _march, _rfft, _shift_symbol, _Stepper
 from polarflow.verify import SUITES, run_suite
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from conftest import full_lattice  # noqa: E402
 from test_cell import reference_fd_cell_solve  # noqa: E402
 from test_cli import (  # noqa: E402
     read_artifacts,
@@ -132,41 +121,6 @@ def timeit(fn, repeat):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-class ReferenceCellOperator(cell._CellOperator):
-    """Reference: the stationary operator on complex full-lattice FFTs."""
-
-    def __init__(self, grid, spec):
-        super().__init__(grid, spec)
-        kappas, lap = full_lattice(grid)
-        self.lap_full = lap
-        self.lap_full_inv = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0.0)
-        self.ik = [1j * k for k in kappas]
-
-    def _divergence_hat(self, fluxes):
-        out = 0.0
-        for ik, mod, fi in zip(self.ik, self.mods, fluxes):
-            fi = fi if mod is None else fi * mod
-            out = out + ik * np.fft.fftn(fi)
-        return out
-
-    def residual(self, v):
-        fluxes = [eval_g(self.spec, i, v) for i in range(self.spec.m)]
-        return np.fft.ifftn(np.fft.fftn(v) * self.lap_full + self._divergence_hat(fluxes)).real
-
-    def precondition(self, rhs):
-        return np.fft.ifftn(np.fft.fftn(rhs) * self.lap_full_inv).real
-
-
-def solve_cell_on(operator, spec, grid, p):
-    """``solve_cell`` with its operator class swapped for ``operator``; returns the state."""
-    saved = cell._CellOperator
-    cell._CellOperator = operator
-    try:
-        return solve_cell(spec, grid, p).v.values
-    finally:
-        cell._CellOperator = saved
 
 
 def transport_case(shape, label):
@@ -258,7 +212,6 @@ def bench(n, repeat):
     iterate = base + 0.01 * rng.normal(size=base.shape)
     stepper = _Stepper(grid, burgers_flux(1), 1e-4, (1,))  # a batch of one member, as in _march
     hat0 = _rfft(grid, r0.values[None])
-    cell_grid = make_grid(1, [1.0], [64])
     cell_spec = with_modulation(burgers_flux(1), 0, Modulation(const=0.0, sin_amps=(0.8,)))
 
     cases = [
@@ -284,11 +237,6 @@ def bench(n, repeat):
         ),
         transport_case([n], "N=%d" % n),
         transport_case([64, 64], "64^2"),
-        (
-            "solve_cell modulated N=64",
-            lambda: solve_cell_on(cell._CellOperator, cell_spec, cell_grid, 1.0),
-            lambda: solve_cell_on(ReferenceCellOperator, cell_spec, cell_grid, 1.0),
-        ),
     ]
 
     print(f"{'kernel':<34} {'package':>12} {'reference':>12} {'speedup':>9}")
@@ -343,68 +291,25 @@ def bench(n, repeat):
     evolve_writers_row(traj, cfg, min(repeat, 5))
 
 
-def scanned_constant_advance(stepper, hat):
-    """A constant-flux step as it was: the product, then a scan of it for non-finite values."""
-    new = hat * stepper.exact_step
-    if np.count_nonzero(np.isfinite(new)) < new.size:
-        raise SolverError("non-finite field after step")
-    return new
-
-
-def quadratic_rest_at(rests, tau):
-    """Stage speeds as they were: the quadratic through the three stages, at every ``tau``."""
-    l0 = 2.0 * (tau - 0.5) * (tau - 1.0)
-    lm = 4.0 * tau * (1.0 - tau)
-    l1 = 2.0 * tau * (tau - 0.5)
-    return [l0 * a + lm * b + l1 * c for a, b, c in zip(*rests)]
-
-
-def recomputing_march(r0, p0, spec, cfg):
-    """A coupled run as it was: ``f(r)`` and its extrema taken at every stage, every ``tau`` interpolated."""
-    grid = r0.grid
-    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
-    start = [r0.values]
-
-    def carry(vectors, mid, end, dt):
-        radii = (start[0], end if mid is None else mid, end)
-        start[0] = end
-        return transport._carry(vectors, grid, [transport._speeds(spec, mods, r) for r in radii], dt)
-
-    with mock.patch.object(transport, "_rest_at", quadratic_rest_at):
-        return _march([r0], spec, cfg, (p0.vectors, carry))[0]
-
-
 def step_rows(repeat):
-    """Per-step cost of the reused work: the constant-flux step, and coupled steps, now and as they were.
-
-    Each pair must agree bitwise.  The coupled rows time whole ``evolve_coupled``
-    runs against :func:`recomputing_march` and divide by the step count.
-    """
+    """Per-step cost of the time loop: the constant-flux step, and coupled runs divided by their steps."""
     grid = make_grid(1, [1.0], [128])
     stepper = _Stepper(grid, constant_flux([0.7]), 1e-4, (1,))
     hat = _rfft(grid, radius_samples(grid, 0.0)[None])
-    rows = [("constant step N=128", 1, lambda: stepper.advance(hat)[0],
-             lambda: scanned_constant_advance(stepper, hat))]
+    rows = [("constant step N=128", 1, lambda: stepper.advance(hat))]
     r0, p0 = make_initial(grid, "ellipse", [2.0, 1.0])
     cfg = SolveConfig(dt=5e-4, t_end=0.025)
     for name, spec in (("burgers, 1 substep", burgers_flux(1)), ("constant, shift only", constant_flux([0.7]))):
-        rows.append(("coupled step N=128 %s" % name, 50,
-                     lambda s=spec: evolve_coupled(r0, p0, s, cfg).directions,
-                     lambda s=spec: recomputing_march(r0, p0, s, cfg).directions))
+        rows.append(("coupled step N=128 %s" % name, 50, lambda s=spec: evolve_coupled(r0, p0, s, cfg)))
     grid2 = make_grid(2, [1.0, 1.0], [64, 64])
     spec2 = modulated_flux(2, [60.0, 0.5])
     r2, p2 = make_initial(grid2, "perturbed_sphere", [1.0, 0.3, 1, 1])
     dt2 = max_stable_dt(grid2, spec2, float(r2.values.max()))
     cfg2 = SolveConfig(dt=dt2, t_end=10 * dt2)
-    rows.append(("coupled step 64^2 modulated, 2 substeps", 10,
-                 lambda: evolve_coupled(r2, p2, spec2, cfg2).directions,
-                 lambda: recomputing_march(r2, p2, spec2, cfg2).directions))
-    print(f"{'step':<40} {'now':>12} {'as it was':>12} {'speedup':>9}")
-    for name, steps, fast, slow in rows:
-        assert fast().tobytes() == slow().tobytes(), f"{name}: not bitwise equal"
-        t_fast = timeit(fast, repeat) / steps
-        t_slow = timeit(slow, repeat) / steps
-        print(f"{name:<40} {t_fast * 1e6:>10.2f}us {t_slow * 1e6:>10.2f}us {t_slow / t_fast:>8.2f}x")
+    rows.append(("coupled step 64^2 modulated, 2 substeps", 10, lambda: evolve_coupled(r2, p2, spec2, cfg2)))
+    print(f"{'step':<40} {'per step':>12}")
+    for name, steps, run in rows:
+        print(f"{name:<40} {timeit(run, repeat) / steps * 1e6:>10.2f}us")
 
 
 def fd_cell_row(spec, repeat):

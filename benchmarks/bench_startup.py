@@ -15,7 +15,7 @@ modules the set loads.  Each set holds the one above it:
 - ``evolve``: ``import polarflow.cli``, everything ``polarflow evolve`` loads;
 - ``cell``: ``polarflow cell`` adds ``polarflow.cell``;
 - ``verify``: ``polarflow verify`` adds ``json`` and ``polarflow.verify``,
-  and with it the reference solvers.
+  and with it ``cell``, ``diagnostics`` and the reference solvers.
 
 A ``__pycache__`` left in ``src/polarflow`` by a run that wrote bytecode is
 still read, and the times then come out low; the script says when one exists.

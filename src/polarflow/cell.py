@@ -125,3 +125,21 @@ def monotonicity_check(spec: FluxSpec, grid: PeriodicGrid, p: float, q: float) -
     vp = solve_cell(spec, grid, p).v
     vq = solve_cell(spec, grid, q).v
     return bool((vp.values - vq.values).min() > 0.0)
+
+
+def _branch_pairs(
+    spec: FluxSpec, grid: PeriodicGrid, low: float, high: float, count: int, seed: int
+) -> list[tuple[float, float, bool]]:
+    """``count`` random means ``p > q`` in ``[low, high)``, each as ``(p, q, monotonicity_check)``.
+
+    A pair closer than 1e-3 is widened to ``p = q + 1e-3``; beyond ``|q|``
+    of about 2e13 that gap rounds away, and ``p`` is the next float above ``q``.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        q, p = np.sort(rng.uniform(low, high, size=2))
+        if p - q < 1e-3:
+            p = max(q + 1e-3, np.nextafter(q, np.inf))
+        pairs.append((float(p), float(q), monotonicity_check(spec, grid, float(p), float(q))))
+    return pairs

@@ -13,9 +13,10 @@ of the normalized configuration, and identical configurations produce
 byte-identical artifacts (no timestamps, shortest-roundtrip float formatting).
 
 Each subcommand imports only the modules it runs: ``verify``, and with it
-the reference solvers, loads in :func:`run_verify`, and ``cell`` in
-:func:`run_cell` or :func:`run_verify`.  ``SUITES`` and ``run_suite`` are
-attributes of this module all the same, read from ``verify`` on first use.
+the reference solvers and ``cell``, loads on the first call of
+:func:`run_suite`, and ``cell`` alone in :func:`run_cell`.  :func:`run_verify`
+checks suite names against ``_SUITE_NAMES`` and looks :func:`run_suite` up
+when it runs, so a rebound ``run_suite`` is the one called.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration error,
 3 verification failure.
@@ -32,17 +33,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .diagnostics import _record_moduli
 from ._pool import run_jobs, usable_workers
 from .errors import ConfigError, PolarflowError
 from .flux import FluxSpec, Modulation, burgers_flux, constant_flux, polynomial_flux, with_modulation, zero_flux
 from .geometry import make_initial
 from .grid import PeriodicGrid, _flat_coords, make_grid
-from .spectral import SolveConfig, Trajectory
+from .spectral import SolveConfig, Trajectory, _record_moduli
 from .transport import evolve_coupled
 
 if TYPE_CHECKING:
     from .cell import CellSolution
+    from .verify import CheckResult
 
 __all__ = ["main", "run_evolve", "run_verify", "run_cell", "load_config"]
 
@@ -60,23 +61,8 @@ KNOWN_KEYS = frozenset(
 
 _FRAME = "frame_{:05d}.svg"
 
-# the keys of `verify.SUITES`, for the help text; `evolve` and `cell` never load `verify`
+# the keys of `verify.SUITES`, for the help text and the name check without loading `verify`
 _SUITE_NAMES = ("heat", "duhamel", "conservation", "contraction", "cell", "geometry")
-
-
-def _bind_verify() -> None:
-    """Bind ``SUITES`` and ``run_suite`` from :mod:`polarflow.verify`, keeping a name already rebound."""
-    from . import verify
-
-    globals().setdefault("SUITES", verify.SUITES)
-    globals().setdefault("run_suite", verify.run_suite)
-
-
-def __getattr__(name: str):
-    if name in ("SUITES", "run_suite"):
-        _bind_verify()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +148,11 @@ def _too_large(grid: PeriodicGrid, exc: MemoryError) -> str:
 def _build_flux(cfg: dict[str, str], m: int) -> FluxSpec:
     kind = _get(cfg, "flux.kind", "zero").lower()
     coeffs = _numbers(cfg["flux.coeffs"]) if "flux.coeffs" in cfg else []
-    if "flux.coeffs" in cfg and kind in ("zero", "burgers"):
-        raise ConfigError(f"flux.coeffs does not apply to flux.kind {kind!r}")
+    # keys a kind leaves unused; a modulated zero flux is still zero, yet would take the Strang step
+    fixed = {"zero": ("flux.coeffs", "flux.mod_"), "burgers": ("flux.coeffs",)}.get(kind, ())
+    stray = sorted(k for k in cfg if k.startswith(fixed))
+    if stray:
+        raise ConfigError(f"{stray[0]} does not apply to flux.kind {kind!r}")
     try:
         if kind == "zero":
             spec = zero_flux(m)
@@ -410,13 +399,19 @@ def run_evolve(config_path: str | Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+def run_suite(name: str) -> list[CheckResult]:
+    """:func:`polarflow.verify.run_suite`, importing :mod:`polarflow.verify` on the first call."""
+    from .verify import run_suite as run
+
+    return run(name)
+
+
 def run_verify(suite: str, out_dir: str | Path = "out") -> int:
     """Run a named verification suite, print the table, write a JSON summary."""
     import json
 
-    _bind_verify()  # the names are looked up now, so a rebound `run_suite` is the one called
-    if suite != "all" and suite not in SUITES:
-        known = ", ".join(sorted(SUITES) + ["all"])
+    if suite != "all" and suite not in _SUITE_NAMES:
+        known = ", ".join(sorted(_SUITE_NAMES) + ["all"])
         print(f"unknown suite {suite!r}; choose one of: {known}", file=sys.stderr)
         return EXIT_CONFIG
     try:
@@ -473,7 +468,7 @@ def _write_cell(out: Path, sol: CellSolution, pairs: list, cfg: dict[str, str]) 
 
 def run_cell(config_path: str | Path) -> int:
     """Stationary solve with prescribed mean plus a monotonicity report."""
-    from .cell import monotonicity_check, solve_cell
+    from .cell import _branch_pairs, solve_cell
 
     try:
         cfg = load_config(config_path)
@@ -496,14 +491,7 @@ def run_cell(config_path: str | Path) -> int:
 
     try:
         sol = solve_cell(spec, grid, p)
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for _ in range(n_pairs):
-            lo, hi = np.sort(rng.uniform(p - 1.0, p + 1.0, size=2))
-            if hi - lo < 1e-3:
-                # beyond |p| ~ 2e13 the 1e-3 gap rounds away; one float up keeps hi > lo
-                hi = max(lo + 1e-3, np.nextafter(lo, np.inf))
-            pairs.append((float(hi), float(lo), monotonicity_check(spec, grid, float(hi), float(lo))))
+        pairs = _branch_pairs(spec, grid, p - 1.0, p + 1.0, n_pairs, seed)
     except MemoryError as exc:
         print(f"config error: {_too_large(grid, exc)}", file=sys.stderr)
         return EXIT_CONFIG

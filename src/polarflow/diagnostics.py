@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PeriodicGrid
-from .spectral import Trajectory, _half_axes, _rfft
+from .spectral import Trajectory, _half_axes, _record_moduli
 
 __all__ = [
     "l1_contraction_series",
@@ -56,16 +56,6 @@ class ModeDecayRow:
     fitted_rate: float
     theoretical_rate: float
     rel_error: float
-
-
-def _record_moduli(grid: PeriodicGrid, radii: np.ndarray) -> np.ndarray:
-    """Half-lattice amplitude moduli of ``(records, *grid.shape)`` radii, records first.
-
-    ``hypot(re, im)`` is bitwise Python's ``abs``; ``np.abs`` of a complex array is not.
-    """
-    z = _rfft(grid, radii)
-    z /= grid.num_nodes
-    return np.hypot(z.real, z.imag)
 
 
 def _leader(index: list[np.ndarray]) -> np.ndarray:

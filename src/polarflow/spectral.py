@@ -8,7 +8,7 @@ only the advective limit remains.
 
 Every field is real, so one operator serves the stepper, :func:`heat_propagate`,
 :func:`galilean_shift`, the stationary solver of :mod:`.cell`, direction
-transport and the mode amplitudes of :mod:`.diagnostics`: real FFTs onto the
+transport and the mode amplitudes of :func:`_record_moduli`: real FFTs onto the
 half mode lattice, with every multiplier built there from per-axis
 wavenumbers (:func:`_half_axes`).  A real field's derivative along an axis is
 zero at that axis's Nyquist index, and where axes sit at theirs a translation
@@ -167,6 +167,16 @@ def _irfft(grid: PeriodicGrid, hat: np.ndarray, out: np.ndarray | None = None) -
     if out is None:
         out = np.empty((*hat.shape[:-1], res[-1]))
     return _pfu.irfft(hat, 1.0 / res[-1], out=out)
+
+
+def _record_moduli(grid: PeriodicGrid, radii: np.ndarray) -> np.ndarray:
+    """Half-lattice amplitude moduli of ``(records, *grid.shape)`` radii, records first.
+
+    ``hypot(re, im)`` is bitwise Python's ``abs``; ``np.abs`` of a complex array is not.
+    """
+    z = _rfft(grid, radii)
+    z /= grid.num_nodes
+    return np.hypot(z.real, z.imag)
 
 
 @lru_cache(maxsize=32)

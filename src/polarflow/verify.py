@@ -17,7 +17,7 @@ import numpy as np
 
 from ._fdcell import fd_cell_solve
 from ._pool import run_jobs
-from .cell import monotonicity_check, solve_cell
+from .cell import _branch_pairs, solve_cell
 from .diagnostics import L1_SLACK, l1_contraction_series, mode_decay_report
 from .duhamel import (
     contraction_horizon,
@@ -176,14 +176,8 @@ def suite_cell() -> list[CheckResult]:
         out.append(_check(f"cell.modulated_vs_fd_p{p:g}", diff, 1e-8))
         out.append(_check(f"cell.mean_pinned_p{p:g}", abs(mean(s.v) - p), 1e-13))
 
-    rng = np.random.default_rng(11)
-    ok = True
-    for _ in range(10):
-        q, p = np.sort(rng.uniform(-1.0, 1.5, size=2))
-        if p - q < 1e-3:
-            p = q + 1e-3
-        ok &= monotonicity_check(spec, grid, float(p), float(q))
-    out.append(CheckResult("cell.monotonicity_random_pairs", bool(ok), "10 pairs"))
+    ok = all(holds for _, _, holds in _branch_pairs(spec, grid, -1.0, 1.5, 10, 11))
+    out.append(CheckResult("cell.monotonicity_random_pairs", ok, "10 pairs"))
 
     s1 = sols[1.0]
     drift = float(np.abs(step(s1.v, spec, 1e-5).values - s1.v.values).max())
@@ -249,11 +243,9 @@ def run_suite(name: str) -> list[CheckResult]:
 
     ``all`` runs its suites through :func:`~polarflow._pool.run_jobs`, longest
     first, in forked workers where two or more cores are usable; the rows come
-    back in ``SUITES`` order either way.
+    back in ``SUITES`` order either way.  An unknown name raises ``KeyError``.
     """
     if name != "all":
-        if name not in SUITES:
-            raise KeyError(name)
         return SUITES[name]()
     rows = dict(zip(_COST_ORDER, run_jobs(SUITES[suite] for suite in _COST_ORDER)))
     return [r for name in SUITES for r in rows[name]]

@@ -22,7 +22,7 @@ from polarflow import (
 )
 from polarflow import _fdcell
 from polarflow._fdcell import _D1, _D2, _newton_update, _residual, fd_cell_solve, fd_derivative, fd_laplacian
-from polarflow.cell import GROWTH_RUN, _CellOperator
+from polarflow.cell import GROWTH_RUN, _branch_pairs, _CellOperator
 from polarflow.errors import ConvergenceError
 from polarflow.flux import eval_g, eval_g_prime
 from conftest import full_lattice
@@ -365,6 +365,17 @@ class TestMonotonicity:
         for _ in range(10):
             q, p = np.sort(rng.uniform(-1.0, 1.5, size=2))
             assert monotonicity_check(MODULATED_LINEAR, grid64, float(p + 1e-3), float(q))
+
+    # at 1e16 floats lie 2 apart: a drawn pair can coincide, and q + 1e-3 rounds back to q
+    @pytest.mark.parametrize("low, high", [(-1.0, 1.5), (1e16 - 1.0, 1e16 + 1.0)])
+    def test_branch_pairs(self, grid64, low, high):
+        pairs = _branch_pairs(MODULATED_LINEAR, grid64, low, high, 4, 7)
+        assert len(pairs) == 4
+        for p, q, holds in pairs:
+            assert p > q and (p - q >= 1e-3 or p == np.nextafter(q, np.inf))
+            assert holds == monotonicity_check(MODULATED_LINEAR, grid64, p, q)
+        if low > 1e15:
+            assert any(p == np.nextafter(q, np.inf) for p, q, _ in pairs)
 
 
 class TestAttractor:

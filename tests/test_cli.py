@@ -435,6 +435,18 @@ class TestRunEvolve:
         assert err == f"config error: flux.coeffs does not apply to flux.kind {kind!r}\n"
         assert not out.exists()
 
+    # ran the zero flux through the general Strang step, the modulation doing nothing
+    @pytest.mark.parametrize("flux, key", [
+        ("flux.kind = zero\nflux.mod_sin = 1.0", "flux.mod_sin"),
+        ("flux.mod_axis = 0\nflux.mod_cos = 0.5", "flux.mod_axis"),  # zero is the default kind
+    ])
+    def test_modulated_zero_flux_is_config_error(self, tmp_path, capsys, flux, key):
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG.replace("flux.kind = burgers", flux))
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {key} does not apply to flux.kind 'zero'\n"
+        assert not out.exists()
+
     def test_one_file_serves_evolve_and_cell(self, tmp_path):
         shared = ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01")
         shared += "cell.p = 1.0\ncell.pairs = 1\n"
@@ -931,9 +943,16 @@ class TestMain:
 class TestLookupAtCallTime:
     """``perfbench/child.py`` reads and rebinds ``cli.run_suite`` and ``cli.make_initial``."""
 
-    def test_names_are_module_attributes(self):
-        assert cli.run_suite is run_suite and cli.SUITES is SUITES
+    def test_names_are_module_attributes(self, tmp_path, monkeypatch):
         assert cli.make_initial is make_initial
+        assert not hasattr(cli, "SUITES") and "__getattr__" not in vars(cli)
+        # cli.run_suite forwards to the verify.run_suite of the moment it runs
+        from polarflow import verify
+
+        rows = [CheckResult("stub.ok", True, "ok")]
+        monkeypatch.setattr(verify, "run_suite", {"heat": rows}.get)
+        assert cli.run_suite("heat") is rows
+        assert "polarflow.verify" not in loaded_modules(tmp_path, "import polarflow.cli")
 
     def test_verify_calls_the_rebound_run_suite(self, tmp_path, monkeypatch):
         calls = []
@@ -987,7 +1006,7 @@ class TestImportsPerSubcommand:
             tmp_path, f"from polarflow import cli\nassert cli.main(['evolve', {str(cfg_path)!r}]) == 0"
         )
         assert "polarflow.transport" in loaded
-        for name in ("verify", "duhamel", "cell", "_fdcell"):
+        for name in ("verify", "duhamel", "cell", "_fdcell", "diagnostics"):
             assert f"polarflow.{name}" not in loaded
 
     def test_cell_loads_no_reference_solver(self, tmp_path):
@@ -996,7 +1015,7 @@ class TestImportsPerSubcommand:
             tmp_path, f"from polarflow import cli\nassert cli.main(['cell', {str(cfg_path)!r}]) == 0"
         )
         assert "polarflow.cell" in loaded
-        for name in ("verify", "duhamel", "_fdcell"):
+        for name in ("verify", "duhamel", "_fdcell", "diagnostics"):
             assert f"polarflow.{name}" not in loaded
 
 
