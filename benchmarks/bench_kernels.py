@@ -17,10 +17,11 @@ step of a one-member ``_Stepper`` (built at the state's shape, as
 (``tests/test_spectral.py``), and a 1-axis ``_carry`` (N=128, burgers,
 moving radius, one substep) and a 64^2 one (a modulated flux at the CFL
 bound, two substeps, so stage speeds are interpolated at 1/4 and 3/4 and
-taken as they are at 0, 1/2 and 1) against ``reference_real_carry``
-(``tests/test_transport.py``), which interpolates at every stage; the
-references do their arithmetic out of place on ``rfftn``/``irfftn``, and
-each pair must agree bitwise.
+taken as they are at 0, 1/2 and 1), each on three stages that
+``transport._stage`` builds, against ``reference_real_carry``
+(``tests/test_transport.py``), which takes the stages' bare speeds and
+interpolates at every stage; the references do their arithmetic out of
+place on ``rfftn``/``irfftn``, and each pair must agree bitwise.
 ``tests/test_benchmarks.py`` runs these bitwise cases.  So must
 ``_shift_symbol`` at N=128 and 64^2 and ``reference_shift_symbol``
 (``tests/test_spectral.py``), which splits off the Nyquist index with
@@ -181,18 +182,20 @@ def bitwise_cases(repeat):
     constant = _Stepper(grid, constant_flux([0.7]), 1e-4, (1,))
     cases.append(("_Stepper.advance N=128 constant", lambda: constant.advance(hat)[0],
                   lambda: reference_real_advance(grid, constant_flux([0.7]), 1e-4, hat)[0]))
-    speeds = [transport._speeds(spec, [None], radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
+    stages = [transport._stage(spec, [None], radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
+    speeds = [s for s, _ in stages]
     p = sphere_directions(grid, 2).vectors
-    cases.append(("_carry N=128 burgers", lambda: transport._carry(p, grid, speeds, dt),
+    cases.append(("_carry N=128 burgers", lambda: transport._carry(p, grid, stages, dt),
                   lambda: reference_real_carry(p, grid, speeds, dt)))
     # two substeps: stage speeds at tau = 1/4 and 3/4 interpolated, at 0, 1/2 and 1 taken as they are
     grid2 = make_grid(2, [1.0, 1.0], [64, 64])
     spec2 = modulated_flux(2, [60.0, 0.5])
     dt2 = max_stable_dt(grid2, spec2, 1.3)
     mods = [spec2.modulation_values(grid2, i) for i in range(2)]
-    speeds2 = [transport._speeds(spec2, mods, radius_samples(grid2, t)) for t in (0.0, dt2 / 2, dt2)]
+    stages2 = [transport._stage(spec2, mods, radius_samples(grid2, t)) for t in (0.0, dt2 / 2, dt2)]
+    speeds2 = [s for s, _ in stages2]
     p2 = sphere_directions(grid2, 3).vectors
-    cases.append(("_carry 64^2 modulated, 2 substeps", lambda: transport._carry(p2, grid2, speeds2, dt2),
+    cases.append(("_carry 64^2 modulated, 2 substeps", lambda: transport._carry(p2, grid2, stages2, dt2),
                   lambda: reference_real_carry(p2, grid2, speeds2, dt2)))
     for name, fast, slow in cases:
         got, want = fast(), slow()

@@ -67,7 +67,6 @@ _SOURCES = {
         "galilean_shift",
         "heat_propagate",
         "max_stable_dt",
-        "step",
     ),
     "transport": ("evolve_coupled", "transport_step"),
 }

@@ -12,7 +12,7 @@ subtracts ``(-Lap)^-1`` of the residual, which leaves the mean alone (the
 equation itself has no zero mode), and re-pins the mean to ``p`` exactly.
 The operator uses the real-FFT half-lattice symbols of :mod:`.spectral`:
 ``|kappa|^2`` and the derivatives of the radius stepper, so a stationary state
-stays stationary under :func:`.spectral.step`.
+stays stationary under a step of :func:`.spectral.evolve`.
 
 Applicability note: the solve assumes the flux derivative grows at most
 polynomially on the relevant range.  Every flux is a polynomial in ``v``

@@ -148,11 +148,8 @@ def _too_large(grid: PeriodicGrid, exc: MemoryError) -> str:
 def _build_flux(cfg: dict[str, str], m: int) -> FluxSpec:
     kind = _get(cfg, "flux.kind", "zero").lower()
     coeffs = _numbers(cfg["flux.coeffs"]) if "flux.coeffs" in cfg else []
-    # keys a kind leaves unused; a modulated zero flux is still zero, yet would take the Strang step
-    fixed = {"zero": ("flux.coeffs", "flux.mod_"), "burgers": ("flux.coeffs",)}.get(kind, ())
-    stray = sorted(k for k in cfg if k.startswith(fixed))
-    if stray:
-        raise ConfigError(f"{stray[0]} does not apply to flux.kind {kind!r}")
+    if "flux.coeffs" in cfg and kind in ("zero", "burgers"):  # f is fixed; the key would go unused
+        raise ConfigError(f"flux.coeffs does not apply to flux.kind {kind!r}")
     try:
         if kind == "zero":
             spec = zero_flux(m)
@@ -172,7 +169,8 @@ def _build_flux(cfg: dict[str, str], m: int) -> FluxSpec:
             raise ConfigError(f"unknown flux.kind {kind!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if any(k.startswith("flux.mod_") for k in cfg):
+    mod_keys = sorted(k for k in cfg if k.startswith("flux.mod_"))
+    if mod_keys:
         axis = int(_get(cfg, "flux.mod_axis", "0"))
         if not 0 <= axis < m:
             raise ConfigError(f"flux.mod_axis {axis} out of range")
@@ -182,6 +180,9 @@ def _build_flux(cfg: dict[str, str], m: int) -> FluxSpec:
             sin_amps=tuple(_numbers(_get(cfg, "flux.mod_sin", ""))),
         )
         spec = with_modulation(spec, axis, mod)
+        # an identically zero term would still take the general Strang step
+        if spec.components[axis].coeffs == (0.0,) or mod.sup_bound() == 0.0:
+            raise ConfigError(f"{mod_keys[0]} makes the flux on axis {axis} identically zero")
     return spec
 
 

@@ -56,7 +56,6 @@ __all__ = [
     "Trajectory",
     "heat_propagate",
     "galilean_shift",
-    "step",
     "evolve",
     "advective_speed_bound",
     "max_stable_dt",
@@ -344,7 +343,7 @@ class _Stepper:
     however long it steps.
     """
 
-    def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float, batch: tuple[int, ...] = ()):
+    def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float, batch: tuple[int, ...]):
         _check_axes(grid, spec)
         self.grid, self.dt = grid, dt
         self._dt, self._half_dt = np.array(dt, complex), np.array(dt / 2.0)
@@ -399,19 +398,6 @@ class _Stepper:
         if np.count_nonzero(np.isfinite(new)) < new.size:  # half the cost of .all()
             raise SolverError("non-finite field after step")
         return new, mid
-
-
-def step(r: ScalarField, spec: FluxSpec, dt: float) -> ScalarField:
-    """Advance one Strang step of size ``dt``.
-
-    Raises ``ValueError`` unless ``dt`` is positive and finite: a negative
-    step would run the heat flow backward and amplify the top modes.
-    """
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    stepper = _Stepper(r.grid, spec, dt)
-    new, _ = stepper.advance(stepper.start(r.values))
-    return ScalarField(grid=r.grid, values=_irfft(r.grid, new))
 
 
 def max_stable_dt(grid: PeriodicGrid, spec: FluxSpec, field_bound: float) -> float:

@@ -28,10 +28,11 @@ on 1 axis, up to two on 2 axes at the CFL bound.
 :func:`evolve_coupled` runs the radius time loop of :mod:`.spectral` and
 hands it this step as the hook that carries the direction vectors.  The
 loop gives the hook the radius at the middle and the end of each step; the
-hook keeps the end's speeds and their extrema as the next step's start, so
-``f(r)`` is evaluated twice a step, and once for a constant flux, whose
-middle is its end.  The speeds are ``a_i f_i(r)`` from the one flux
-evaluator, :func:`.flux._horner`.
+hook keeps the end's stage as the next step's start, so ``f(r)`` is
+evaluated twice a step, and once for a constant flux, whose middle is its
+end.  A stage is a radius's speeds ``a_i f_i(r)``, from the one flux
+evaluator :func:`.flux._horner`, with their extrema; :func:`_stage` builds
+every stage, for the hook and for :func:`transport_step` alike.
 """
 
 from __future__ import annotations
@@ -62,14 +63,13 @@ _RK4_REACH = 2.8  # largest RK4 argument a substep may take; the limit is 2 sqrt
 _EXACT_TAU = {0.0: 0, 0.5: 1, 1.0: 2}  # step fractions that fall on a stage, and its index
 
 
-def _speeds(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> list[np.ndarray]:
-    """``a_i f_i(r)`` per axis, grid-shaped for every degree; ``mods[i]`` is ``a_i``, or None for one."""
-    return [_horner(c.coeffs, r_vals, mod) for c, mod in zip(spec.components, mods)]
+def _stage(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> tuple[list, list]:
+    """One stage's speeds ``a_i f_i(r)`` per axis, grid-shaped, and the (min, max) of each.
 
-
-def _extrema(speeds: list[np.ndarray]) -> list[tuple[float, float]]:
-    """Per axis, the (min, max) of one stage's speeds."""
-    return [(float(s.min()), float(s.max())) for s in speeds]
+    ``mods[i]`` is ``a_i``, or None for one.  Every stage speed is evaluated here.
+    """
+    speeds = [_horner(c.coeffs, r_vals, mod) for c, mod in zip(spec.components, mods)]
+    return speeds, [(float(s.min()), float(s.max())) for s in speeds]
 
 
 def _rest_at(rests: list[list[np.ndarray]], tau: float) -> list[np.ndarray]:
@@ -112,16 +112,14 @@ def _substeps(tops: tuple[float, ...], rest: list[float], dt: float) -> int:
     return math.ceil(reach / _RK4_REACH)
 
 
-def _carry(
-    vectors: np.ndarray, grid: PeriodicGrid, speeds: list, dt: float, extrema: list | None = None
-) -> np.ndarray:
+def _carry(vectors: np.ndarray, grid: PeriodicGrid, stages: list, dt: float) -> np.ndarray:
     """Transport unit vectors, ``(*grid.shape, d)`` as in :class:`.DirectionField`, over ``dt``.
 
-    ``speeds`` holds the per-axis speeds at the start, the middle and the end
-    of the step, and ``extrema`` the :func:`_extrema` of each, which are
-    taken here when the caller does not pass them.  Substeps take their
-    speeds from the quadratic through the three (:func:`_rest_at`), which
-    is not evaluated at the step's start, middle and end.
+    ``stages`` holds the :func:`_stage` of the radius at the start, the
+    middle and the end of the step, each its per-axis speeds and their
+    extrema.  Substeps take their speeds from the quadratic through the
+    three (:func:`_rest_at`), which is not evaluated at the step's start,
+    middle and end.
 
     Inside, the component axis leads: one transposed view on entry (the view
     ``np.moveaxis`` makes, without its per-call axis checks) makes it a batch
@@ -132,10 +130,8 @@ def _carry(
     stages combine in place, in the operand order of the classic formulas,
     on spectra that :func:`.spectral._rfft` made for this call.
     """
-    if extrema is None:
-        extrema = [_extrema(s) for s in speeds]
-    lo = [min(e[i][0] for e in extrema) for i in range(grid.m)]
-    hi = [max(e[i][1] for e in extrema) for i in range(grid.m)]
+    lo = [min(e[i][0] for _, e in stages) for i in range(grid.m)]
+    hi = [max(e[i][1] for _, e in stages) for i in range(grid.m)]
     centre = [0.5 * (a + b) for a, b in zip(lo, hi)]
     derivs, tops = _component_derivatives(grid, vectors.shape[-1])
     n_sub = _substeps(tops, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
@@ -147,7 +143,7 @@ def _carry(
         shift = _shift_symbol(grid, centre, h)
         shift_half = _shift_symbol(grid, centre, h / 2.0)
         two_shift_half = 2.0 * shift_half
-        rests = [[v - c for v, c in zip(s, centre)] for s in speeds]
+        rests = [[v - c for v, c in zip(s, centre)] for s, _ in stages]
         scratch, stage = np.empty_like(hat), np.empty_like(hat)
 
         def rate(rest: list[np.ndarray], state: np.ndarray) -> np.ndarray:
@@ -209,8 +205,7 @@ def transport_step(
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
     mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
-    speeds = _speeds(spec, mods, r.values)
-    vectors = _carry(p.vectors, grid, [speeds] * 3, dt, [_extrema(speeds)] * 3)
+    vectors = _carry(p.vectors, grid, [_stage(spec, mods, r.values)] * 3, dt)
     return DirectionField(grid=grid, vectors=vectors)
 
 
@@ -220,14 +215,14 @@ def evolve_coupled(
     """Interleaved evolution of radius and direction.
 
     The radius advances first (its equation is autonomous); the direction is
-    then transported with stage speeds from the radius at the start, the
-    half time and the end of the step.  The hook keeps each step's end
-    speeds and their extrema as the next step's start; ``r0``'s are
-    evaluated on its first call, so a run rejected before its first step
-    evaluates none.  A constant flux's end speeds stand in for its middle.
-    Positivity of the radius is required
-    at start and enforced throughout - losing it breaks the polar splitting
-    and aborts the run.  The recorded vectors stack into ``directions``.
+    then transported with the :func:`_stage` of the radius at the start,
+    the half time and the end of the step.  The hook keeps each step's end
+    stage as the next step's start; ``r0``'s is built on its first call, so
+    a run rejected before its first step builds none.  A constant flux's
+    end stage stands in for its middle.  Positivity of the radius is
+    required at start and enforced throughout - losing it breaks the polar
+    splitting and aborts the run.  The recorded vectors stack into
+    ``directions``.
     """
     grid = r0.grid
     if grid != p0.grid:
@@ -236,17 +231,13 @@ def evolve_coupled(
         raise SolverError("initial radius must be strictly positive")
     _check_axes(grid, spec)
     mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
-    last = None  # the (speeds, extrema) of the radius that ended the last step
-
-    def stage(r: np.ndarray) -> tuple:
-        speeds = _speeds(spec, mods, r)
-        return speeds, _extrema(speeds)
+    last = None  # the _stage of the radius that ended the last step
 
     def carry(vectors: np.ndarray, mid: np.ndarray | None, end: np.ndarray, dt: float) -> np.ndarray:
         nonlocal last
-        start = stage(r0.values) if last is None else last
-        last = stage(end)
-        stages = (start, last if mid is None else stage(mid), last)
-        return _carry(vectors, grid, [s for s, _ in stages], dt, [e for _, e in stages])
+        start = _stage(spec, mods, r0.values) if last is None else last
+        last = _stage(spec, mods, end)
+        middle = last if mid is None else _stage(spec, mods, mid)
+        return _carry(vectors, grid, [start, middle, last], dt)
 
     return _march([r0], spec, cfg, (p0.vectors, carry))[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polarflow import make_field, make_grid
+from polarflow import SolveConfig, evolve, make_field, make_grid
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +52,8 @@ def smooth_field(grid, seed, n_modes=8, offset=0.0):
 @pytest.fixture
 def smooth64(grid64):
     return smooth_field(grid64, seed=101)
+
+
+def one_step(r, spec, dt):
+    """``r`` after one Strang step of size ``dt``: the one step of ``evolve`` to ``t_end = dt``."""
+    return evolve(r, spec, SolveConfig(dt=dt, t_end=dt)).final

@@ -42,4 +42,4 @@ def test_star_import_binds_every_name():
     namespace = {}
     exec("from polarflow import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(polarflow.__all__)
-    assert len(polarflow.__all__) == 50
+    assert len(polarflow.__all__) == 49

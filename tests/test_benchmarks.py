@@ -1,11 +1,22 @@
-"""The kernel benchmark stays runnable: it imports, its bitwise cases agree, and its step rows run."""
+"""The benchmarks stay runnable.
+
+The kernel benchmark imports, its bitwise cases agree and its step rows run;
+the benchmark harness's provenance job runs on this tree.
+"""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH_KERNELS = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+import polarflow
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_KERNELS = ROOT / "benchmarks" / "bench_kernels.py"
 
 
 @pytest.fixture(scope="module")
@@ -22,3 +33,14 @@ def test_bench_kernels_bitwise_cases_run(bench):
 
 def test_bench_kernels_step_rows_run(bench):
     bench.step_rows(1)
+
+
+def test_perfbench_provenance_job_runs(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "child.py"), "provenance", "-",
+                           str(tmp_path / "r.json")], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    provenance = json.loads((tmp_path / "r.json").read_text())["provenance"]
+    assert provenance["kernel_path"] == "numpy"
+    assert provenance["public_api_size"] == len(polarflow.__all__)

@@ -16,7 +16,6 @@ from polarflow import (
     monotonicity_check,
     polynomial_flux,
     solve_cell,
-    step,
     with_modulation,
     zero_flux,
 )
@@ -25,7 +24,7 @@ from polarflow._fdcell import _D1, _D2, _newton_update, _residual, fd_cell_solve
 from polarflow.cell import GROWTH_RUN, _branch_pairs, _CellOperator
 from polarflow.errors import ConvergenceError
 from polarflow.flux import eval_g, eval_g_prime
-from conftest import full_lattice
+from conftest import full_lattice, one_step
 
 MODULATED_LINEAR = with_modulation(
     constant_flux([1.0]), 0, Modulation(const=0.0, sin_amps=(1.0,))
@@ -309,7 +308,7 @@ class TestSolveCell:
 
     def test_stationary_under_solver_step(self, grid64):
         sol = solve_cell(MODULATED_LINEAR, grid64, 1.0)
-        moved = step(sol.v, MODULATED_LINEAR, 1e-5)
+        moved = one_step(sol.v, MODULATED_LINEAR, 1e-5)
         assert np.abs(moved.values - sol.v.values).max() < 1e-9
 
 

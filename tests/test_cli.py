@@ -71,6 +71,14 @@ output.svg = true
 seed = 42
 """
 
+# ELLIPSE_CFG's run on a trig_random surface, 16^2, less the grid.m line
+SURFACE_CFG = (
+    ELLIPSE_CFG.replace("grid.m = 1\ngrid.lengths = 1.0\ngrid.resolution = 64",
+                        "grid.lengths = 1.0, 1.0\ngrid.resolution = 16, 16")
+    .replace("initial.preset = ellipse\ninitial.params = 2.0, 1.0",
+             "initial.preset = trig_random\ninitial.params = 3, 2, 0.1")
+)
+
 CELL_CFG = """\
 grid.m = 1
 grid.lengths = 1.0
@@ -435,16 +443,25 @@ class TestRunEvolve:
         assert err == f"config error: flux.coeffs does not apply to flux.kind {kind!r}\n"
         assert not out.exists()
 
-    # ran the zero flux through the general Strang step, the modulation doing nothing
+    # each ran an identically zero term through the general Strang step
     @pytest.mark.parametrize("flux, key", [
         ("flux.kind = zero\nflux.mod_sin = 1.0", "flux.mod_sin"),
         ("flux.mod_axis = 0\nflux.mod_cos = 0.5", "flux.mod_axis"),  # zero is the default kind
+        ("flux.kind = poly\nflux.coeffs = 0\nflux.mod_sin = 1.0", "flux.mod_sin"),
+        ("flux.kind = constant\nflux.coeffs = 0\nflux.mod_sin = 1.0", "flux.mod_sin"),
+        ("flux.kind = burgers\nflux.mod_axis = 0", "flux.mod_axis"),  # flux.mod_const defaults to 0
+        ("flux.kind = burgers\nflux.mod_sin = 0", "flux.mod_sin"),
+        ("grid.m = 2\nflux.kind = constant\nflux.coeffs = 0, 1\nflux.mod_axis = 0", "flux.mod_axis"),
+        ("grid.m = 2\nflux.kind = constant\nflux.coeffs = 1, 0\nflux.mod_axis = 1\nflux.mod_sin = 1.0",
+         "flux.mod_axis"),
     ])
     def test_modulated_zero_flux_is_config_error(self, tmp_path, capsys, flux, key):
-        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG.replace("flux.kind = burgers", flux))
+        template = SURFACE_CFG if flux.startswith("grid.m = 2") else ELLIPSE_CFG
+        cfg_path, out = write_cfg(tmp_path, template.replace("flux.kind = burgers", flux))
+        axis = load_config(cfg_path).get("flux.mod_axis", "0")
         assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == f"config error: {key} does not apply to flux.kind 'zero'\n"
+        assert err == f"config error: {key} makes the flux on axis {axis} identically zero\n"
         assert not out.exists()
 
     def test_one_file_serves_evolve_and_cell(self, tmp_path):

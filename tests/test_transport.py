@@ -246,7 +246,7 @@ def carry_steps(p0, spec, dt, steps):
     for k in range(steps):
         t = k * dt
         radii = [radius_samples(grid, s) for s in (t, t + dt / 2, t + dt)]
-        v = transport._carry(v, grid, [transport._speeds(spec, mods, r) for r in radii], dt)
+        v = transport._carry(v, grid, [transport._stage(spec, mods, r) for r in radii], dt)
     return v
 
 
@@ -329,13 +329,14 @@ class TestInPlaceCarry:
         grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
         mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
         radii = [radius_samples(grid, t) for t in (0.0, dt / 2, dt)]
-        speeds = [transport._speeds(spec, mods, r) for r in radii]
-        return grid, sphere_directions(grid, m + 1).vectors, speeds
+        stages = [transport._stage(spec, mods, r) for r in radii]
+        return grid, sphere_directions(grid, m + 1).vectors, stages
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_out_of_place_bitwise(self, case, monkeypatch):
         m, spec, dt, n_sub = self.CASES[case]
-        grid, v, speeds = self.inputs(m, spec, dt)
+        grid, v, stages = self.inputs(m, spec, dt)
+        speeds = [s for s, _ in stages]
         seen = []
         original = transport._substeps
 
@@ -346,7 +347,7 @@ class TestInPlaceCarry:
         monkeypatch.setattr(transport, "_substeps", spy)
         ref = v
         for _ in range(20):
-            v = transport._carry(v, grid, speeds, dt)
+            v = transport._carry(v, grid, stages, dt)
             ref = reference_real_carry(ref, grid, speeds, dt)
             assert np.array_equal(v, ref)
         assert set(seen) == {n_sub}
@@ -354,11 +355,11 @@ class TestInPlaceCarry:
     @pytest.mark.parametrize("case", list(CASES))
     def test_inputs_unchanged_and_output_new(self, case):
         m, spec, dt, _ = self.CASES[case]
-        grid, v, speeds = self.inputs(m, spec, dt)
-        inputs = [v] + [s for stage in speeds for s in stage]
+        grid, v, stages = self.inputs(m, spec, dt)
+        inputs = [v] + [s for speeds, _ in stages for s in speeds]
         before = [a.copy() for a in inputs]
-        out = transport._carry(v, grid, speeds, dt)
-        again = transport._carry(out, grid, speeds, dt)  # a caller may hold the previous result
+        out = transport._carry(v, grid, stages, dt)
+        again = transport._carry(out, grid, stages, dt)  # a caller may hold the previous result
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
         for a in inputs:
             assert not np.shares_memory(out, a) and not np.shares_memory(again, a)
@@ -380,7 +381,7 @@ class TestExactStageSpeeds:
     @pytest.mark.parametrize("case", list(CASES))
     def test_bitwise_the_quadratic(self, case, monkeypatch):
         m, spec, dt, taus = self.CASES[case]
-        grid, v, speeds = TestInPlaceCarry.inputs(m, spec, dt)
+        grid, v, stages = TestInPlaceCarry.inputs(m, spec, dt)
         seen = []
         original = transport._rest_at
 
@@ -393,14 +394,14 @@ class TestExactStageSpeeds:
             return out
 
         monkeypatch.setattr(transport, "_rest_at", spy)
-        transport._carry(v, grid, speeds, dt)
+        transport._carry(v, grid, stages, dt)
         assert seen == taus
 
 
 class TestReusedSpeeds:
-    """A coupled step evaluates ``f(r)`` at its middle and end: its start is the last step's end.
+    """A coupled step builds the ``_stage`` of its middle and end: its start is the last step's end.
 
-    ``r0``'s speeds are evaluated on the hook's first call: one more than two per step.
+    ``r0``'s stage is built on the hook's first call: one more than two per step.
     """
 
     CASES = {
@@ -419,7 +420,7 @@ class TestReusedSpeeds:
         r0, p0 = perturbed_sphere_initial(grid, 1.0, 0.3, [[1] * m])
         dt = dt or max_stable_dt(grid, spec, float(r0.values.max()))
         cfg = SolveConfig(dt=dt, t_end=10.5 * dt, record_every=4)  # ten steps and a tail step
-        evaluated = self.count_speeds(monkeypatch)
+        evaluated = self.count_stages(monkeypatch)
         traj = evolve_coupled(r0, p0, spec, cfg)
         assert len(evaluated) == 1 + per_step * 11
         monkeypatch.undo()
@@ -431,29 +432,29 @@ class TestReusedSpeeds:
             # f(r) and its extrema taken afresh at all three stages
             radii = (start[0], end if mid is None else mid, end)
             start[0] = end
-            return transport._carry(vectors, grid, [transport._speeds(spec, mods, r) for r in radii], h)
+            return transport._carry(vectors, grid, [transport._stage(spec, mods, r) for r in radii], h)
 
         want = _march([r0], spec, cfg, (p0.vectors, recomputed))[0]
         assert np.array_equal(traj.radii, want.radii)
         assert traj.directions.tobytes() == want.directions.tobytes()
 
     @staticmethod
-    def count_speeds(monkeypatch) -> list:
-        """Patch ``transport._speeds`` to record one entry per call; return the record."""
+    def count_stages(monkeypatch) -> list:
+        """Patch ``transport._stage`` to record one entry per call; return the record."""
         evaluated = []
-        original = transport._speeds
+        original = transport._stage
 
         def counting(*args):
             evaluated.append(1)
             return original(*args)
 
-        monkeypatch.setattr(transport, "_speeds", counting)
+        monkeypatch.setattr(transport, "_stage", counting)
         return evaluated
 
     def test_rejected_dt_evaluates_no_speeds(self, grid64, monkeypatch):
         r0, p0 = perturbed_sphere_initial(grid64, 1.0, 0.3, [[1]])
         dt = 2.0 * max_stable_dt(grid64, burgers_flux(1), float(r0.values.max()))
-        evaluated = self.count_speeds(monkeypatch)
+        evaluated = self.count_stages(monkeypatch)
         with pytest.raises(SolverError, match="violates advective stability bound"):
             evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=dt, t_end=10 * dt))
         assert evaluated == []
