@@ -182,7 +182,7 @@ def bitwise_cases(repeat):
     constant = _Stepper(grid, constant_flux([0.7]), 1e-4, (1,))
     cases.append(("_Stepper.advance N=128 constant", lambda: constant.advance(hat)[0],
                   lambda: reference_real_advance(grid, constant_flux([0.7]), 1e-4, hat)[0]))
-    stages = [transport._stage(spec, [None], radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
+    stages = [transport._stage(spec, grid, radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
     speeds = [s for s, _ in stages]
     p = sphere_directions(grid, 2).vectors
     cases.append(("_carry N=128 burgers", lambda: transport._carry(p, grid, stages, dt),
@@ -191,8 +191,7 @@ def bitwise_cases(repeat):
     grid2 = make_grid(2, [1.0, 1.0], [64, 64])
     spec2 = modulated_flux(2, [60.0, 0.5])
     dt2 = max_stable_dt(grid2, spec2, 1.3)
-    mods = [spec2.modulation_values(grid2, i) for i in range(2)]
-    stages2 = [transport._stage(spec2, mods, radius_samples(grid2, t)) for t in (0.0, dt2 / 2, dt2)]
+    stages2 = [transport._stage(spec2, grid2, radius_samples(grid2, t)) for t in (0.0, dt2 / 2, dt2)]
     speeds2 = [s for s, _ in stages2]
     p2 = sphere_directions(grid2, 3).vectors
     cases.append(("_carry 64^2 modulated, 2 substeps", lambda: transport._carry(p2, grid2, stages2, dt2),

@@ -11,8 +11,8 @@ discretization, preconditioned by the inverse Laplacian: each iteration
 subtracts ``(-Lap)^-1`` of the residual, which leaves the mean alone (the
 equation itself has no zero mode), and re-pins the mean to ``p`` exactly.
 The operator uses the real-FFT half-lattice symbols of :mod:`.spectral`:
-``|kappa|^2`` and the derivatives of the radius stepper, so a stationary state
-stays stationary under a step of :func:`.spectral.evolve`.
+``|kappa|^2`` and the derivatives and flux divergence of the radius stepper,
+so a stationary state stays stationary under a step of :func:`.spectral.evolve`.
 
 Applicability note: the solve assumes the flux derivative grows at most
 polynomially on the relevant range.  Every flux is a polynomial in ``v``
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .flux import FluxSpec, _check_axes, _g_coeffs
+from .flux import FluxSpec
 from .grid import PeriodicGrid, ScalarField
 from .spectral import _derivative_symbols, _flux_divergence, _irfft, _laplacian_half, _rfft
 
@@ -53,14 +53,12 @@ class _CellOperator:
     """The stationary operator on the real-FFT half lattice of :mod:`.spectral`."""
 
     def __init__(self, grid: PeriodicGrid, spec: FluxSpec):
-        _check_axes(grid, spec)
         self.grid = grid
-        self.spec = spec
+        self.mods = spec.resolve(grid)
+        self.g_coeffs = [c.g for c in spec.components]
         self.lap = _laplacian_half(grid)
         self.lap_inv = np.divide(1.0, self.lap, out=np.zeros_like(self.lap), where=self.lap > 0.0)
         self.derivs = _derivative_symbols(grid)  # of -d/dtheta_i
-        self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
-        self.g_coeffs = [_g_coeffs(c) for c in spec.components]
 
     def residual(self, v: np.ndarray) -> np.ndarray:
         """-Lap v + div(a g(v)) on the grid."""

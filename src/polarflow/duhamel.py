@@ -36,7 +36,9 @@ path with :mod:`polarflow.spectral`):
   axis the sum over nodes comes first, as one matrix product of the rows
   with the batch, and the convolution is then one wrapped-diagonal sum;
 * the per-node convolution also gives the heat-flow term ``K(t) * r0``: the
-  window's base is a single batch with one kernel row per mesh time.
+  window's base is a single batch with one kernel row per mesh time;
+* each flux term ``a_j g_j`` comes from a component's ``g`` and the samples of
+  :meth:`.flux.FluxSpec.resolve`, as every solver reads a flux on its grid.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import ConvergenceError
-from .flux import FluxSpec, _check_axes, _g_coeffs, _horner, flux_envelope_bound
+from .flux import FluxSpec, _horner, flux_envelope_bound
 from .grid import PeriodicGrid, ScalarField
 
 __all__ = [
@@ -286,7 +288,7 @@ class _Window:
         self.horizon = horizon
         self.mesh = np.linspace(0.0, horizon, n_time)
         self.dt_mesh = self.mesh[1] - self.mesh[0]
-        self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+        self.mods = spec.resolve(grid)
         nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
 
         self.stencils = np.zeros((n_time, n_gauss, n_time))
@@ -324,7 +326,7 @@ class _Window:
         for i in range(1, len(self.mesh)):
             fields = (self.stencils[i] @ history).reshape((-1,) + self.grid.shape)
             for j, (comp, mod) in enumerate(zip(self.spec.components, self.mods)):
-                term = _horner(_g_coeffs(comp), fields, mod)
+                term = _horner(comp.g, fields, mod)
                 rows = [
                     (self.gradients[ax] if ax == j else self.kernels[ax])[i]
                     for ax in range(self.grid.m)
@@ -337,6 +339,7 @@ class _Window:
 
 def _bounds(r0: ScalarField, spec: FluxSpec) -> tuple[float, float, float]:
     """Sup bound, flux envelope and contraction horizon of a window that starts at ``r0``."""
+    spec.resolve(r0.grid)  # ValueError unless the flux has one component per axis
     field_bound = float(np.abs(r0.values).max())
     flux_bound = flux_envelope_bound(spec, field_bound)
     if math.isinf(flux_bound):
@@ -361,7 +364,6 @@ def picard_solve(r0: ScalarField, spec: FluxSpec, t_final: float | None = None) 
     :data:`_MAX_SWEEPS` sweeps do not, if the window is shorter than the
     smallest normal float or if the flux envelope overflows.
     """
-    _check_axes(r0.grid, spec)
     field_bound, flux_bound, horizon = _bounds(r0, spec)
     if t_final is not None:
         _check_time("t_final", t_final)
@@ -407,7 +409,6 @@ def picard_extend(r0: ScalarField, spec: FluxSpec, t_end: float) -> ScalarField:
     exceeds :data:`_MAX_WINDOWS` or the flux envelope overflows.
     """
     _check_time("t_end", t_end)
-    _check_axes(r0.grid, spec)
     horizon = _bounds(r0, spec)[2]
     _check_window(horizon)
     if t_end > _MAX_WINDOWS * horizon:

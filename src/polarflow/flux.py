@@ -3,21 +3,23 @@
 A flux assigns to every torus axis ``i`` a polynomial speed
 ``f_i(v) = sum_k c_k v^k``; the transported quantity in divergence form is
 ``g_i(v) = v * f_i(v)``.  Every registered family is one of these: a constant
-speed has degree 0 and ``v^2/2`` (burgers) is ``f = v/2``.  A component stores
-only its coefficients, so ``f_i``, ``g_i`` and ``g_i'`` evaluate exactly by
+speed has degree 0 and ``v^2/2`` (burgers) is ``f = v/2``.  A component holds
+the coefficients of ``f_i``, ``g_i`` and ``g_i'``, which all evaluate exactly by
 Horner's rule with no numerical differentiation, and their suprema over an
 interval are exact maxima taken at its ends and at the critical points.
 
 An optional per-axis spatial modulation ``a_i`` (a short cosine/sine series
 in the axis coordinate) turns ``g_i(v)`` into ``a_i(theta_i) * g_i(v)``.  It
 exists for the stationary mean-constrained problem, where an unmodulated flux
-is degenerate (constants solve it); geometric presets never set it.
+is degenerate (constants solve it); geometric presets never set it.  Every
+solver reads its samples on a grid from :meth:`FluxSpec.resolve`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +37,7 @@ __all__ = [
     "eval_f",
     "eval_g",
     "eval_g_prime",
+    "advective_speed_bound",
     "flux_envelope_bound",
 ]
 
@@ -72,11 +75,15 @@ class FluxComponent:
     """Speed ``f(v) = sum_k coeffs[k] v^k`` on one axis, optionally modulated.
 
     Trailing zero coefficients are dropped, so ``len(coeffs) - 1`` is the
-    degree; the zero polynomial keeps its one coefficient.
+    degree; the zero polynomial keeps its one coefficient.  ``g`` and ``g_prime``
+    hold those of ``g(v) = v f(v)`` and ``g'(v) = sum_k (k+1) c_k v^k``, derived
+    once and left out of equality, hashing and the repr.
     """
 
     coeffs: tuple[float, ...]
     modulation: Modulation | None = None
+    g: tuple[float, ...] = field(init=False, compare=False, repr=False)
+    g_prime: tuple[float, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coeffs)
@@ -87,6 +94,8 @@ class FluxComponent:
         while len(coeffs) > 1 and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "g", (0.0, *coeffs))
+        object.__setattr__(self, "g_prime", tuple((k + 1) * c for k, c in enumerate(coeffs)))
 
 
 @dataclass(frozen=True)
@@ -114,15 +123,23 @@ class FluxSpec:
             raise ValueError("flux is not purely constant")
         return tuple(c.coeffs[0] for c in self.components)
 
-    def modulation_values(self, grid: PeriodicGrid, i: int) -> np.ndarray | None:
-        """Modulation samples for axis ``i`` broadcast over the grid, or None."""
-        mod = self.components[i].modulation
-        if mod is None:
-            return None
-        shape = [1] * grid.m
-        shape[i] = grid.resolution[i]
-        line = mod.evaluate(grid.axis_coords(i), grid.lengths[i]).reshape(shape)
-        return np.broadcast_to(line, grid.shape)
+    @lru_cache(maxsize=32)
+    def resolve(self, grid: PeriodicGrid) -> tuple[np.ndarray | None, ...]:
+        """Per axis ``i``, the modulation ``a_i`` sampled on ``grid``, or None for none.
+
+        Each sample array is a read-only view broadcast to ``grid.shape``,
+        built once per flux and grid: equal fluxes share them.  Raises
+        ``ValueError`` unless the flux has one component per grid axis.
+        """
+        if self.m != grid.m:
+            raise ValueError(f"flux has {self.m} components but grid has {grid.m} axes")
+        out = []
+        for i, comp in enumerate(self.components):
+            mod = comp.modulation
+            line = None if mod is None else mod.evaluate(grid.axis_coords(i), grid.lengths[i])
+            shape = [-1 if ax == i else 1 for ax in range(grid.m)]
+            out.append(None if line is None else np.broadcast_to(line.reshape(shape), grid.shape))
+        return tuple(out)
 
 
 def constant_flux(speeds) -> FluxSpec:
@@ -152,25 +169,10 @@ def with_modulation(spec: FluxSpec, axis: int, modulation: Modulation) -> FluxSp
     return FluxSpec(components=tuple(comps))
 
 
-def _check_axes(grid: PeriodicGrid, spec: FluxSpec) -> None:
-    if spec.m != grid.m:
-        raise ValueError(f"flux has {spec.m} components but grid has {grid.m} axes")
-
-
 def _check_index(spec: FluxSpec, i: int) -> FluxComponent:
     if not 0 <= i < spec.m:
         raise IndexError(f"flux component {i} out of range for m={spec.m}")
     return spec.components[i]
-
-
-def _g_coeffs(comp: FluxComponent) -> tuple[float, ...]:
-    """Coefficients of ``g(v) = v f(v)``."""
-    return (0.0, *comp.coeffs)
-
-
-def _g_prime_coeffs(comp: FluxComponent) -> tuple[float, ...]:
-    """Coefficients of ``g'(v) = sum_k (k+1) c_k v^k``."""
-    return tuple((k + 1) * c for k, c in enumerate(comp.coeffs))
 
 
 def _horner(coeffs, nu: np.ndarray, mod: np.ndarray | None = None, out: np.ndarray | None = None):
@@ -207,12 +209,12 @@ def eval_f(spec: FluxSpec, i: int, nu):
 
 def eval_g(spec: FluxSpec, i: int, nu):
     """Evaluate ``g_i(nu) = nu * f_i(nu)``."""
-    return _horner(_g_coeffs(_check_index(spec, i)), np.asarray(nu, dtype=np.float64))
+    return _horner(_check_index(spec, i).g, np.asarray(nu, dtype=np.float64))
 
 
 def eval_g_prime(spec: FluxSpec, i: int, nu):
     """Exact derivative of ``g_i``."""
-    return _horner(_g_prime_coeffs(_check_index(spec, i)), np.asarray(nu, dtype=np.float64))
+    return _horner(_check_index(spec, i).g_prime, np.asarray(nu, dtype=np.float64))
 
 
 def _sup_abs(comp: FluxComponent, coeffs: tuple[float, ...], bound: float) -> float:
@@ -252,7 +254,7 @@ def advective_speed_bound(spec: FluxSpec, field_bound: float) -> float:
     Raises ``ValueError`` unless ``field_bound`` is non-negative and finite.
     """
     _check_field_bound(field_bound)
-    return max(_sup_abs(c, _g_prime_coeffs(c), field_bound) for c in spec.components)
+    return max(_sup_abs(c, c.g_prime, field_bound) for c in spec.components)
 
 
 def flux_envelope_bound(spec: FluxSpec, field_bound: float) -> float:
@@ -264,7 +266,4 @@ def flux_envelope_bound(spec: FluxSpec, field_bound: float) -> float:
     """
     _check_field_bound(field_bound)
     reach = (spec.m + 1) * field_bound
-    return max(
-        max(_sup_abs(c, _g_coeffs(c), reach), _sup_abs(c, _g_prime_coeffs(c), reach))
-        for c in spec.components
-    )
+    return max(max(_sup_abs(c, c.g, reach), _sup_abs(c, c.g_prime, reach)) for c in spec.components)

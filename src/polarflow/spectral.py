@@ -28,11 +28,12 @@ direction-transport hook) is a batch of one.  Records are that same array
 behind a record axis, ``(records, members, *grid.shape)``, filled in place;
 a :class:`Trajectory` holds a member's view.
 
-The advective substep differentiates ``g_i(r)`` with
-:func:`_derivative_symbols`, the one set that :mod:`.cell` and
-:mod:`.transport` read too, and advances with a midpoint Runge-Kutta stage,
-except when every flux component is an unmodulated constant (degree 0): then
-the whole step is one product with the cached heat-times-shift multiplier.
+The advective substep differentiates ``a_i g_i(r)``, a component's ``g`` and
+the samples of :meth:`.flux.FluxSpec.resolve`, with :func:`_derivative_symbols`,
+the one set that :mod:`.cell` and :mod:`.transport` read too, and advances
+with a midpoint Runge-Kutta stage, except when every flux component is an
+unmodulated constant (degree 0): then the whole step is one product with the
+cached heat-times-shift multiplier.
 Either way the zero mode of the spectrum is only ever multiplied by one, so
 the field mean is conserved to roundoff.
 """
@@ -48,7 +49,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pfu
 
 from .errors import SolverError
-from .flux import FluxSpec, _check_axes, _g_coeffs, _horner, advective_speed_bound
+from .flux import FluxSpec, _horner, advective_speed_bound
 from .grid import PeriodicGrid, ScalarField
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "heat_propagate",
     "galilean_shift",
     "evolve",
-    "advective_speed_bound",
     "max_stable_dt",
 ]
 
@@ -284,8 +284,8 @@ def _flux_divergence(
     """Spectrum of ``-sum_i d/dtheta_i (a_i g_i(vals))``: ``sum_i derivs[i] * rfft(a_i g_i(vals))``.
 
     ``derivs`` are the symbols of ``-d/dtheta_i`` (:func:`_derivative_symbols`),
-    ``mods[i]`` is the modulation ``a_i`` on the grid or None for one, and
-    ``g_coeffs[i]`` holds the coefficients of ``g_i`` (:func:`.flux._g_coeffs`).
+    ``mods`` is :meth:`.flux.FluxSpec.resolve`, and ``g_coeffs[i]`` holds the
+    coefficients of ``g_i``, a component's ``g``.
     :func:`.flux._horner` evaluates each ``a_i g_i`` into ``flux``, which is
     transformed into ``out``, where the sum is taken; either is a new array
     unless the caller passes one.  The stepper and the stationary operator of
@@ -344,7 +344,7 @@ class _Stepper:
     """
 
     def __init__(self, grid: PeriodicGrid, spec: FluxSpec, dt: float, batch: tuple[int, ...]):
-        _check_axes(grid, spec)
+        mods = spec.resolve(grid)
         self.grid, self.dt = grid, dt
         self._dt, self._half_dt = np.array(dt, complex), np.array(dt / 2.0)
         lap = _laplacian_half(grid)
@@ -357,9 +357,8 @@ class _Stepper:
             self.exact_step = _at(half_heat * half_heat * shift, half)
         else:
             self.derivs = [_at(d, half) for d in _derivative_symbols(grid)]
-            mods = (spec.modulation_values(grid, i) for i in range(spec.m))
             self.modulations = [None if a is None else _at(a, (*batch, *grid.shape)) for a in mods]
-            self.g_coeffs = [tuple(map(np.array, _g_coeffs(c))) for c in spec.components]
+            self.g_coeffs = [tuple(map(np.array, c.g)) for c in spec.components]
             self._flux, self._div = np.empty((*batch, *grid.shape)), np.empty(half, complex)
 
     def start(self, vals: np.ndarray) -> np.ndarray:
@@ -403,8 +402,10 @@ class _Stepper:
 def max_stable_dt(grid: PeriodicGrid, spec: FluxSpec, field_bound: float) -> float:
     """Advective CFL bound; diffusion is integrated exactly and imposes none.
 
-    Raises ``ValueError`` unless ``field_bound`` is non-negative and finite.
+    Raises ``ValueError`` unless the flux has one component per grid axis and
+    ``field_bound`` is non-negative and finite.
     """
+    spec.resolve(grid)
     h_min = min(grid.spacings)
     return CFL_NUMBER * h_min / (1.0 + advective_speed_bound(spec, field_bound))
 

@@ -31,7 +31,8 @@ loop gives the hook the radius at the middle and the end of each step; the
 hook keeps the end's stage as the next step's start, so ``f(r)`` is
 evaluated twice a step, and once for a constant flux, whose middle is its
 end.  A stage is a radius's speeds ``a_i f_i(r)``, from the one flux
-evaluator :func:`.flux._horner`, with their extrema; :func:`_stage` builds
+evaluator :func:`.flux._horner` and the modulation samples of
+:meth:`.flux.FluxSpec.resolve`, with their extrema; :func:`_stage` builds
 every stage, for the hook and for :func:`transport_step` alike.
 """
 
@@ -43,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError
-from .flux import FluxSpec, _check_axes, _horner
+from .flux import FluxSpec, _horner
 from .grid import DirectionField, PeriodicGrid, RadialField, ScalarField
 from .spectral import (
     SolveConfig,
@@ -63,12 +64,12 @@ _RK4_REACH = 2.8  # largest RK4 argument a substep may take; the limit is 2 sqrt
 _EXACT_TAU = {0.0: 0, 0.5: 1, 1.0: 2}  # step fractions that fall on a stage, and its index
 
 
-def _stage(spec: FluxSpec, mods: list, r_vals: np.ndarray) -> tuple[list, list]:
+def _stage(spec: FluxSpec, grid: PeriodicGrid, r_vals: np.ndarray) -> tuple[list, list]:
     """One stage's speeds ``a_i f_i(r)`` per axis, grid-shaped, and the (min, max) of each.
 
-    ``mods[i]`` is ``a_i``, or None for one.  Every stage speed is evaluated here.
+    ``a_i`` comes from :meth:`.flux.FluxSpec.resolve`.  Every stage speed is evaluated here.
     """
-    speeds = [_horner(c.coeffs, r_vals, mod) for c, mod in zip(spec.components, mods)]
+    speeds = [_horner(c.coeffs, r_vals, a) for c, a in zip(spec.components, spec.resolve(grid))]
     return speeds, [(float(s.min()), float(s.max())) for s in speeds]
 
 
@@ -201,11 +202,9 @@ def transport_step(
     grid = p.grid
     if grid != r.grid:
         raise ValueError("direction and radius fields live on different grids")
-    _check_axes(grid, spec)
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt!r}")
-    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
-    vectors = _carry(p.vectors, grid, [_stage(spec, mods, r.values)] * 3, dt)
+    vectors = _carry(p.vectors, grid, [_stage(spec, grid, r.values)] * 3, dt)
     return DirectionField(grid=grid, vectors=vectors)
 
 
@@ -229,15 +228,13 @@ def evolve_coupled(
         raise ValueError("radius and direction fields live on different grids")
     if not (r0.values.min() > 0.0):
         raise SolverError("initial radius must be strictly positive")
-    _check_axes(grid, spec)
-    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
     last = None  # the _stage of the radius that ended the last step
 
     def carry(vectors: np.ndarray, mid: np.ndarray | None, end: np.ndarray, dt: float) -> np.ndarray:
         nonlocal last
-        start = _stage(spec, mods, r0.values) if last is None else last
-        last = _stage(spec, mods, end)
-        middle = last if mid is None else _stage(spec, mods, mid)
+        start = _stage(spec, grid, r0.values) if last is None else last
+        last = _stage(spec, grid, end)
+        middle = last if mid is None else _stage(spec, grid, mid)
         return _carry(vectors, grid, [start, middle, last], dt)
 
     return _march([r0], spec, cfg, (p0.vectors, carry))[0]

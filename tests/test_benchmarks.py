@@ -1,7 +1,8 @@
 """The benchmarks stay runnable.
 
 The kernel benchmark imports, its bitwise cases agree and its step rows run;
-the benchmark harness's provenance job runs on this tree.
+the benchmark harness's provenance job runs on this tree; the mutation table
+matches the code it edits.
 """
 
 import importlib.util
@@ -16,15 +17,19 @@ import pytest
 import polarflow
 
 ROOT = Path(__file__).resolve().parents[1]
-BENCH_KERNELS = ROOT / "benchmarks" / "bench_kernels.py"
+
+
+def load(name):
+    """The script ``benchmarks/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bench():
-    spec = importlib.util.spec_from_file_location("bench_kernels", BENCH_KERNELS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("bench_kernels")
 
 
 def test_bench_kernels_bitwise_cases_run(bench):
@@ -44,3 +49,13 @@ def test_perfbench_provenance_job_runs(tmp_path):
     provenance = json.loads((tmp_path / "r.json").read_text())["provenance"]
     assert provenance["kernel_path"] == "numpy"
     assert provenance["public_api_size"] == len(polarflow.__all__)
+
+
+def test_mutant_table_matches_the_tree():
+    # runs no mutant: each entry's old text occurs once and its test files exist
+    mutants = load("mutants").MUTANTS
+    assert len({m.name for m in mutants}) == len(mutants)
+    for m in mutants:
+        assert m.old != m.new and m.tests, m.name
+        assert (ROOT / m.file).read_text().count(m.old) == 1, f"{m.name} is stale"
+        assert all((ROOT / t).is_file() for t in m.tests), m.name

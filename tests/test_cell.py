@@ -46,7 +46,7 @@ class ReferenceCellOperator:
         inv[nz] = 1.0 / self.lap[nz]
         self.lap_inv = inv
         self.ik = [1j * k for k in kappas]
-        self.mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+        self.mods = spec.resolve(grid)
 
     def residual(self, v):
         out_hat = np.fft.fftn(v) * self.lap

@@ -107,7 +107,7 @@ def reference_sweep(window, base, iterate, n_gauss):
             conv = np.zeros(grid.shape)
             for j in range(spec.m):
                 gj = eval_g(spec, j, field)
-                mod = spec.modulation_values(grid, j)
+                mod = spec.resolve(grid)[j]
                 if mod is not None:
                     gj = gj * mod
                 conv += _fd_derivative(gj, axis=j, h=grid.spacings[j])

@@ -16,6 +16,7 @@ from polarflow import (
     eval_g,
     eval_g_prime,
     evolve,
+    evolve_coupled,
     flux_envelope_bound,
     make_field,
     make_grid,
@@ -23,11 +24,13 @@ from polarflow import (
     picard_extend,
     picard_solve,
     polynomial_flux,
+    solve_cell,
+    sphere_directions,
+    transport_step,
     with_modulation,
     zero_flux,
 )
-from polarflow.flux import _g_coeffs, _horner
-from polarflow.spectral import advective_speed_bound
+from polarflow.flux import _horner, advective_speed_bound
 
 ALL_SPECS = [
     zero_flux(1),
@@ -76,7 +79,7 @@ class TestHorner:
     """``_horner`` with a modulation and a workspace, as every grid flux term calls it."""
 
     CASES = {
-        "burgers_g": (burgers_flux(1), eval_g, _g_coeffs),
+        "burgers_g": (burgers_flux(1), eval_g, lambda c: c.g),
         "cubic_f": (polynomial_flux([0.3, -0.5, 0.0, 0.2]), eval_f, lambda c: c.coeffs),
         "degree0_f": (constant_flux([2.5]), eval_f, lambda c: c.coeffs),
     }
@@ -259,3 +262,62 @@ class TestModulation:
             FluxComponent(())
         with pytest.raises(ValueError, match="at least one coefficient"):
             polynomial_flux([])
+
+
+class TestResolve:
+    """``FluxSpec.resolve``: one axis check and one set of modulation samples per flux and grid."""
+
+    SOLVERS = {
+        "max_stable_dt": lambda grid, spec, r0: max_stable_dt(grid, spec, 1.0),
+        "evolve": lambda grid, spec, r0: evolve(r0, spec, SolveConfig(dt=1e-4, t_end=1e-3)),
+        "evolve_coupled": lambda grid, spec, r0: evolve_coupled(
+            r0, sphere_directions(grid, grid.m + 1), spec, SolveConfig(dt=1e-4, t_end=1e-3)
+        ),
+        "transport_step": lambda grid, spec, r0: transport_step(
+            sphere_directions(grid, grid.m + 1), r0, spec, 1e-3
+        ),
+        "solve_cell": lambda grid, spec, r0: solve_cell(spec, grid, 1.0),
+        "picard_solve": lambda grid, spec, r0: picard_solve(r0, spec),
+        "picard_extend": lambda grid, spec, r0: picard_extend(r0, spec, 0.1),
+    }
+
+    @staticmethod
+    def modulated(coeffs):
+        """A 2-axis flux ``f = coeffs`` with a modulation on axis 1 only."""
+        return with_modulation(polynomial_flux(coeffs, 2), 1, Modulation(0.5, (0.3,), (0.0, 0.2)))
+
+    @pytest.mark.parametrize("axes, flux_axes", [(1, 2), (2, 1)])
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_wrong_component_count_rejected(self, solver, axes, flux_axes):
+        grid = make_grid(axes, [1.0] * axes, [16] * axes)
+        r0 = make_field(grid, np.full(grid.shape, 1.0))
+        with pytest.raises(ValueError, match=f"^flux has {flux_axes} components but grid has {axes} axes$"):
+            self.SOLVERS[solver](grid, burgers_flux(flux_axes), r0)
+
+    def test_equal_fluxes_share_read_only_samples(self):
+        grid = make_grid(2, [1.0, 2.0], [16, 32])
+        a, b = self.modulated([0, 1 / 2]), self.modulated([0.0, 0.5, 0.0])
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a.components[0].g == b.components[0].g == (0.0, 0.0, 0.5)
+        assert a.components[0].g_prime == (0.0, 1.0)
+        assert "g_prime" not in repr(a)
+        ra, rb = a.resolve(grid), b.resolve(grid)
+        assert ra[0] is None and ra[1] is rb[1]
+        want = a.components[1].modulation.evaluate(grid.axis_coords(1), 2.0)
+        assert ra[1].shape == grid.shape and np.array_equal(ra[1], np.broadcast_to(want, grid.shape))
+        with pytest.raises(ValueError, match="read-only"):
+            ra[1][0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            ra[1] *= 2.0
+
+    def test_solves_leave_cached_samples_unchanged(self):
+        grid = make_grid(1, [1.0], [32])
+        spec = with_modulation(burgers_flux(1), 0, Modulation(const=0.0, sin_amps=(0.8,)))
+        samples = spec.resolve(grid)[0]
+        before = samples.copy()
+        r0 = make_field(grid, 1.0 + 0.2 * np.sin(2 * np.pi * grid.axis_coords(0)))
+        cfg = SolveConfig(dt=1e-4, t_end=1e-3)
+        runs = [(solve_cell(spec, grid, 1.0).v.values, evolve(r0, spec, cfg).radii) for _ in range(2)]
+        assert spec.resolve(grid)[0] is samples and np.array_equal(samples, before)
+        for first, second in zip(*runs):
+            assert first.tobytes() == second.tobytes()

@@ -60,7 +60,7 @@ def reference_advance(grid, spec, dt, vals):
             rhs_hat = np.zeros(grid.shape, dtype=np.complex128)
             for i, kap in enumerate(kappas):
                 gi = eval_g(spec, i, v)
-                mod = spec.modulation_values(grid, i)
+                mod = spec.resolve(grid)[i]
                 if mod is not None:
                     gi = gi * mod
                 rhs_hat -= 1j * kap * np.fft.fftn(gi)
@@ -84,7 +84,7 @@ def reference_real_advance(grid, spec, dt, hat):
         shift = _shift_symbol(grid, spec.constant_speeds, dt)
         return hat * (half_heat * half_heat * shift), None
     derivs = _derivative_symbols(grid)
-    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
+    mods = spec.resolve(grid)
 
     def divergence(v):
         out = 0.0
@@ -242,6 +242,26 @@ class TestShiftSymbol:
             for cs in (list(c), c.tolist()):  # numpy scalars as transport passes, floats as the stepper does
                 got = _shift_symbol(grid, cs, float(t))
                 assert got.tobytes() == reference_shift_symbol(grid, cs, float(t)).tobytes()
+
+
+class TestDerivativeSymbols:
+    @pytest.mark.parametrize("ax", [0, 1])
+    def test_nyquist_plane_of_every_axis_is_annihilated(self, ax):
+        # Nyquist on axis ax, mode 1 on the other: a real field's derivative along ax is zero
+        # there; on axis 0 the half lattice holds (-N/2, 1) without its Hermitian partner
+        grid = make_grid(2, [1.0, 2.0], [16, 8])
+        theta = np.meshgrid(*(grid.axis_coords(a) for a in range(2)), indexing="ij")
+        other = 1 - ax
+        wave = np.cos(2 * np.pi * theta[other] / grid.lengths[other])
+        vals = np.cos(np.pi * grid.resolution[ax] * theta[ax] / grid.lengths[ax]) * wave
+        derivs = _derivative_symbols(grid)
+        along = _irfft(grid, derivs[ax] * _rfft(grid, vals))
+        assert np.abs(along).max() <= 1e-12
+        # -d/dtheta of the other axis's mode 1 is exact
+        across = _irfft(grid, derivs[other] * _rfft(grid, vals))
+        slope = 2 * np.pi / grid.lengths[other]
+        want = vals / wave * slope * np.sin(slope * theta[other])
+        assert np.abs(across - want).max() <= 1e-12
 
 
 class TestStep:

@@ -53,7 +53,7 @@ def reference_transport_step(grid, vectors, radii, spec, dt):
     def speeds(r):
         out = []
         for i in range(spec.m):
-            mod = spec.modulation_values(grid, i)
+            mod = spec.resolve(grid)[i]
             out.append(eval_f(spec, i, r) * (1.0 if mod is None else mod))
         return out
 
@@ -241,12 +241,11 @@ def modulated_flux(m, coeffs):
 def carry_steps(p0, spec, dt, steps):
     """``steps`` transport steps through the moving radius, speeds at each step's start, middle and end."""
     grid = p0.grid
-    mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
     v = p0.vectors
     for k in range(steps):
         t = k * dt
         radii = [radius_samples(grid, s) for s in (t, t + dt / 2, t + dt)]
-        v = transport._carry(v, grid, [transport._stage(spec, mods, r) for r in radii], dt)
+        v = transport._carry(v, grid, [transport._stage(spec, grid, r) for r in radii], dt)
     return v
 
 
@@ -327,9 +326,8 @@ class TestInPlaceCarry:
     @staticmethod
     def inputs(m, spec, dt):
         grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
-        mods = [spec.modulation_values(grid, i) for i in range(spec.m)]
         radii = [radius_samples(grid, t) for t in (0.0, dt / 2, dt)]
-        stages = [transport._stage(spec, mods, r) for r in radii]
+        stages = [transport._stage(spec, grid, r) for r in radii]
         return grid, sphere_directions(grid, m + 1).vectors, stages
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -425,14 +423,13 @@ class TestReusedSpeeds:
         assert len(evaluated) == 1 + per_step * 11
         monkeypatch.undo()
 
-        mods = [spec.modulation_values(grid, i) for i in range(m)]
         start = [r0.values]
 
         def recomputed(vectors, mid, end, h):
             # f(r) and its extrema taken afresh at all three stages
             radii = (start[0], end if mid is None else mid, end)
             start[0] = end
-            return transport._carry(vectors, grid, [transport._stage(spec, mods, r) for r in radii], h)
+            return transport._carry(vectors, grid, [transport._stage(spec, grid, r) for r in radii], h)
 
         want = _march([r0], spec, cfg, (p0.vectors, recomputed))[0]
         assert np.array_equal(traj.radii, want.radii)
