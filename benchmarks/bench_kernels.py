@@ -129,7 +129,7 @@ def transport_case(shape, label):
     m = len(shape)
     grid = make_grid(m, [1.0] * m, shape)
     r = make_field(grid, 1.5 + 0.4 * np.sin(2 * np.pi * grid.coords()[0]))
-    p = sphere_directions(grid, m + 1)
+    p = sphere_directions(grid)
     spec = burgers_flux(m)
     return (
         "transport_step %s burgers" % label,
@@ -184,7 +184,7 @@ def bitwise_cases(repeat):
                   lambda: reference_real_advance(grid, constant_flux([0.7]), 1e-4, hat)[0]))
     stages = [transport._stage(spec, grid, radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
     speeds = [s for s, _ in stages]
-    p = sphere_directions(grid, 2).vectors
+    p = sphere_directions(grid).vectors
     cases.append(("_carry N=128 burgers", lambda: transport._carry(p, grid, stages, dt),
                   lambda: reference_real_carry(p, grid, speeds, dt)))
     # two substeps: stage speeds at tau = 1/4 and 3/4 interpolated, at 0, 1/2 and 1 taken as they are
@@ -193,7 +193,7 @@ def bitwise_cases(repeat):
     dt2 = max_stable_dt(grid2, spec2, 1.3)
     stages2 = [transport._stage(spec2, grid2, radius_samples(grid2, t)) for t in (0.0, dt2 / 2, dt2)]
     speeds2 = [s for s, _ in stages2]
-    p2 = sphere_directions(grid2, 3).vectors
+    p2 = sphere_directions(grid2).vectors
     cases.append(("_carry 64^2 modulated, 2 substeps", lambda: transport._carry(p2, grid2, stages2, dt2),
                   lambda: reference_real_carry(p2, grid2, speeds2, dt2)))
     for name, fast, slow in cases:

@@ -9,7 +9,8 @@ solve is a residual check.  With a spatial modulation the problem is genuinely
 nonlinear and is solved by a fixed-point iteration on the spectral
 discretization, preconditioned by the inverse Laplacian: each iteration
 subtracts ``(-Lap)^-1`` of the residual, which leaves the mean alone (the
-equation itself has no zero mode), and re-pins the mean to ``p`` exactly.
+equation itself has no zero mode), and re-pins the mean to ``p``; the
+rounded mean of the result may still differ from ``p`` by an ulp.
 The operator uses the real-FFT half-lattice symbols of :mod:`.spectral`:
 ``|kappa|^2`` and the derivatives and flux divergence of the radius stepper,
 so a stationary state stays stationary under a step of :func:`.spectral.evolve`.
@@ -73,14 +74,14 @@ class _CellOperator:
 def solve_cell(spec: FluxSpec, grid: PeriodicGrid, p: float) -> CellSolution:
     """Preconditioned fixed-point solve of the stationary mean-constrained problem.
 
-    Iterates ``v <- v - (-Lap)^-1 res(v)``, with the mean re-pinned to ``p``,
-    from the constant state ``v == p`` (exact in the unmodulated case, where
-    no iteration is needed) to a sup residual of ``CELL_TOL``.  When a step no
-    longer lowers a residual already at the roundoff floor, the state before
-    it is accepted.  A residual that is not finite (the flux overflows), one
-    that grew :data:`GROWTH_RUN` iterations in a row, or ``MAX_ITER``
-    iterations raise :class:`ConvergenceError` with the residual history.
-    Raises ``ValueError`` when ``p`` is not finite.
+    Iterates ``v <- v - (-Lap)^-1 res(v)``, with the mean re-pinned to ``p``
+    up to roundoff, from the constant state ``v == p`` (exact in the
+    unmodulated case, where no iteration is needed) to a sup residual of
+    ``CELL_TOL``.  When a step no longer lowers a residual already at the
+    roundoff floor, the state before it is accepted.  A residual that is not
+    finite (the flux overflows), one that grew :data:`GROWTH_RUN` iterations
+    in a row, or ``MAX_ITER`` iterations raise :class:`ConvergenceError` with
+    the residual history.  Raises ``ValueError`` when ``p`` is not finite.
     """
     if not math.isfinite(p):
         raise ValueError(f"p must be finite, got {p!r}")
@@ -106,7 +107,7 @@ def solve_cell(spec: FluxSpec, grid: PeriodicGrid, p: float) -> CellSolution:
                 raise ConvergenceError(f"fixed-point iteration diverged at iteration {k}", history)
             last, last_norm = v, norm
             v = v - op.precondition(res)
-            v = v - v.mean() + p  # re-pin the mean exactly
+            v = v - v.mean() + p  # re-pin the mean, to an ulp of p
     raise ConvergenceError(
         f"fixed-point iteration did not reach {CELL_TOL:.1e} in {MAX_ITER} iterations", history
     )

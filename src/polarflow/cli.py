@@ -55,7 +55,7 @@ EXIT_VERIFY = 3
 # every key the README documents; `evolve` and `cell` may share one file
 KNOWN_KEYS = frozenset(
     "grid.m grid.lengths grid.resolution flux.kind flux.coeffs flux.mod_axis flux.mod_const"
-    " flux.mod_sin flux.mod_cos solver.dt solver.t_end initial.preset initial.params initial.d"
+    " flux.mod_sin flux.mod_cos solver.dt solver.t_end initial.preset initial.params"
     " output.dir output.record_every output.svg seed cell.p cell.pairs".split()
 )
 
@@ -359,7 +359,6 @@ def run_evolve(config_path: str | Path) -> int:
         spec = _build_flux(cfg, grid.m)
         preset = _get(cfg, "initial.preset")
         params = _numbers(_get(cfg, "initial.params", ""))
-        d = int(cfg["initial.d"]) if "initial.d" in cfg else None
         solve_cfg = SolveConfig(
             dt=float(_get(cfg, "solver.dt")),
             t_end=float(_get(cfg, "solver.t_end")),
@@ -367,8 +366,10 @@ def run_evolve(config_path: str | Path) -> int:
         )
         out_dir = Path(_get(cfg, "output.dir"))
         want_svg = _bool(_get(cfg, "output.svg", "false"))
+        if want_svg and grid.m != 1:
+            raise ConfigError(f"output.svg draws closed curves: it needs grid.m = 1, got {grid.m}")
         try:
-            r0, p0 = make_initial(grid, preset, params, d=d)
+            r0, p0 = make_initial(grid, preset, params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         except MemoryError as exc:
@@ -385,7 +386,7 @@ def run_evolve(config_path: str | Path) -> int:
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_evolve(out_dir, traj, cfg, want_svg and grid.m == 1 and p0.d == 2)
+        _write_evolve(out_dir, traj, cfg, want_svg)
     except (OSError, PolarflowError) as exc:  # PolarflowError: a writer process died
         return _write_failed(exc)
     for flag in traj.flags:

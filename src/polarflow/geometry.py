@@ -1,8 +1,9 @@
 """Initial surface data and the polar splitting ``x = r P``.
 
-The parameter domain is ``theta in [0, L)^m``; for the planar curve presets
-(``m = 1``, ambient dimension 2) the angle is ``2 pi theta / L``.  Ambient
-dimension ``d`` defaults to ``m + 1`` and is otherwise independent of ``m``.
+The parameter domain is ``theta in [0, L)^m`` and every preset is a closed
+hypersurface of ``R^(m+1)``: a planar curve on one axis (the angle is
+``2 pi theta / L``), a surface in ``R^3`` on two, and so on.  The ambient
+dimension ``m + 1`` is fixed by :func:`sphere_directions`.
 """
 
 from __future__ import annotations
@@ -24,27 +25,18 @@ __all__ = [
 ]
 
 
-def sphere_directions(grid: PeriodicGrid, d: int) -> DirectionField:
-    """Smooth periodic unit-vector field built from hyperspherical angles.
+def sphere_directions(grid: PeriodicGrid) -> DirectionField:
+    """Smooth periodic unit-vector field in ``R^(m+1)`` built from hyperspherical angles.
 
-    Angle ``i`` sweeps ``2 pi theta_i / L_i`` for the first ``min(m, d-1)``
-    axes; remaining angles are zero.  For ``m=1, d=2`` this is the unit
-    circle ``(cos, sin)``.
+    Angle ``i`` sweeps ``2 pi theta_i / L_i`` along axis ``i``.  On one axis
+    this is the unit circle ``(cos, sin)``.
     """
-    if d < 2:
-        raise ValueError("ambient dimension must be at least 2")
-    coords = grid.coords()
-    angles = []
-    for i in range(d - 1):
-        if i < grid.m:
-            angles.append(2.0 * np.pi * coords[i] / grid.lengths[i])
-        else:
-            angles.append(np.zeros(grid.shape))
     comps = []
     running = np.ones(grid.shape)
-    for i in range(d - 1):
-        comps.append(running * np.cos(angles[i]))
-        running = running * np.sin(angles[i])
+    for coords, length in zip(grid.coords(), grid.lengths):
+        angle = 2.0 * np.pi * coords / length
+        comps.append(running * np.cos(angle))
+        running = running * np.sin(angle)
     comps.append(running)
     return DirectionField(grid=grid, vectors=np.stack(comps, axis=-1))
 
@@ -67,19 +59,15 @@ def _phase(grid: PeriodicGrid, coords: list, kvec) -> np.ndarray:
 
 
 def perturbed_sphere_initial(
-    grid: PeriodicGrid,
-    radius: float,
-    amplitude: float,
-    modes,
-    d: int | None = None,
+    grid: PeriodicGrid, radius: float, amplitude: float, modes
 ) -> tuple[RadialField, DirectionField]:
     """Radius ``R + amplitude * sum_k cos(2 pi k . theta / L)`` over given modes.
 
-    Raises when the perturbation can reach the origin (``amplitude * #modes
-    >= radius``), a mode component is not an integer, or one exceeds
-    ``N_i / 2`` in size: beyond that, modes alias.
+    The directions are :func:`sphere_directions`.  Raises when the
+    perturbation can reach the origin (``amplitude * #modes >= radius``), a
+    mode component is not an integer, or one exceeds ``N_i / 2`` in size:
+    beyond that, modes alias.
     """
-    d = grid.m + 1 if d is None else d
     mode_list = [tuple(_integer("mode", k) for k in np.atleast_1d(kvec)) for kvec in modes]
     tops = tuple(n // 2 for n in grid.resolution)
     for kvec in mode_list:
@@ -93,22 +81,19 @@ def perturbed_sphere_initial(
     r = np.full(grid.shape, float(radius))
     for kvec in mode_list:
         r += amplitude * np.cos(_phase(grid, coords, kvec))
-    return RadialField(grid=grid, values=r), sphere_directions(grid, d)
+    return RadialField(grid=grid, values=r), sphere_directions(grid)
 
 
 def trig_random_initial(
-    grid: PeriodicGrid,
-    seed: int,
-    max_mode: int,
-    amplitude: float,
-    d: int | None = None,
+    grid: PeriodicGrid, seed: int, max_mode: int, amplitude: float
 ) -> tuple[RadialField, DirectionField]:
     """Reproducible random smooth radius ``1 + amplitude * (normalized trig sum)``.
 
     Coefficients are drawn from a seeded generator and damped by ``1/|k|^2``;
     the perturbation is rescaled to unit sup norm so ``min r = 1 - amplitude``
-    is guaranteed.  Requires ``0 <= amplitude < 1``, an integer ``seed >= 0``
-    and an integer ``1 <= max_mode <= min(N) / 2``: beyond that, modes alias.
+    is guaranteed; the directions are :func:`sphere_directions`.  Requires
+    ``0 <= amplitude < 1``, an integer ``seed >= 0`` and an integer
+    ``1 <= max_mode <= min(N) / 2``: beyond that, modes alias.
     """
     if not 0.0 <= amplitude < 1.0:
         raise ValueError("amplitude must lie in [0, 1) to keep the radius positive")
@@ -118,7 +103,6 @@ def trig_random_initial(
     if not 1 <= max_mode <= min(grid.resolution) // 2:
         top = min(grid.resolution) // 2
         raise ValueError(f"max_mode must lie in [1, min(N)/2 = {top}], got {max_mode}")
-    d = grid.m + 1 if d is None else d
     rng = np.random.default_rng(seed)
     coords = grid.coords()
     pert = np.zeros(grid.shape)
@@ -133,39 +117,35 @@ def trig_random_initial(
     if sup > 0.0:
         pert = pert / sup
     r = 1.0 + amplitude * pert
-    return RadialField(grid=grid, values=r), sphere_directions(grid, d)
+    return RadialField(grid=grid, values=r), sphere_directions(grid)
 
 
-def make_initial(
-    grid: PeriodicGrid, preset: str, params, d: int | None = None
-) -> tuple[RadialField, DirectionField]:
+def make_initial(grid: PeriodicGrid, preset: str, params) -> tuple[RadialField, DirectionField]:
     """Dispatch on preset name; ``params`` is the positional parameter list.
 
-    Presets: ``ellipse(a, b)``, ``perturbed_sphere(radius, amplitude, *modes)``,
-    ``trig_random(seed, max_mode, amplitude)``.  The ellipse is planar, so it
-    takes no ambient dimension ``d`` other than 2.
+    Presets: ``ellipse(a, b)`` (one axis only), ``perturbed_sphere(radius,
+    amplitude, *modes)``, ``trig_random(seed, max_mode, amplitude)``.  Each
+    returns directions in ``R^(m+1)``.
     """
     params = list(params)
     if preset == "ellipse":
         if len(params) != 2:
             raise ValueError("ellipse preset takes parameters (a, b)")
-        if d is not None and d != 2:
-            raise ValueError(f"ellipse preset is a planar curve: d must be 2, got {d}")
         return ellipse_initial(grid, float(params[0]), float(params[1]))
     if preset == "perturbed_sphere":
         if len(params) < 3:
             raise ValueError("perturbed_sphere preset takes (radius, amplitude, mode, ...)")
         modes = params[2:] if grid.m == 1 else [params[2:]]
-        return perturbed_sphere_initial(grid, float(params[0]), float(params[1]), modes, d=d)
+        return perturbed_sphere_initial(grid, float(params[0]), float(params[1]), modes)
     if preset == "trig_random":
         if len(params) != 3:
             raise ValueError("trig_random preset takes (seed, max_mode, amplitude)")
-        return trig_random_initial(grid, params[0], params[1], float(params[2]), d=d)
+        return trig_random_initial(grid, params[0], params[1], float(params[2]))
     raise ValueError(f"unknown initial preset {preset!r}")
 
 
 def reconstruct(r: ScalarField, p: DirectionField) -> np.ndarray:
-    """Embedded points ``x = r P``, shape ``grid.shape + (d,)``."""
+    """Embedded points ``x = r P``, shape ``grid.shape + (p.d,)``."""
     if r.grid != p.grid:
         raise ValueError("radius and direction fields live on different grids")
     return r.values[..., None] * p.vectors

@@ -75,7 +75,7 @@ def test_07_sphere_convergence(battery):
 def test_08_transport_correctness(battery):
     grid = make_grid(1, [1.0], [128])
     r = make_field(grid, np.full(grid.shape, 2.0))
-    p0 = sphere_directions(grid, 2)
+    p0 = sphere_directions(grid)
     c, dt, steps = 1.0, 1e-3, 500
     p = p0
     for _ in range(steps):

@@ -71,12 +71,13 @@ output.svg = true
 seed = 42
 """
 
-# ELLIPSE_CFG's run on a trig_random surface, 16^2, less the grid.m line
+# ELLIPSE_CFG's run on a trig_random surface, 16^2, less the grid.m line and the frames
 SURFACE_CFG = (
     ELLIPSE_CFG.replace("grid.m = 1\ngrid.lengths = 1.0\ngrid.resolution = 64",
                         "grid.lengths = 1.0, 1.0\ngrid.resolution = 16, 16")
     .replace("initial.preset = ellipse\ninitial.params = 2.0, 1.0",
              "initial.preset = trig_random\ninitial.params = 3, 2, 0.1")
+    .replace("output.svg = true", "output.svg = false")
 )
 
 CELL_CFG = """\
@@ -293,12 +294,21 @@ class TestRunEvolve:
         assert run_evolve(cfg_path) == EXIT_CONFIG
         assert not out.exists()
 
+    # the ambient dimension is grid.m + 1, so the key that set it is gone
     @pytest.mark.parametrize("d", ["1", "3"])
     def test_non_planar_ellipse_is_config_error(self, tmp_path, capsys, d):
         cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG + f"initial.d = {d}\n")
         assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown config key 'initial.d'\n"
+        assert not out.exists()
+
+    # ran and silently drew no frames
+    def test_svg_on_two_axes_is_config_error(self, tmp_path, capsys):
+        text = SURFACE_CFG.replace("output.svg = false", "output.svg = true")
+        cfg_path, out = write_cfg(tmp_path, "grid.m = 2\n" + text)
+        assert main(["evolve", str(cfg_path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "d must be 2" in err and "Traceback" not in err
+        assert err == "config error: output.svg draws closed curves: it needs grid.m = 1, got 2\n"
         assert not out.exists()
 
     def test_missing_key_is_config_error(self, tmp_path):
@@ -520,7 +530,8 @@ class TestEvolveWriters:
         .replace("grid.lengths = 1.0", "grid.lengths = 1.0, 1.0")
         .replace("grid.resolution = 64", "grid.resolution = 16, 16")
         .replace("initial.preset = ellipse", "initial.preset = trig_random")
-        .replace("initial.params = 2.0, 1.0", "initial.params = 3, 2, 0.1"),
+        .replace("initial.params = 2.0, 1.0", "initial.params = 3, 2, 0.1")
+        .replace("output.svg = true", "output.svg = false"),
     ], ids=["svg_false", "two_axes"])
     def test_rerun_without_frames_leaves_none(self, tmp_path, rerun):
         cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
@@ -737,6 +748,9 @@ class TestVerifyAll:
 
     def test_cost_order_covers_every_suite_once(self):
         assert sorted(_COST_ORDER) == sorted(SUITES)
+
+    def test_cli_names_the_suites_in_order(self):
+        assert cli._SUITE_NAMES == tuple(SUITES)
 
     def test_worker_fail_row_exits_3_in_order(self, tmp_path, monkeypatch, capsys, two_cores):
         patch_suites(monkeypatch, cell=lambda: [CheckResult("cell.bad", False, "1 > 0")])

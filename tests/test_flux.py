@@ -271,10 +271,10 @@ class TestResolve:
         "max_stable_dt": lambda grid, spec, r0: max_stable_dt(grid, spec, 1.0),
         "evolve": lambda grid, spec, r0: evolve(r0, spec, SolveConfig(dt=1e-4, t_end=1e-3)),
         "evolve_coupled": lambda grid, spec, r0: evolve_coupled(
-            r0, sphere_directions(grid, grid.m + 1), spec, SolveConfig(dt=1e-4, t_end=1e-3)
+            r0, sphere_directions(grid), spec, SolveConfig(dt=1e-4, t_end=1e-3)
         ),
         "transport_step": lambda grid, spec, r0: transport_step(
-            sphere_directions(grid, grid.m + 1), r0, spec, 1e-3
+            sphere_directions(grid), r0, spec, 1e-3
         ),
         "solve_cell": lambda grid, spec, r0: solve_cell(spec, grid, 1.0),
         "picard_solve": lambda grid, spec, r0: picard_solve(r0, spec),

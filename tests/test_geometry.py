@@ -118,15 +118,13 @@ class TestTrigRandom:
 
 
 class TestSphereDirections:
+    # the ambient dimension d = m + 1 of an m-axis grid
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_unit_norm(self, grid64, d):
-        p = sphere_directions(grid64, d)
+    def test_unit_norm(self, d):
+        grid = make_grid(d - 1, [1.0] * (d - 1), [16] * (d - 1))
+        p = sphere_directions(grid)
         norms = np.sqrt((p.vectors**2).sum(-1))
-        assert np.abs(norms - 1.0).max() < 1e-12
-
-    def test_ambient_dimension_validated(self, grid64):
-        with pytest.raises(ValueError):
-            sphere_directions(grid64, 1)
+        assert p.d == d and np.abs(norms - 1.0).max() < 1e-12
 
 
 class TestReconstructDecompose:
@@ -188,12 +186,15 @@ class TestMakeInitialDispatch:
         with pytest.raises(ValueError):
             make_initial(grid64, "ellipse", [2.0])
 
-    @pytest.mark.parametrize("d", [1, 3, 4])
-    def test_ellipse_rejects_non_planar_d(self, grid64, d):
-        # the ellipse used to ignore d and return 2-vectors
-        with pytest.raises(ValueError, match="d must be 2"):
-            make_initial(grid64, "ellipse", [2.0, 1.0], d=d)
-
-    def test_ellipse_accepts_planar_d(self, grid64):
-        _, p0 = make_initial(grid64, "ellipse", [2.0, 1.0], d=2)
-        assert p0.d == 2
+    @pytest.mark.parametrize("preset, params, m", [
+        ("ellipse", [2.0, 1.0], 1),
+        ("perturbed_sphere", [1.0, 0.3, 1], 1),
+        ("perturbed_sphere", [1.0, 0.3, 1, 1], 2),
+        ("trig_random", [7, 3, 0.5], 1),
+        ("trig_random", [7, 2, 0.5], 2),
+        ("trig_random", [7, 1, 0.5], 3),
+    ])
+    def test_every_preset_is_a_hypersurface_of_r_m_plus_1(self, preset, params, m):
+        grid = make_grid(m, [1.0] * m, [8] * m)
+        _, p0 = make_initial(grid, preset, params)
+        assert p0.d == grid.m + 1

@@ -430,7 +430,7 @@ class TestEnsemble:
             return vectors
 
         r0 = smooth_field(grid64, seed=45, offset=2.0)
-        p0 = sphere_directions(grid64, 2).vectors
+        p0 = sphere_directions(grid64).vectors
         cfg = SolveConfig(dt=1e-3, t_end=3e-3)
         traj = _march([r0], constant_flux([0.7]), cfg, (p0, hook))[0]
         assert len(seen) == 3
@@ -443,7 +443,7 @@ class TestEnsemble:
         cfg = SolveConfig(dt=1e-3, t_end=5e-3, record_every=2)
         first, second = _march(r0s, burgers_flux(1), cfg)
         assert first.radii.shape == (4, 64) and first.radii.base is second.radii.base
-        p0 = sphere_directions(grid64, 2).vectors
+        p0 = sphere_directions(grid64).vectors
         coupled = _march(r0s[:1], burgers_flux(1), cfg, (p0, lambda p, mid, end, dt: p))[0]
         assert coupled.directions.shape == (4, 64, 2) and first.directions is None
         for arr in (first.times, first.radii, coupled.times, coupled.radii, coupled.directions):

@@ -31,7 +31,7 @@ from conftest import full_lattice
 
 
 def circle_field(grid):
-    return sphere_directions(grid, 2)
+    return sphere_directions(grid)
 
 
 def reference_transport_step(grid, vectors, radii, spec, dt):
@@ -211,7 +211,7 @@ class TestVariableSpeedOracle:
         x, y = grid2d.coords()
         r = make_field(grid2d, self.radius_2d(x, y))
         t = 0.25
-        p = transported(sphere_directions(grid2d, 3), r, burgers_flux(2), 5e-3, t)
+        p = transported(sphere_directions(grid2d), r, burgers_flux(2), 5e-3, t)
         fx, fy = characteristic_foot([x, y], lambda pts: [0.5 * self.radius_2d(*pts)] * 2, t)
         a, b = 2 * np.pi * fx, 2 * np.pi * fy
         exact = np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(a) * np.sin(b)], axis=-1)
@@ -264,7 +264,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("m, spec, dt", CASES)
     def test_frozen_radius(self, m, spec, dt):
         grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
-        p = sphere_directions(grid, m + 1)
+        p = sphere_directions(grid)
         r = make_field(grid, radius_samples(grid, 0.0))
         got = transport_step(p, r, spec, dt).vectors
         want, n_sub = reference_transport_step(grid, p.vectors, [r.values] * 3, spec, dt)
@@ -274,7 +274,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("m, spec, dt", CASES)
     def test_moving_radius(self, m, spec, dt):
         grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
-        p = sphere_directions(grid, m + 1)
+        p = sphere_directions(grid)
         radii = [radius_samples(grid, t) for t in (0.0, dt / 2, dt)]
         got = carry_steps(p, spec, dt, 1)
         want, _ = reference_transport_step(grid, p.vectors, radii, spec, dt)
@@ -288,7 +288,7 @@ class TestSubsteps:
         # speeds near 60 make the RK4 argument at max_stable_dt 2.87
         spec = modulated_flux(2, [60.0, 0.5])
         dt = max_stable_dt(grid2d, spec, 1.3)
-        p0 = sphere_directions(grid2d, 3)
+        p0 = sphere_directions(grid2d)
         seen = []
         original = transport._substeps
 
@@ -328,7 +328,7 @@ class TestInPlaceCarry:
         grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
         radii = [radius_samples(grid, t) for t in (0.0, dt / 2, dt)]
         stages = [transport._stage(spec, grid, r) for r in radii]
-        return grid, sphere_directions(grid, m + 1).vectors, stages
+        return grid, sphere_directions(grid).vectors, stages
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_matches_out_of_place_bitwise(self, case, monkeypatch):
@@ -503,7 +503,7 @@ class TestTransportStep:
     @pytest.mark.parametrize("axes, flux_axes", [(2, 1), (2, 3), (1, 2)])
     def test_flux_axis_count_checked(self, axes, flux_axes):
         grid = make_grid(axes, [1.0] * axes, [16] * axes)
-        p = sphere_directions(grid, 3)
+        p = sphere_directions(grid)
         r = make_field(grid, np.full(grid.shape, 1.5))
         with pytest.raises(ValueError, match=f"flux has {flux_axes} components but grid has {axes} axes"):
             transport_step(p, r, burgers_flux(flux_axes), 1e-3)
@@ -533,7 +533,7 @@ class TestTransportStep:
             transport_step(p, r, burgers_flux(1), 1e-3)
 
     def test_2d_keeps_layout_and_bits_for_strided_vectors(self, grid2d):
-        p = sphere_directions(grid2d, 3)
+        p = sphere_directions(grid2d)
         # the same vectors with the components outermost in memory
         strided = np.moveaxis(np.moveaxis(p.vectors, -1, 0).copy(), 0, -1)
         q = DirectionField(grid=grid2d, vectors=strided)
@@ -546,7 +546,7 @@ class TestTransportStep:
         assert a == b
 
     def test_2d_translation(self, grid2d):
-        p0 = sphere_directions(grid2d, 3)
+        p0 = sphere_directions(grid2d)
         r = make_field(grid2d, np.full(grid2d.shape, 1.0))
         c = [0.5, -0.25]
         dt = 1e-2
@@ -687,15 +687,15 @@ class TestRotationalInvariance:
     """
 
     CASES = {
-        "ellipse": ((128,), "ellipse", [2.5, 1.0], None, 5e-4, 0.2),
-        "trig_random_32x32": ((32, 32), "trig_random", [5, 3, 0.2], 3, 1e-3, 0.1),
+        "ellipse": ((128,), "ellipse", [2.5, 1.0], 5e-4, 0.2),
+        "trig_random_32x32": ((32, 32), "trig_random", [5, 3, 0.2], 1e-3, 0.1),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_rotated_start_gives_rotated_run(self, case):
-        shape, preset, params, d, dt, t_end = self.CASES[case]
+        shape, preset, params, dt, t_end = self.CASES[case]
         grid = make_grid(len(shape), [1.0] * len(shape), list(shape))
-        r0, p0 = make_initial(grid, preset, params, d=d)
+        r0, p0 = make_initial(grid, preset, params)
         rng = np.random.default_rng(sum(shape))
         q, _ = np.linalg.qr(rng.standard_normal((p0.d, p0.d)))
         rotated = DirectionField(grid=grid, vectors=p0.vectors @ q.T)
