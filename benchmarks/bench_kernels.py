@@ -42,12 +42,13 @@ which takes each Newton step from dense stencil matrices and a dense bordered
 ``np.linalg.solve``; the two must agree below 1e-12.  The trajectory,
 diagnostics and SVG writers of ``polarflow evolve`` are timed on a
 1001-record N=128 ellipse run against the per-cell ``reference_*`` writers
-of ``tests/test_cli.py``; both must write identical bytes.  The writers
-overwrite their files on every repeat, which is cheaper than creating them.
-All the writers of that run with its SVG frames
-(``_write_evolve``) are timed through the fork pool against in-process (as on
-one core); every repeat writes into a fresh directory, since creating the
-1001 frame files is much of the cost, and both must write identical bytes.
+of ``tests/test_cli.py``, whose SVG oracle rounds each point on its own;
+both must write identical bytes.  The writers overwrite their files on
+every repeat, which is cheaper than creating them.  All the writers of that
+run with its SVG frames (``_write_evolve``) are timed through the fork pool,
+as two jobs (the frames, and the three CSVs), against in-process (as on one
+core); every repeat writes into a fresh directory, since creating the 1001
+frame files is much of the cost, and both must write identical bytes.
 The ``verify`` contraction pair (two N=128 burgers runs of 5000 steps) is
 timed stepped as one two-member batch against two ``evolve`` runs; every
 member must match its own run bitwise.  Last,
@@ -55,8 +56,8 @@ member must match its own run bitwise.  Last,
 workers when two or more cores are usable, is timed against the sum of the
 suites run one after another in this process, after checking that both give
 the same rows; the per-suite times, the worker count and ``nproc`` are
-printed with it.  Both pooled rows start ``polarflow._pool.usable_workers()``
-workers at most.
+printed with it.  Both pooled rows fork one child per job, at most
+``polarflow._pool.usable_workers()`` at a time.
 
     python benchmarks/bench_kernels.py [--n 128] [--repeat 50]
 """

@@ -172,6 +172,20 @@ MUTANTS = (
         ("tests/test_cell.py",),
     ),
     Mutant(
+        "svg-frame-flips-y",
+        "src/polarflow/cli.py",
+        "        xy = traj.radii[i][..., None] * traj.directions[i]\n",
+        "        xy = traj.radii[i][..., None] * traj.directions[i] * [1.0, -1.0]\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "pool-results-in-completion-order",
+        "src/polarflow/_pool.py",
+        "    return [results[i] for i in range(len(jobs))]\n",
+        "    return list(results.values())\n",
+        ("tests/test_pool.py",),
+    ),
+    Mutant(
         "cli-allows-svg-on-two-axes",
         "src/polarflow/cli.py",
         "if want_svg and grid.m != 1:",

@@ -7,10 +7,16 @@ Three subcommands::
     polarflow cell CONFIG       # stationary solve + monotonicity report
 
 Configuration is a flat ``section.key = value`` text file ('#' comments,
-blank lines ignored); see the README for the key reference.  Every artifact
-begins with '#'-prefixed header lines naming its columns and carrying a hash
-of the normalized configuration, and identical configurations produce
-byte-identical artifacts (no timestamps, shortest-roundtrip float formatting).
+blank lines ignored); see the README for the key reference.  Every CSV
+artifact begins with '#'-prefixed header lines naming its columns and
+carrying a hash of the normalized configuration, and writes its floats in
+shortest round-trip form; an SVG frame carries the hash in a comment and
+draws its curve in integers on a fixed viewBox.  Identical configurations
+produce byte-identical artifacts (no timestamps).
+
+``evolve`` with SVG frames writes in two forked jobs of
+:func:`._pool.run_jobs`, one for every frame and one for the three CSVs;
+without frames it writes the CSVs in-process.
 
 Each subcommand imports only the modules it runs: ``verify``, and with it
 the reference solvers and ``cell``, loads on the first call of
@@ -27,13 +33,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._pool import run_jobs, usable_workers
+from ._pool import run_jobs
 from .errors import ConfigError, PolarflowError
 from .flux import FluxSpec, Modulation, burgers_flux, constant_flux, polynomial_flux, with_modulation, zero_flux
 from .geometry import make_initial
@@ -60,6 +67,7 @@ KNOWN_KEYS = frozenset(
 )
 
 _FRAME = "frame_{:05d}.svg"
+_VIEW = 5000  # half the side of every frame's viewBox, in drawing units
 
 # the keys of `verify.SUITES`, for the help text and the name check without loading `verify`
 _SUITE_NAMES = ("heat", "duhamel", "conservation", "contraction", "cell", "geometry")
@@ -284,31 +292,40 @@ def _write_snapshot(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
     _write_csv(out / "snapshot_final.csv", head, _csv_rows(table))
 
 
-def _write_svg_frames(
-    out: Path, traj: Trajectory, cfg: dict[str, str], frames: range | None = None
-) -> None:
-    """One SVG file per record in ``out/frames``; ``frames`` picks the record indices (all by default)."""
+def _write_svg_frames(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
+    """One SVG file per record in ``out/frames``, drawn in integers on a fixed viewBox.
+
+    Every frame maps the square of half side ``span``, 1.1 times the largest
+    sup of the run, onto ``[-_VIEW, _VIEW]^2``: a point ``x = r P`` is drawn
+    at ``rint(x / span * _VIEW)``.  One ``%`` template per run holds every
+    point's ``%d %d``, and each frame fills it once, its points converted
+    from one record at a time.  Each file is written through ``os.open``
+    and ``os.write``, without the file objects of ``Path.write_text``: the
+    kernel's creation of the files is most of the cost, and the rest is
+    per file.
+    """
     folder = out / "frames"
     folder.mkdir(exist_ok=True)
-    span = float(traj.sup.max()) * 1.1
-    before_path = (
-        f" config_hash={config_hash(cfg)} -->\n"
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(-span)} {_fmt(-span)} {_fmt(2 * span)} {_fmt(2 * span)}">\n'
-        '  <path d="M '
-    )
-    after_path = (
-        f' Z" fill="none" stroke="black" stroke-width="{_fmt(span / 200)}"/>\n'
+    span = float(traj.sup.max()) * 1.1 or 1.0  # all radii 0: any span draws every point at 0
+    template = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f"<!-- frame t=%s config_hash={config_hash(cfg)} -->\n"
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{-_VIEW} {-_VIEW} {2 * _VIEW} {2 * _VIEW}">\n'
+        '  <path d="M ' + " L ".join(["%d %d"] * traj.grid.num_nodes)
+        + f' Z" fill="none" stroke="black" stroke-width="{_VIEW // 200}"/>\n'
         "</svg>\n"
     )
-    for i in range(len(traj.times)) if frames is None else frames:
-        xy = (traj.radii[i][..., None] * traj.directions[i]).reshape(-1, 2).tolist()
-        path = " L ".join([f"{x!r} {y!r}" for x, y in xy])
-        svg = (
-            '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f"<!-- frame t={_fmt(traj.times[i])}{before_path}{path}{after_path}"
-        )
-        (folder / _FRAME.format(i)).write_text(svg)
+    for i, t in enumerate(traj.times.tolist()):
+        xy = traj.radii[i][..., None] * traj.directions[i]
+        points = np.rint(xy / span * _VIEW).astype(np.int64).ravel().tolist()
+        fd = os.open(folder / _FRAME.format(i), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            data = memoryview((template % (repr(t), *points)).encode())
+            while data:  # a write may take less than all of it
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
 
 
 def _remove_stale_frames(out: Path, count: int) -> None:
@@ -319,35 +336,29 @@ def _remove_stale_frames(out: Path, count: int) -> None:
             path.unlink()
 
 
+def _write_tables(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
+    """Write the three CSV artifacts of an ``evolve`` run into ``out``."""
+    _write_trajectory(out, traj, cfg)
+    _write_diagnostics(out, traj, cfg)
+    _write_snapshot(out, traj, cfg)
+
+
 def _write_evolve(out: Path, traj: Trajectory, cfg: dict[str, str], svg: bool) -> None:
     """Write every artifact of an ``evolve`` run into ``out``.
 
-    A run with SVG frames hands its writers to :func:`run_jobs`, with the
-    frames split into one interleaved shard per usable worker; each job
-    looks its writer up by name when it runs.  Without frames the files are
-    few and small, and the pool would cost more than it saves, so the
-    writers run here.  Either way the frames of an earlier run that this
-    run does not write are deleted first.
+    A run with SVG frames hands :func:`run_jobs` two jobs: every frame, and
+    the CSV artifacts.  Creating files in one directory is serial work in
+    the kernel, so splitting the frames over processes gains nothing, and
+    the frames outlast the CSVs.  Each job looks its writers up by name when
+    it runs.  Without frames the files are few and small, and a fork would
+    cost more than it saves, so the CSVs are written here.  Either way the
+    frames of an earlier run that this run does not write are deleted first.
     """
-    n = len(traj.times) if svg else 0
-    _remove_stale_frames(out, n)
-    if not svg:
-        _write_diagnostics(out, traj, cfg)
-        _write_trajectory(out, traj, cfg)
-        _write_snapshot(out, traj, cfg)
-        return
-    shards = max(1, usable_workers())
-    run_jobs(
-        [
-            *(
-                lambda k=k: _write_svg_frames(out, traj, cfg, frames=range(k, n, shards))
-                for k in range(shards)
-            ),
-            lambda: _write_trajectory(out, traj, cfg),
-            lambda: _write_diagnostics(out, traj, cfg),
-            lambda: _write_snapshot(out, traj, cfg),
-        ]
-    )
+    _remove_stale_frames(out, len(traj.times) if svg else 0)
+    if svg:
+        run_jobs([lambda: _write_svg_frames(out, traj, cfg), lambda: _write_tables(out, traj, cfg)])
+    else:
+        _write_tables(out, traj, cfg)
 
 
 def run_evolve(config_path: str | Path) -> int:

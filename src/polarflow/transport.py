@@ -8,7 +8,8 @@ every vector component:
 
 * a constant speed ``c_i`` per axis, the midrange of ``f_i`` over the step
   (it minimises the largest remainder ``|f_i - c_i|``), is applied exactly
-  as the phase shift of :func:`.spectral._shift_symbol`;
+  as the phase shift of :func:`.spectral._shift_symbol`, which is built
+  again only when the speeds or the step change bit for bit;
 * RK4 integrates the remainder ``-(f_i - c_i) dP/dtheta_i`` with the
   derivative symbols of :mod:`.spectral`, the set the radius stepper reads.
   The stage speeds come from the radius at the start, the middle and the
@@ -39,6 +40,7 @@ every stage, for the hook and for :func:`transport_step` alike.
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -103,6 +105,24 @@ def _component_derivatives(grid: PeriodicGrid, d: int) -> tuple[tuple, tuple]:
     return tuple(_at(s, half) for s in derivs), tuple(float(np.abs(s).max()) for s in derivs)
 
 
+@lru_cache(maxsize=3)
+def _packed_shift(grid: PeriodicGrid, bits: bytes) -> np.ndarray:
+    """:func:`.spectral._shift_symbol` of the speeds and the time packed in ``bits``, read-only."""
+    *speeds, t = struct.unpack(f"{len(bits) // 8}d", bits)
+    shift = _shift_symbol(grid, speeds, t)
+    shift.flags.writeable = False
+    return shift
+
+
+def _shift(grid: PeriodicGrid, speeds: list[float], t: float) -> np.ndarray:
+    """:func:`.spectral._shift_symbol`, reused while the speeds and the time repeat bit for bit.
+
+    Keyed on the bits, which keep ``-0.0`` apart from ``0.0``.  A step takes
+    at most three: the whole step's, or a substep's and its half's.
+    """
+    return _packed_shift(grid, struct.pack(f"{len(speeds) + 1}d", *speeds, t))
+
+
 def _substeps(tops: tuple[float, ...], rest: list[float], dt: float) -> int:
     """RK4 substeps that keep ``sum_i rest_i * tops_i * |dt|`` below ``_RK4_REACH`` each.
 
@@ -138,11 +158,11 @@ def _carry(vectors: np.ndarray, grid: PeriodicGrid, stages: list, dt: float) -> 
     n_sub = _substeps(tops, [0.5 * (b - a) for a, b in zip(lo, hi)], dt)
     hat = _rfft(grid, vectors.transpose(grid.m, *range(grid.m)))
     if n_sub == 0:
-        np.multiply(hat, _shift_symbol(grid, centre, dt), out=hat)
+        np.multiply(hat, _shift(grid, centre, dt), out=hat)
     else:
         h = dt / n_sub
-        shift = _shift_symbol(grid, centre, h)
-        shift_half = _shift_symbol(grid, centre, h / 2.0)
+        shift = _shift(grid, centre, h)
+        shift_half = _shift(grid, centre, h / 2.0)
         two_shift_half = 2.0 * shift_half
         rests = [[v - c for v, c in zip(s, centre)] for s, _ in stages]
         scratch, stage = np.empty_like(hat), np.empty_like(hat)

@@ -167,23 +167,28 @@ def reference_write_snapshot(out, traj, cfg):
     (out / "snapshot_final.csv").write_text(text)
 
 
+def frame_point(x, span):
+    """Where a frame draws the coordinate ``x``: ``x / span * 5000``, rounded half to even."""
+    return round(float(x) / span * 5000)
+
+
 def reference_write_svg_frames(out, traj, cfg):
     frames = out / "frames"
     frames.mkdir(exist_ok=True)
-    span = max(float(np.abs(r).max()) for r in traj.radii) * 1.1
+    span = max(float(np.abs(r).max()) for r in traj.radii) * 1.1 or 1.0
     for i, (r, p) in enumerate(zip(traj.radii, traj.directions)):
         r, p = ScalarField(grid=traj.grid, values=r), DirectionField(grid=traj.grid, vectors=p)
         pts = reconstruct(r, p).reshape(-1, 2)
         path = " ".join(
-            f"{'M' if j == 0 else 'L'} {_fmt(xy[0])} {_fmt(xy[1])}" for j, xy in enumerate(pts)
+            f"{'M' if j == 0 else 'L'} {frame_point(x, span)} {frame_point(y, span)}"
+            for j, (x, y) in enumerate(pts)
         )
         svg = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f"<!-- frame t={_fmt(traj.times[i])} config_hash={config_hash(cfg)} -->\n"
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'viewBox="{_fmt(-span)} {_fmt(-span)} {_fmt(2 * span)} {_fmt(2 * span)}">\n'
-            f'  <path d="{path} Z" fill="none" stroke="black" '
-            f'stroke-width="{_fmt(span / 200)}"/>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            'viewBox="-5000 -5000 10000 10000">\n'
+            f'  <path d="{path} Z" fill="none" stroke="black" stroke-width="25"/>\n'
             "</svg>\n"
         )
         (frames / f"frame_{i:05d}.svg").write_text(svg)
@@ -1012,10 +1017,11 @@ class TestLookupAtCallTime:
 
 
 def loaded_modules(tmp_path, code: str) -> set[str]:
-    """The ``polarflow`` modules a fresh interpreter holds after running ``code``."""
+    """The ``polarflow``, ``multiprocessing`` and ``concurrent`` modules a fresh interpreter holds after ``code``."""
     script = code + (
         "\nimport sys\n"
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'polarflow'))\n"
+        "print(' '.join(m for m in sys.modules\n"
+        "               if m.split('.')[0] in ('polarflow', 'multiprocessing', 'concurrent')))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -1040,6 +1046,20 @@ class TestImportsPerSubcommand:
         for name in ("verify", "duhamel", "cell", "_fdcell", "diagnostics"):
             assert f"polarflow.{name}" not in loaded
 
+    def test_evolve_with_frames_loads_no_executor(self, tmp_path):
+        if not hasattr(os, "fork"):
+            pytest.skip("the pool needs the fork start method")
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        loaded = loaded_modules(
+            tmp_path,
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"  # the writers fork even on one core
+            f"from polarflow import cli\nassert cli.main(['evolve', {str(cfg_path)!r}]) == 0",
+        )
+        assert len(frame_hashes(out)) == 21
+        assert "polarflow._pool" in loaded
+        assert not {m.split(".")[0] for m in loaded} & {"multiprocessing", "concurrent"}
+
     def test_cell_loads_no_reference_solver(self, tmp_path):
         cfg_path, _ = write_cfg(tmp_path, CELL_CFG, name="cell.cfg")
         loaded = loaded_modules(
@@ -1048,6 +1068,73 @@ class TestImportsPerSubcommand:
         assert "polarflow.cell" in loaded
         for name in ("verify", "duhamel", "_fdcell", "diagnostics"):
             assert f"polarflow.{name}" not in loaded
+
+
+def hand_built_trajectory(values):
+    """Two records on 8 nodes, ``values`` and ``-values``, with signed-zero unit vectors."""
+    vectors = np.array(
+        [[1.0, -0.0], [-0.0, 1.0], [-1.0, 0.0], [0.6, -0.8], [-0.0, -1.0], [0.8, 0.6],
+         [1.0, 0.0], [-0.6, 0.8]]
+    )
+    return Trajectory(
+        grid=make_grid(1, [1e-5], [8]),
+        spec=zero_flux(1),
+        times=np.array([0.0, 1e-05]),
+        radii=np.stack([values, -values]),
+        directions=np.stack([vectors, vectors]),
+    )
+
+
+FRAME_RE = re.compile(
+    r'<\?xml version="1.0" encoding="UTF-8"\?>\n'
+    r"<!-- frame t=(\S+) config_hash=[0-9a-f]{16} -->\n"
+    r'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="-5000 -5000 10000 10000">\n'
+    r'  <path d="M (-?\d+ -?\d+(?: L -?\d+ -?\d+)*) Z" fill="none" stroke="black" stroke-width="25"/>\n'
+    r"</svg>\n"
+)
+
+
+def frame_points(text):
+    """``(t, [[x, y], ...])`` of one SVG frame, its points as the integers it draws."""
+    match = FRAME_RE.fullmatch(text)
+    assert match, text[:300]
+    points = [[int(v) for v in pair.split(" ")] for pair in match[2].split(" L ")]
+    return float(match[1]), points
+
+
+class TestFrameGeometry:
+    """Each frame draws ``x = r P`` at ``round(x / span * 5000)`` on a fixed integer viewBox."""
+
+    def test_every_point_of_a_curve_run(self, tmp_path):
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        assert run_evolve(cfg_path) == EXIT_OK
+        grid = make_grid(1, [1.0], [64])
+        r0, p0 = make_initial(grid, "ellipse", [2.0, 1.0])
+        traj = evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=1e-3, t_end=0.02))
+        span = float(traj.sup.max()) * 1.1
+        paths = sorted((out / "frames").glob("frame_*.svg"))
+        assert len(paths) == len(traj.times) == 21
+        for path, t, r, p in zip(paths, traj.times, traj.radii, traj.directions):
+            got_t, points = frame_points(path.read_text())
+            assert got_t == t
+            assert points == [[frame_point(x, span), frame_point(y, span)] for x, y in r[:, None] * p]
+        # the widest frame reaches 5000 / 1.1 where its sup point lies on an axis
+        assert max(abs(v) for pair in frame_points(paths[0].read_text())[1] for v in pair) == 4545
+
+    @pytest.mark.parametrize("values", [np.zeros(8), np.array([1e-05, 1e16, -0.0, 0.1, 2.5e-300, 3.0,
+                                                                1.0 / 3.0, 7e22])],
+                             ids=["all_zero", "exponents"])
+    def test_degenerate_radii_draw_without_warning(self, tmp_path, values):
+        traj = hand_built_trajectory(values)
+        span = float(np.abs(values).max()) * 1.1 or 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _write_svg_frames(tmp_path, traj, {"grid.m": "1"})
+        for i, (r, p) in enumerate(zip(traj.radii, traj.directions)):
+            _, points = frame_points((tmp_path / "frames" / f"frame_{i:05d}.svg").read_text())
+            assert points == [[frame_point(x, span), frame_point(y, span)] for x, y in r[:, None] * p]
+        if not values.any():
+            assert points == [[0, 0]] * 8
 
 
 class TestWriterOracles:
@@ -1074,19 +1161,7 @@ class TestWriterOracles:
         assert got == want
 
     def test_exponent_notation_and_negative_zero(self, tmp_path):
-        grid = make_grid(1, [1e-5], [8])
-        values = np.array([1e-05, 1e16, -0.0, 0.1, 2.5e-300, 3.0, 1.0 / 3.0, 7e22])
-        vectors = np.array(
-            [[1.0, -0.0], [-0.0, 1.0], [-1.0, 0.0], [0.6, -0.8], [-0.0, -1.0], [0.8, 0.6],
-             [1.0, 0.0], [-0.6, 0.8]]
-        )
-        traj = Trajectory(
-            grid=grid,
-            spec=zero_flux(1),
-            times=np.array([0.0, 1e-05]),
-            radii=np.stack([values, -values]),
-            directions=np.stack([vectors, vectors]),
-        )
+        traj = hand_built_trajectory(np.array([1e-05, 1e16, -0.0, 0.1, 2.5e-300, 3.0, 1.0 / 3.0, 7e22]))
         got, want = write_both(tmp_path, EVOLVE_WRITERS + SVG_WRITERS, traj, self.CFG)
         assert got == want
         text = got["trajectory.csv"].decode() + got["frames/frame_00001.svg"].decode()

@@ -457,6 +457,40 @@ class TestReusedSpeeds:
         assert evaluated == []
 
 
+class TestReusedShifts:
+    """A coupled step reuses the shift symbols of the last while its centre and ``h`` repeat bit for bit."""
+
+    @pytest.mark.parametrize("spec", [burgers_flux(1), constant_flux([0.7])], ids=["burgers", "constant"])
+    def test_fewer_builds_and_bits(self, spec, monkeypatch):
+        # the curve workload's run: the centre settles as the ellipse rounds
+        grid = make_grid(1, [1.0], [128])
+        r0, p0 = make_initial(grid, "ellipse", [2.0, 1.0])
+        cfg = SolveConfig(dt=5e-4, t_end=0.5)
+        built = []
+
+        def counted(grid, speeds, t):
+            built.append(t)
+            return _shift_symbol(grid, speeds, t)
+
+        monkeypatch.setattr(transport, "_shift_symbol", counted)
+        transport._packed_shift.cache_clear()
+        reused = evolve_coupled(r0, p0, spec, cfg)
+        n_reused = len(built)
+        built.clear()
+        monkeypatch.setattr(transport, "_shift", counted)  # every symbol built afresh
+        fresh = evolve_coupled(r0, p0, spec, cfg)
+        assert reused.radii.tobytes() == fresh.radii.tobytes()
+        assert reused.directions.tobytes() == fresh.directions.tobytes()
+        assert 0 < n_reused < len(built)
+
+    def test_keyed_on_bits(self, grid64):
+        symbols = [transport._shift(grid64, [c], 0.25) for c in (0.0, -0.0, 0.0)]
+        assert symbols[0] is symbols[2] and symbols[0] is not symbols[1]
+        for c, symbol in zip((0.0, -0.0), symbols):
+            assert symbol.tobytes() == _shift_symbol(grid64, [c], 0.25).tobytes()
+            assert not symbol.flags.writeable
+
+
 class TestTransportStep:
     def test_zero_flux_freezes(self, grid64):
         p0 = circle_field(grid64)
