@@ -45,10 +45,10 @@ diagnostics and SVG writers of ``polarflow evolve`` are timed on a
 of ``tests/test_cli.py``, whose SVG oracle rounds each point on its own;
 both must write identical bytes.  The writers overwrite their files on
 every repeat, which is cheaper than creating them.  All the writers of that
-run with its SVG frames (``_write_evolve``) are timed through the fork pool,
-as two jobs (the frames, and the three CSVs), against in-process (as on one
-core); every repeat writes into a fresh directory, since creating the 1001
-frame files is much of the cost, and both must write identical bytes.
+run with its SVG frames (``_write_evolve``) are timed into a fresh directory
+whose 1001 frame files ``_create_frames`` made first, as the side job of
+``polarflow evolve`` makes them during the time loop, against a fresh empty
+directory; both must write identical bytes.
 The ``verify`` contraction pair (two N=128 burgers runs of 5000 steps) is
 timed stepped as one two-member batch against two ``evolve`` runs; every
 member must match its own run bitwise.  Last,
@@ -56,7 +56,7 @@ member must match its own run bitwise.  Last,
 workers when two or more cores are usable, is timed against the sum of the
 suites run one after another in this process, after checking that both give
 the same rows; the per-suite times, the worker count and ``nproc`` are
-printed with it.  Both pooled rows fork one child per job, at most
+printed with it.  The pool forks one child per suite, at most
 ``polarflow._pool.usable_workers()`` at a time.
 
     python benchmarks/bench_kernels.py [--n 128] [--repeat 50]
@@ -69,7 +69,6 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -91,7 +90,7 @@ from polarflow import (
 )
 from polarflow._fdcell import fd_cell_solve
 from polarflow._pool import usable_workers
-from polarflow.cli import _write_diagnostics, _write_evolve, _write_svg_frames, _write_trajectory
+from polarflow.cli import _create_frames, _write_diagnostics, _write_evolve, _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _N_GAUSS, _N_TIME, _heat_flow, _Window
 from polarflow import transport
 from polarflow.spectral import _irfft, _march, _rfft, _shift_symbol, _Stepper
@@ -326,11 +325,17 @@ def fd_cell_row(spec, repeat):
     print(f"{name:<34} {t_fast * 1e3:>10.3f}ms {t_slow * 1e3:>10.3f}ms {t_slow / t_fast:>8.1f}x")
 
 
-def fresh_write_s(traj, cfg, root, repeat):
-    """Best time of ``_write_evolve`` with frames, each repeat into a new directory."""
+def fresh_write_s(traj, cfg, root, repeat, created):
+    """Best time of ``_write_evolve`` with frames, each repeat into a new directory.
+
+    With ``created``, ``_create_frames`` makes the run's empty frame files
+    there first, outside the timing.
+    """
     best = np.inf
     for _ in range(repeat + 1):  # the first is a warm-up
         out = Path(tempfile.mkdtemp(dir=root))
+        if created:
+            _create_frames(out, len(traj.times))
         t0 = time.perf_counter()
         _write_evolve(out, traj, cfg, svg=True)
         best = min(best, time.perf_counter() - t0)
@@ -340,15 +345,13 @@ def fresh_write_s(traj, cfg, root, repeat):
 
 
 def evolve_writers_row(traj, cfg, repeat):
-    """Every ``evolve`` writer of one run with frames: pooled against in-process."""
+    """Every ``evolve`` writer of one run with frames: into created frame files against none."""
     with tempfile.TemporaryDirectory() as tmp:
-        t_pool, pooled = fresh_write_s(traj, cfg, tmp, repeat)
-        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
-            t_here, here = fresh_write_s(traj, cfg, tmp, repeat)
-    assert pooled == here, "evolve writers: pooled and in-process bytes differ"
-    workers = usable_workers()
-    name = "evolve writers (%s)" % ("%d workers" % workers if workers else "in-process")
-    print(f"{name:<34} {t_pool * 1e3:>10.3f}ms {t_here * 1e3:>10.3f}ms {t_here / t_pool:>8.1f}x")
+        t_made, made = fresh_write_s(traj, cfg, tmp, repeat, created=True)
+        t_new, new = fresh_write_s(traj, cfg, tmp, repeat, created=False)
+    assert made == new, "evolve writers: bytes differ with the frames created first"
+    name = "evolve writers (frames created)"
+    print(f"{name:<34} {t_made * 1e3:>10.3f}ms {t_new * 1e3:>10.3f}ms {t_new / t_made:>8.1f}x")
 
 
 def verify_row(repeat):

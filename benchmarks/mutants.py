@@ -192,6 +192,28 @@ MUTANTS = (
         "if False:",
         ("tests/test_cli.py",),
     ),
+    # the frame creator beside the time loop
+    Mutant(
+        "frame-creator-truncates",
+        "src/polarflow/cli.py",
+        "os.O_WRONLY | os.O_CREAT, 0o666)",
+        "os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "failed-run-skips-cleanup",
+        "src/polarflow/cli.py",
+        "    except BaseException:\n        if not ran:\n",
+        "    except BaseException:\n        if False:\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "frame-creator-one-frame-more",
+        "src/polarflow/cli.py",
+        "    for i in range(count):\n        os.close(",
+        "    for i in range(count + 1):\n        os.close(",
+        ("tests/test_cli.py",),
+    ),
 )
 
 

@@ -14,9 +14,11 @@ shortest round-trip form; an SVG frame carries the hash in a comment and
 draws its curve in integers on a fixed viewBox.  Identical configurations
 produce byte-identical artifacts (no timestamps).
 
-``evolve`` with SVG frames writes in two forked jobs of
-:func:`._pool.run_jobs`, one for every frame and one for the three CSVs;
-without frames it writes the CSVs in-process.
+``evolve`` with SVG frames creates its empty frame files in a forked side
+job of :func:`._pool.run_beside` while its time loop runs, then writes its
+three CSVs and fills the frames in-process.  A run that fails removes every
+file and directory it created, so its output directory is left as it was
+found.
 
 Each subcommand imports only the modules it runs: ``verify``, and with it
 the reference solvers and ``cell``, loads on the first call of
@@ -40,12 +42,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._pool import run_jobs
-from .errors import ConfigError, PolarflowError
+from ._pool import run_beside
+from .errors import ConfigError, PolarflowError, SolverError
 from .flux import FluxSpec, Modulation, burgers_flux, constant_flux, polynomial_flux, with_modulation, zero_flux
 from .geometry import make_initial
-from .grid import PeriodicGrid, _flat_coords, make_grid
-from .spectral import SolveConfig, Trajectory, _record_moduli
+from .grid import PeriodicGrid, ScalarField, _flat_coords, make_grid
+from .spectral import SolveConfig, Trajectory, _record_count, _record_moduli, _schedule
 from .transport import evolve_coupled
 
 if TYPE_CHECKING:
@@ -336,29 +338,93 @@ def _remove_stale_frames(out: Path, count: int) -> None:
             path.unlink()
 
 
-def _write_tables(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None:
-    """Write the three CSV artifacts of an ``evolve`` run into ``out``."""
+def _write_evolve(out: Path, traj: Trajectory, cfg: dict[str, str], svg: bool) -> None:
+    """Write every artifact of an ``evolve`` run into ``out``, in this process.
+
+    The frames of an earlier run that this run does not write are deleted
+    first.  The kernel's creation of the frame files costs more than
+    writing them: for the 1001 frames of an N=128 run on an ext4 disk, the
+    frame writer took 0.24-0.32 s into a new directory and 0.06 s into
+    files that exist.  So where two cores are usable a side job creates
+    them from the start of the time loop (see :func:`_run_creating_frames`),
+    and the CSVs are written before the frames, which gives it that much
+    longer to get ahead.  Two forked writer jobs, one for the frames and one
+    for the CSVs, measured slower beside the side job.  Each writer is
+    looked up by name when it runs.
+    """
+    _remove_stale_frames(out, len(traj.times) if svg else 0)
     _write_trajectory(out, traj, cfg)
     _write_diagnostics(out, traj, cfg)
     _write_snapshot(out, traj, cfg)
-
-
-def _write_evolve(out: Path, traj: Trajectory, cfg: dict[str, str], svg: bool) -> None:
-    """Write every artifact of an ``evolve`` run into ``out``.
-
-    A run with SVG frames hands :func:`run_jobs` two jobs: every frame, and
-    the CSV artifacts.  Creating files in one directory is serial work in
-    the kernel, so splitting the frames over processes gains nothing, and
-    the frames outlast the CSVs.  Each job looks its writers up by name when
-    it runs.  Without frames the files are few and small, and a fork would
-    cost more than it saves, so the CSVs are written here.  Either way the
-    frames of an earlier run that this run does not write are deleted first.
-    """
-    _remove_stale_frames(out, len(traj.times) if svg else 0)
     if svg:
-        run_jobs([lambda: _write_svg_frames(out, traj, cfg), lambda: _write_tables(out, traj, cfg)])
-    else:
-        _write_tables(out, traj, cfg)
+        _write_svg_frames(out, traj, cfg)
+
+
+def _create_frames(out: Path, count: int) -> None:
+    """Create ``out/frames`` and the run's ``count`` frame files in it, empty.
+
+    A file that exists keeps its bytes: it is opened without ``O_TRUNC``.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    folder = out / "frames"
+    folder.mkdir(exist_ok=True)
+    for i in range(count):
+        os.close(os.open(folder / _FRAME.format(i), os.O_WRONLY | os.O_CREAT, 0o666))
+
+
+def _frame_count(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig) -> int:
+    """The records of a run from ``r0``, or 0 for a run that stops before its first step."""
+    try:
+        n_steps = _schedule(r0.grid, spec, cfg, float(np.abs(r0.values).max()))[0]
+    except SolverError:  # the run raises it again, after its own checks
+        return 0
+    return _record_count(n_steps, cfg.record_every)
+
+
+def _run_creating_frames(out: Path, count: int, run, write) -> Trajectory:
+    """``write(run())``, while a side job creates ``out``'s ``count`` empty frames.
+
+    The writers start without waiting for the side job: both open every
+    frame with ``O_CREAT``, and only the frame writer truncates, so neither
+    order loses a byte, and a side job that cannot create a file leaves it
+    to the frame writer, which reports the error if it meets it too.  If
+    the run fails, the frames and directories the side job made are removed
+    once it has ended, and ``out`` is left as it was found; a failed write
+    leaves what it wrote, as it does without the side job.
+    """
+    folder = out / "frames"
+    missing = []  # the directories the side job may make, innermost first
+    for path in (folder, out, *out.parents):
+        if path.exists():
+            break
+        missing.append(path)
+    kept = set(os.listdir(folder)) if folder.is_dir() else set()
+    ran = False
+
+    def call() -> Trajectory:
+        nonlocal ran
+        traj = run()
+        ran = True
+        return write(traj)
+
+    def create() -> None:
+        try:
+            _create_frames(out, count)
+        except OSError:
+            pass
+
+    try:
+        return run_beside(call, create)
+    except BaseException:
+        if not ran:
+            if folder.is_dir():
+                for path in folder.glob("frame_*.svg"):
+                    if path.name not in kept:
+                        path.unlink()
+            for path in missing:
+                if path.is_dir():
+                    path.rmdir()
+        raise
 
 
 def run_evolve(config_path: str | Path) -> int:
@@ -389,16 +455,21 @@ def run_evolve(config_path: str | Path) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    try:
-        traj = evolve_coupled(r0, p0, spec, solve_cfg)
-    except PolarflowError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    def run() -> Trajectory:
+        return evolve_coupled(r0, p0, spec, solve_cfg)
 
-    try:
+    def write(traj: Trajectory) -> Trajectory:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_evolve(out_dir, traj, cfg, want_svg)
-    except (OSError, PolarflowError) as exc:  # PolarflowError: a writer process died
+        return traj
+
+    count = _frame_count(r0, spec, solve_cfg) if want_svg else 0
+    try:
+        traj = _run_creating_frames(out_dir, count, run, write) if count else write(run())
+    except SolverError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (OSError, PolarflowError) as exc:  # PolarflowError: the frame creator's process died
         return _write_failed(exc)
     for flag in traj.flags:
         print(f"flag: {flag}")

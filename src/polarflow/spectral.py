@@ -413,10 +413,11 @@ def max_stable_dt(grid: PeriodicGrid, spec: FluxSpec, field_bound: float) -> flo
 def _schedule(
     grid: PeriodicGrid, spec: FluxSpec, cfg: SolveConfig, sup0: float
 ) -> tuple[int, float]:
-    """Check ``cfg.dt`` against the stability bound; return (full steps, tail step).
+    """Check ``cfg.dt`` against the stability bound; return (steps, tail step).
 
-    The tail step covers what ``t_end`` leaves after the full steps; it is 0
-    when that is roundoff.
+    The steps are the full steps of ``cfg.dt`` and, when ``cfg.dt`` leaves
+    more than roundoff of ``t_end`` after them, one shorter tail step; its
+    size is the second value, 0 when there is none.
     """
     dt_max = max_stable_dt(grid, spec, sup0)
     if cfg.dt > dt_max * (1.0 + 1e-12):
@@ -429,8 +430,13 @@ def _schedule(
     n_full = int(np.floor(steps + 1e-12))
     remainder = cfg.t_end - n_full * cfg.dt
     if remainder < 1e-12 * max(1.0, cfg.t_end):
-        remainder = 0.0
-    return n_full, remainder
+        return n_full, 0.0
+    return n_full + 1, remainder
+
+
+def _record_count(n_steps: int, every: int) -> int:
+    """Records a run of ``n_steps`` steps keeps: its start, every ``every``-th step and its last."""
+    return 1 + n_steps // every + (n_steps % every > 0)
 
 
 def _march(
@@ -461,9 +467,8 @@ def _march(
     if any(r.grid != grid for r in r0s):
         raise ValueError("ensemble members live on different grids")
     vals = np.stack([r.values for r in r0s])
-    n_full, remainder = _schedule(grid, spec, cfg, float(np.abs(vals).max()))
-    n_steps = n_full + (remainder > 0.0)
-    n_records = 1 + n_steps // cfg.record_every + (n_steps % cfg.record_every > 0)
+    n_steps, tail = _schedule(grid, spec, cfg, float(np.abs(vals).max()))
+    n_records = _record_count(n_steps, cfg.record_every)
     coupled = direction is not None
     if coupled:
         p, transport = direction
@@ -483,8 +488,8 @@ def _march(
     advance, dt, every = stepper.advance, cfg.dt, cfg.record_every
     for k in range(1, n_steps + 1):
         t = k * dt
-        if k > n_full:
-            stepper = _Stepper(grid, spec, remainder, batch)
+        if tail and k == n_steps:
+            stepper = _Stepper(grid, spec, tail, batch)
             advance, t = stepper.advance, cfg.t_end
         try:
             hat, mid = advance(hat)

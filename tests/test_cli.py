@@ -514,7 +514,7 @@ SHORT_FRAMES_CFG = EVERY_STEP_CFG.replace("solver.dt = 5e-4", "solver.dt = 1e-3"
 
 
 class TestEvolveWriters:
-    """``evolve`` hands its writers to the fork pool when it writes SVG frames."""
+    """``evolve`` writes its artifacts in-process, beside a side job that creates its frames."""
 
     def test_shorter_rerun_leaves_only_its_own_frames(self, tmp_path):
         text = EVERY_STEP_CFG.replace("solver.dt = 5e-4", "solver.dt = 1e-3")
@@ -561,18 +561,15 @@ class TestEvolveWriters:
         assert sum(name.startswith("frames/") for name in artifacts[0]) == 21
         assert artifacts[0] == artifacts[1]
 
-    def test_writer_error_in_a_worker_is_one_line(self, tmp_path, monkeypatch, capsys, two_cores):
+    def test_writer_error_is_one_line(self, tmp_path, monkeypatch, capsys, two_cores):
         def full(out, traj, cfg):
-            raise OSError(errno.ENOSPC, f"No space left on device (pid {os.getpid()})")
+            raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(cli, "_write_diagnostics", full)
         cfg_path, _ = write_cfg(tmp_path, ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01"))
         assert main(["evolve", str(cfg_path)]) == EXIT_RUNTIME
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("cannot write artifacts: [Errno 28] No space left on device")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-        assert f"(pid {os.getpid()})" not in captured.err  # it was raised in a worker
+        assert capsys.readouterr() == ("", "cannot write artifacts: [Errno 28] No space left on device\n")
+        assert_no_child()
 
     @pytest.mark.parametrize("command, fails", [
         ("evolve", False), ("evolve", True), ("verify", False), ("verify", True),
@@ -580,8 +577,8 @@ class TestEvolveWriters:
     def test_no_child_process_is_left(self, tmp_path, monkeypatch, two_cores, command, fails):
         if command == "evolve":
             cfg_path, _ = write_cfg(tmp_path, ELLIPSE_CFG.replace("t_end = 0.2", "t_end = 0.01"))
-            if fails:
-                monkeypatch.setattr(cli, "_write_snapshot", lambda *args: os._exit(1))
+            if fails:  # the frame creator dies
+                monkeypatch.setattr(cli, "_create_frames", lambda *args: os._exit(1))
             code = main(["evolve", str(cfg_path)])
         else:
             def boom():
@@ -611,6 +608,118 @@ class TestEvolveWriters:
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout.count("before the run\n") == 1
         assert done.stdout.count("wrote artifacts") == 1
+
+
+def fail_transport_at(monkeypatch, step, once_exists=None):
+    """Make the coupled run's transport raise a ``SolverError`` at ``step``.
+
+    With ``once_exists``, the step first waits for that file, so a frame
+    creator beside the run has made its files when the run fails.
+    """
+    carry, calls = transport._carry, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) < step:
+            return carry(*args)
+        deadline = time.monotonic() + 60.0
+        while once_exists is not None and not once_exists.exists():
+            assert time.monotonic() < deadline, f"{once_exists.name} was never created"
+            time.sleep(0.005)
+        raise SolverError("direction vector collapsed to zero during transport")
+
+    monkeypatch.setattr(transport, "_carry", failing)
+
+
+def frame_sizes(out):
+    """``{frame file name: size}`` of every SVG frame under ``out/frames``."""
+    return {path.name: path.stat().st_size for path in (out / "frames").glob("frame_*.svg")}
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFrameCreator:
+    """Where two cores are usable, an ``evolve`` run with frames creates them while it runs.
+
+    The creator, a forked side job, makes exactly the run's frame files,
+    empty, and truncates none; a run that fails removes what it made.
+    """
+
+    @pytest.mark.parametrize("case", ["stability", "allocation", "mid_loop"])
+    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch, capsys, two_cores, case):
+        text = ELLIPSE_CFG.replace("output.dir = {out}", "output.dir = {out}/deep/er")
+        if case == "stability":
+            text = text.replace("solver.dt = 5e-4", "solver.dt = 0.1")
+        elif case == "allocation":
+            text = text.replace("solver.dt = 5e-4", "solver.dt = 1e-300")
+        cfg_path, out = write_cfg(tmp_path, text)
+        if case == "mid_loop":  # 400 steps recorded every 100: frames 0 to 4
+            fail_transport_at(monkeypatch, 3, out / "deep" / "er" / "frames" / "frame_00004.svg")
+        assert main(["evolve", str(cfg_path)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        want = {
+            "stability": "run failed: dt=1.000e-01 violates advective stability bound",
+            "allocation": "run failed: cannot allocate",
+            "mid_loop": "run failed: step 3 (t=0.0015): direction vector collapsed",
+        }[case]
+        assert captured.err.startswith(want) and captured.err.count("\n") == 1
+        assert not out.exists()
+        assert_no_child()
+
+    def test_failed_creator_leaves_its_frames_to_the_writer(self, tmp_path, monkeypatch, two_cores):
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_evolve(cfg_path) == EXIT_OK
+        want = read_artifacts(out)
+        shutil.rmtree(out)
+        create = cli._create_frames
+
+        def full(out, count):
+            create(out, 2)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_create_frames", full)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run_evolve(cfg_path) == EXIT_OK
+        assert read_artifacts(out) == want
+        assert_no_child()
+
+    def test_failed_rerun_keeps_earlier_artifacts(self, tmp_path, monkeypatch, two_cores):
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        assert run_evolve(cfg_path) == EXIT_OK
+        (out / "frames" / "notes.txt").write_text("not a frame\n")
+        before = read_artifacts(out)
+        assert len(frame_sizes(out)) == 21
+        # 41 frames: the creator opens the 21 there and makes 20 more before the run fails
+        cfg_path, _ = write_cfg(tmp_path, SHORT_FRAMES_CFG.replace("t_end = 0.02", "t_end = 0.04"))
+        fail_transport_at(monkeypatch, 5, out / "frames" / "frame_00040.svg")
+        assert run_evolve(cfg_path) == EXIT_RUNTIME
+        assert read_artifacts(out) == before
+        assert_no_child()
+
+    def test_creator_makes_exactly_the_run_frames(self, tmp_path, monkeypatch):
+        # the side job runs to its end in-process before the run, so the writers see all it made
+        monkeypatch.setattr(cli, "run_beside", lambda call, side: (side(), call())[1])
+        write, seen = cli._write_evolve, []
+
+        def recording(out, traj, cfg, svg):
+            seen.append(frame_sizes(out))
+            write(out, traj, cfg, svg)
+
+        monkeypatch.setattr(cli, "_write_evolve", recording)
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        assert run_evolve(cfg_path) == EXIT_OK
+        assert seen[0] == {f"frame_{i:05d}.svg": 0 for i in range(21)}
+        first = frame_sizes(out)
+        # a longer rerun: the 21 frames there keep their bytes until the writers fill them
+        cfg_path, _ = write_cfg(tmp_path, SHORT_FRAMES_CFG.replace("t_end = 0.02", "t_end = 0.04"))
+        assert run_evolve(cfg_path) == EXIT_OK
+        assert seen[1] == {**first, **{f"frame_{i:05d}.svg": 0 for i in range(21, 41)}}
+        assert min(first.values()) > 0 and len(frame_sizes(out)) == 41
 
 
 class TestRunVerify:

@@ -30,6 +30,7 @@ from polarflow.spectral import (
     _irfft,
     _laplacian_half,
     _march,
+    _record_count,
     _rfft,
     _schedule,
     _shift_symbol,
@@ -492,8 +493,8 @@ def stepper_inputs(grid, spec, dt, vals, members, tail):
     batch = np.stack([np.roll(vals, 3 * j, axis=-1) * (1.0 + 0.1 * j) for j in range(members)])
     if tail:
         cfg = SolveConfig(dt=dt, t_end=2.5 * dt)
-        n_full, dt = _schedule(grid, spec, cfg, float(np.abs(batch).max()))
-        assert n_full == 2 and 0.0 < dt < cfg.dt
+        n_steps, dt = _schedule(grid, spec, cfg, float(np.abs(batch).max()))
+        assert n_steps == 3 and 0.0 < dt < cfg.dt
     return _Stepper(grid, spec, dt, (members,)), dt, _rfft(grid, batch)
 
 
@@ -647,6 +648,20 @@ class TestEvolve:
             r0 = make_field(g, 1.0 + 0.3 * np.cos(2 * np.pi * theta))
             traj = evolve(r0, burgers_flux(1), SolveConfig(dt=2e-4, t_end=1.0, record_every=5000))
             assert np.abs(traj.final.values - mean(r0)).max() < 1e-6
+
+    # (dt, t_end, record_every): dt divides t_end, or leaves a tail step, on and off the stride
+    @pytest.mark.parametrize("dt, t_end, every", [
+        (1e-3, 0.01, 1), (1e-3, 0.01, 5), (1e-3, 0.01, 3), (1e-3, 0.0105, 1), (1e-3, 0.0105, 5),
+        (1e-3, 0.0125, 3), (1e-3, 5e-4, 4), (1e-3, 0.01, 100),
+    ], ids=["divides", "divides-stride", "divides-off-stride", "tail", "tail-stride",
+            "tail-off-stride", "tail-only", "stride-past-end"])
+    def test_record_count_is_the_records_kept(self, grid64, dt, t_end, every):
+        r0 = make_field(grid64, 1.0 + 0.2 * np.sin(2 * np.pi * grid64.axis_coords(0)))
+        cfg = SolveConfig(dt=dt, t_end=t_end, record_every=every)
+        traj = evolve(r0, burgers_flux(1), cfg)
+        n_steps, _ = _schedule(grid64, burgers_flux(1), cfg, float(np.abs(r0.values).max()))
+        assert _record_count(n_steps, every) == len(traj.times)
+        assert traj.times[-1] == t_end
 
     def test_cfl_violation_rejected(self, grid64):
         r0 = make_field(grid64, np.full(64, 2.0))
