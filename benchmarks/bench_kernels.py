@@ -46,9 +46,9 @@ of ``tests/test_cli.py``, whose SVG oracle rounds each point on its own;
 both must write identical bytes.  The writers overwrite their files on
 every repeat, which is cheaper than creating them.  All the writers of that
 run with its SVG frames (``_write_evolve``) are timed into a fresh directory
-whose 1001 frame files ``_create_frames`` made first, as the side job of
-``polarflow evolve`` makes them during the time loop, against a fresh empty
-directory; both must write identical bytes.
+whose 1001 frame files ``_create_frames`` made first, as the forked frame
+creator of ``polarflow evolve`` makes them during the time loop, against a
+fresh empty directory; both must write identical bytes.
 The ``verify`` contraction pair (two N=128 burgers runs of 5000 steps) is
 timed stepped as one two-member batch against two ``evolve`` runs; every
 member must match its own run bitwise.  Last,

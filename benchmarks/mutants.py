@@ -203,8 +203,22 @@ MUTANTS = (
     Mutant(
         "failed-run-skips-cleanup",
         "src/polarflow/cli.py",
-        "    except BaseException:\n        if not ran:\n",
-        "    except BaseException:\n        if False:\n",
+        "        os.waitpid(pid, 0)\n        if folder.is_dir():\n",
+        "        os.waitpid(pid, 0)\n        if False:\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "frame-creator-not-reaped",
+        "src/polarflow/cli.py",
+        "    finally:\n        os.waitpid(pid, 0)\n",
+        "    finally:\n        pass\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "failed-run-waits-for-creator",
+        "src/polarflow/cli.py",
+        "        os.kill(pid, SIGKILL)\n",
+        "",
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -1,9 +1,7 @@
-"""One fork pool for independent jobs: the ``verify all`` suites and ``evolve``'s frame creator.
+"""One fork pool for independent jobs: the ``verify all`` suites.
 
 :func:`run_jobs` forks one child per zero-argument callable, at most
 :func:`usable_workers` at a time, and returns their results in job order.
-:func:`run_beside` forks one child for a side job while a call runs in this
-process: ``evolve`` creates its frame files that way during its time loop.
 A child inherits its job with the rest of the parent's memory, so a job may
 close over anything, arrays and lambdas included; only its result, or the
 exception it raised, is pickled, and comes back over a pipe.  The child then
@@ -21,7 +19,7 @@ import sys
 
 from .errors import PolarflowError
 
-__all__ = ["run_beside", "run_jobs", "usable_workers"]
+__all__ = ["run_jobs", "usable_workers"]
 
 # the most children one pool runs at once, however many cores the process may use
 MAX_WORKERS = 8
@@ -126,41 +124,3 @@ def run_jobs(jobs) -> list:
         raise error
     return [results[i] for i in range(len(jobs))]
 
-
-def run_beside(call, side):
-    """Return ``call()``, run in this process while a forked child runs ``side()``.
-
-    The child is reaped before this returns.  If ``call`` raises, the child
-    is killed and reaped, and the exception propagates unchanged.  Once
-    ``call`` has returned, an exception from ``side`` is raised here as
-    :func:`run_jobs` raises it, and a child that died is a
-    :class:`PolarflowError`; ``side``'s result is dropped.  With fewer than
-    two usable workers ``side`` never runs.
-    """
-    if usable_workers() < 2:
-        return call()
-    sys.stdout.flush()  # as in run_jobs: the child flushes what it inherits
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        _child(side, write_fd)
-    os.close(write_fd)
-    chunks = []
-    try:
-        result = call()
-        while chunk := os.read(read_fd, 1 << 16):
-            chunks.append(chunk)
-    except BaseException:
-        from signal import SIGKILL  # loaded only here: the import costs about a millisecond
-
-        os.kill(pid, SIGKILL)
-        raise
-    finally:
-        os.close(read_fd)
-        status = os.waitpid(pid, 0)[1]
-    ok, value = _outcome(b"".join(chunks), status)
-    if not ok:
-        raise value
-    return result

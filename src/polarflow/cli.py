@@ -14,11 +14,12 @@ shortest round-trip form; an SVG frame carries the hash in a comment and
 draws its curve in integers on a fixed viewBox.  Identical configurations
 produce byte-identical artifacts (no timestamps).
 
-``evolve`` with SVG frames creates its empty frame files in a forked side
-job of :func:`._pool.run_beside` while its time loop runs, then writes its
-three CSVs and fills the frames in-process.  A run that fails removes every
-file and directory it created, so its output directory is left as it was
-found.
+``evolve`` with SVG frames, where two cores are usable, forks a child that
+creates the empty frame files while its time loop runs, then writes its
+three CSVs and fills the frames in-process.  Nothing waits on the child's
+outcome: the frame writer creates any frame it did not.  A run that fails
+removes every file and directory it created, so its output directory is
+left as it was found.
 
 Each subcommand imports only the modules it runs: ``verify``, and with it
 the reference solvers and ``cell``, loads on the first call of
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._pool import run_beside
+from ._pool import usable_workers
 from .errors import ConfigError, PolarflowError, SolverError
 from .flux import FluxSpec, Modulation, burgers_flux, constant_flux, polynomial_flux, with_modulation, zero_flux
 from .geometry import make_initial
@@ -70,6 +71,7 @@ KNOWN_KEYS = frozenset(
 
 _FRAME = "frame_{:05d}.svg"
 _VIEW = 5000  # half the side of every frame's viewBox, in drawing units
+_MODULI_BLOCK = 64  # records whose spectrum diagnostics.csv transforms at once
 
 # the keys of `verify.SUITES`, for the help text and the name check without loading `verify`
 _SUITE_NAMES = ("heat", "duhamel", "conservation", "contraction", "cell", "geometry")
@@ -248,11 +250,13 @@ def _write_diagnostics(out: Path, traj: Trajectory, cfg: dict[str, str]) -> None
     columns = ["t", "mean", "sup", "min", "l1", "sphere_dev"] + [
         "amp_" + "_".join(map(str, m)) for m in modes
     ]
-    moduli = _record_moduli(traj.grid, traj.radii)
-    table = np.column_stack(
-        [traj.times, traj.mean, traj.sup, traj.min, traj.l1, traj.sphere_dev]
-        + [moduli[(..., *mode)] for mode in modes]
-    )
+    # transform the records a block at a time: the whole run's spectrum is never held
+    amps = np.empty((len(traj.times), len(modes)))
+    for i in range(0, len(amps), _MODULI_BLOCK):
+        moduli = _record_moduli(traj.grid, traj.radii[i : i + _MODULI_BLOCK])
+        for j, mode in enumerate(modes):
+            amps[i : i + _MODULI_BLOCK, j] = moduli[(..., *mode)]
+    table = np.column_stack([traj.times, traj.mean, traj.sup, traj.min, traj.l1, traj.sphere_dev, amps])
     head = _header(["diagnostics time series"], columns, cfg)
     _write_csv(out / "diagnostics.csv", head, _csv_rows(table))
 
@@ -342,15 +346,11 @@ def _write_evolve(out: Path, traj: Trajectory, cfg: dict[str, str], svg: bool) -
     """Write every artifact of an ``evolve`` run into ``out``, in this process.
 
     The frames of an earlier run that this run does not write are deleted
-    first.  The kernel's creation of the frame files costs more than
-    writing them: for the 1001 frames of an N=128 run on an ext4 disk, the
-    frame writer took 0.24-0.32 s into a new directory and 0.06 s into
-    files that exist.  So where two cores are usable a side job creates
-    them from the start of the time loop (see :func:`_run_creating_frames`),
-    and the CSVs are written before the frames, which gives it that much
-    longer to get ahead.  Two forked writer jobs, one for the frames and one
-    for the CSVs, measured slower beside the side job.  Each writer is
-    looked up by name when it runs.
+    first.  The CSVs are written before the frames: a child may be creating
+    the frame files (see :func:`_run_creating_frames`), and the kernel's
+    creation of a file costs more than writing it, so the CSVs give the
+    child that much longer to get ahead.  Each writer is looked up by name
+    when it runs.
     """
     _remove_stale_frames(out, len(traj.times) if svg else 0)
     _write_trajectory(out, traj, cfg)
@@ -373,58 +373,68 @@ def _create_frames(out: Path, count: int) -> None:
 
 
 def _frame_count(r0: ScalarField, spec: FluxSpec, cfg: SolveConfig) -> int:
-    """The records of a run from ``r0``, or 0 for a run that stops before its first step."""
+    """The records of a run from ``r0``, or 0 for a run that stops before its first step.
+
+    A run whose records no array can hold stops there too, at their allocation.
+    """
     try:
         n_steps = _schedule(r0.grid, spec, cfg, float(np.abs(r0.values).max()))[0]
     except SolverError:  # the run raises it again, after its own checks
         return 0
-    return _record_count(n_steps, cfg.record_every)
+    count = _record_count(n_steps, cfg.record_every)
+    return count if count * r0.values.nbytes <= sys.maxsize else 0
 
 
 def _run_creating_frames(out: Path, count: int, run, write) -> Trajectory:
-    """``write(run())``, while a side job creates ``out``'s ``count`` empty frames.
+    """``write(run())``, while a forked child creates ``out``'s ``count`` empty frames.
 
-    The writers start without waiting for the side job: both open every
-    frame with ``O_CREAT``, and only the frame writer truncates, so neither
-    order loses a byte, and a side job that cannot create a file leaves it
-    to the frame writer, which reports the error if it meets it too.  If
-    the run fails, the frames and directories the side job made are removed
-    once it has ended, and ``out`` is left as it was found; a failed write
-    leaves what it wrote, as it does without the side job.
+    The writers start without waiting for the child: both open every frame
+    with ``O_CREAT``, and only the frame writer truncates, so neither order
+    loses a byte, and a frame the child did not make, for whatever reason,
+    the frame writer makes.  So nothing reads how the child ended; it is
+    reaped once the writers are done.  If the run fails, the child is
+    killed and reaped, and the frames and directories it made are removed,
+    so ``out`` is left as it was found; a failed write leaves what it
+    wrote, as it does without the child.  Where ``fork`` fails, the run
+    goes on without the child.
     """
     folder = out / "frames"
-    missing = []  # the directories the side job may make, innermost first
+    missing = []  # the directories the child may make, innermost first
     for path in (folder, out, *out.parents):
         if path.exists():
             break
         missing.append(path)
     kept = set(os.listdir(folder)) if folder.is_dir() else set()
-    ran = False
-
-    def call() -> Trajectory:
-        nonlocal ran
-        traj = run()
-        ran = True
-        return write(traj)
-
-    def create() -> None:
+    sys.stdout.flush()  # as run_jobs does: the child inherits no unwritten output to repeat
+    sys.stderr.flush()
+    try:
+        pid = os.fork()
+    except OSError:
+        return write(run())
+    if pid == 0:
         try:
             _create_frames(out, count)
-        except OSError:
-            pass
-
+        finally:
+            os._exit(0)
     try:
-        return run_beside(call, create)
+        traj = run()
     except BaseException:
-        if not ran:
-            if folder.is_dir():
-                for path in folder.glob("frame_*.svg"):
-                    if path.name not in kept:
-                        path.unlink()
-            for path in missing:
-                if path.is_dir():
-                    path.rmdir()
+        from signal import SIGKILL  # loaded only here: the import costs about a millisecond
+
+        os.kill(pid, SIGKILL)
+        os.waitpid(pid, 0)
+        if folder.is_dir():
+            for path in folder.glob("frame_*.svg"):
+                if path.name not in kept:
+                    path.unlink()
+        for path in missing:
+            if path.is_dir():
+                path.rmdir()
         raise
+    try:
+        return write(traj)
+    finally:
+        os.waitpid(pid, 0)
 
 
 def run_evolve(config_path: str | Path) -> int:
@@ -463,13 +473,13 @@ def run_evolve(config_path: str | Path) -> int:
         _write_evolve(out_dir, traj, cfg, want_svg)
         return traj
 
-    count = _frame_count(r0, spec, solve_cfg) if want_svg else 0
+    count = _frame_count(r0, spec, solve_cfg) if want_svg and usable_workers() >= 2 else 0
     try:
         traj = _run_creating_frames(out_dir, count, run, write) if count else write(run())
     except SolverError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (OSError, PolarflowError) as exc:  # PolarflowError: the frame creator's process died
+    except OSError as exc:
         return _write_failed(exc)
     for flag in traj.flags:
         print(f"flag: {flag}")

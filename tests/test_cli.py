@@ -514,7 +514,7 @@ SHORT_FRAMES_CFG = EVERY_STEP_CFG.replace("solver.dt = 5e-4", "solver.dt = 1e-3"
 
 
 class TestEvolveWriters:
-    """``evolve`` writes its artifacts in-process, beside a side job that creates its frames."""
+    """``evolve`` writes its artifacts in-process, beside a forked child that creates its frames."""
 
     def test_shorter_rerun_leaves_only_its_own_frames(self, tmp_path):
         text = EVERY_STEP_CFG.replace("solver.dt = 5e-4", "solver.dt = 1e-3")
@@ -586,7 +586,8 @@ class TestEvolveWriters:
 
             patch_suites(monkeypatch, **({"heat": boom} if fails else {}))
             code = main(["verify", "all", "--out", str(tmp_path)])
-        assert code == (EXIT_RUNTIME if fails else EXIT_OK)
+        # the frame writer makes every frame a dead creator did not, so only verify fails
+        assert code == (EXIT_RUNTIME if fails and command == "verify" else EXIT_OK)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -622,10 +623,8 @@ def fail_transport_at(monkeypatch, step, once_exists=None):
         calls.append(args)
         if len(calls) < step:
             return carry(*args)
-        deadline = time.monotonic() + 60.0
-        while once_exists is not None and not once_exists.exists():
-            assert time.monotonic() < deadline, f"{once_exists.name} was never created"
-            time.sleep(0.005)
+        if once_exists is not None:
+            wait_for(once_exists)
         raise SolverError("direction vector collapsed to zero during transport")
 
     monkeypatch.setattr(transport, "_carry", failing)
@@ -636,6 +635,13 @@ def frame_sizes(out):
     return {path.name: path.stat().st_size for path in (out / "frames").glob("frame_*.svg")}
 
 
+def wait_for(path):
+    deadline = time.monotonic() + 60.0
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path.name} was never created"
+        time.sleep(0.005)
+
+
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -644,8 +650,9 @@ def assert_no_child():
 class TestFrameCreator:
     """Where two cores are usable, an ``evolve`` run with frames creates them while it runs.
 
-    The creator, a forked side job, makes exactly the run's frame files,
-    empty, and truncates none; a run that fails removes what it made.
+    The creator, a forked child, makes exactly the run's frame files, empty,
+    and truncates none; a run that fails kills it and removes what it made,
+    and a creator that fails leaves its frames to the frame writer.
     """
 
     @pytest.mark.parametrize("case", ["stability", "allocation", "mid_loop"])
@@ -701,15 +708,21 @@ class TestFrameCreator:
         assert read_artifacts(out) == before
         assert_no_child()
 
-    def test_creator_makes_exactly_the_run_frames(self, tmp_path, monkeypatch):
-        # the side job runs to its end in-process before the run, so the writers see all it made
-        monkeypatch.setattr(cli, "run_beside", lambda call, side: (side(), call())[1])
-        write, seen = cli._write_evolve, []
+    def test_creator_makes_exactly_the_run_frames(self, tmp_path, monkeypatch, two_cores):
+        # the writers wait until the creator has ended, so they see all it made
+        create, write, seen, mark = cli._create_frames, cli._write_evolve, [], tmp_path / "created"
+
+        def marking(out, count):
+            create(out, count)
+            mark.touch()
 
         def recording(out, traj, cfg, svg):
+            wait_for(mark)
+            mark.unlink()
             seen.append(frame_sizes(out))
             write(out, traj, cfg, svg)
 
+        monkeypatch.setattr(cli, "_create_frames", marking)
         monkeypatch.setattr(cli, "_write_evolve", recording)
         cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
         assert run_evolve(cfg_path) == EXIT_OK
@@ -720,6 +733,112 @@ class TestFrameCreator:
         assert run_evolve(cfg_path) == EXIT_OK
         assert seen[1] == {**first, **{f"frame_{i:05d}.svg": 0 for i in range(21, 41)}}
         assert min(first.values()) > 0 and len(frame_sizes(out)) == 41
+        assert_no_child()
+
+    def test_loop_runs_while_the_creator_does(self, tmp_path, monkeypatch, two_cores):
+        create, carry, mark = cli._create_frames, transport._carry, tmp_path / "created"
+
+        def marking(out, count):
+            create(out, count)
+            mark.write_text(str(os.getpid()))
+
+        def waiting(*args):  # only a creator running beside the loop ends the wait
+            wait_for(mark)
+            return carry(*args)
+
+        monkeypatch.setattr(cli, "_create_frames", marking)
+        monkeypatch.setattr(transport, "_carry", waiting)
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        assert run_evolve(cfg_path) == EXIT_OK
+        assert int(mark.read_text()) != os.getpid()
+        assert len(frame_sizes(out)) == 21
+        assert_no_child()
+
+    def test_run_returns_after_the_creator_is_reaped(self, tmp_path, monkeypatch, two_cores):
+        create, mark = cli._create_frames, tmp_path / "created"
+
+        def lingering(out, count):  # ends well after the loop and the writers do
+            create(out, count)
+            time.sleep(1.0)
+            mark.touch()
+
+        monkeypatch.setattr(cli, "_create_frames", lingering)
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        assert run_evolve(cfg_path) == EXIT_OK
+        assert mark.exists()
+        assert len(frame_sizes(out)) == 21
+        assert_no_child()
+
+    @pytest.mark.parametrize("how", ["solver_error", "interrupt"])
+    def test_loop_failure_kills_a_slow_creator(self, tmp_path, monkeypatch, capsys, two_cores, how):
+        create = cli._create_frames
+
+        def slow(out, count):
+            time.sleep(30.0)
+            create(out, count)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_create_frames", slow)
+        if how == "interrupt":
+            monkeypatch.setattr(transport, "_carry", interrupted)
+        else:
+            fail_transport_at(monkeypatch, 3)
+        cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG)
+        start = time.monotonic()
+        if how == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                main(["evolve", str(cfg_path)])
+        else:
+            assert main(["evolve", str(cfg_path)]) == EXIT_RUNTIME
+            assert capsys.readouterr().err.startswith("run failed: step 3")
+        assert time.monotonic() - start < 10.0  # killed, not waited for
+        assert not out.exists()
+        assert_no_child()
+
+    @pytest.mark.parametrize("case", ["one_core", "fork_fails"])
+    def test_no_fork_without_two_cores_or_a_fork(self, tmp_path, monkeypatch, two_cores, case):
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        assert run_evolve(cfg_path) == EXIT_OK
+        want = read_artifacts(out)
+        shutil.rmtree(out)
+        mark = tmp_path / "created"
+        monkeypatch.setattr(cli, "_create_frames", lambda out, count: mark.touch())
+        if case == "one_core":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            def fork():
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", fork)
+        assert run_evolve(cfg_path) == EXIT_OK
+        assert read_artifacts(out) == want
+        assert not mark.exists()
+        assert_no_child()
+
+    @pytest.mark.parametrize("how", ["raises", "exits"])
+    def test_creator_that_dies_fails_no_run(self, tmp_path, monkeypatch, capsys, two_cores, how):
+        cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run_evolve(cfg_path) == EXIT_OK
+        want = read_artifacts(out)
+        shutil.rmtree(out)
+        capsys.readouterr()
+        create = cli._create_frames
+
+        def dying(out, count):
+            create(out, 2)
+            if how == "raises":
+                raise KeyError("not an OSError")
+            os._exit(1)
+
+        monkeypatch.setattr(cli, "_create_frames", dying)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["evolve", str(cfg_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert read_artifacts(out) == want
+        assert_no_child()
 
 
 class TestRunVerify:
@@ -1293,6 +1412,17 @@ class TestWriterOracles:
         cells = [row.rsplit(",", 1)[1] for row in got["trajectory.csv"].decode().splitlines()[-192:]]
         assert cells[:8] == ["0.0", "-0.0", "1.5", "0.0", "1.5", "-0.0", "0.3333333333333333", "1.5"]
         assert cells[128:] == ["-0.0"] * 64
+
+    def test_diagnostics_spectrum_in_blocks(self, tmp_path):
+        # two full blocks of records and part of a third
+        n = 2 * cli._MODULI_BLOCK + 5
+        grid = make_grid(2, [1.0, 2.0], [16, 8])
+        radii = 1.0 + 0.1 * np.random.default_rng(4).standard_normal((n, 16, 8))
+        traj = Trajectory(grid=grid, spec=zero_flux(2), times=np.linspace(0.0, 1.0, n), radii=radii)
+        writers = [(_write_diagnostics, reference_write_diagnostics)]
+        got, want = write_both(tmp_path, writers, traj, self.CFG)
+        assert got == want
+        assert len(got["diagnostics.csv"].decode().splitlines()) > n
 
     @pytest.mark.parametrize("case", ["solved", "hand_built"])
     def test_cell(self, tmp_path, case):

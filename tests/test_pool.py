@@ -1,4 +1,4 @@
-"""The fork pool: results in job order, the first exception raised here, the in-process path, side jobs."""
+"""The fork pool: results in job order, the first exception raised here, the in-process path."""
 
 import errno
 import os
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from polarflow import _pool
-from polarflow._pool import run_beside, run_jobs, usable_workers
+from polarflow._pool import run_jobs, usable_workers
 from polarflow.errors import PolarflowError
 
 
@@ -127,88 +127,3 @@ class TestRunJobs:
             pytest.skip("the pool needs the fork start method")
         cores(n_cores)
         assert usable_workers() == want
-
-
-def marking(path, delay=0.0):
-    """A side job that sleeps, then writes its pid to ``path``."""
-
-    def side():
-        time.sleep(delay)
-        path.write_text(str(os.getpid()))
-
-    return side
-
-
-class Boom(Exception):
-    pass
-
-
-class TestRunBeside:
-    def test_result_returns_after_the_side_job_is_reaped(self, pooled, tmp_path):
-        mark = tmp_path / "mark"
-        assert run_beside(lambda: "done", marking(mark, 0.2)) == "done"
-        # the side job ran to its end in another process, and is gone
-        assert int(mark.read_text()) != os.getpid()
-        assert_no_children()
-
-    def test_call_runs_here_while_the_side_job_runs(self, pooled, tmp_path):
-        mark = tmp_path / "mark"
-
-        def call():
-            deadline = time.monotonic() + 30.0
-            while not mark.exists():  # only a side job running beside the call ends this
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            return os.getpid()
-
-        assert run_beside(call, marking(mark)) == os.getpid()
-        assert_no_children()
-
-    def test_call_exception_propagates_after_the_kill(self, pooled, tmp_path):
-        mark, exc = tmp_path / "mark", Boom("the call failed")
-
-        def call():
-            raise exc
-
-        start = time.monotonic()
-        with pytest.raises(Boom) as info:
-            run_beside(call, marking(mark, 30.0))
-        assert info.value is exc
-        assert time.monotonic() - start < 10.0  # killed, not waited for
-        assert_no_children()
-        assert not mark.exists()
-
-    def test_side_exception_is_raised_after_the_call(self, pooled):
-        calls = []
-
-        def full():
-            raise OSError(errno.ENOSPC, "No space left on device", "frames/frame_00003.svg")
-
-        with pytest.raises(OSError) as info:
-            run_beside(lambda: calls.append(1), full)
-        assert (info.value.errno, info.value.filename) == (errno.ENOSPC, "frames/frame_00003.svg")
-        assert calls == [1]
-        assert_no_children()
-
-    def test_dead_side_job_is_a_polarflow_error(self, pooled):
-        with pytest.raises(PolarflowError, match="a worker process died"):
-            run_beside(lambda: None, lambda: os._exit(1))
-        assert_no_children()
-
-    def test_unpicklable_side_exception_is_one_error(self, pooled):
-        def raises():
-            raise Unsendable()
-
-        with pytest.raises(PolarflowError, match="Unsendable exception cannot be sent back"):
-            run_beside(lambda: None, raises)
-        assert_no_children()
-
-    @pytest.mark.parametrize("n_cores, fork", [(1, True), (2, False)], ids=["one_core", "no_fork"])
-    def test_side_job_never_starts_without_a_pool(self, monkeypatch, cores, tmp_path, n_cores, fork):
-        cores(n_cores)
-        if not fork:
-            monkeypatch.delattr(os, "fork", raising=False)
-        mark = tmp_path / "mark"
-        assert run_beside(lambda: os.getpid(), marking(mark)) == os.getpid()
-        assert not mark.exists()
-        assert_no_children()
