@@ -18,7 +18,7 @@ step of a one-member ``_Stepper`` (built at the state's shape, as
 moving radius, one substep) and a 64^2 one (a modulated flux at the CFL
 bound, two substeps, so stage speeds are interpolated at 1/4 and 3/4 and
 taken as they are at 0, 1/2 and 1), each on three stages that
-``transport._stage`` builds, against ``reference_real_carry``
+``spectral._stage`` builds, against ``reference_real_carry``
 (``tests/test_transport.py``), which takes the stages' bare speeds and
 interpolates at every stage; the references do their arithmetic out of
 place on ``rfftn``/``irfftn``, and each pair must agree bitwise.
@@ -92,8 +92,7 @@ from polarflow._fdcell import fd_cell_solve
 from polarflow._pool import usable_workers
 from polarflow.cli import _create_frames, _write_diagnostics, _write_evolve, _write_svg_frames, _write_trajectory
 from polarflow.duhamel import _N_GAUSS, _N_TIME, _heat_flow, _Window
-from polarflow import transport
-from polarflow.spectral import _irfft, _march, _rfft, _shift_symbol, _Stepper
+from polarflow.spectral import _carry, _irfft, _march, _rfft, _shift_symbol, _stage, _Stepper
 from polarflow.verify import SUITES, run_suite
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -182,19 +181,19 @@ def bitwise_cases(repeat):
     constant = _Stepper(grid, constant_flux([0.7]), 1e-4, (1,))
     cases.append(("_Stepper.advance N=128 constant", lambda: constant.advance(hat)[0],
                   lambda: reference_real_advance(grid, constant_flux([0.7]), 1e-4, hat)[0]))
-    stages = [transport._stage(spec, grid, radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
+    stages = [_stage(spec, grid, radius_samples(grid, t)) for t in (0.0, dt / 2, dt)]
     speeds = [s for s, _ in stages]
     p = sphere_directions(grid).vectors
-    cases.append(("_carry N=128 burgers", lambda: transport._carry(p, grid, stages, dt),
+    cases.append(("_carry N=128 burgers", lambda: _carry(p, grid, stages, dt),
                   lambda: reference_real_carry(p, grid, speeds, dt)))
     # two substeps: stage speeds at tau = 1/4 and 3/4 interpolated, at 0, 1/2 and 1 taken as they are
     grid2 = make_grid(2, [1.0, 1.0], [64, 64])
     spec2 = modulated_flux(2, [60.0, 0.5])
     dt2 = max_stable_dt(grid2, spec2, 1.3)
-    stages2 = [transport._stage(spec2, grid2, radius_samples(grid2, t)) for t in (0.0, dt2 / 2, dt2)]
+    stages2 = [_stage(spec2, grid2, radius_samples(grid2, t)) for t in (0.0, dt2 / 2, dt2)]
     speeds2 = [s for s, _ in stages2]
     p2 = sphere_directions(grid2).vectors
-    cases.append(("_carry 64^2 modulated, 2 substeps", lambda: transport._carry(p2, grid2, stages2, dt2),
+    cases.append(("_carry 64^2 modulated, 2 substeps", lambda: _carry(p2, grid2, stages2, dt2),
                   lambda: reference_real_carry(p2, grid2, speeds2, dt2)))
     for name, fast, slow in cases:
         got, want = fast(), slow()

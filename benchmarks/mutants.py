@@ -20,13 +20,18 @@ Each mutant is reported as one of:
 * ``error``: pytest could not run the tests (any other exit status) or
   took longer than ``TIMEOUT_S`` seconds.
 
-The exit status is 0 when every mutant is killed, else 1.  Only the
-standard library and pytest are used.
+Each mutant of a file under ``src/`` is also run through ``polarflow verify
+all`` in its tree, and its line ends with what the battery saw: the names of
+the rows that fail, ``aborted`` and the last line of standard error when the
+battery ends without its table, or ``blind`` when every row passes.  This
+column is reported, not judged: the exit status is 0 when every mutant is
+killed by its tests, else 1.  Only the standard library and pytest are used.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -38,6 +43,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "benchmarks", "perfbench", "pyproject.toml", "README.md")
 TIMEOUT_S = 600
+_VERIFY_ROW = re.compile(r"^(\S+)\s+FAIL\s")
 
 
 class Mutant(NamedTuple):
@@ -73,7 +79,7 @@ MUTANTS = (
     ),
     Mutant(
         "stage-drops-modulation",
-        "src/polarflow/transport.py",
+        "src/polarflow/spectral.py",
         "speeds = [_horner(c.coeffs, r_vals, a) for",
         "speeds = [_horner(c.coeffs, r_vals) for",
         ("tests/test_transport.py",),
@@ -98,7 +104,7 @@ MUTANTS = (
     ),
     Mutant(
         "carry-drops-renormalisation",
-        "src/polarflow/transport.py",
+        "src/polarflow/spectral.py",
         "    out /= norms\n",
         "",
         ("tests/test_transport.py",),
@@ -120,7 +126,7 @@ MUTANTS = (
     # guards that earlier changes added
     Mutant(
         "exact-tau-wrong-stage",
-        "src/polarflow/transport.py",
+        "src/polarflow/spectral.py",
         "_EXACT_TAU = {0.0: 0, 0.5: 1, 1.0: 2}",
         "_EXACT_TAU = {0.0: 0, 0.5: 1, 1.0: 1}",
         ("tests/test_transport.py",),
@@ -159,9 +165,17 @@ MUTANTS = (
     ),
     Mutant(
         "eager-r0-stage",
-        "src/polarflow/transport.py",
-        "    last = None  # the _stage of the radius that ended the last step\n",
-        "    last = _stage(spec, grid, r0.values)\n",
+        "src/polarflow/spectral.py",
+        "    n_steps, tail = _schedule(grid, spec, cfg, float(np.abs(vals).max()))\n",
+        "    last = _stage(spec, grid, vals[0]) if p0 is not None else None\n"
+        "    n_steps, tail = _schedule(grid, spec, cfg, float(np.abs(vals).max()))\n",
+        ("tests/test_transport.py",),
+    ),
+    Mutant(
+        "radius-only-r0-stage",
+        "src/polarflow/spectral.py",
+        "    last = _stage(spec, grid, vals[0]) if coupled else None  #",
+        "    last = _stage(spec, grid, vals[0])  #",
         ("tests/test_transport.py",),
     ),
     Mutant(
@@ -231,11 +245,27 @@ MUTANTS = (
 )
 
 
-def run(mutant: Mutant) -> str:
-    """Apply ``mutant`` to a copy of the checkout and run its tests; return the verdict."""
+def verify_all(tree: Path, env: dict) -> str:
+    """What ``polarflow verify all`` sees in ``tree``: its failing rows, ``aborted: ...`` or ``blind``."""
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "polarflow.cli", "verify", "all", "--out", "verify-out"],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "aborted: timed out"
+    if done.returncode not in (0, 3):
+        lines = done.stderr.strip().splitlines() or ["no message"]
+        return f"aborted: exit {done.returncode}: {lines[-1].strip()}"
+    failed = [m.group(1) for m in map(_VERIFY_ROW.match, done.stdout.splitlines()) if m]
+    return " ".join(failed) or "blind"
+
+
+def run(mutant: Mutant) -> tuple[str, str]:
+    """Apply ``mutant`` to a copy of the checkout; return the tests' verdict and what verify saw."""
     source = ROOT / mutant.file
     if not source.is_file() or source.read_text().count(mutant.old) != 1:
-        return "stale"
+        return "stale", "-"
     with tempfile.TemporaryDirectory(prefix="polarflow-mutant-") as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -253,20 +283,26 @@ def run(mutant: Mutant) -> str:
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
                 cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S,
             )
+            verdict = {0: "survived", 1: "killed"}.get(done.returncode, "error")
         except subprocess.TimeoutExpired:
-            return "error"
-    return {0: "survived", 1: "killed"}.get(done.returncode, "error")
+            verdict = "error"
+        seen = verify_all(tree, env) if mutant.file.startswith("src/") else "-"
+    return verdict, seen
 
 
 def main() -> int:
-    verdicts = []
+    verdicts, sights = [], []
     for mutant in MUTANTS:
         start = time.perf_counter()
-        verdict = run(mutant)
+        verdict, seen = run(mutant)
         verdicts.append(verdict)
-        print(f"{mutant.name:<34} {verdict:<8} {time.perf_counter() - start:6.1f}s", flush=True)
+        sights.append(seen)
+        print(f"{mutant.name:<34} {verdict:<8} {time.perf_counter() - start:6.1f}s  verify: {seen}",
+              flush=True)
     killed = verdicts.count("killed")
     print(f"{killed} of {len(verdicts)} mutants killed")
+    checked = [seen for seen in sights if seen != "-"]
+    print(f"verify all saw {len(checked) - checked.count('blind')} of {len(checked)} src/ mutants")
     return 0 if killed == len(verdicts) else 1
 
 

@@ -64,11 +64,12 @@ _SOURCES = {
         "SolveConfig",
         "Trajectory",
         "evolve",
+        "evolve_coupled",
         "galilean_shift",
         "heat_propagate",
         "max_stable_dt",
+        "transport_step",
     ),
-    "transport": ("evolve_coupled", "transport_step"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
 

@@ -21,17 +21,14 @@ from .errors import PolarflowError
 
 __all__ = ["run_jobs", "usable_workers"]
 
-# the most children one pool runs at once, however many cores the process may use
-MAX_WORKERS = 8
-
 
 def usable_workers() -> int:
-    """Workers a pool may start: one per core this process may use, up to :data:`MAX_WORKERS`.
+    """Workers a pool may start: one per core this process may use.
 
     0 on one core, where a pool only adds cost, or where ``fork`` is unavailable.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(cores, MAX_WORKERS) if cores >= 2 and hasattr(os, "fork") else 0
+    return cores if cores >= 2 and hasattr(os, "fork") else 0
 
 
 def _child(job, write_fd: int) -> None:

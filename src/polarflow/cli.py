@@ -48,8 +48,7 @@ from .errors import ConfigError, PolarflowError, SolverError
 from .flux import FluxSpec, Modulation, burgers_flux, constant_flux, polynomial_flux, with_modulation, zero_flux
 from .geometry import make_initial
 from .grid import PeriodicGrid, ScalarField, _flat_coords, make_grid
-from .spectral import SolveConfig, Trajectory, _record_count, _record_moduli, _schedule
-from .transport import evolve_coupled
+from .spectral import SolveConfig, Trajectory, _record_count, _record_moduli, _schedule, evolve_coupled
 
 if TYPE_CHECKING:
     from .cell import CellSolution

@@ -1,9 +1,15 @@
 """Initial surface data and the polar splitting ``x = r P``.
 
-The parameter domain is ``theta in [0, L)^m`` and every preset is a closed
-hypersurface of ``R^(m+1)``: a planar curve on one axis (the angle is
-``2 pi theta / L``), a surface in ``R^3`` on two, and so on.  The ambient
-dimension ``m + 1`` is fixed by :func:`sphere_directions`.
+The parameter domain is ``theta in [0, L)^m`` and every preset takes its
+directions from :func:`sphere_directions`, which fixes the ambient dimension
+``m + 1``.  On one axis they go once round the unit circle (the angle is
+``2 pi theta / L``), so a preset is a closed planar curve.  On ``m >= 2``
+axes they are the double Fourier sphere map: every angle sweeps a whole
+turn, the first included, so the map covers ``S^m`` twice (``theta`` and
+``(-theta_0, theta_1 + L_1 / 2, theta_2, ...)`` land on one point) and the
+hyperplanes ``sin(2 pi theta_0 / L_0) = 0`` go to the poles
+``(+-1, 0, ..., 0)``.  A multi-axis run therefore evolves a map of the flat
+torus into ``R^(m+1)``, not a closed hypersurface.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ def sphere_directions(grid: PeriodicGrid) -> DirectionField:
     """Smooth periodic unit-vector field in ``R^(m+1)`` built from hyperspherical angles.
 
     Angle ``i`` sweeps ``2 pi theta_i / L_i`` along axis ``i``.  On one axis
-    this is the unit circle ``(cos, sin)``.
+    this is the unit circle ``(cos, sin)``; on more it is the double Fourier
+    sphere map (see the module docstring).
     """
     comps = []
     running = np.ones(grid.shape)

@@ -187,9 +187,6 @@ class DirectionField:
         """Ambient dimension."""
         return self.vectors.shape[-1]
 
-    def component(self, j: int) -> np.ndarray:
-        return self.vectors[..., j]
-
 
 def make_grid(m: int, lengths, resolution) -> PeriodicGrid:
     """Build a periodic grid with ``m`` axes.

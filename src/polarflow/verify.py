@@ -28,8 +28,7 @@ from .duhamel import (
 from .flux import Modulation, burgers_flux, constant_flux, with_modulation, zero_flux
 from .geometry import decompose, ellipse_initial, perturbed_sphere_initial, reconstruct
 from .grid import make_field, make_grid, mean
-from .spectral import SolveConfig, _march, evolve, galilean_shift, heat_propagate
-from .transport import evolve_coupled
+from .spectral import SolveConfig, _march, evolve, evolve_coupled, galilean_shift, heat_propagate
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 

@@ -82,8 +82,8 @@ def test_08_transport_correctness(battery):
         p = transport_step(p, r, constant_flux([c]), dt)
     worst = 0.0
     for j in range(2):
-        oracle = galilean_shift(make_field(grid, p0.component(j)), [c], steps * dt)
-        worst = max(worst, float(np.abs(p.component(j) - oracle.values).max()))
+        oracle = galilean_shift(make_field(grid, p0.vectors[..., j]), [c], steps * dt)
+        worst = max(worst, float(np.abs(p.vectors[..., j] - oracle.values).max()))
     drift = float(np.abs(np.sqrt((p.vectors**2).sum(-1)) - 1.0).max())
     extra = [
         (worst < 1e-8, f"translation err {worst:.2e} < 1e-8 (N=128, dt=1e-3)"),

@@ -30,7 +30,7 @@ from polarflow import (
     with_modulation,
     zero_flux,
 )
-from polarflow import cli, transport
+from polarflow import cli, spectral
 from polarflow.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -617,7 +617,7 @@ def fail_transport_at(monkeypatch, step, once_exists=None):
     With ``once_exists``, the step first waits for that file, so a frame
     creator beside the run has made its files when the run fails.
     """
-    carry, calls = transport._carry, []
+    carry, calls = spectral._carry, []
 
     def failing(*args):
         calls.append(args)
@@ -627,7 +627,7 @@ def fail_transport_at(monkeypatch, step, once_exists=None):
             wait_for(once_exists)
         raise SolverError("direction vector collapsed to zero during transport")
 
-    monkeypatch.setattr(transport, "_carry", failing)
+    monkeypatch.setattr(spectral, "_carry", failing)
 
 
 def frame_sizes(out):
@@ -736,7 +736,7 @@ class TestFrameCreator:
         assert_no_child()
 
     def test_loop_runs_while_the_creator_does(self, tmp_path, monkeypatch, two_cores):
-        create, carry, mark = cli._create_frames, transport._carry, tmp_path / "created"
+        create, carry, mark = cli._create_frames, spectral._carry, tmp_path / "created"
 
         def marking(out, count):
             create(out, count)
@@ -747,7 +747,7 @@ class TestFrameCreator:
             return carry(*args)
 
         monkeypatch.setattr(cli, "_create_frames", marking)
-        monkeypatch.setattr(transport, "_carry", waiting)
+        monkeypatch.setattr(spectral, "_carry", waiting)
         cfg_path, out = write_cfg(tmp_path, SHORT_FRAMES_CFG)
         assert run_evolve(cfg_path) == EXIT_OK
         assert int(mark.read_text()) != os.getpid()
@@ -782,7 +782,7 @@ class TestFrameCreator:
 
         monkeypatch.setattr(cli, "_create_frames", slow)
         if how == "interrupt":
-            monkeypatch.setattr(transport, "_carry", interrupted)
+            monkeypatch.setattr(spectral, "_carry", interrupted)
         else:
             fail_transport_at(monkeypatch, 3)
         cfg_path, out = write_cfg(tmp_path, ELLIPSE_CFG)
@@ -1043,8 +1043,8 @@ class TestRowsCanFail:
         assert not rows["geometry.sphere_dev_nonincreasing"]
 
     def test_unrenormalised_directions_fail_unit_norm_row(self, monkeypatch):
-        carry = transport._carry
-        monkeypatch.setattr(transport, "_carry", lambda *args: carry(*args) * (1.0 + 1e-9))
+        carry = spectral._carry
+        monkeypatch.setattr(spectral, "_carry", lambda *args: carry(*args) * (1.0 + 1e-9))
         assert not self.passed("geometry")["geometry.unit_norm"]
 
 
@@ -1270,7 +1270,7 @@ class TestImportsPerSubcommand:
         loaded = loaded_modules(
             tmp_path, f"from polarflow import cli\nassert cli.main(['evolve', {str(cfg_path)!r}]) == 0"
         )
-        assert "polarflow.transport" in loaded
+        assert "polarflow.spectral" in loaded
         for name in ("verify", "duhamel", "cell", "_fdcell", "diagnostics"):
             assert f"polarflow.{name}" not in loaded
 

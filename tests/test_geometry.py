@@ -126,6 +126,16 @@ class TestSphereDirections:
         norms = np.sqrt((p.vectors**2).sum(-1))
         assert p.d == d and np.abs(norms - 1.0).max() < 1e-12
 
+    def test_two_axes_cover_the_sphere_twice(self):
+        # the double Fourier sphere map: theta and (-theta_0, theta_1 + 1/2) land on one point,
+        # and the lines sin(2 pi theta_0) = 0 on the poles
+        n = 32
+        p = sphere_directions(make_grid(2, [1.0, 1.0], [n, n])).vectors
+        i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        assert np.abs(p[(-i) % n, (j + n // 2) % n] - p).max() < 1e-15  # measured 6.7e-16
+        for row, pole in ((0, [1.0, 0.0, 0.0]), (n // 2, [-1.0, 0.0, 0.0])):
+            assert np.abs(p[row] - pole).max() < 1e-15
+
 
 class TestReconstructDecompose:
     def test_circle(self, grid64):

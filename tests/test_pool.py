@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from polarflow import _pool
 from polarflow._pool import run_jobs, usable_workers
 from polarflow.errors import PolarflowError
 
@@ -121,7 +120,7 @@ class TestRunJobs:
     def test_one_job_runs_in_process(self, pooled):
         assert run_jobs([tagged(0)]) == [(0, os.getpid())]
 
-    @pytest.mark.parametrize("n_cores, want", [(2, 2), (6, 6), (64, _pool.MAX_WORKERS)])
+    @pytest.mark.parametrize("n_cores, want", [(2, 2), (6, 6), (64, 64)])
     def test_worker_count(self, cores, n_cores, want):
         if not hasattr(os, "fork"):
             pytest.skip("the pool needs the fork start method")

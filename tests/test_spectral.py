@@ -422,22 +422,31 @@ class TestEnsemble:
         with pytest.raises(SolverError, match="step 3 .*non-finite"):
             _march(r0s, burgers_flux(1), SolveConfig(dt=1e-4, t_end=1e-3))
 
-    def test_constant_flux_hook_gets_no_midpoint(self, grid64):
-        # a constant speed does not read the radius, so no midpoint transform is made
-        seen = []
+    def test_constant_flux_hook_gets_no_midpoint(self, grid64, monkeypatch):
+        # a constant speed does not read the radius, so no midpoint transform is made:
+        # the transport's stages come from r0 and from each step's end
+        from polarflow import spectral
 
-        def hook(vectors, mid, end, dt):
-            seen.append((mid, end, dt))
-            return vectors
+        staged, steps = [], []
+        stage, carry = spectral._stage, spectral._carry
 
+        def staging(spec, grid, r_vals):
+            staged.append(r_vals.copy())
+            return stage(spec, grid, r_vals)
+
+        def carrying(vectors, grid, stages, dt):
+            steps.append(dt)
+            return carry(vectors, grid, stages, dt)
+
+        monkeypatch.setattr(spectral, "_stage", staging)
+        monkeypatch.setattr(spectral, "_carry", carrying)
         r0 = smooth_field(grid64, seed=45, offset=2.0)
         p0 = sphere_directions(grid64).vectors
         cfg = SolveConfig(dt=1e-3, t_end=3e-3)
-        traj = _march([r0], constant_flux([0.7]), cfg, (p0, hook))[0]
-        assert len(seen) == 3
-        for (mid, end, dt), after in zip(seen, traj.radii[1:]):
-            assert mid is None and end.shape == grid64.shape and dt == 1e-3
-            assert np.array_equal(end, after)
+        traj = _march([r0], constant_flux([0.7]), cfg, p0)[0]
+        assert steps == [1e-3] * 3 and len(staged) == 4
+        for r, record in zip(staged, traj.radii):
+            assert r.shape == grid64.shape and np.array_equal(r, record)
 
     def test_records_are_read_only_views_of_one_array(self, grid64):
         r0s = [smooth_field(grid64, seed=s, offset=2.0) for s in (46, 47)]
@@ -445,7 +454,7 @@ class TestEnsemble:
         first, second = _march(r0s, burgers_flux(1), cfg)
         assert first.radii.shape == (4, 64) and first.radii.base is second.radii.base
         p0 = sphere_directions(grid64).vectors
-        coupled = _march(r0s[:1], burgers_flux(1), cfg, (p0, lambda p, mid, end, dt: p))[0]
+        coupled = _march(r0s[:1], burgers_flux(1), cfg, p0)[0]
         assert coupled.directions.shape == (4, 64, 2) and first.directions is None
         for arr in (first.times, first.radii, coupled.times, coupled.radii, coupled.directions):
             assert not arr.flags.writeable

@@ -23,10 +23,10 @@ from polarflow import (
     with_modulation,
     zero_flux,
 )
-from polarflow import transport
+from polarflow import spectral
 from polarflow.flux import Modulation, eval_f
 from polarflow.grid import DirectionField, RadialField, ScalarField
-from polarflow.spectral import _derivative_symbols, _march, _shift_symbol, max_stable_dt
+from polarflow.spectral import _derivative_symbols, _shift_symbol, max_stable_dt
 from conftest import full_lattice
 
 
@@ -94,7 +94,7 @@ def reference_transport_step(grid, vectors, radii, spec, dt):
 
 
 def reference_real_carry(vectors, grid, speeds, dt):
-    """Reference: ``transport._carry`` as out-of-place arithmetic on ``rfftn``/``irfftn``.
+    """Reference: ``spectral._carry`` as out-of-place arithmetic on ``rfftn``/``irfftn``.
 
     Every stage is a new array and every sum starts from ``0.0``; the
     products keep their operand order.  Returns the renormalized vectors.
@@ -245,7 +245,7 @@ def carry_steps(p0, spec, dt, steps):
     for k in range(steps):
         t = k * dt
         radii = [radius_samples(grid, s) for s in (t, t + dt / 2, t + dt)]
-        v = transport._carry(v, grid, [transport._stage(spec, grid, r) for r in radii], dt)
+        v = spectral._carry(v, grid, [spectral._stage(spec, grid, r) for r in radii], dt)
     return v
 
 
@@ -290,13 +290,13 @@ class TestSubsteps:
         dt = max_stable_dt(grid2d, spec, 1.3)
         p0 = sphere_directions(grid2d)
         seen = []
-        original = transport._substeps
+        original = spectral._substeps
 
         def spy(*args):
             seen.append(original(*args))
             return seen[-1]
 
-        monkeypatch.setattr(transport, "_substeps", spy)
+        monkeypatch.setattr(spectral, "_substeps", spy)
         coarse = carry_steps(p0, spec, dt, 10)
         assert set(seen) == {2}
         seen.clear()
@@ -327,7 +327,7 @@ class TestInPlaceCarry:
     def inputs(m, spec, dt):
         grid = make_grid(m, [1.0] * m, [64] if m == 1 else [32, 32])
         radii = [radius_samples(grid, t) for t in (0.0, dt / 2, dt)]
-        stages = [transport._stage(spec, grid, r) for r in radii]
+        stages = [spectral._stage(spec, grid, r) for r in radii]
         return grid, sphere_directions(grid).vectors, stages
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -336,16 +336,16 @@ class TestInPlaceCarry:
         grid, v, stages = self.inputs(m, spec, dt)
         speeds = [s for s, _ in stages]
         seen = []
-        original = transport._substeps
+        original = spectral._substeps
 
         def spy(*args):
             seen.append(original(*args))
             return seen[-1]
 
-        monkeypatch.setattr(transport, "_substeps", spy)
+        monkeypatch.setattr(spectral, "_substeps", spy)
         ref = v
         for _ in range(20):
-            v = transport._carry(v, grid, stages, dt)
+            v = spectral._carry(v, grid, stages, dt)
             ref = reference_real_carry(ref, grid, speeds, dt)
             assert np.array_equal(v, ref)
         assert set(seen) == {n_sub}
@@ -356,8 +356,8 @@ class TestInPlaceCarry:
         grid, v, stages = self.inputs(m, spec, dt)
         inputs = [v] + [s for speeds, _ in stages for s in speeds]
         before = [a.copy() for a in inputs]
-        out = transport._carry(v, grid, stages, dt)
-        again = transport._carry(out, grid, stages, dt)  # a caller may hold the previous result
+        out = spectral._carry(v, grid, stages, dt)
+        again = spectral._carry(out, grid, stages, dt)  # a caller may hold the previous result
         assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
         for a in inputs:
             assert not np.shares_memory(out, a) and not np.shares_memory(again, a)
@@ -381,7 +381,7 @@ class TestExactStageSpeeds:
         m, spec, dt, taus = self.CASES[case]
         grid, v, stages = TestInPlaceCarry.inputs(m, spec, dt)
         seen = []
-        original = transport._rest_at
+        original = spectral._rest_at
 
         def spy(rests, tau):
             out = original(rests, tau)
@@ -391,15 +391,38 @@ class TestExactStageSpeeds:
             seen.append(tau)
             return out
 
-        monkeypatch.setattr(transport, "_rest_at", spy)
-        transport._carry(v, grid, stages, dt)
+        monkeypatch.setattr(spectral, "_rest_at", spy)
+        spectral._carry(v, grid, stages, dt)
         assert seen == taus
+
+
+def recomputed_run(r0, p0, spec, cfg):
+    """The direction vectors after each step of a coupled run, ``f(r)`` taken afresh at all three stages.
+
+    The radius steps through ``spectral._Stepper`` as the time loop steps
+    it; every step builds the stages of its start, middle and end radius,
+    the end standing in for the middle of a constant-flux step.
+    """
+    grid = r0.grid
+    n_steps, tail = spectral._schedule(grid, spec, cfg, float(np.abs(r0.values).max()))
+    stepper = spectral._Stepper(grid, spec, cfg.dt, (1,))
+    hat, start, v, out = stepper.start(r0.values[None]), r0.values, p0.vectors, []
+    for k in range(1, n_steps + 1):
+        if tail and k == n_steps:
+            stepper = spectral._Stepper(grid, spec, tail, (1,))
+        hat, mid = stepper.advance(hat)
+        end = spectral._irfft(grid, hat)[0]
+        radii = (start, end if mid is None else mid[0], end)
+        v = spectral._carry(v, grid, [spectral._stage(spec, grid, r) for r in radii], stepper.dt)
+        start = end
+        out.append(v)
+    return out
 
 
 class TestReusedSpeeds:
     """A coupled step builds the ``_stage`` of its middle and end: its start is the last step's end.
 
-    ``r0``'s stage is built on the hook's first call: one more than two per step.
+    ``r0``'s stage is built before the first step: one more than two per step.
     """
 
     CASES = {
@@ -423,29 +446,21 @@ class TestReusedSpeeds:
         assert len(evaluated) == 1 + per_step * 11
         monkeypatch.undo()
 
-        start = [r0.values]
-
-        def recomputed(vectors, mid, end, h):
-            # f(r) and its extrema taken afresh at all three stages
-            radii = (start[0], end if mid is None else mid, end)
-            start[0] = end
-            return transport._carry(vectors, grid, [transport._stage(spec, grid, r) for r in radii], h)
-
-        want = _march([r0], spec, cfg, (p0.vectors, recomputed))[0]
-        assert np.array_equal(traj.radii, want.radii)
-        assert traj.directions.tobytes() == want.directions.tobytes()
+        steps = recomputed_run(r0, p0, spec, cfg)
+        want = np.stack([p0.vectors] + [steps[k - 1] for k in (4, 8, 11)])
+        assert traj.directions.tobytes() == want.tobytes()
 
     @staticmethod
     def count_stages(monkeypatch) -> list:
-        """Patch ``transport._stage`` to record one entry per call; return the record."""
+        """Patch ``spectral._stage`` to record one entry per call; return the record."""
         evaluated = []
-        original = transport._stage
+        original = spectral._stage
 
         def counting(*args):
             evaluated.append(1)
             return original(*args)
 
-        monkeypatch.setattr(transport, "_stage", counting)
+        monkeypatch.setattr(spectral, "_stage", counting)
         return evaluated
 
     def test_rejected_dt_evaluates_no_speeds(self, grid64, monkeypatch):
@@ -455,6 +470,40 @@ class TestReusedSpeeds:
         with pytest.raises(SolverError, match="violates advective stability bound"):
             evolve_coupled(r0, p0, burgers_flux(1), SolveConfig(dt=dt, t_end=10 * dt))
         assert evaluated == []
+
+    def test_radius_only_runs_build_no_stage(self, grid64, monkeypatch):
+        # evolve, and the contraction check's two-member batch
+        from polarflow import verify
+
+        evaluated, carried = self.count_stages(monkeypatch), []
+        monkeypatch.setattr(spectral, "_carry", lambda *args: carried.append(args))
+        r0, _ = perturbed_sphere_initial(grid64, 1.0, 0.3, [[1]])
+        evolve(r0, burgers_flux(1), SolveConfig(dt=1e-3, t_end=1e-2))
+        assert [row.passed for row in verify.SUITES["contraction"]()] == [True]
+        assert evaluated == [] and carried == []
+
+    def test_constant_flux_step_builds_only_its_end(self, grid64, monkeypatch):
+        # the end stage stands in for the middle, and is the next step's start
+        built, carried = [], []
+        stage, carry = spectral._stage, spectral._carry
+
+        def building(spec, grid, r_vals):
+            built.append((r_vals.copy(), stage(spec, grid, r_vals)))
+            return built[-1][1]
+
+        def carrying(vectors, grid, stages, dt):
+            carried.append((len(built), stages))
+            return carry(vectors, grid, stages, dt)
+
+        monkeypatch.setattr(spectral, "_stage", building)
+        monkeypatch.setattr(spectral, "_carry", carrying)
+        r0, p0 = perturbed_sphere_initial(grid64, 1.0, 0.3, [[1]])
+        traj = evolve_coupled(r0, p0, constant_flux([0.7]), SolveConfig(dt=1e-3, t_end=3e-3))
+        assert [n for n, _ in carried] == [2, 3, 4]  # r0's stage, then one a step
+        assert np.array_equal(built[0][0], r0.values)
+        for k, (_, (start, middle, end)) in enumerate(carried):
+            assert start is built[k][1] and middle is end is built[k + 1][1]
+            assert np.array_equal(built[k + 1][0], traj.radii[k + 1])
 
 
 class TestReusedShifts:
@@ -472,19 +521,19 @@ class TestReusedShifts:
             built.append(t)
             return _shift_symbol(grid, speeds, t)
 
-        monkeypatch.setattr(transport, "_shift_symbol", counted)
-        transport._packed_shift.cache_clear()
+        monkeypatch.setattr(spectral, "_shift_symbol", counted)
+        spectral._packed_shift.cache_clear()
         reused = evolve_coupled(r0, p0, spec, cfg)
         n_reused = len(built)
         built.clear()
-        monkeypatch.setattr(transport, "_shift", counted)  # every symbol built afresh
+        monkeypatch.setattr(spectral, "_shift", counted)  # every symbol built afresh
         fresh = evolve_coupled(r0, p0, spec, cfg)
         assert reused.radii.tobytes() == fresh.radii.tobytes()
         assert reused.directions.tobytes() == fresh.directions.tobytes()
         assert 0 < n_reused < len(built)
 
     def test_keyed_on_bits(self, grid64):
-        symbols = [transport._shift(grid64, [c], 0.25) for c in (0.0, -0.0, 0.0)]
+        symbols = [spectral._shift(grid64, [c], 0.25) for c in (0.0, -0.0, 0.0)]
         assert symbols[0] is symbols[2] and symbols[0] is not symbols[1]
         for c, symbol in zip((0.0, -0.0), symbols):
             assert symbol.tobytes() == _shift_symbol(grid64, [c], 0.25).tobytes()
@@ -515,8 +564,8 @@ class TestTransportStep:
             p = transport_step(p, r, constant_flux([c]), dt)
         t = steps * dt
         for j in range(2):
-            oracle = galilean_shift(make_field(grid128, p0.component(j)), [c], t)
-            assert np.abs(p.component(j) - oracle.values).max() < 1e-12
+            oracle = galilean_shift(make_field(grid128, p0.vectors[..., j]), [c], t)
+            assert np.abs(p.vectors[..., j] - oracle.values).max() < 1e-12
 
     def test_unit_norm_enforced(self, grid64):
         p0 = circle_field(grid64)
@@ -562,7 +611,7 @@ class TestTransportStep:
     def test_collapse_is_a_solver_error(self, grid64, monkeypatch):
         p = circle_field(grid64)
         r = make_field(grid64, np.full(64, 1.5))
-        monkeypatch.setattr(transport, "_irfft", lambda grid, hat: np.zeros(hat.shape[:-grid.m] + grid.shape))
+        monkeypatch.setattr(spectral, "_irfft", lambda grid, hat: np.zeros(hat.shape[:-grid.m] + grid.shape))
         with pytest.raises(SolverError, match="collapsed"):
             transport_step(p, r, burgers_flux(1), 1e-3)
 
@@ -589,8 +638,8 @@ class TestTransportStep:
             p = transport_step(p, r, constant_flux(c), dt)
         t = 10 * dt
         for j in range(3):
-            oracle = galilean_shift(make_field(grid2d, p0.component(j)), c, t)
-            assert np.abs(p.component(j) - oracle.values).max() < 1e-10
+            oracle = galilean_shift(make_field(grid2d, p0.vectors[..., j]), c, t)
+            assert np.abs(p.vectors[..., j] - oracle.values).max() < 1e-10
 
 
 class TestEvolveCoupled:
@@ -604,7 +653,7 @@ class TestEvolveCoupled:
         assert np.abs(traj.final.values - rbar).max() < 1e-13
         speed = eval_f(spec, 0, rbar)
         for j in range(2):
-            oracle = galilean_shift(make_field(grid64, p0.component(j)), [speed], 0.2)
+            oracle = galilean_shift(make_field(grid64, p0.vectors[..., j]), [speed], 0.2)
             assert np.abs(traj.directions[-1][..., j] - oracle.values).max() < 1e-10
 
     def test_zero_flux_p_frozen_r_heat(self, grid64):
